@@ -71,18 +71,19 @@ def _events_rollup_1w(sf_dir: str):
 
 
 def _events_rollup_salted(sf_dir: str):
-    """Hot-key salting proof through the driver gate: the 1m rollup with
-    two-phase salted aggregation (salt_shards=8 splits each series across
-    8 partial reducers, then a final per-key merge) must hash-match the
-    SAME oracle as the unsalted path — salting changes the shuffle layout,
-    never the values."""
+    """Hot-key shape through the driver gate: the events corpus holds a few
+    series with many samples each, and its 1m rollup runs through the one
+    unsalted ladder path (the per-block combiner bounds a hot key to one
+    row per (block, window) before the shuffle).  It must hash-match the
+    SAME oracle as the plain 1m rollup.  The name is kept from the removed
+    two-phase salting option it used to exercise."""
     from json_time_series_extractor_ray.pipelines.timeseries import (
         extract_pipeline as _ep,
     )
     from json_time_series_extractor_ray.stages.rollup import rollup_ladder
 
     corpus = events_corpus_dataset(sf_dir)
-    rollups = rollup_ladder(_ep(corpus), tiers=("1m",), salt_shards=8)
+    rollups = rollup_ladder(_ep(corpus), tiers=("1m",))
     return rollup_tier_for_compare(rollups, "1m")
 
 

@@ -4,6 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Adaptive execution: when the MATERIALIZED partial relation of a
+#: value-ordered statistic (``ranktests``, ``psidrift``) is small enough to
+#: fold on the driver (~200 MB at 5M rows), skip the shuffle rounds
+#: entirely — the fold is the same exact arithmetic, just local.  Above the
+#: bound the value-ordered shard rounds run (the 100 TB path); equality of
+#: the two paths is pinned by test.  The same adaptivity as the
+#: shredded-vs-traversal kernel switch: pick the cheap plan when the data
+#: proves small, never guess.
+MAX_DRIVER_FOLD_ROWS = 5_000_000
+
 
 def shard_to_pandas(tbl) -> "pd.DataFrame":
     """Arrow shard frame -> pandas without float64-decaying ints: an int
@@ -69,10 +79,7 @@ def value_ordered_shards(values, num_shards: int):
     value-ordered split.  Shared by ``relational.customer_spend_gini``
     and ``ranktests.mannwhitney_weekend``'s distributed prefix-rank.
     """
-    s = np.array(
-        values.to_numpy(zero_copy_only=False)
-        if hasattr(values, "to_numpy") else values,
-        dtype=np.float64)
+    s = np.array(values, dtype=np.float64)  # ndarray, pandas or Arrow input
     # IEEE -0.0 and +0.0 compare equal everywhere downstream (pandas
     # groupby, DuckDB) but have different bit patterns — normalize so
     # the 'equal values share a shard' invariant holds for the zero tie

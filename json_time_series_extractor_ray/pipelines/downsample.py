@@ -215,17 +215,15 @@ def hopping_rollup(samples_ds, *, width_ns: int, hop_ns: int,
     k = width_ns // hop_ns
 
     def _expand_group(df: pd.DataFrame) -> pd.DataFrame:
-        series_key = df["series_key"].iloc[0]
-        buckets = df.drop(columns=["series_key"])
-        rep = buckets.loc[buckets.index.repeat(k)].reset_index(drop=True)
-        shifts = np.tile(np.arange(k, dtype=np.int64) * hop_ns, len(buckets))
+        rep = df.loc[df.index.repeat(k)].reset_index(drop=True)
+        shifts = np.tile(np.arange(k, dtype=np.int64) * hop_ns, len(df))
         # bucket b belongs to every window start s = b - i*hop, i in [0, k):
         # s <= b and b < s + width.
         rep["window_start"] = rep["window_start"].to_numpy() - shifts
         merged = _merge_windows(rep, hop_ns)
         out = pd.DataFrame(
             {
-                "series_key": series_key,
+                "series_key": merged["series_key"],
                 "window_ns": merged["window_start"],
                 "count": merged["count"],
                 "sum": round_half_away(merged["sum"], round_digits),

@@ -42,7 +42,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import round_half_away, value_ordered_shards
+from ._util import (
+    MAX_DRIVER_FOLD_ROWS,
+    round_half_away,
+    value_ordered_shards,
+)
 from .registry import register
 
 N_BUCKETS = 10
@@ -54,12 +58,6 @@ MAX_SERIES = 1_000_000
 #: One task holds one (series, value-shard) SLICE of the distinct-value
 #: table (see ranktests.MAX_SHARD_DISTINCT for the sizing argument).
 MAX_SHARD_DISTINCT = 20_000_000
-
-#: Adaptive execution bound (see ranktests.MAX_DRIVER_FOLD_ROWS): a
-#: materialized partial relation at or under this folds on the driver
-#: with the identical serial arithmetic; above it the value-ordered
-#: shard rounds run.  Path equality is pinned by test.
-MAX_DRIVER_FOLD_ROWS = 5_000_000
 
 
 def _weighted_quantiles(uv: np.ndarray, uc: np.ndarray, qs) -> np.ndarray:

@@ -45,7 +45,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import round_half_away, value_ordered_shards
+from ._util import (
+    MAX_DRIVER_FOLD_ROWS,
+    round_half_away,
+    value_ordered_shards,
+)
 from .registry import register
 
 _DAY_NS = 86_400_000_000_000
@@ -55,15 +59,6 @@ _DAY_NS = 86_400_000_000_000
 #: — a true single-task memory bound; raise ``value_shards`` to shrink
 #: slices if a pathological distribution concentrates one binade slice.
 MAX_SHARD_DISTINCT = 20_000_000
-
-#: Adaptive execution: when the MATERIALIZED distinct-value partial
-#: relation is small enough to fold on the driver (~200 MB at 5M rows),
-#: skip the shuffle rounds entirely — the fold is the same exact
-#: arithmetic, just local.  Above the bound the value-ordered shard
-#: rounds run (the 100 TB path); equality of the two paths is pinned by
-#: test.  The same adaptivity as the shredded-vs-traversal kernel
-#: switch: pick the cheap plan when the data proves small, never guess.
-MAX_DRIVER_FOLD_ROWS = 5_000_000
 
 
 def mannwhitney_weekend(samples_ds, *, round_digits: int = 6,

@@ -15,11 +15,11 @@ the north_star.  Semantics:
   interpolated value.
 
 Distribution: gap-fill is per-series work over tier rows.  It runs inside
-the same ``groupby(series_key)`` shuffle as the rollup cascade (data is
-already series-local and window-sorted there), so it adds NO extra wide
-operation — `rollup_ladder(..., gap_fill="locf")` fuses it into the
-existing ``map_groups``; ``gap_fill_dataset`` exists to run it standalone
-over an already-written tier.
+the same ``map_groups`` call as the rollup cascade (each group already holds
+whole series: one shard in ``run_sharded_rollup``, one series in
+``rollup_ladder``), so it adds NO extra wide operation;
+``gap_fill_dataset`` exists to run it standalone over an already-written
+tier.
 """
 
 from __future__ import annotations
@@ -121,15 +121,15 @@ def gap_fill_series(df: pd.DataFrame, window_ns: int, method: str,
 def gap_fill_tier_group(df: pd.DataFrame, tier_window_ns: dict | None = None,
                         method: str = FILL_LOCF,
                         interp_round_digits: int | None = None) -> pd.DataFrame:
-    """``map_groups`` body: all tier rows of ONE series -> gap-filled rows.
+    """``map_groups`` body: all tier rows of one or many series ->
+    gap-filled rows.
 
     Input is the rollup-ladder output schema (tier, series_key,
     window_start/last_ts as datetime64[ns]).
     """
     tier_window_ns = tier_window_ns or WINDOW_NS
-    series_key = df["series_key"].iloc[0]
     frames = []
-    for tier, g in df.groupby("tier", sort=True):
+    for (series_key, tier), g in df.groupby(["series_key", "tier"], sort=True):
         work = pd.DataFrame(
             {
                 "window_start": g["window_start"].astype("int64"),

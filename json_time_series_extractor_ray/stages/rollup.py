@@ -10,21 +10,28 @@ SURVEY.md §2.6) — this ladder is the engine's scale mandate
    before anything is shuffled.  At 100 TB this is the difference between
    shuffling every sample and shuffling bounded per-window partials — the
    explicit "pre-aggregate before groupby" pattern.
-2. **Exactly one wide op**: ``groupby("series_key")`` over the partials.
-3. **Per-series cascade inside ``map_groups``**: merge partials into final
-   1m windows, then derive 1h from 1m and 1d from 1h *locally* (sum+count
-   carried so ``mean`` is exact — never an average of averages; min of mins;
-   max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``).
+2. **Exactly one wide op** over the partials, keyed by series:
+   ``state/checkpoint.run_sharded_rollup`` (the job path) groups by
+   ``shard = hash(series_key) % P``; ``rollup_ladder`` groups by
+   ``series_key``.
+3. **Vectorized cascade inside ``map_groups``**: ``cascade_series_group``
+   merges the partials of every series in its group at once (one sort +
+   ``reduceat`` over ``(series_key, window)`` segments per tier) into final
+   1m windows, then derives 1h from 1m and 1d from 1h *locally* (sum+count
+   carried so ``mean`` is exact — never an average of averages; min of
+   mins; max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``).
 
 Determinism: ``last`` needs a total order under Ray's unordered block
 execution, so partials carry ``(last_ts, last_doc, last_ord)`` and every
 merge sorts on that triple (SURVEY.md §7.3.3); float sums are performed in
-that same sorted order so repeated runs are bit-identical.
+that same sorted order so repeated runs are bit-identical, and a segment
+sums in the same order whichever other series share its group.
 
 Skew: a hot series costs one partial row per (block, window), not one row
 per sample, so the post-shuffle group for even an extreme hot key is bounded
-by (#blocks x #windows) — salting hooks are unnecessary until window
-cardinality itself explodes; ``partial_shards`` below documents the knob.
+by (#blocks x #windows).  There is no salting stage; the
+``events_rollup_1m_salted`` registry query keeps the hot-key shape pinned
+to its oracle.
 
 Only numeric samples (``value_kind == 1``) participate, mirroring the
 engine's rollup value domain (SURVEY.md §1.3).
@@ -131,35 +138,40 @@ def _partial_dtypes():
     }
 
 
+#: Merge order: (series, window) segments, and inside a segment the 'last'
+#: tie-break triple — the order the float sums run in.
+_MERGE_ORDER = ["series_key", "window_start", "last_ts", "last_doc", "last_ord"]
+
+
 def _merge_windows(df: pd.DataFrame, window_ns: int,
                    offset_ns: int = 0) -> pd.DataFrame:
-    """Merge partial rows into final windows of size ``window_ns``.
+    """Merge partial rows of any number of series into final
+    ``(series_key, window)`` rows of size ``window_ns``.
 
     Input may be partials of a finer tier; re-bucketing is integer floor
     arithmetic on ``window_start``.  Sort order makes both the float sum and
     the 'last' pick deterministic.
     """
-    df = df.copy()
-    df["window_start"] = (
-        df["window_start"] - ((df["window_start"] - offset_ns) % window_ns)
-    )
-    df.sort_values(
-        ["window_start", "last_ts", "last_doc", "last_ord"], inplace=True,
-        kind="stable", ignore_index=True,
-    )
     w = df["window_start"].to_numpy()
-    if not len(w):
-        return df[["window_start", "sum", "count", "min", "max", "last",
-                   "last_ts", "last_doc", "last_ord"]]
+    df = df.assign(window_start=w - ((w - offset_ns) % window_ns)).sort_values(
+        _MERGE_ORDER, kind="stable", ignore_index=True,
+    )
+    if not len(df):
+        return df[PARTIAL_COLUMNS]
+    w = df["window_start"].to_numpy()
+    series = pd.factorize(df["series_key"])[0]
     # reduceat, NOT pandas agg: pandas' sum/min/max/'last' aggregators
     # skip NaN while the partial kernel's reduceat propagates it, which
     # made merged results depend on block boundaries and could stitch
     # the 'last' tie-break triple from DIFFERENT rows (a NaN 'last' with
     # another row's last_ts/doc) — the mergeability invariant breaks.
     # Taking the whole group-end ROW keeps the triple consistent.
-    starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+    starts = np.flatnonzero(
+        np.r_[True, (w[1:] != w[:-1]) | (series[1:] != series[:-1])]
+    )
     ends = np.r_[starts[1:], len(w)] - 1
     return pd.DataFrame({
+        "series_key": df["series_key"].to_numpy()[starts],
         "window_start": w[starts],
         "sum": np.add.reduceat(df["sum"].to_numpy(), starts),
         "count": np.add.reduceat(df["count"].to_numpy(), starts),
@@ -173,22 +185,20 @@ def _merge_windows(df: pd.DataFrame, window_ns: int,
 
 
 def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER) -> pd.DataFrame:
-    """Per-series tier cascade (``map_groups`` body).
+    """Tier cascade (``map_groups`` body) over the 1m partials of one or
+    many series.
 
-    ``df`` holds every 1m partial of one series.  Emits one frame with a
-    ``tier`` column covering all requested tiers; each coarser tier is
-    derived from the previous one (cheap — SURVEY.md §7.1.4).
+    Emits one frame with a ``tier`` column covering all requested tiers;
+    each coarser tier is derived from the previous one (cheap — SURVEY.md
+    §7.1.4).  Each series' rows equal those of a call over that series
+    alone, bit for bit.
     """
-    series_key = df["series_key"].iloc[0]
-    current = df[PARTIAL_COLUMNS[1:]].copy()  # drop series_key
+    current = df[PARTIAL_COLUMNS]
     frames = []
     for tier in tiers:
         current = _merge_windows(current, WINDOW_NS[tier],
                                  WINDOW_OFFSET_NS.get(tier, 0))
-        out = current.copy()
-        out.insert(0, "tier", tier)
-        out.insert(1, "series_key", series_key)
-        frames.append(out)
+        frames.append(current.assign(tier=tier))
     result = pd.concat(frames, ignore_index=True)
     result["mean"] = result["sum"] / result["count"]
     # last_doc/last_ord ride along so tier outputs stay MERGEABLE: an
@@ -214,63 +224,25 @@ class PartialRollupStage:
         return partial_rollup_batch(batch, self.window_ns, self.offset_ns)
 
 
-def _merge_partials_group(df: pd.DataFrame, window_ns: int,
-                          offset_ns: int = 0) -> pd.DataFrame:
-    """Salted pre-reduce: merge one (series, salt) group's partial rows into
-    at most one row per window — output is STILL partial-shaped (sum/count
-    carried), so the final per-series cascade stays exact."""
-    series_key = df["series_key"].iloc[0]
-    merged = _merge_windows(df[PARTIAL_COLUMNS[1:]].copy(), window_ns,
-                            offset_ns)
-    merged.insert(0, "series_key", series_key)
-    return merged[PARTIAL_COLUMNS]
-
-
 def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
-                  gap_fill: str | None = None, salt_shards: int | None = None,
+                  gap_fill: str | None = None,
                   gap_fill_round: int | None = None):
     """Dataset of SAMPLE_SCHEMA rows -> Dataset of tiered rollup rows.
 
     One shuffle total: the ``groupby("series_key")`` between the partial
-    combiner and the per-series cascade.  ``gap_fill='locf'|'linear'``
-    fuses interior gap-filling into the same ``map_groups`` (data is
-    already series-local there) — no extra wide operation.
-
-    ``salt_shards=S`` enables explicit hot-key salting (partial+final
-    aggregation): a first ``groupby(series_key, salt)`` with
-    ``salt = window_start mod S`` merges each hot series' partials in S
-    parallel groups (same window always lands in the same salt group, so
-    merging stays exact), and the final per-series group then holds at most
-    one row per window regardless of how hot the key was.  Worth its second
-    shuffle only when single series are hot enough to dominate a reducer —
-    unsalted, a hot series costs one row per (block, window) in its final
-    group, which the per-block combiner already bounds.
+    combiner and the cascade.  ``gap_fill='locf'|'linear'`` fuses
+    interior gap-filling into the same ``map_groups`` (data is already
+    series-local there) — no extra wide operation.  The resumable job path
+    is ``state/checkpoint.run_sharded_rollup``, which runs the same
+    combiner and cascade around one shard-keyed shuffle.
     """
-    finest_offset = WINDOW_OFFSET_NS.get(tiers[0], 0)
     partials = samples_ds.map_batches(
-        PartialRollupStage(WINDOW_NS[tiers[0]], finest_offset),
+        PartialRollupStage(WINDOW_NS[tiers[0]],
+                           WINDOW_OFFSET_NS.get(tiers[0], 0)),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-
-    if salt_shards is not None:
-        window_ns = WINDOW_NS[tiers[0]]
-
-        def _add_salt(batch: pa.Table) -> pa.Table:
-            w = batch.column("window_start").to_numpy(zero_copy_only=False)
-            salt = ((w // window_ns) % salt_shards).astype(np.int32)
-            return batch.append_column("salt", pa.array(salt))
-
-        def _pre_reduce(df: pd.DataFrame) -> pd.DataFrame:
-            return _merge_partials_group(df, window_ns, finest_offset)
-
-        salted = partials.map_batches(
-            _add_salt, batch_format="pyarrow", zero_copy_batch=True
-        )
-        partials = salted.groupby(["series_key", "salt"]).map_groups(
-            _pre_reduce, batch_format="pandas"
-        )
 
     if gap_fill is None:
         def _group_fn(df):

@@ -10,21 +10,23 @@ metrics.  Design:
 * Each completed shard appends a lineage record to
   ``<out_dir>/_manifest/<shard>.json`` (one file per shard, so concurrent
   writers never contend): input fragments, row count, min/max event
-  timestamp (the shard watermark), value checksum, wall time.
+  timestamp (the shard watermark), value checksum, commit and compute
+  time.
 * Resume = read the manifest directory, skip shards whose record exists
-  AND whose partition directory exists; recompute the rest.  Because every
-  shard's output is derived deterministically from its input fragments
-  (deterministic extraction — no wall-clock fallback), a re-run of an
-  incomplete shard is value-identical: no double counting.
+  AND whose partition directory exists; recompute the rest.  The combiner
+  runs over every sample and completed shards are dropped only after it,
+  so when the same input blocks go into the combiner (deterministic
+  extraction — no wall-clock fallback) a re-run of an incomplete shard is
+  value-identical to the fresh run: no double counting.
 
-The shard axis is ``hash(series_key) % num_shards`` — the SAME key the
-rollup shuffle uses, so restart granularity aligns with the one wide
-operation in the pipeline (SURVEY.md §4).
+The shard axis is ``hash(series_key) % num_shards`` and it is the key of
+the one wide operation in the pipeline: the rollup shuffles by shard, so
+restart granularity is the unit of work (SURVEY.md §4).
 """
 
 from __future__ import annotations
 
-import hashlib  # noqa: F401  (shard_of's stable md5)
+import hashlib
 import json
 import os
 import shutil
@@ -228,49 +230,44 @@ class CheckpointManifest:
                 default=None,
             ),
             "wall_s_total": round(sum(r["wall_s"] for r in recs), 4),
+            "compute_s_total": round(
+                sum(r.get("compute_s", 0.0) for r in recs), 4),
         }
 
 
 def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
                        tiers=("1m", "1h", "1d"), gap_fill=None):
-    """Resumable rollup: shard samples by series key, roll up only the
-    shards missing from the checkpoint manifest, commit each atomically.
+    """Resumable rollup: combine samples into partials, shuffle them once
+    by shard, then cascade and commit every shard missing from the
+    checkpoint manifest inside its group task.
 
-    Returns (manifest, shards_run, shards_skipped).  The per-shard work
-    runs through the normal Dataset ladder; a resumed run filters
-    completed shards out BEFORE the shuffle, so finished work is neither
-    recomputed nor double-counted.
+    Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
+    take the same path: partials of completed shards are dropped before the
+    shuffle (none on a fresh run), so finished work is neither recomputed
+    nor double-counted.  Each record's ``wall_s`` is the commit time and
+    ``compute_s`` the cascade (+ gap-fill) time.
     """
-    from ..stages.rollup import rollup_ladder
+    import pandas as pd
+
+    from ..stages.gapfill import gap_fill_tier_group
+    from ..stages.rollup import (
+        WINDOW_NS,
+        WINDOW_OFFSET_NS,
+        PartialRollupStage,
+        cascade_series_group,
+    )
 
     manifest = CheckpointManifest(out_dir)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
-    done = manifest.completed_shards()
+    done = sorted(manifest.completed_shards())
+    done_set = pa.array(done, pa.int32())
+    combiner = PartialRollupStage(WINDOW_NS[tiers[0]],
+                                  WINDOW_OFFSET_NS.get(tiers[0], 0))
 
-    if done:
-        # only a RESUME needs the input-side shard column (to filter
-        # completed shards before the shuffle); a fresh run skips the
-        # whole hash+append+drop pass over every sample
-        done_list = sorted(done)
-        sharded = samples_ds.map_batches(
-            lambda b: add_shard_column(b, num_shards),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).map_batches(
-            lambda b: b.filter(
-                pc.invert(pc.is_in(b.column("shard"),
-                                   value_set=pa.array(done_list, pa.int32())))
-            ),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        ladder_input = sharded.drop_columns(["shard"])
-    else:
-        ladder_input = samples_ds
-
-    rollups = rollup_ladder(ladder_input, tiers=tiers, gap_fill=gap_fill)
-    resharded = rollups.map_batches(
-        lambda b: add_shard_column(b, num_shards),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    def _pending_partials(batch: pa.Table) -> pa.Table:
+        t = add_shard_column(combiner(batch), num_shards)
+        return t.filter(pc.invert(pc.is_in(t.column("shard"),
+                                           value_set=done_set)))
 
     # Commit each shard INSIDE its group task (atomic tmp+rename + manifest
     # record written by the worker) — the driver only collects the tiny
@@ -279,29 +276,34 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     # cluster writing to shared/object storage).
     out_dir = manifest.out_dir
 
-    def _commit(df) -> "pd.DataFrame":
-        import pandas as pd
-
+    def _cascade_and_commit(df: pd.DataFrame) -> pd.DataFrame:
         shard = int(df["shard"].iloc[0])
-        table = pa.Table.from_pandas(
-            df.drop(columns=["shard"]), preserve_index=False
-        )
-        rec = CheckpointManifest(out_dir).commit_shard(shard, table)
+        t0 = time.perf_counter()
+        rolled = cascade_series_group(df, tiers)
+        if gap_fill is not None:
+            rolled = gap_fill_tier_group(rolled, method=gap_fill)
+        table = pa.Table.from_pandas(rolled, preserve_index=False)
+        rec = CheckpointManifest(out_dir).commit_shard(
+            shard, table,
+            extra={"compute_s": round(time.perf_counter() - t0, 4)})
         return pd.DataFrame({"shard": [shard], "rows": [rec["rows"]]})
 
-    committed = resharded.groupby("shard").map_groups(
-        _commit, batch_format="pandas"
+    committed = samples_ds.map_batches(
+        _pending_partials, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=65536,
+    ).groupby("shard").map_groups(
+        _cascade_and_commit, batch_format="pandas"
     ).to_pandas()
     shards_run = sorted(int(s) for s in committed["shard"]) if len(committed) else []
-    return manifest, shards_run, sorted(done)
+    return manifest, shards_run, done
 
 
 def manifest_report(out_dir: str) -> pa.Table:
     """All shard lineage records of one stage output as a queryable Arrow
-    table — the per-partition metrics surface (rows, watermarks, wall
-    time, checksum) the north rule's "lineage + metrics" contract exposes
-    to operators.  One row per committed shard; driver-side by design
-    (the manifest is #shards rows, not data)."""
+    table — the per-partition metrics surface (rows, watermarks, commit
+    and compute time, checksum) the north rule's "lineage + metrics"
+    contract exposes to operators.  One row per committed shard;
+    driver-side by design (the manifest is #shards rows, not data)."""
     mgr = CheckpointManifest(out_dir)
     shards = sorted(mgr.completed_shards())
     recs = [mgr.load_record(s) for s in shards]
@@ -314,6 +316,8 @@ def manifest_report(out_dir: str) -> pa.Table:
             [r.get("watermark_max") for r in recs], pa.int64()),
         "wall_s": pa.array(
             [float(r.get("wall_s", 0.0)) for r in recs], pa.float64()),
+        "compute_s": pa.array(
+            [float(r.get("compute_s", 0.0)) for r in recs], pa.float64()),
         "checksum": pa.array(
             [r.get("checksum") for r in recs], pa.string()),
         "n_input_fragments": pa.array(

@@ -1,7 +1,9 @@
 """Checkpoint manifest, atomic shard commit, and kill/resume semantics."""
 
 import json
+import logging
 import os
+import re
 
 import numpy as np
 import pandas as pd
@@ -73,45 +75,76 @@ class TestManifest:
         assert m.load_record(1)["rows"] == 1
 
 
+def _multi_block_samples(n_series=64, n_blocks=32, block_rows=5000, seed=3):
+    """About 160k samples in ``n_blocks`` blocks of ``block_rows`` rows,
+    randomly permuted, with non-round values: more rows than one 65,536-row
+    combiner batch, so the combiner's batch cut matters to float sums."""
+    rng = np.random.default_rng(seed)
+    n = n_blocks * block_rows
+    base = 1_704_067_200 * 10**9
+    perm = rng.permutation(n)
+    series = rng.integers(0, n_series, n)[perm]
+    table = pa.table(
+        {
+            "series_key": pa.array([f"series-{s:03d}" for s in series]),
+            "ts": pa.array(base + rng.integers(0, 6 * 3600 * 10**9, n)[perm],
+                           pa.int64()).cast(pa.timestamp("ns")),
+            "value_num": pa.array(rng.normal(size=n) * 1e3 / 7.0),
+            "value_kind": pa.array(np.ones(n, np.int8)),
+            "doc_id": pa.array([f"d{i:07d}" for i in perm]),
+            "sample_ordinal": pa.array(np.zeros(n, np.int32)),
+        }
+    )
+    return [table.slice(i, block_rows) for i in range(0, n, block_rows)]
+
+
 class TestResume:
-    def test_resume_skips_completed_and_matches_full_run(self, ray_session, tmp_path):
-        import ray
-
-        table = _samples_table()
-        num_shards = 4
-
+    def _assert_resume_matches_full_run(self, make_ds, tmp_path, num_shards):
         # Full run in one go -> reference output.
         full_dir = str(tmp_path / "full")
-        ds = ray.data.from_arrow(table)
         m_full, run_full, skipped_full = run_sharded_rollup(
-            ds, full_dir, num_shards
+            make_ds(), full_dir, num_shards
         )
         assert skipped_full == []
         assert set(run_full) == m_full.completed_shards()
 
         # Simulated kill: first run only sees half the shards completed.
         part_dir = str(tmp_path / "resumable")
-        m1, run1, _ = run_sharded_rollup(
-            ray.data.from_arrow(table), part_dir, num_shards
-        )
-        # wipe two shards' data+records to simulate a crash mid-job
+        m1, run1, _ = run_sharded_rollup(make_ds(), part_dir, num_shards)
+        # wipe half the shards' data+records to simulate a crash mid-job
         import shutil
 
-        for s in run1[:2]:
+        lost = run1[:len(run1) // 2]
+        for s in lost:
             shutil.rmtree(m1.shard_dir(s))
             os.remove(m1.record_path(s))
-        assert len(m1.completed_shards()) == len(run1) - 2
+        assert len(m1.completed_shards()) == len(run1) - len(lost)
 
-        m2, run2, skipped2 = run_sharded_rollup(
-            ray.data.from_arrow(table), part_dir, num_shards
-        )
-        assert sorted(run2) == sorted(run1[:2])          # only missing shards
-        assert sorted(skipped2) == sorted(run1[2:])      # finished skipped
+        m2, run2, skipped2 = run_sharded_rollup(make_ds(), part_dir, num_shards)
+        assert sorted(run2) == sorted(lost)                 # only missing shards
+        assert sorted(skipped2) == sorted(run1[len(lost):])  # finished skipped
 
         # Byte-identical results: every shard's checksum matches the full run.
         for s in m_full.completed_shards():
             assert m_full.load_record(s)["checksum"] == m2.load_record(s)["checksum"]
             assert m_full.load_record(s)["rows"] == m2.load_record(s)["rows"]
+
+    def test_resume_skips_completed_and_matches_full_run(self, ray_session, tmp_path):
+        import ray
+
+        table = _samples_table()
+        self._assert_resume_matches_full_run(
+            lambda: ray.data.from_arrow(table), tmp_path, num_shards=4)
+
+    def test_resume_matches_full_run_multi_block(self, ray_session, tmp_path):
+        """Same contract over blocks larger in total than one combiner
+        batch: resumed shards must reproduce the fresh checksums exactly,
+        which holds only if the combiner sees the same batches."""
+        import ray
+
+        blocks = _multi_block_samples()
+        self._assert_resume_matches_full_run(
+            lambda: ray.data.from_arrow(blocks), tmp_path, num_shards=8)
 
     def test_metrics_aggregate(self, ray_session, tmp_path):
         import ray
@@ -123,6 +156,108 @@ class TestResume:
         assert metrics["shards_completed"] == len(run)
         assert metrics["rows"] > 0
         assert metrics["watermark_max"] is not None
+        assert metrics["compute_s_total"] > 0
+
+
+class _PlanCounter(logging.Handler):
+    """Counts all-to-all operators in the execution plans Ray Data logs
+    while installed."""
+
+    _LOGGER = "ray.data._internal.execution.streaming_executor"
+    _ALL_TO_ALL = re.compile(
+        r"\b(AllToAllOperator|\w*Shuffl\w*Operator|HashAggregateOperator|"
+        r"JoinOperator)\[")
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.plans = 0
+        self.ops = 0
+
+    def emit(self, record) -> None:
+        msg = record.getMessage()
+        if "Execution plan of Dataset" in msg:
+            self.plans += 1
+            self.ops += len(self._ALL_TO_ALL.findall(msg))
+
+    def __enter__(self):
+        logger = logging.getLogger(self._LOGGER)
+        self._level = logger.level
+        logger.setLevel(logging.INFO)
+        logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logger = logging.getLogger(self._LOGGER)
+        logger.removeHandler(self)
+        logger.setLevel(self._level)
+
+
+class TestOneShuffle:
+    def _committed(self, manifest) -> pd.DataFrame:
+        import pyarrow.parquet as pq
+
+        return pd.concat(
+            [pq.read_table(manifest.shard_dir(s)).to_pandas()
+             for s in sorted(manifest.completed_shards())],
+            ignore_index=True,
+        )
+
+    def _assert_matches_oracle(self, got: pd.DataFrame, oracle: pd.DataFrame):
+        keys = ["tier", "series_key", "window_start"]
+        got = got.sort_values(keys, ignore_index=True)
+        exact = keys + ["count", "min", "max", "last", "last_ts", "last_doc",
+                        "last_ord"]
+        pd.testing.assert_frame_equal(got[exact], oracle[exact],
+                                      check_exact=True)
+        for c in ("sum", "mean"):
+            np.testing.assert_allclose(got[c], oracle[c], rtol=1e-12)
+
+    def test_fresh_and_resumed_runs_shuffle_once(self, ray_session, tmp_path):
+        """One all-to-all operator per run, fresh or resumed, and the
+        committed rows of 5,000 series over 8 shards equal the oracle."""
+        import shutil
+
+        import ray
+
+        from json_time_series_extractor_ray.stages.rollup import rollup_oracle
+
+        rng = np.random.default_rng(11)
+        n_series, n = 5000, 20_000
+        base = 1_704_067_200 * 10**9
+        table = pa.table(
+            {
+                "series_key": pa.array(
+                    [f"dev-{s:05d}"
+                     for s in rng.permutation(np.arange(n) % n_series)]),
+                "ts": pa.array(base + rng.integers(0, 3 * 3600 * 10**9, n),
+                               pa.int64()).cast(pa.timestamp("ns")),
+                "value_num": pa.array(rng.normal(size=n) * 1e3 / 7.0),
+                "value_kind": pa.array(np.ones(n, np.int8)),
+                "doc_id": pa.array([f"d{i:06d}" for i in range(n)]),
+                "sample_ordinal": pa.array(np.zeros(n, np.int32)),
+            }
+        )
+        oracle = rollup_oracle(table)
+        assert oracle["series_key"].nunique() == n_series
+
+        out = str(tmp_path / "out")
+        with _PlanCounter() as plans:
+            m, run, skipped = run_sharded_rollup(
+                ray.data.from_arrow(table), out, 8)
+        assert (plans.plans, plans.ops) == (1, 1)
+        assert skipped == [] and len(run) == 8
+        self._assert_matches_oracle(self._committed(m), oracle)
+
+        lost = run[::2]
+        for s in lost:
+            shutil.rmtree(m.shard_dir(s))
+            os.remove(m.record_path(s))
+        with _PlanCounter() as plans:
+            m2, run2, skipped2 = run_sharded_rollup(
+                ray.data.from_arrow(table), out, 8)
+        assert (plans.plans, plans.ops) == (1, 1)
+        assert run2 == lost and skipped2 == run[1::2]
+        self._assert_matches_oracle(self._committed(m2), oracle)
 
 
 class TestShardingGuards:

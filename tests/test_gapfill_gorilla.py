@@ -178,11 +178,16 @@ class TestGorillaChunkSource:
 
 
 class TestSaltedRollup:
-    def test_salted_ladder_equals_unsalted(self, ray_session):
+    def test_hot_key_ladder_matches_oracle(self, ray_session):
+        """The hot-key shape salting used to cover: one pathologically hot
+        series beside a few cold ones, through the one unsalted path."""
         import pyarrow as pa
         import ray
 
-        from json_time_series_extractor_ray.stages.rollup import rollup_ladder
+        from json_time_series_extractor_ray.stages.rollup import (
+            rollup_ladder,
+            rollup_oracle,
+        )
 
         base = 1_704_067_200 * 10**9
         n = 5000
@@ -202,19 +207,14 @@ class TestSaltedRollup:
         )
         cols = ["tier", "series_key", "window_start", "min", "max", "mean",
                 "sum", "count", "last", "last_ts"]
-        plain = (
+        got = (
             rollup_ladder(ray.data.from_arrow(t))
-            .to_pandas()[cols]
-            .sort_values(cols[:3], ignore_index=True)
-        )
-        salted = (
-            rollup_ladder(ray.data.from_arrow(t), salt_shards=8)
             .to_pandas()[cols]
             .sort_values(cols[:3], ignore_index=True)
         )
         import pandas as pd
 
-        pd.testing.assert_frame_equal(plain, salted)
+        pd.testing.assert_frame_equal(got, rollup_oracle(t)[cols])
 
 
 class TestBucketedGorillaChunks:

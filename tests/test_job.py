@@ -239,3 +239,5 @@ def test_manifest_report(ray_session, corpus_dir, tmp_path):
     assert rep["checksum"].notna().all()
     done = rep[rep["rows"] > 0]
     assert (done["watermark_max"] >= done["watermark_min"]).all()
+    # cascade time and commit time are reported apart
+    assert (rep["compute_s"] > 0).all() and (rep["wall_s"] >= 0).all()

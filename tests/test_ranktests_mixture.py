@@ -286,3 +286,20 @@ def test_value_ordered_shards_signed_zero(ray_session):
                                   driver_fold_rows=0)
     folded = mannwhitney_weekend(ray.data.from_pandas(df))
     pd.testing.assert_frame_equal(sharded, folded)
+
+
+def test_value_ordered_shards_accepts_pandas_series():
+    """A pandas Series (whose ``to_numpy`` takes no ``zero_copy_only``)
+    shards exactly like the same values as an ndarray or an Arrow
+    array."""
+    from json_time_series_extractor_ray.pipelines._util import (
+        value_ordered_shards,
+    )
+
+    vals = np.array([-3.5, -0.0, 0.0, 1e-300, 2.25, 7e10])
+    expected = value_ordered_shards(vals, 64)
+    np.testing.assert_array_equal(
+        value_ordered_shards(pd.Series(vals), 64), expected)
+    np.testing.assert_array_equal(
+        value_ordered_shards(pa.chunked_array([vals[:2], vals[2:]]), 64),
+        expected)

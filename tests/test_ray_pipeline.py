@@ -302,11 +302,13 @@ class TestMergeWindowsNaN:
     def _partials(self, rows):
         import pandas as pd
 
-        return pd.DataFrame(
+        df = pd.DataFrame(
             rows,
             columns=["window_start", "sum", "count", "min", "max", "last",
                      "last_ts", "last_doc", "last_ord"],
         )
+        df.insert(0, "series_key", "s")
+        return df
 
     def test_nan_merge_is_partition_invariant(self):
         import numpy as np
@@ -345,6 +347,59 @@ class TestMergeWindowsNaN:
         assert merged["count"].tolist() == [3, 1]
         assert merged["last"].tolist() == [5.0, 7.0]
         assert merged["last_doc"].tolist() == ["b", "c"]
+
+
+@pytest.mark.parametrize("tiers", [("1m", "1h", "1d"), ("1m", "1w")])
+def test_multi_series_cascade_equals_per_series(tiers):
+    """One cascade call over the partials of many series equals the
+    concat of per-series calls bit for bit, with NaN values and tied
+    ``last_ts`` across partial rows of one window."""
+    from json_time_series_extractor_ray.stages.rollup import (
+        cascade_series_group,
+        partial_rollup_batch,
+    )
+
+    rng = np.random.default_rng(5)
+    n = 12_000
+    base = 1_704_067_200 * 10**9
+    values = rng.normal(size=n) * 1e3 / 7.0
+    values[rng.random(n) < 0.02] = np.nan
+    keys = np.array([f"s{k:03d}" for k in rng.integers(0, 150, n)])
+    # 3,000 instants over ~14 days: equal timestamps within a series
+    ts = base + rng.integers(0, 3000, n) * 397 * 10**9
+    # series confined to one minute: neighbours in key order share their
+    # only window at every tier, so a merge that ignored the key would mix
+    one_minute = rng.random(n) < 0.05
+    keys[one_minute] = [f"z{k}" for k in rng.integers(0, 10, one_minute.sum())]
+    ts[one_minute] = base + rng.integers(0, 60, one_minute.sum()) * 10**9
+    samples = pa.table({
+        "series_key": pa.array(keys),
+        "ts": pa.array(ts, pa.int64()).cast(pa.timestamp("ns")),
+        "value_num": pa.array(values),
+        "value_kind": pa.array(np.ones(n, np.int8)),
+        "doc_id": pa.array([f"d{i:06d}" for i in rng.permutation(n)]),
+        "sample_ordinal": pa.array(rng.integers(0, 3, n), pa.int32()),
+    })
+    partials = pd.concat(
+        [partial_rollup_batch(samples.slice(i, 1000)).to_pandas()
+         for i in range(0, n, 1000)],
+        ignore_index=True,
+    )
+    partials = partials.iloc[rng.permutation(len(partials))].reset_index(
+        drop=True)
+    tied = partials.duplicated(["series_key", "window_start", "last_ts"],
+                               keep=False)
+    assert tied.any() and partials["last"].isna().any()
+
+    keys = ["tier", "series_key", "window_start"]
+    together = cascade_series_group(partials, tiers).sort_values(
+        keys, ignore_index=True)
+    apart = pd.concat(
+        [cascade_series_group(g.copy(), tiers)
+         for _, g in partials.groupby("series_key", sort=True)],
+        ignore_index=True,
+    ).sort_values(keys, ignore_index=True)
+    pd.testing.assert_frame_equal(together, apart, check_exact=True)
 
 
 def test_incremental_merge_non_default_tiers(ray_session):
