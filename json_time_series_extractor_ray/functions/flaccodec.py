@@ -458,7 +458,8 @@ def decode_flac(payload: bytes) -> dict:
     # per-frame unpackbits of the remaining stream would make F-frame
     # decode O(F x bytes)
     br = _BitReader(payload)
-    while got < total:
+    # total == 0 means "unknown" (RFC 9639): decode frames to the end
+    while got < total or (total == 0 and pos < len(payload)):
         try:
             pos, n = _decode_frame(payload, pos, ch, chans, br)
         except (struct.error, IndexError):
@@ -468,9 +469,12 @@ def decode_flac(payload: bytes) -> dict:
             raise ValueError("flac: truncated or corrupt frame")
         got += n
 
+    if not got:
+        raise ValueError("flac: stream has no audio frames")
     out = np.stack([np.concatenate(c) for c in chans], axis=1)
-    if out.shape[0] != total:
+    if total and out.shape[0] != total:
         raise ValueError("flac: decoded sample count != STREAMINFO total")
+    total = out.shape[0]
     out16 = out.astype(np.int16)
     if hashlib.md5(out16.astype("<i2").tobytes()).digest() != md5_want:
         raise ValueError("flac: STREAMINFO MD5 mismatch (corrupt stream)")

@@ -174,3 +174,20 @@ def test_mixed_wav_flac_dataset(ray_session):
     ).to_pandas().set_index("media_id")
     for col in ("n_frames", "rms_mean", "zcr_mean", "peak"):
         assert out.loc["wav0", col] == out.loc["flac0", col]
+
+
+def test_unknown_total_samples_decodes_to_end():
+    """STREAMINFO total_samples == 0 means "unknown" (RFC 9639): frames
+    decode to the end of the payload; a stream with no frame is a clean
+    ``flac:`` error."""
+    x = (np.sin(np.arange(800) * 0.1) * 10000).astype(np.int16)
+    p = bytearray(encode_flac(x, 8000))
+    # the 36-bit total sits at STREAMINFO bits 108..143, after the 4-byte
+    # magic and the 4-byte block header
+    p[8 + 13] &= 0xF0
+    p[8 + 14:8 + 18] = bytes(4)
+    d = decode_flac(bytes(p))
+    assert np.array_equal(d["samples"][:, 0], x)
+    assert d["duration_ms"] == 100
+    with pytest.raises(ValueError, match="^flac: "):
+        decode_flac(bytes(p[:42]))  # metadata only
