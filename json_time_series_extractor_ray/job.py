@@ -12,14 +12,13 @@ Config schema (all paths may be any fsspec-able URI Ray Data can read)::
 
     {
       "input": "/data/corpus/",            # Parquet (doc_id, tokens, n_tok, source)
-      "output_dir": "/data/out/",          # tiers + manifest + chunks under here
+      "output_dir": "/data/out/",          # rollups/ (+ manifest) and chunks/
       "options": {"recursive": true, ...}, # ExtractorOptions.from_dict payload
       "tokenizer": "utf8",
       "tiers": ["1m", "1h", "1d"],
       "gap_fill": null,                    # null | "locf" | "linear"
       "num_shards": 64,                    # checkpoint/partition granularity
       "fallback_now_ns": 0,                # deterministic fallback timestamp
-      "gorilla_chunks": true,              # also write per-series chunk files
       "chunk_bucket_ns": 86400000000000,   # optional: one chunk per series x bucket
       "compact_chunks": false,             # maintenance: merge small chunks
       "compact_target_points": 1000000,    # max points per compacted chunk
@@ -37,9 +36,13 @@ Config schema (all paths may be any fsspec-able URI Ray Data can read)::
       "batch_size": null
     }
 
-The job is resumable: rerunning with the same config skips shards already
-recorded in ``<output_dir>/rollups/_manifest`` (see state/checkpoint.py).
-Exit output is one JSON line of manifest metrics.
+The job extracts the corpus once and shuffles its samples once, by shard;
+each shard task writes ``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/``
+(the Gorilla raw tier) and then its manifest record.  Rerunning with the
+same config skips shards recorded in ``<output_dir>/rollups/_manifest``
+(see state/checkpoint.py).  A task holds one shard's samples: ``num_shards``,
+not ``chunk_bucket_ns``, bounds task memory.  Exit output is one JSON line
+of manifest metrics.
 """
 
 from __future__ import annotations
@@ -50,32 +53,28 @@ import sys
 
 
 def _replace_store(store: str, tmp_new: str, trash: str, write_fn) -> None:
-    """Crash-safe directory replacement for the chunk stores.
+    """Crash-safe replacement of the existing chunk store (compaction).
 
     Protocol (every step idempotent, so ANY crash point recovers on the
-    next run): (1) if a previous run died mid-swap — store missing but
-    its old contents parked at ``trash`` — restore it first; (2) clear a
-    stale partial ``tmp_new`` (Ray's write_parquet appends into an
-    existing dir, which would double the data); (3) write the new store
-    into ``tmp_new``; (4) clear a stale completed-swap ``trash``; (5)
-    park the old store at ``trash``, promote ``tmp_new``, drop ``trash``.
+    next run): (1) the caller, before reading the store, restores it if a
+    previous run died mid-swap — store missing but its old contents
+    parked at ``trash``; (2) clear a stale partial ``tmp_new`` (Ray's
+    write_parquet appends into an existing dir, which would double the
+    data); (3) write the new store into ``tmp_new``; (4) clear a stale
+    completed-swap ``trash``; (5) park the old store at ``trash``, promote
+    ``tmp_new``, drop ``trash``.
     """
     import os
     import shutil
 
-    if not os.path.isdir(store) and os.path.isdir(trash):
-        os.rename(trash, store)  # undo a half-completed swap
     if os.path.isdir(tmp_new):
         shutil.rmtree(tmp_new)  # stale partial write from a dead run
     write_fn(tmp_new)
     if os.path.isdir(trash):
         shutil.rmtree(trash)  # leftover of a swap that DID complete
-    if os.path.isdir(store):
-        os.rename(store, trash)
-        os.rename(tmp_new, store)
-        shutil.rmtree(trash)
-    else:
-        os.rename(tmp_new, store)
+    os.rename(store, trash)
+    os.rename(tmp_new, store)
+    shutil.rmtree(trash)
 
 
 def run_job(config: dict) -> dict:
@@ -97,6 +96,14 @@ def run_job(config: dict) -> dict:
     out_dir = config["output_dir"].rstrip("/")
     tiers = tuple(config.get("tiers", ("1m", "1h", "1d")))
 
+    def extract(corpus_ds):
+        return extract_pipeline(
+            corpus_ds, config.get("options") or {"recursive": True},
+            tokenizer=config.get("tokenizer", "utf8"),
+            concurrency=config.get("extract_concurrency"),
+            batch_size=config.get("batch_size"),
+            fallback_now_ns=config.get("fallback_now_ns", 0))
+
     update_input = config.get("update_input")
     if update_input:
         # Incremental update (nightly-append shape): roll up ONLY the new
@@ -109,15 +116,8 @@ def run_job(config: dict) -> dict:
         from .stages.rollup import merge_tier_rollups, rollup_ladder
 
         stored = ray.data.read_parquet(f"{out_dir}/rollups")
-        inc_samples = extract_pipeline(
-            ray.data.read_parquet(update_input),
-            config.get("options") or {"recursive": True},
-            tokenizer=config.get("tokenizer", "utf8"),
-            concurrency=config.get("extract_concurrency"),
-            batch_size=config.get("batch_size"),
-            fallback_now_ns=config.get("fallback_now_ns", 0),
-        )
-        increment = rollup_ladder(inc_samples, tiers=tiers)
+        increment = rollup_ladder(extract(ray.data.read_parquet(update_input)),
+                                  tiers=tiers)
         merged = merge_tier_rollups([stored, increment], tiers=tiers)
         merged = merged.materialize()  # small rollup rows; consumed twice
         merged.write_parquet(f"{out_dir}/rollups_updated")
@@ -128,27 +128,21 @@ def run_job(config: dict) -> dict:
         }
 
     corpus = ray.data.read_parquet(config["input"])
-    samples = extract_pipeline(
-        corpus,
-        config.get("options") or {"recursive": True},
-        tokenizer=config.get("tokenizer", "utf8"),
-        concurrency=config.get("extract_concurrency"),
-        batch_size=config.get("batch_size"),
-        fallback_now_ns=config.get("fallback_now_ns", 0),
-    )
-
     manifest, shards_run, shards_skipped = run_sharded_rollup(
-        samples,
+        extract(corpus),
         f"{out_dir}/rollups",
         config.get("num_shards", 64),
         tiers=tiers,
         gap_fill=config.get("gap_fill"),
+        chunks_dir=f"{out_dir}/chunks",
+        chunk_bucket_ns=config.get("chunk_bucket_ns"),
     )
 
     result = {
         "rollups": manifest.metrics(),
         "shards_run": shards_run,
         "shards_skipped": shards_skipped,
+        "chunks_written": True,
     }
 
     retention = config.get("retention")
@@ -187,36 +181,12 @@ def run_job(config: dict) -> dict:
         tchunks.write_parquet(f"{out_dir}/token_chunks")
         result["token_chunks_written"] = True
 
-    if config.get("gorilla_chunks", True):
-        # Chunk pass re-derives samples (deterministic) so the rollup path
-        # above never has to materialize the full sample stream twice.
-        samples2 = extract_pipeline(
-            corpus,
-            config.get("options") or {"recursive": True},
-            tokenizer=config.get("tokenizer", "utf8"),
-            concurrency=config.get("extract_concurrency"),
-            batch_size=config.get("batch_size"),
-            fallback_now_ns=config.get("fallback_now_ns", 0),
-        )
-        from .state.gorilla import compress_series_dataset
-
-        chunks = compress_series_dataset(
-            samples2, bucket_ns=config.get("chunk_bucket_ns"))
-        # crash-safe replace: a re-run REPLACES the chunk store instead
-        # of appending a duplicate chunk set next to the old files
-        _replace_store(
-            f"{out_dir}/chunks", f"{out_dir}/chunks_writing",
-            f"{out_dir}/chunks_replaced", chunks.write_parquet)
-        result["chunks_written"] = True
-
     if config.get("compact_chunks", False):
-        # Maintenance pass: merge the chunk store's accumulated small
-        # chunks (one per series x bucket x run) back into few large
-        # ones — bit-exact (state/gorilla.compact_chunks), published via
-        # the same crash-safe replace protocol as the write pass.
+        # Maintenance pass, after every shard has committed: merge the
+        # chunk store's small chunks (one per series x bucket) into few
+        # large ones — bit-exact (state/gorilla.compact_chunks), published
+        # via a crash-safe whole-store replace that drops the shard layout.
         import os
-
-        import ray
 
         from .state.gorilla import compact_chunks
 

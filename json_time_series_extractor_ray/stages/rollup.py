@@ -5,14 +5,14 @@ The reference has no aggregation at all (it is a per-document flat-map;
 SURVEY.md §2.6) — this ladder is the engine's scale mandate
 (BASELINE.json ``north_star``).  Design, Ray-Data-first:
 
-1. **Partial aggregation inside ``map_batches``** (combiner): each extracted
-   sample block collapses to at most one row per ``(series_key, 1m-window)``
-   before anything is shuffled.  At 100 TB this is the difference between
-   shuffling every sample and shuffling bounded per-window partials — the
-   explicit "pre-aggregate before groupby" pattern.
-2. **Exactly one wide op** over the partials, keyed by series:
-   ``state/checkpoint.run_sharded_rollup`` (the job path) groups by
-   ``shard = hash(series_key) % P``; ``rollup_ladder`` groups by
+1. **Partial aggregation inside ``map_batches``** (``rollup_ladder``'s
+   combiner): each sample block collapses to at most one row per
+   ``(series_key, 1m-window)`` before the shuffle.  The job path
+   (``state/checkpoint.run_sharded_rollup``) ships samples instead — its
+   raw tier (Gorilla chunks) needs them — and runs the same kernel once
+   per shard.
+2. **Exactly one wide op**, keyed by series: the job groups samples by
+   ``shard = hash(series_key) % P``; ``rollup_ladder`` groups partials by
    ``series_key``.
 3. **Vectorized cascade inside ``map_groups``**: ``cascade_series_group``
    merges the partials of every series in its group at once (one sort +
@@ -27,9 +27,10 @@ merge sorts on that triple (SURVEY.md §7.3.3); float sums are performed in
 that same sorted order so repeated runs are bit-identical, and a segment
 sums in the same order whichever other series share its group.
 
-Skew: a hot series costs one partial row per (block, window), not one row
-per sample, so the post-shuffle group for even an extreme hot key is bounded
-by (#blocks x #windows).  There is no salting stage; the
+Skew: in ``rollup_ladder`` a hot series costs one partial row per
+(block, window), so its post-shuffle group is bounded by (#blocks x
+#windows); a job shard task holds its shard's samples, so ``num_shards``
+bounds it there.  There is no salting stage; the
 ``events_rollup_1m_salted`` registry query keeps the hot-key shape pinned
 to its oracle.
 
@@ -232,9 +233,9 @@ def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
     One shuffle total: the ``groupby("series_key")`` between the partial
     combiner and the cascade.  ``gap_fill='locf'|'linear'`` fuses
     interior gap-filling into the same ``map_groups`` (data is already
-    series-local there) — no extra wide operation.  The resumable job path
-    is ``state/checkpoint.run_sharded_rollup``, which runs the same
-    combiner and cascade around one shard-keyed shuffle.
+    series-local there) — no extra wide operation.  The resumable job path,
+    ``state/checkpoint.run_sharded_rollup``, shuffles samples once by shard
+    and runs the same partial kernel and cascade in each shard task.
     """
     partials = samples_ds.map_batches(
         PartialRollupStage(WINDOW_NS[tiers[0]],

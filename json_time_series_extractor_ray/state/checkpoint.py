@@ -6,26 +6,27 @@ metrics.  Design:
 
 * Output is partitioned: shard ``s`` of a stage writes to
   ``<out_dir>/shard=<s>/`` via **write-to-temp + atomic rename** — a
-  partition directory either exists completely or not at all.
+  partition directory either exists completely or not at all.  The job
+  publishes each shard's Gorilla chunks to ``<chunks_dir>/shard=<s>/`` first.
 * Each completed shard appends a lineage record to
   ``<out_dir>/_manifest/<shard>.json`` (one file per shard, so concurrent
   writers never contend): input fragments, row count, min/max event
   timestamp (the shard watermark), value checksum, commit and compute
-  time.
+  time, chunk rows and checksum.  Written last: a record implies its files.
 * Resume = read the manifest directory, skip shards whose record exists
-  AND whose partition directory exists; recompute the rest.  The combiner
-  runs over every sample and completed shards are dropped only after it,
-  so when the same input blocks go into the combiner (deterministic
-  extraction — no wall-clock fallback) a re-run of an incomplete shard is
+  AND whose partition directory exists; recompute the rest.  A shard task
+  sums its whole shard in one sorted pass, so with deterministic
+  extraction (no wall-clock fallback) a re-run of an incomplete shard is
   value-identical to the fresh run: no double counting.
 
 The shard axis is ``hash(series_key) % num_shards`` and it is the key of
-the one wide operation in the pipeline: the rollup shuffles by shard, so
+the one wide operation in the pipeline: samples shuffle by shard, so
 restart granularity is the unit of work (SURVEY.md §4).
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -106,11 +107,40 @@ def _checksum_table(table: pa.Table) -> str:
     return f"{acc:016x}-{len(h)}"
 
 
+def _publish_partition(final_dir: str, table: pa.Table) -> None:
+    """Atomically publish one partition dir: tmp write -> fsync -> rename.
+    An empty table (a shard of string-only series rolls up nothing) gives
+    an empty dir: a 0-row file would type its strings as null and break
+    readers that take the schema from the first file."""
+    # per-attempt tmp name: a retried task racing a presumed-dead
+    # worker must never rmtree the other attempt's in-progress dir
+    # and publish a partial shard — whichever attempt renames last
+    # wins atomically
+    tmp_dir = f"{final_dir}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
+    os.makedirs(tmp_dir)
+    if table.num_rows:
+        part_path = os.path.join(tmp_dir, "part-0.parquet")
+        # no min/max statistics on binary blobs (Gorilla chunks): nothing
+        # filters on them, and each page and footer would copy two blobs
+        pq.write_table(table, part_path, write_statistics=[
+            f.name for f in table.schema if not pa.types.is_binary(f.type)])
+        _fsync_path(part_path)
+    _fsync_dir(tmp_dir)
+    if os.path.exists(final_dir):
+        shutil.rmtree(final_dir)
+    os.rename(tmp_dir, final_dir)
+    _fsync_dir(os.path.dirname(final_dir))
+    # best-effort sweep of stale tmp dirs left by dead attempts
+    for stale in glob.glob(f"{final_dir}.tmp.*"):
+        shutil.rmtree(stale, ignore_errors=True)
+
+
 class CheckpointManifest:
     """Per-(stage-output) manifest directory with one record per shard."""
 
-    def __init__(self, out_dir: str):
+    def __init__(self, out_dir: str, chunks_dir: str | None = None):
         self.out_dir = out_dir
+        self.chunks_dir = chunks_dir
         self.manifest_dir = os.path.join(out_dir, "_manifest")
         os.makedirs(self.manifest_dir, exist_ok=True)
 
@@ -146,6 +176,9 @@ class CheckpointManifest:
     def shard_dir(self, shard: int) -> str:
         return os.path.join(self.out_dir, f"shard={shard:05d}")
 
+    def chunk_dir(self, shard: int) -> str:
+        return os.path.join(self.chunks_dir, f"shard={shard:05d}")
+
     def completed_shards(self) -> set:
         done = set()
         for name in os.listdir(self.manifest_dir):
@@ -161,30 +194,15 @@ class CheckpointManifest:
             return json.load(f)
 
     def commit_shard(self, shard: int, table: pa.Table, *,
+                     chunks: pa.Table | None = None,
                      input_fragments=(), extra: dict | None = None) -> dict:
-        """Atomically publish one shard: tmp write -> fsync -> rename, then
-        the lineage record (record last => record implies data)."""
-        final_dir = self.shard_dir(shard)
-        # per-attempt tmp name: a retried task racing a presumed-dead
-        # worker must never rmtree the other attempt's in-progress dir
-        # and publish a partial shard — whichever attempt renames last
-        # wins atomically
-        tmp_dir = f"{final_dir}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-        os.makedirs(tmp_dir)
+        """Atomically publish one shard: its chunk file (when ``chunks`` is
+        given), then its rollup file, each by tmp write -> fsync -> rename,
+        then the lineage record (record last => record implies data)."""
         t0 = time.perf_counter()
-        part_path = os.path.join(tmp_dir, "part-0.parquet")
-        pq.write_table(table, part_path)
-        _fsync_path(part_path)
-        _fsync_dir(tmp_dir)
-        if os.path.exists(final_dir):
-            shutil.rmtree(final_dir)
-        os.rename(tmp_dir, final_dir)
-        _fsync_dir(os.path.dirname(final_dir))
-        # best-effort sweep of stale tmp dirs left by dead attempts
-        import glob
-
-        for stale in glob.glob(f"{final_dir}.tmp.*"):
-            shutil.rmtree(stale, ignore_errors=True)
+        if chunks is not None:
+            _publish_partition(self.chunk_dir(shard), chunks)
+        _publish_partition(self.shard_dir(shard), table)
 
         ts_col = None
         for cand in ("ts", "window_start", "last_ts"):
@@ -207,6 +225,9 @@ class CheckpointManifest:
                 col = col.cast(pa.int64())
             record["watermark_min"] = pc.min(col).as_py()
             record["watermark_max"] = pc.max(col).as_py()
+        if chunks is not None:
+            record["chunk_rows"] = chunks.num_rows
+            record["chunk_checksum"] = _checksum_table(chunks)
         if extra:
             record.update(extra)
         tmp_rec = self.record_path(shard) + ".tmp"
@@ -236,63 +257,72 @@ class CheckpointManifest:
 
 
 def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
-                       tiers=("1m", "1h", "1d"), gap_fill=None):
-    """Resumable rollup: combine samples into partials, shuffle them once
-    by shard, then cascade and commit every shard missing from the
-    checkpoint manifest inside its group task.
+                       tiers=("1m", "1h", "1d"), gap_fill=None,
+                       chunks_dir: str | None = None,
+                       chunk_bucket_ns: int | None = None):
+    """Resumable rollup: shuffle samples once by shard, then roll up and
+    commit every shard missing from the checkpoint manifest inside its
+    group task; with ``chunks_dir``, also its Gorilla chunks (per series,
+    or per series x ``chunk_bucket_ns`` bucket).
 
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
-    take the same path: partials of completed shards are dropped before the
+    take the same path: samples of completed shards are dropped before the
     shuffle (none on a fresh run), so finished work is neither recomputed
     nor double-counted.  Each record's ``wall_s`` is the commit time and
-    ``compute_s`` the cascade (+ gap-fill) time.
+    ``compute_s`` the rollup (+ gap-fill) and chunk encoding time.
     """
-    import pandas as pd
-
     from ..stages.gapfill import gap_fill_tier_group
     from ..stages.rollup import (
         WINDOW_NS,
         WINDOW_OFFSET_NS,
-        PartialRollupStage,
         cascade_series_group,
+        partial_rollup_batch,
     )
+    from .gorilla import GorillaChunkWriter
 
-    manifest = CheckpointManifest(out_dir)
+    manifest = CheckpointManifest(out_dir, chunks_dir)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
     done = sorted(manifest.completed_shards())
     done_set = pa.array(done, pa.int32())
-    combiner = PartialRollupStage(WINDOW_NS[tiers[0]],
-                                  WINDOW_OFFSET_NS.get(tiers[0], 0))
+    window_ns = WINDOW_NS[tiers[0]]
+    offset_ns = WINDOW_OFFSET_NS.get(tiers[0], 0)
 
-    def _pending_partials(batch: pa.Table) -> pa.Table:
-        t = add_shard_column(combiner(batch), num_shards)
+    def _pending_samples(batch: pa.Table) -> pa.Table:
+        t = add_shard_column(batch.select([
+            "series_key", "ts", "value_num", "value_kind", "doc_id",
+            "sample_ordinal"]), num_shards)
         return t.filter(pc.invert(pc.is_in(t.column("shard"),
                                            value_set=done_set)))
 
     # Commit each shard INSIDE its group task (atomic tmp+rename + manifest
     # record written by the worker) — the driver only collects the tiny
-    # per-shard record summaries, never the data.  Requires the output dir
+    # per-shard record summaries, never the data.  Requires the output dirs
     # to be on storage all workers share (true single-node and for any
     # cluster writing to shared/object storage).
-    out_dir = manifest.out_dir
-
-    def _cascade_and_commit(df: pd.DataFrame) -> pd.DataFrame:
-        shard = int(df["shard"].iloc[0])
+    def _rollup_and_commit(samples: pa.Table) -> dict:
+        shard = samples.column("shard")[0].as_py()
         t0 = time.perf_counter()
-        rolled = cascade_series_group(df, tiers)
-        if gap_fill is not None:
+        # one sorted pass over the whole shard: sums do not depend on how
+        # the samples were cut into blocks
+        rolled = cascade_series_group(
+            partial_rollup_batch(samples, window_ns, offset_ns).to_pandas(),
+            tiers)
+        if gap_fill is not None and len(rolled):
             rolled = gap_fill_tier_group(rolled, method=gap_fill)
-        table = pa.Table.from_pandas(rolled, preserve_index=False)
-        rec = CheckpointManifest(out_dir).commit_shard(
-            shard, table,
+        # plain Arrow: no pandas metadata copied into every shard's footer
+        chunks = None if chunks_dir is None else pa.table(dict(
+            GorillaChunkWriter(chunk_bucket_ns)(samples.to_pandas())))
+        rec = CheckpointManifest(out_dir, chunks_dir).commit_shard(
+            shard, pa.Table.from_pandas(rolled, preserve_index=False),
+            chunks=chunks,
             extra={"compute_s": round(time.perf_counter() - t0, 4)})
-        return pd.DataFrame({"shard": [shard], "rows": [rec["rows"]]})
+        return {"shard": [shard], "rows": [rec["rows"]]}
 
     committed = samples_ds.map_batches(
-        _pending_partials, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=65536,
+        _pending_samples, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
     ).groupby("shard").map_groups(
-        _cascade_and_commit, batch_format="pandas"
+        _rollup_and_commit, batch_format="pyarrow"
     ).to_pandas()
     shards_run = sorted(int(s) for s in committed["shard"]) if len(committed) else []
     return manifest, shards_run, done

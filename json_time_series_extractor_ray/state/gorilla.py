@@ -339,27 +339,33 @@ def decompress_chunk(data: bytes):
 
 
 class GorillaChunkWriter:
-    """``map_groups`` body: samples -> one chunk row per series.
+    """Samples -> one chunk row per series, or per series x
+    ``ts // bucket_ns`` bucket when ``bucket_ns`` is given.
 
     Each series' numeric samples are sorted by ``(ts, doc_id,
     sample_ordinal)`` and encoded, all series of the frame in one
     ``compress_chunks`` call, emitting ``(series_key, n_points, t_min,
-    t_max, raw_bytes, chunk)`` rows for the chunk sink.  A series with no
-    numeric sample keeps a 0-point row.  ``compress_series_dataset`` groups
-    by ``series_key`` (and time bucket), so each call sees one series.
+    t_max, raw_bytes, chunk)`` rows for the chunk sink.  A series (or
+    bucket) with no numeric sample keeps a 0-point row.  The job calls it
+    on a whole shard, ``compress_series_dataset`` on one group.
     """
+
+    def __init__(self, bucket_ns: int | None = None):
+        self.bucket_ns = bucket_ns
 
     def __call__(self, df):
         df = df.sort_values(["series_key", "ts", "doc_id", "sample_ordinal"],
                             kind="stable")
         keys = df["series_key"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        numeric = (df["value_kind"].to_numpy() == 1 if "value_kind" in df
-                   else np.ones(len(df), bool))
+        ts = df["ts"].astype("int64").to_numpy()
+        cut = keys[1:] != keys[:-1]
+        if self.bucket_ns is not None:
+            cut |= np.diff(ts // self.bucket_ns) != 0
+        starts = np.flatnonzero(np.r_[True, cut])
+        numeric = df["value_kind"].to_numpy() == 1
         counts = np.add.reduceat(numeric.astype(np.int64), starts)
-        ts = df["ts"].astype("int64").to_numpy()[numeric]
         vals = df["value_num"].to_numpy(dtype=np.float64)[numeric]
-        return _chunk_rows(keys[starts], ts, vals, counts)
+        return _chunk_rows(keys[starts], ts[numeric], vals, counts)
 
 
 def _chunk_rows(keys, ts, vals, counts):
@@ -397,34 +403,26 @@ def compress_series_dataset(samples_ds, *, bucket_ns: int | None = None):
     time-range read prunes per-chunk ``t_min``/``t_max`` exactly as
     before, just at finer granularity.
     """
-    writer = GorillaChunkWriter()
+    writer = GorillaChunkWriter(bucket_ns)
 
     def _compress(df):
         return writer(df)
 
-    if bucket_ns is None:
-        return samples_ds.groupby("series_key").map_groups(
-            _compress, batch_format="pandas"
-        )
+    keys = ["series_key"]
+    if bucket_ns is not None:
+        import pyarrow as pa
 
-    import pyarrow as pa
+        def _add_bucket(batch: pa.Table) -> pa.Table:
+            ts = batch.column("ts").cast(pa.timestamp("ns")) \
+                .cast(pa.int64()).to_numpy(zero_copy_only=False)
+            return batch.append_column(
+                "__bucket", pa.array(ts // bucket_ns, pa.int64()))
 
-    def _add_bucket(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__bucket", pa.array(ts // bucket_ns, pa.int64())
-        )
-
-    def _compress_drop(df):
-        return writer(df.drop(columns="__bucket"))
-
-    bucketed = samples_ds.map_batches(
-        _add_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return bucketed.groupby(["series_key", "__bucket"]).map_groups(
-        _compress_drop, batch_format="pandas"
-    )
+        samples_ds = samples_ds.map_batches(
+            _add_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        keys.append("__bucket")
+    return samples_ds.groupby(keys).map_groups(_compress,
+                                               batch_format="pandas")
 
 
 def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):

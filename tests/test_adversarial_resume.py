@@ -1,7 +1,9 @@
 """Adversarial kill/resume (round-3 verdict item 7): crash INSIDE
 ``commit_shard`` at each fault point — after the tmp write but before
 the rename, and after the rename but before the manifest record lands —
-then resume, asserting no double-count and no missing shard.
+then resume, asserting no double-count and no missing shard.  The job's
+two-file commit (chunk file, rollup file, then record) is crashed between
+its renames and before its record the same way.
 
 The faults are injected into the REAL ``commit_shard`` path (a raising
 ``os.rename`` / ``os.replace``), so the on-disk crash states are exactly
@@ -10,6 +12,7 @@ existing tests in ``test_checkpoint_resume.py`` cover only the clean
 interrupt (whole shards wiped)."""
 
 import glob
+import hashlib
 import os
 
 import pandas as pd
@@ -188,6 +191,90 @@ class TestCrashAfterRename:
         assert m2.load_record(victim)["checksum"] == \
             ref.load_record(victim)["checksum"]
         pd.testing.assert_frame_equal(_all_rows(out), _all_rows(ref.out_dir))
+
+
+def _chunk_pairs(chunks_dir: str) -> list:
+    """Sorted ``(series_key, sha256(chunk))`` multiset of a chunk store."""
+    pairs = []
+    for p in glob.glob(os.path.join(chunks_dir, "shard=*", "*.parquet")):
+        t = pq.read_table(p)
+        pairs += [(k, hashlib.sha256(c).hexdigest()) for k, c in
+                  zip(t.column("series_key").to_pylist(),
+                      t.column("chunk").to_pylist())]
+    return sorted(pairs)
+
+
+class TestTwoFileCommitCrash:
+    """Kill the job's shard commit after the chunk dir is renamed but
+    before the rollup dir, and after both renames but before the record;
+    the resume must reproduce the uninterrupted store exactly."""
+
+    @pytest.mark.parametrize("fault", ["rollup_rename", "record_replace"])
+    def test_crash_then_resume(self, fault, tmp_path, monkeypatch,
+                               ray_session):
+        import ray
+
+        table = _samples_table()
+        ref = CheckpointManifest(str(tmp_path / "ref" / "rollups"),
+                                 str(tmp_path / "ref" / "chunks"))
+        _, ref_shards, _ = run_sharded_rollup(
+            ray.data.from_arrow(table), ref.out_dir, NUM_SHARDS,
+            chunks_dir=ref.chunks_dir)
+        assert len(ref_shards) > 1
+
+        m = CheckpointManifest(str(tmp_path / "crash" / "rollups"),
+                               str(tmp_path / "crash" / "chunks"))
+        m.ensure_sharding(NUM_SHARDS)
+
+        def _commit(s):
+            chunks = pq.read_table(os.path.join(ref.chunk_dir(s),
+                                                "part-0.parquet"))
+            return m.commit_shard(s, _shard_table(ref, s), chunks=chunks)
+
+        victim = ref_shards[0]
+        for s in ref_shards[1:]:
+            _commit(s)
+
+        if fault == "rollup_rename":
+            real = os.rename
+            name, target = "rename", m.shard_dir(victim)
+        else:
+            real = os.replace
+            name, target = "replace", m.record_path(victim)
+
+        def _dying(src, dst):
+            if dst == target:
+                raise OSError(f"injected kill at {fault}")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, name, _dying)
+        with pytest.raises(OSError, match="injected kill"):
+            _commit(victim)
+        monkeypatch.undo()
+
+        # crash state: the chunk dir is live, the record is not
+        assert os.path.isdir(m.chunk_dir(victim))
+        assert os.path.isdir(m.shard_dir(victim)) == (
+            fault == "record_replace")
+        assert not os.path.exists(m.record_path(victim))
+        assert victim not in m.completed_shards()
+
+        m2, run2, skipped2 = run_sharded_rollup(
+            ray.data.from_arrow(table), m.out_dir, NUM_SHARDS,
+            chunks_dir=m.chunks_dir)
+        assert run2 == [victim]
+        assert sorted(skipped2) == sorted(ref_shards[1:])
+        pd.testing.assert_frame_equal(_all_rows(m.out_dir),
+                                      _all_rows(ref.out_dir))
+        pairs = _chunk_pairs(m.chunks_dir)
+        assert pairs == _chunk_pairs(ref.chunks_dir)
+        assert len({k for k, _ in pairs}) == len(pairs)  # no duplicate row
+        for store in (m.out_dir, m.chunks_dir):
+            assert not glob.glob(os.path.join(store, "*.tmp.*"))
+        for s in ref_shards:
+            rec2, rec_ref = m2.load_record(s), ref.load_record(s)
+            for key in ("checksum", "rows", "chunk_rows", "chunk_checksum"):
+                assert rec2[key] == rec_ref[key]
 
 
 class TestZorderCrashStates:

@@ -146,6 +146,61 @@ class TestResume:
         self._assert_resume_matches_full_run(
             lambda: ray.data.from_arrow(blocks), tmp_path, num_shards=8)
 
+    def test_resume_from_other_blocks_reproduces_checksums(
+            self, ray_session, tmp_path):
+        """A resume fed the same samples cut into a different number of
+        blocks reproduces the fresh manifest checksums bit for bit: each
+        shard is summed in one sorted pass, not per block."""
+        import ray
+
+        blocks = _multi_block_samples()
+        out = str(tmp_path / "out")
+        m, run, _ = run_sharded_rollup(ray.data.from_arrow(blocks), out, 8)
+        fresh = {s: m.load_record(s)["checksum"] for s in run}
+        odd = [s for s in run if s % 2]
+        for s in odd:
+            os.remove(m.record_path(s))
+
+        table = pa.concat_tables(blocks)
+        step = 7_919  # 21 blocks instead of 32, cut at other rows
+        other = [table.slice(i, step) for i in range(0, table.num_rows, step)]
+        m2, run2, _ = run_sharded_rollup(ray.data.from_arrow(other), out, 8)
+        assert run2 == odd
+        assert {s: m2.load_record(s)["checksum"] for s in run} == fresh
+
+    def test_string_only_shard_commits_chunks_without_rollup_file(
+            self, ray_session, tmp_path):
+        """A shard whose series carry no numeric sample still commits: its
+        chunk file keeps the 0-point row, its rollup dir holds no file
+        (a 0-row file would type its strings as null), and a resume skips
+        it."""
+        import pyarrow.dataset as pads
+        import pyarrow.parquet as pq
+        import ray
+
+        table = _samples_table()
+        used = {shard_of(k, 64) for k in table.column("series_key").to_pylist()}
+        key = next(k for k in (f"text-{i}" for i in range(1000))
+                   if shard_of(k, 64) not in used)
+        text = pa.table({
+            "series_key": [key], "ts": table.column("ts")[:1],
+            "value_num": pa.array([None], pa.float64()),
+            "value_kind": pa.array([2], pa.int8()), "doc_id": ["t0"],
+            "sample_ordinal": pa.array([0], pa.int32())})
+        ds = ray.data.from_arrow([table, text])
+        out, chunks = str(tmp_path / "rollups"), str(tmp_path / "chunks")
+        m, run, _ = run_sharded_rollup(ds, out, 64, chunks_dir=chunks)
+        s = shard_of(key, 64)
+        assert s in run and os.listdir(m.shard_dir(s)) == []
+        rec = m.load_record(s)
+        assert (rec["rows"], rec["chunk_rows"]) == (0, 1)
+        chunk = pq.read_table(os.path.join(m.chunk_dir(s), "part-0.parquet"))
+        assert chunk.column("n_points").to_pylist() == [0]
+        assert pads.dataset(out).to_table().num_rows == m.metrics()["rows"]
+
+        _, run2, skipped2 = run_sharded_rollup(ds, out, 64, chunks_dir=chunks)
+        assert run2 == [] and sorted(skipped2) == sorted(run)
+
     def test_metrics_aggregate(self, ray_session, tmp_path):
         import ray
 

@@ -24,7 +24,6 @@ def _config(corpus_dir, out_dir):
         "options": {"recursive": True, "allow_nested_timestamps": True},
         "tiers": ["1m", "1h"],
         "num_shards": 8,
-        "gorilla_chunks": True,
     }
 
 
@@ -93,7 +92,6 @@ def test_job_retention_pass(ray_session, corpus_dir, tmp_path):
     out_dir = str(tmp_path / "out_ret")
     five_min = 5 * WINDOW_NS["1m"]
     cfg = _config(corpus_dir, out_dir)
-    cfg["gorilla_chunks"] = False
     # 1m tier keeps five minutes before the watermark (the test corpus
     # spans ~16 minutes); 1h keeps everything.
     cfg["retention"] = {"1m": five_min, "1h": 365 * WINDOW_NS["1d"]}
@@ -136,7 +134,7 @@ def test_job_incremental_update(ray_session, tmp_path):
         return {
             "input": inp, "output_dir": out,
             "options": {"recursive": True, "allow_nested_timestamps": True},
-            "tiers": ["1m", "1h"], "num_shards": 4, "gorilla_chunks": False,
+            "tiers": ["1m", "1h"], "num_shards": 4,
         }
 
     out_half = str(tmp_path / "out_half")
@@ -178,7 +176,6 @@ def test_job_token_chunk_archive(ray_session, corpus_dir, tmp_path):
     out_dir = str(tmp_path / "out_tok")
     cfg = _config(corpus_dir, out_dir)
     cfg["token_chunks"] = True
-    cfg["gorilla_chunks"] = False
     r = run_job(cfg)
     assert r["token_chunks_written"] is True
 
@@ -192,8 +189,8 @@ def test_job_token_chunk_archive(ray_session, corpus_dir, tmp_path):
 
 
 def test_job_compaction_pass(ray_session, corpus_dir, tmp_path):
-    """gorilla_chunks with a small bucket -> many chunks; compact_chunks
-    pass merges them; readback is identical either way."""
+    """Chunks with a small bucket -> many chunks; compact_chunks pass
+    merges them; readback is identical either way."""
     import pandas as pd
     import pyarrow as pa
     import ray
@@ -211,10 +208,9 @@ def test_job_compaction_pass(ray_session, corpus_dir, tmp_path):
     samples_before = read_gorilla_chunks(f"{out}/chunks").to_pandas() \
         .sort_values(["series_key", "ts_ns"], ignore_index=True)
 
-    # maintenance-only run: compact the EXISTING store (a second
-    # chunk-writing run would append a duplicate chunk set)
+    # maintenance run: the same config plus compact_chunks; every shard
+    # is already committed, so only the compaction pass does work
     cfg["compact_chunks"] = True
-    cfg["gorilla_chunks"] = False
     r2 = run_job(cfg)
     assert r2.get("chunks_compacted")
     after = pq.read_table(f"{out}/chunks")
@@ -241,3 +237,81 @@ def test_manifest_report(ray_session, corpus_dir, tmp_path):
     assert (done["watermark_max"] >= done["watermark_min"]).all()
     # cascade time and commit time are reported apart
     assert (rep["compute_s"] > 0).all() and (rep["wall_s"] >= 0).all()
+
+
+def _chunk_frame(df):
+    cols = ["series_key", "n_points", "t_min", "t_max", "raw_bytes", "chunk"]
+    return df[cols].sort_values(["series_key", "t_min", "n_points"],
+                                ignore_index=True)
+
+
+def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
+    from tests.test_checkpoint_resume import _PlanCounter
+
+    with _PlanCounter() as plans:
+        run_job(_config(corpus_dir, str(tmp_path / "out")))
+    assert plans.plans >= 1 and plans.ops == 1
+
+
+@pytest.mark.parametrize("bucket_ns", [None, 300_000_000_000])
+def test_job_chunks_equal_compress_series_dataset(ray_session, corpus_dir,
+                                                  tmp_path, bucket_ns):
+    """The shard task's chunk rows are the rows of the standalone chunk
+    pass over the same samples, byte for byte, 0-point rows of
+    string-only series included."""
+    import pandas as pd
+    import pyarrow.dataset as pads
+    import ray
+
+    from json_time_series_extractor_ray.pipelines.timeseries import (
+        extract_pipeline,
+    )
+    from json_time_series_extractor_ray.state.gorilla import (
+        compress_series_dataset,
+    )
+
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
+    if bucket_ns is not None:
+        cfg["chunk_bucket_ns"] = bucket_ns
+    run_job(cfg)
+    got = _chunk_frame(
+        pads.dataset(f"{cfg['output_dir']}/chunks").to_table().to_pandas())
+
+    samples = extract_pipeline(ray.data.read_parquet(corpus_dir),
+                               cfg["options"], fallback_now_ns=0)
+    want = _chunk_frame(
+        compress_series_dataset(samples, bucket_ns=bucket_ns).to_pandas())
+    assert (got["n_points"] == 0).any()  # string-only series keep a row
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_job_crash_resume_keeps_chunk_store(ray_session, corpus_dir,
+                                            tmp_path):
+    """Delete the odd shards' records, run again: only they rerun and the
+    chunk store's (series_key, sha256(chunk)) multiset is unchanged."""
+    import hashlib
+
+    import pyarrow.dataset as pads
+
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
+
+    def digest():
+        t = pads.dataset(f"{cfg['output_dir']}/chunks").to_table()
+        return sorted(
+            (k, hashlib.sha256(c).hexdigest()) for k, c in
+            zip(t["series_key"].to_pylist(), t["chunk"].to_pylist()))
+
+    r1 = run_job(cfg)
+    before = digest()
+    m = CheckpointManifest(f"{cfg['output_dir']}/rollups")
+    odd = sorted(s for s in r1["shards_run"] if s % 2)
+    assert odd
+    for s in odd:
+        os.remove(m.record_path(s))
+    r2 = run_job(cfg)
+    assert r2["shards_run"] == odd
+    assert digest() == before
