@@ -214,8 +214,10 @@ def _events_gorilla_readback(sf_dir: str, bucket_ns: int | None = None):
     """Full compressed-storage cycle, oracle-checked: extract -> Gorilla
     chunk files on disk -> chunk SOURCE decodes them back to samples.  The
     codec is bit-exact, so the read-back must hash-match the plain numeric
-    samples relation.  ``bucket_ns`` exercises the hot-key-safe chunking
-    mode (one chunk per series x time bucket) against the SAME oracle."""
+    samples relation.  ``bucket_ns`` exercises the bucketed chunking
+    mode (one chunk per series x time bucket, cut inside each shard task;
+    a hot series gets many chunk rows, its task still holds the whole
+    shard) against the SAME oracle."""
     from json_time_series_extractor_ray.pipelines._util import scratch_dir
     from json_time_series_extractor_ray.sources.gorilla_chunks import (
         read_gorilla_chunks,
@@ -496,7 +498,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_gorilla_readback": _events_gorilla_readback,
         # compaction maintenance cycle vs the same readback oracle
         "events_gorilla_compacted_readback": _events_gorilla_compacted,
-        # hot-key-safe chunking (one chunk per series x day) vs same oracle
+        # bucketed chunking (one chunk per series x day) vs same oracle
         "events_gorilla_readback_bucketed":
             lambda sf: _events_gorilla_readback(
                 sf, bucket_ns=86_400_000_000_000

@@ -91,7 +91,7 @@ def run_job(config: dict) -> dict:
         )
 
     from .pipelines.timeseries import extract_pipeline
-    from .state.checkpoint import run_sharded_rollup
+    from .state.checkpoint import NUM_SHARDS, run_sharded_rollup
 
     out_dir = config["output_dir"].rstrip("/")
     tiers = tuple(config.get("tiers", ("1m", "1h", "1d")))
@@ -110,7 +110,8 @@ def run_job(config: dict) -> dict:
         # corpus fragments and merge them into the stored tiers with
         # merge_tier_rollups — the historical corpus is never re-read.
         # Stored tiers must come from this engine (they carry the
-        # last_doc/last_ord tie-break triple that makes the merge exact).
+        # last_doc/last_ord tie-break triple that makes the merge exact);
+        # the merge skips their gap-fill rows and re-applies gap_fill.
         # Output goes to <out>/rollups_updated; promoting it over
         # rollups/ is the operator's explicit (atomic rename) action.
         from .stages.rollup import merge_tier_rollups, rollup_ladder
@@ -118,7 +119,8 @@ def run_job(config: dict) -> dict:
         stored = ray.data.read_parquet(f"{out_dir}/rollups")
         increment = rollup_ladder(extract(ray.data.read_parquet(update_input)),
                                   tiers=tiers)
-        merged = merge_tier_rollups([stored, increment], tiers=tiers)
+        merged = merge_tier_rollups([stored, increment], tiers=tiers,
+                                    gap_fill=config.get("gap_fill"))
         merged = merged.materialize()  # small rollup rows; consumed twice
         merged.write_parquet(f"{out_dir}/rollups_updated")
         return {
@@ -131,7 +133,7 @@ def run_job(config: dict) -> dict:
     manifest, shards_run, shards_skipped = run_sharded_rollup(
         extract(corpus),
         f"{out_dir}/rollups",
-        config.get("num_shards", 64),
+        config.get("num_shards", NUM_SHARDS),
         tiers=tiers,
         gap_fill=config.get("gap_fill"),
         chunks_dir=f"{out_dir}/chunks",

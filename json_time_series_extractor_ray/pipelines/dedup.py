@@ -996,6 +996,8 @@ register(
 #: exact n_true_pairs column is hash-gated against the exhaustive SQL.
 #: Measured (sf0.001 / 0.01 / 0.1): recall@0.98 = .733/.727/.705,
 #: recall@0.95 = .600/.417/.557, precision@0.9 = 1.0/1.0/1.0.
+#: The truth set assumes LSH recall at jaccard>=0.9 is exactly 1.0; pytest
+#: checks it on sf0.001 against an exhaustive all-pairs jaccard.
 SIMHASH_REPORT_FLOORS = (
     ("recall", 0.98, 0.60),
     ("recall", 0.95, 0.35),

@@ -5,8 +5,13 @@ The flagship flow (BASELINE.json ``north_star``)::
     read_parquet(corpus)                       # (doc_id, tokens, n_tok, source)
       -> map_batches(ExtractSamplesStage, ...) # detokenize -> parse -> samples
       -> map_batches(PartialRollupStage)       # per-block combiner
-      -> groupby(series_key).map_groups(...)   # ONE shuffle; tier cascade
-      -> write_parquet(tier dirs)              # resumable partitioned output
+      -> shard_apply(cascade_series_group)     # ONE shuffle, by shard; tier
+                                               # cascade over whole shards
+      -> write_parquet(tier dirs)
+
+The resumable job (``job.run_job``) shuffles samples by shard instead and
+commits each shard's rollups and Gorilla chunks in its group task
+(``state/checkpoint.run_sharded_rollup``).
 
 Everything here is lazy-Dataset-in / lazy-Dataset-out; sessions are owned by
 the caller.  The ``events``-derived variants exist so the whole tokenized

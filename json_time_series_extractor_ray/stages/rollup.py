@@ -11,15 +11,17 @@ SURVEY.md §2.6) — this ladder is the engine's scale mandate
    (``state/checkpoint.run_sharded_rollup``) ships samples instead — its
    raw tier (Gorilla chunks) needs them — and runs the same kernel once
    per shard.
-2. **Exactly one wide op**, keyed by series: the job groups samples by
-   ``shard = hash(series_key) % P``; ``rollup_ladder`` groups partials by
-   ``series_key``.
+2. **Exactly one wide op**, keyed by shard: every path groups its rows by
+   ``shard = md5(series_key) % P`` through ``state/checkpoint.shard_apply``
+   (the job samples, ``rollup_ladder`` and ``merge_tier_rollups``
+   partials), so one task call covers a whole shard, never one series.
 3. **Vectorized cascade inside ``map_groups``**: ``cascade_series_group``
    merges the partials of every series in its group at once (one sort +
    ``reduceat`` over ``(series_key, window)`` segments per tier) into final
    1m windows, then derives 1h from 1m and 1d from 1h *locally* (sum+count
    carried so ``mean`` is exact — never an average of averages; min of
-   mins; max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``).
+   mins; max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``),
+   then optionally gap-fills; all three paths share this body.
 
 Determinism: ``last`` needs a total order under Ray's unordered block
 execution, so partials carry ``(last_ts, last_doc, last_ord)`` and every
@@ -27,12 +29,11 @@ merge sorts on that triple (SURVEY.md §7.3.3); float sums are performed in
 that same sorted order so repeated runs are bit-identical, and a segment
 sums in the same order whichever other series share its group.
 
-Skew: in ``rollup_ladder`` a hot series costs one partial row per
-(block, window), so its post-shuffle group is bounded by (#blocks x
-#windows); a job shard task holds its shard's samples, so ``num_shards``
-bounds it there.  There is no salting stage; the
-``events_rollup_1m_salted`` registry query keeps the hot-key shape pinned
-to its oracle.
+Skew: a group task holds one whole shard, so ``num_shards`` bounds its
+memory; a hot series adds one partial row per (block, window) to its
+shard in ``rollup_ladder``, and its samples in the job.  There is no
+salting stage; the ``events_rollup_1m_salted`` registry query keeps the
+hot-key shape pinned to its oracle.
 
 Only numeric samples (``value_kind == 1``) participate, mirroring the
 engine's rollup value domain (SURVEY.md §1.3).
@@ -43,6 +44,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..state.checkpoint import shard_apply
 
 WINDOW_NS = {
     "raw": 1,
@@ -185,9 +188,12 @@ def _merge_windows(df: pd.DataFrame, window_ns: int,
     })
 
 
-def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER) -> pd.DataFrame:
+def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER, *,
+                         gap_fill: str | None = None,
+                         gap_fill_round: int | None = None) -> pd.DataFrame:
     """Tier cascade (``map_groups`` body) over the 1m partials of one or
-    many series.
+    many series, then optional gap-fill (``'locf'|'linear'``, see
+    ``stages/gapfill``).
 
     Emits one frame with a ``tier`` column covering all requested tiers;
     each coarser tier is derived from the previous one (cheap — SURVEY.md
@@ -211,7 +217,12 @@ def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER) -> pd.DataFrame:
     ].copy()
     result["window_start"] = result["window_start"].astype("datetime64[ns]")
     result["last_ts"] = result["last_ts"].astype("datetime64[ns]")
-    return result
+    if gap_fill is None or not len(result):
+        return result
+    from .gapfill import gap_fill_tier_group
+
+    return gap_fill_tier_group(result, method=gap_fill,
+                               interp_round_digits=gap_fill_round)
 
 
 class PartialRollupStage:
@@ -230,12 +241,11 @@ def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
                   gap_fill_round: int | None = None):
     """Dataset of SAMPLE_SCHEMA rows -> Dataset of tiered rollup rows.
 
-    One shuffle total: the ``groupby("series_key")`` between the partial
-    combiner and the cascade.  ``gap_fill='locf'|'linear'`` fuses
-    interior gap-filling into the same ``map_groups`` (data is already
-    series-local there) — no extra wide operation.  The resumable job path,
-    ``state/checkpoint.run_sharded_rollup``, shuffles samples once by shard
-    and runs the same partial kernel and cascade in each shard task.
+    One shuffle total: ``shard_apply`` between the partial combiner and
+    the cascade, one task call per shard.  ``gap_fill='locf'|'linear'``
+    gap-fills in the same group body — no extra wide operation.  The
+    resumable job path, ``state/checkpoint.run_sharded_rollup``, shuffles
+    samples instead and runs the same partial kernel and body per shard.
     """
     partials = samples_ds.map_batches(
         PartialRollupStage(WINDOW_NS[tiers[0]],
@@ -244,24 +254,12 @@ def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-
-    if gap_fill is None:
-        def _group_fn(df):
-            return cascade_series_group(df, tiers)
-    else:
-        from .gapfill import gap_fill_tier_group
-
-        def _group_fn(df):
-            return gap_fill_tier_group(cascade_series_group(df, tiers),
-                                       method=gap_fill,
-                                       interp_round_digits=gap_fill_round)
-
-    return partials.groupby("series_key").map_groups(
-        _group_fn, batch_format="pandas"
-    )
+    return shard_apply(partials, lambda df: cascade_series_group(
+        df, tiers, gap_fill=gap_fill, gap_fill_round=gap_fill_round))
 
 
-def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER):
+def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER, *,
+                       gap_fill: str | None = None):
     """Incremental continuous-aggregate maintenance: merge ladder outputs
     computed over DISJOINT sample sets into the ladder of their union,
     without touching any sample.  Exact on every order-independent
@@ -270,13 +268,14 @@ def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER):
     (different partial grouping) — identical after the 6-decimal rounding
     every consumer applies.
 
-    Only the finest ('1m') tier rows of each input are consumed; they are
-    partial-shaped (sum+count carried, full ``(last_ts, last_doc,
-    last_ord)`` tie-break triple), so re-running the per-series cascade
-    over their union reproduces what a batch recompute over all samples
-    would emit.  This is the nightly-append shape at 100 TB: yesterday's
-    tiers merge with today's increment in one ``groupby(series_key)``
-    over tiny rollup rows — the historical corpus is never re-read.
+    Only the finest tier's observed rows (``count > 0``; gap-fill rows are
+    not observations) of each input are consumed; they are partial-shaped
+    (sum+count carried, full ``(last_ts, last_doc, last_ord)`` tie-break
+    triple), so re-running the cascade over their union — and ``gap_fill``
+    after it — reproduces what a batch recompute over all samples would
+    emit.  This is the nightly-append shape at 100 TB: yesterday's tiers
+    merge with today's increment in one shard-keyed shuffle over tiny
+    rollup rows — the historical corpus is never re-read.
     """
     import pyarrow.compute as pc
 
@@ -287,7 +286,8 @@ def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER):
     finest = tiers[0]
 
     def _to_partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch.column("tier"), finest))
+        t = batch.filter(pc.and_(pc.equal(batch.column("tier"), finest),
+                                 pc.greater(batch.column("count"), 0)))
         return pa.table(
             {
                 "series_key": t.column("series_key"),
@@ -309,24 +309,17 @@ def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER):
         for ds in rollup_dss
     ]
     unioned = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-
-    def _recascade(df: pd.DataFrame) -> pd.DataFrame:
-        return cascade_series_group(df[PARTIAL_COLUMNS].copy(), tiers)
-
-    return unioned.groupby("series_key").map_groups(
-        _recascade, batch_format="pandas"
-    )
+    return shard_apply(unioned, lambda df: cascade_series_group(
+        df, tiers, gap_fill=gap_fill))
 
 
 def rollup_oracle(samples: pa.Table, tiers=TIER_ORDER) -> pd.DataFrame:
-    """Single-process oracle: same semantics, no Ray.  Used by tests to pin
-    the distributed ladder bit-for-bit."""
-    partial = partial_rollup_batch(samples).to_pandas()
-    frames = [
-        cascade_series_group(g.copy(), tiers)
-        for _, g in partial.groupby("series_key", sort=True)
-    ]
-    if not frames:
+    """Single-process oracle: same semantics, no Ray, one block, one
+    cascade call.  Used by tests to pin the distributed ladder
+    bit-for-bit."""
+    out = cascade_series_group(partial_rollup_batch(samples).to_pandas(),
+                               tiers)
+    if not len(out):
         return pd.DataFrame()
-    out = pd.concat(frames, ignore_index=True)
-    return out.sort_values(["tier", "series_key", "window_start"], ignore_index=True)
+    return out.sort_values(["tier", "series_key", "window_start"],
+                           ignore_index=True)

@@ -21,7 +21,10 @@ metrics.  Design:
 
 The shard axis is ``hash(series_key) % num_shards`` and it is the key of
 the one wide operation in the pipeline: samples shuffle by shard, so
-restart granularity is the unit of work (SURVEY.md §4).
+restart granularity is the unit of work (SURVEY.md §4).  ``shard_apply``
+is that shuffle, and every other per-series path (ladder, tier merge,
+chunking, compaction) runs on it too: one task call per shard, never one
+per series.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ import uuid
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+
+#: The job's ``num_shards`` default, and the shard count of every
+#: per-series path that does not checkpoint.
+NUM_SHARDS = 64
 
 
 def shard_of(series_key: str, num_shards: int) -> int:
@@ -69,6 +77,33 @@ def add_shard_column(batch: pa.Table, num_shards: int,
         [pa.array(a, pa.int32()) for a in out]
     ) if out else pa.array([], pa.int32())
     return batch.append_column("shard", shards)
+
+
+def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *,
+                batch_format: str = "pandas", skip_shards=()):
+    """The one shard-keyed shuffle: tag every row map-side with its
+    ``shard`` (``add_shard_column``), drop rows of ``skip_shards``, then
+    call ``fn`` once per whole shard (``groupby("shard").map_groups``).
+
+    ``fn`` sees all rows of many series at once (and the ``shard``
+    column, replacing any input one, e.g. a store's hive partition key),
+    so per-series work must be vectorized over ``series_key`` segments.
+    A task holds one shard: ``num_shards`` bounds its memory.
+    """
+    skip = pa.array(sorted(skip_shards), pa.int32())
+
+    def _tag(batch: pa.Table) -> pa.Table:
+        if "shard" in batch.column_names:
+            batch = batch.drop_columns(["shard"])
+        t = add_shard_column(batch, num_shards)
+        if len(skip):
+            t = t.filter(pc.invert(pc.is_in(t.column("shard"),
+                                            value_set=skip)))
+        return t
+
+    return ds.map_batches(
+        _tag, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    ).groupby("shard").map_groups(fn, batch_format=batch_format)
 
 
 def _fsync_path(path: str) -> None:
@@ -271,7 +306,6 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     nor double-counted.  Each record's ``wall_s`` is the commit time and
     ``compute_s`` the rollup (+ gap-fill) and chunk encoding time.
     """
-    from ..stages.gapfill import gap_fill_tier_group
     from ..stages.rollup import (
         WINDOW_NS,
         WINDOW_OFFSET_NS,
@@ -283,16 +317,8 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     manifest = CheckpointManifest(out_dir, chunks_dir)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
     done = sorted(manifest.completed_shards())
-    done_set = pa.array(done, pa.int32())
     window_ns = WINDOW_NS[tiers[0]]
     offset_ns = WINDOW_OFFSET_NS.get(tiers[0], 0)
-
-    def _pending_samples(batch: pa.Table) -> pa.Table:
-        t = add_shard_column(batch.select([
-            "series_key", "ts", "value_num", "value_kind", "doc_id",
-            "sample_ordinal"]), num_shards)
-        return t.filter(pc.invert(pc.is_in(t.column("shard"),
-                                           value_set=done_set)))
 
     # Commit each shard INSIDE its group task (atomic tmp+rename + manifest
     # record written by the worker) — the driver only collects the tiny
@@ -306,9 +332,7 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
         # the samples were cut into blocks
         rolled = cascade_series_group(
             partial_rollup_batch(samples, window_ns, offset_ns).to_pandas(),
-            tiers)
-        if gap_fill is not None and len(rolled):
-            rolled = gap_fill_tier_group(rolled, method=gap_fill)
+            tiers, gap_fill=gap_fill)
         # plain Arrow: no pandas metadata copied into every shard's footer
         chunks = None if chunks_dir is None else pa.table(dict(
             GorillaChunkWriter(chunk_bucket_ns)(samples.to_pandas())))
@@ -318,11 +342,12 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
             extra={"compute_s": round(time.perf_counter() - t0, 4)})
         return {"shard": [shard], "rows": [rec["rows"]]}
 
-    committed = samples_ds.map_batches(
-        _pending_samples, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).groupby("shard").map_groups(
-        _rollup_and_commit, batch_format="pyarrow"
+    committed = shard_apply(
+        samples_ds.select_columns([
+            "series_key", "ts", "value_num", "value_kind", "doc_id",
+            "sample_ordinal"]),
+        _rollup_and_commit, num_shards, batch_format="pyarrow",
+        skip_shards=done,
     ).to_pandas()
     shards_run = sorted(int(s) for s in committed["shard"]) if len(committed) else []
     return manifest, shards_run, done

@@ -40,6 +40,8 @@ import struct
 
 import numpy as np
 
+from .checkpoint import shard_apply
+
 _U64 = np.uint64
 #: first timestamp, first value's IEEE bits, point count
 _HEADER = struct.Struct("<qQq")
@@ -346,8 +348,8 @@ class GorillaChunkWriter:
     sample_ordinal)`` and encoded, all series of the frame in one
     ``compress_chunks`` call, emitting ``(series_key, n_points, t_min,
     t_max, raw_bytes, chunk)`` rows for the chunk sink.  A series (or
-    bucket) with no numeric sample keeps a 0-point row.  The job calls it
-    on a whole shard, ``compress_series_dataset`` on one group.
+    bucket) with no numeric sample keeps a 0-point row.  The job and
+    ``compress_series_dataset`` call it on a whole shard.
     """
 
     def __init__(self, bucket_ns: int | None = None):
@@ -393,36 +395,19 @@ def _chunk_rows(keys, ts, vals, counts):
 
 
 def compress_series_dataset(samples_ds, *, bucket_ns: int | None = None):
-    """Samples Dataset -> Gorilla chunk rows (one shuffle).
+    """Samples Dataset -> Gorilla chunk rows (one shard-keyed shuffle,
+    ``state/checkpoint.shard_apply``; one ``GorillaChunkWriter`` call per
+    shard).
 
-    Default: one chunk per series.  ``bucket_ns`` co-partitions on
-    ``(series_key, ts // bucket_ns)`` instead — one chunk per series x
-    time bucket — so a hot series' points never exceed one group task or
-    one chunk row (the same hot-key bound as the bucketed as-of join).
-    Chunk rows are self-contained, so readers need no change: a
-    time-range read prunes per-chunk ``t_min``/``t_max`` exactly as
-    before, just at finer granularity.
+    Default: one chunk per series.  ``bucket_ns``: one chunk per series x
+    ``ts // bucket_ns`` bucket, cut by the writer inside the shard, so no
+    chunk row holds more than one bucket of a hot series.  A task still
+    holds its whole shard: ``num_shards``, not ``bucket_ns``, bounds task
+    memory (the job's trade-off too).  Chunk rows are self-contained, so
+    readers need no change: a time-range read prunes per-chunk
+    ``t_min``/``t_max`` exactly as before, just at finer granularity.
     """
-    writer = GorillaChunkWriter(bucket_ns)
-
-    def _compress(df):
-        return writer(df)
-
-    keys = ["series_key"]
-    if bucket_ns is not None:
-        import pyarrow as pa
-
-        def _add_bucket(batch: pa.Table) -> pa.Table:
-            ts = batch.column("ts").cast(pa.timestamp("ns")) \
-                .cast(pa.int64()).to_numpy(zero_copy_only=False)
-            return batch.append_column(
-                "__bucket", pa.array(ts // bucket_ns, pa.int64()))
-
-        samples_ds = samples_ds.map_batches(
-            _add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        keys.append("__bucket")
-    return samples_ds.groupby(keys).map_groups(_compress,
-                                               batch_format="pandas")
+    return shard_apply(samples_ds, GorillaChunkWriter(bucket_ns).__call__)
 
 
 def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):
@@ -436,31 +421,34 @@ def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):
     the maintenance pass that restores big-chunk economics.
 
     Scale shape: the input is CHUNK rows (one per series x bucket —
-    orders of magnitude smaller than samples), shuffled ONCE on
-    ``series_key``; each group task decodes all of its series' chunks in
-    one ``decompress_chunks`` call and re-encodes every ``target_points``
+    orders of magnitude smaller than samples), shuffled ONCE by shard
+    (``state/checkpoint.shard_apply``); each shard task decodes all chunks
+    of all its series in one ``decompress_chunks`` call, cuts each
+    series' points into ``target_points`` slices and re-encodes every
     slice in one ``compress_chunks`` call.
     Assumes per-series chunk time ranges do not overlap (the writer's
-    bucket invariant); chunks are concatenated in ``(t_min, t_max)``
-    order, so sample order — and therefore the re-encoded stream — is
-    deterministic.  For a series whose TOTAL history exceeds one task's
-    memory, compact per coarse epoch (filter on ``t_min`` ranges) —
-    the same bounding trick as ``bucket_ns`` on the write side.
+    bucket invariant); chunks are concatenated in ``(series_key, t_min,
+    t_max)`` order, so sample order — and therefore the re-encoded stream —
+    is deterministic.  A task holds one shard's points: for a shard whose
+    TOTAL history exceeds one task's memory, compact per coarse epoch
+    (filter on ``t_min`` ranges).
     """
-    import pandas as pd
 
-    def _compact(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["t_min", "t_max"], kind="stable",
+    def _compact(df):
+        df = df.sort_values(["series_key", "t_min", "t_max"], kind="stable",
                             ignore_index=True)
-        ts, vals, _ = decompress_chunks(list(df["chunk"]))
+        ts, vals, counts = decompress_chunks(list(df["chunk"]))
+        keys = df["series_key"].to_numpy()
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        total = np.add.reduceat(counts, starts)
         # a series with no points keeps one 0-point row (the writer's own
         # behavior for string-only series), so compaction never makes a
         # series vanish from the store
-        counts = (np.diff(np.r_[0:len(ts):target_points, len(ts)])
-                  if len(ts) else np.zeros(1, np.int64))
-        return _chunk_rows([df["series_key"].iloc[0]] * len(counts), ts,
-                           vals, counts)
+        pieces = np.maximum(-(-total // target_points), 1)
+        first = np.cumsum(pieces) - pieces
+        k = np.arange(int(pieces.sum())) - np.repeat(first, pieces)
+        sizes = np.minimum(np.repeat(total, pieces) - k * target_points,
+                           target_points)
+        return _chunk_rows(np.repeat(keys[starts], pieces), ts, vals, sizes)
 
-    return chunks_ds.groupby("series_key").map_groups(
-        _compact, batch_format="pandas"
-    )
+    return shard_apply(chunks_ds, _compact)

@@ -118,6 +118,19 @@ def test_job_incremental_update(ray_session, tmp_path):
     update_input run merging the second half — rollups_updated must match
     a one-shot job over the full corpus (exact on order-independent
     columns; sum/mean within float-reassociation tolerance)."""
+    _assert_update_equals_full_job(tmp_path, gap_fill=None)
+
+
+@pytest.mark.parametrize("gap_fill", ["locf", "linear"])
+def test_job_incremental_update_gap_filled(ray_session, tmp_path, gap_fill):
+    """The same on a gap-filled store (one series per device, so 1m
+    windows have gaps): its fill rows are not merged as observations, and
+    the update re-applies the configured gap-fill."""
+    _assert_update_equals_full_job(tmp_path, gap_fill=gap_fill,
+                                   template="{device}/{$prop}")
+
+
+def _assert_update_equals_full_job(tmp_path, gap_fill, template=None):
     import numpy as np
     import pandas as pd
     import pyarrow.dataset as pads
@@ -133,8 +146,9 @@ def test_job_incremental_update(ray_session, tmp_path):
     def cfg(inp, out):
         return {
             "input": inp, "output_dir": out,
-            "options": {"recursive": True, "allow_nested_timestamps": True},
-            "tiers": ["1m", "1h"], "num_shards": 4,
+            "options": {"recursive": True, "allow_nested_timestamps": True,
+                        **({"template": template} if template else {})},
+            "tiers": ["1m", "1h"], "num_shards": 4, "gap_fill": gap_fill,
         }
 
     out_half = str(tmp_path / "out_half")
@@ -156,6 +170,8 @@ def test_job_incremental_update(ray_session, tmp_path):
         .sort_values(key, ignore_index=True)
     )
     assert len(got) == len(want)
+    if gap_fill is not None:
+        assert (want["fill"] == gap_fill).any()
     exact = [c for c in want.columns if c not in ("sum", "mean")]
     pd.testing.assert_frame_equal(
         got[exact].reset_index(drop=True), want[exact].reset_index(drop=True),

@@ -52,6 +52,38 @@ class TestVerifiedLshPairs:
         # nothing else survives exact verification at tau=0.5
         assert set(pairs) == {(0, 60), (1, 61)}
 
+    def test_tau09_equals_exhaustive_jaccard_on_fixture(self, ray_session):
+        """LSH recall at jaccard >= 0.9 is exactly 1.0 on the fixture: the
+        verified pairs equal the exhaustive all-pairs relation, values
+        included.  ``simhash_recall_report`` takes these pairs as its
+        truth set, so a recall loss fails here first."""
+        import itertools
+
+        import pyarrow.parquet as pq
+        import ray
+
+        from json_time_series_extractor_ray.pipelines._util import (
+            round_half_away,
+        )
+
+        docs = pq.read_table(f"{SF}/documents.parquet",
+                             columns=["doc_id", "text"])
+        sets = dict(zip(docs.column("doc_id").to_pylist(),
+                        shingle_sets(docs.column("text"), 3)))
+        want = {}
+        for (a, sa), (b, sb) in itertools.combinations(sorted(sets.items()),
+                                                       2):
+            inter = len(sa & sb)
+            if inter:
+                j = float(round_half_away(inter / (len(sa | sb)), 6))
+                if j >= 0.9:
+                    want[(a, b)] = j
+        out = minhash_lsh_verified_pairs(ray.data.from_arrow(docs),
+                                         tau=0.9).to_pandas()
+        got = {(a, b): j for a, b, j in
+               out[["doc_a", "doc_b", "jaccard"]].itertuples(index=False)}
+        assert want and got == want
+
     def test_output_sorted_and_typed(self, ray_session):
         import ray
 

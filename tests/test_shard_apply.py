@@ -1,0 +1,222 @@
+"""Every per-series path runs on the one shard-keyed shuffle
+(``state/checkpoint.shard_apply``): at 10^4 series each path equals its
+per-series oracle bit for bit, each plans one all-to-all operator, and
+``stages/``/``state/`` keep a single ``.groupby(`` call."""
+
+import pathlib
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from json_time_series_extractor_ray.stages.gapfill import gap_fill_series
+from json_time_series_extractor_ray.stages.rollup import (
+    WINDOW_NS,
+    merge_tier_rollups,
+    rollup_ladder,
+    rollup_oracle,
+)
+from json_time_series_extractor_ray.state.gorilla import (
+    GorillaChunkWriter,
+    compact_chunks,
+    compress_series_dataset,
+    decompress_chunks,
+)
+from tests.test_checkpoint_resume import _PlanCounter
+from tests.test_gorilla_codec import oracle_compress_chunk
+
+N_SERIES = 10_000
+BASE = 1_704_067_200 * 10**9  # 2024-01-01, a day boundary
+KEY = ["tier", "series_key", "window_start"]
+
+
+def _samples(n_series=N_SERIES, per_series=4, seed=0) -> pa.Table:
+    """``per_series`` samples per series inside a 10-minute span that
+    starts anywhere in two days, so 1m windows have interior gaps and
+    some series cross an hour or day boundary.  Values are multiples of
+    1/4, so every float sum is exact whatever the block layout; 2% of
+    series and 2% of other samples are strings."""
+    rng = np.random.default_rng(seed)
+    n = n_series * per_series
+    series = rng.permutation(np.arange(n) % n_series)
+    start = rng.integers(0, 2 * 86_400, n_series)[series]
+    kind = np.where((series % 50 == 7) | (rng.random(n) < 0.02), 2, 1)
+    return pa.table({
+        "series_key": pa.array([f"dev-{s:05d}/temp" for s in series]),
+        "ts": pa.array(BASE + (start + rng.integers(0, 600, n)) * 10**9,
+                       pa.int64()).cast(pa.timestamp("ns")),
+        "value_num": pa.array(rng.integers(-4000, 4000, n) / 4.0),
+        "value_kind": pa.array(kind.astype(np.int8)),
+        "doc_id": pa.array([f"d{i:06d}" for i in range(n)]),
+        "sample_ordinal": pa.array(rng.integers(0, 3, n), pa.int32()),
+    })
+
+
+def _dataset(table: pa.Table, n_blocks=8):
+    import ray
+
+    step = -(-table.num_rows // n_blocks)
+    return ray.data.from_arrow(
+        [table.slice(i, step) for i in range(0, table.num_rows, step)])
+
+
+def _sorted(df: pd.DataFrame, key=KEY) -> pd.DataFrame:
+    return df.sort_values(key, ignore_index=True)
+
+
+def _gap_fill_each_series(rollups: pd.DataFrame, method: str) -> pd.DataFrame:
+    """Oracle: ``gap_fill_series`` on each (series, tier) alone."""
+    work = rollups.astype({"window_start": "int64", "last_ts": "int64"})
+    out = pd.concat(
+        [gap_fill_series(g, WINDOW_NS[tier], method)
+         for (_, tier), g in work.groupby(["series_key", "tier"])],
+        ignore_index=True)
+    return out.astype({"window_start": "datetime64[ns]",
+                       "last_ts": "datetime64[ns]"})
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return _samples()
+
+
+@pytest.mark.parametrize("gap_fill", [None, "locf"])
+def test_rollup_ladder_high_cardinality_equals_oracle(ray_session, samples,
+                                                      gap_fill):
+    # the gap-fill oracle costs one pandas call per (series, tier): 1m only
+    tiers = ("1m", "1h", "1d") if gap_fill is None else ("1m",)
+    want = rollup_oracle(samples, tiers)
+    assert want["series_key"].nunique() >= 9_000
+    if gap_fill is not None:
+        want = _gap_fill_each_series(want, gap_fill)
+        assert (want["count"] == 0).sum() > 10_000  # filled rows exist
+    got = rollup_ladder(_dataset(samples), tiers,
+                        gap_fill=gap_fill).to_pandas()
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want)[got.columns],
+                                  check_exact=True)
+
+
+def test_merge_tier_rollups_two_way_split_equals_one_pass(ray_session,
+                                                          samples):
+    """Samples split 2 ways at random (most windows get rows from both
+    halves): merging the two ladders equals the one-pass ladder."""
+    half = np.random.default_rng(1).random(samples.num_rows) < 0.5
+    ladders = [rollup_ladder(_dataset(samples.filter(pa.array(m)))
+                             ).materialize()
+               for m in (half, ~half)]
+    got = merge_tier_rollups(ladders).to_pandas()
+    want = rollup_ladder(_dataset(samples)).to_pandas()
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want)[got.columns],
+                                  check_exact=True)
+
+
+@pytest.mark.parametrize("bucket_ns", [None, 300_000_000_000])
+def test_compress_series_dataset_high_cardinality(ray_session, samples,
+                                                  bucket_ns):
+    """Per-(series, bucket) chunk rows equal the writer run on each series
+    alone, bytes included, 0-point rows of string-only series too."""
+    key = ["series_key", "t_min", "n_points"]
+    got = compress_series_dataset(_dataset(samples),
+                                  bucket_ns=bucket_ns).to_pandas()
+    writer = GorillaChunkWriter(bucket_ns)
+    want = pd.concat(
+        [writer(g) for _, g in samples.to_pandas().groupby("series_key")],
+        ignore_index=True)
+    assert (want["n_points"] == 0).any()
+    assert want["series_key"].nunique() >= 9_000
+    pd.testing.assert_frame_equal(_sorted(got, key), _sorted(want, key),
+                                  check_exact=True)
+
+
+def test_compact_chunks_high_cardinality_matches_scalar_encoder(ray_session):
+    """10^4 series of 0-3 small chunks each, compacted at 5 points per
+    chunk: every series decodes to its points in (t_min, t_max) order, and
+    every output chunk is the scalar encoder's bytes for its slice."""
+    import ray
+
+    target = 5
+    rng = np.random.default_rng(4)
+    rows, points = [], {}
+    for s in range(N_SERIES):
+        key = f"dev-{s:05d}"
+        t = BASE + int(rng.integers(0, 10**12))
+        ts_all, vals_all = [], []
+        for n in rng.integers(0, 5, rng.integers(1, 4)):
+            ts = t + np.cumsum(rng.choice([10**9, 2 * 10**9, 7], n))
+            vals = np.round(rng.normal(20, 2, n), 2)
+            rows.append((key, n, int(ts[0]) if n else 0,
+                         int(ts[-1]) if n else 0, 16 * n,
+                         oracle_compress_chunk(ts, vals)))
+            t = int(ts[-1]) if n else t
+            ts_all.append(ts)
+            vals_all.append(vals)
+        points[key] = (np.concatenate(ts_all), np.concatenate(vals_all))
+    chunks = pd.DataFrame(rows, columns=["series_key", "n_points", "t_min",
+                                         "t_max", "raw_bytes", "chunk"])
+    chunks = chunks.iloc[rng.permutation(len(chunks))]
+    got = _sorted(compact_chunks(ray.data.from_pandas(chunks),
+                                 target_points=target).to_pandas(),
+                  ["series_key", "t_min"])
+    assert got["series_key"].nunique() == N_SERIES
+    assert (got["n_points"] <= target).all()
+    assert ((got["n_points"] == 0)
+            == got["series_key"].map(lambda k: len(points[k][0]) == 0)).all()
+
+    ts, vals, counts = decompress_chunks(list(got["chunk"]))
+    np.testing.assert_array_equal(counts, got["n_points"])
+    bounds = np.cumsum(counts) - counts
+    for key, g in got.groupby("series_key", sort=False):
+        want_ts, want_vals = points[key]
+        lo, hi = bounds[g.index[0]], bounds[g.index[-1]] + counts[g.index[-1]]
+        np.testing.assert_array_equal(ts[lo:hi], want_ts)
+        np.testing.assert_array_equal(vals[lo:hi].view(np.uint64),
+                                      want_vals.view(np.uint64))
+        cuts = np.arange(0, len(want_ts), target)
+        want_chunks = [oracle_compress_chunk(want_ts[c:c + target],
+                                             want_vals[c:c + target])
+                       for c in cuts] or [oracle_compress_chunk(want_ts,
+                                                                want_vals)]
+        assert list(g["chunk"]) == want_chunks
+
+
+def _one_plan_ops(make) -> int:
+    with _PlanCounter() as plans:
+        make().materialize()
+    return plans.ops
+
+
+def test_every_per_series_path_plans_one_all_to_all(ray_session):
+    import ray
+
+    table = _samples(n_series=200, per_series=3, seed=2)
+    samples = _dataset(table).materialize()
+    ladder = rollup_ladder(samples).materialize()
+    chunks = compress_series_dataset(samples).materialize()
+    assert _one_plan_ops(lambda: rollup_ladder(samples)) == 1
+    assert _one_plan_ops(lambda: rollup_ladder(samples,
+                                               gap_fill="locf")) == 1
+    assert _one_plan_ops(
+        lambda: merge_tier_rollups([ladder, ladder])) == 1
+    assert _one_plan_ops(lambda: compress_series_dataset(samples)) == 1
+    assert _one_plan_ops(lambda: compress_series_dataset(
+        samples, bucket_ns=300_000_000_000)) == 1
+    assert _one_plan_ops(lambda: compact_chunks(
+        ray.data.from_pandas(chunks.to_pandas()))) == 1
+
+
+def test_stages_and_state_have_one_groupby():
+    """The shard helper's ``groupby("shard")`` is the only one: a
+    per-series shuffle (or a per-group pandas loop) cannot come back
+    unnoticed."""
+    pkg = pathlib.Path(__file__).resolve().parents[1] / \
+        "json_time_series_extractor_ray"
+    hits = [
+        (path.relative_to(pkg).as_posix(), line.strip())
+        for sub in ("stages", "state")
+        for path in sorted((pkg / sub).glob("*.py"))
+        for line in path.read_text().splitlines()
+        if ".groupby(" in line
+    ]
+    assert [path for path, _ in hits] == ["state/checkpoint.py"]
+    assert '.groupby("shard")' in hits[0][1]
