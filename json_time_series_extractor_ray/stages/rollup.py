@@ -10,24 +10,34 @@ SURVEY.md §2.6) — this ladder is the engine's scale mandate
    ``(series_key, 1m-window)`` before the shuffle.  The job path
    (``state/checkpoint.run_sharded_rollup``) ships samples instead — its
    raw tier (Gorilla chunks) needs them — and runs the same kernel once
-   per shard.
+   per shard (``rollup_shard``), in the one sort that also orders its
+   chunk rows.
 2. **Exactly one wide op**, keyed by shard: every path groups its rows by
    ``shard = md5(series_key) % P`` through ``state/checkpoint.shard_apply``
    (the job samples, ``rollup_ladder`` and ``merge_tier_rollups``
    partials), so one task call covers a whole shard, never one series.
-3. **Vectorized cascade inside ``map_groups``**: ``cascade_series_group``
-   merges the partials of every series in its group at once (one sort +
-   ``reduceat`` over ``(series_key, window)`` segments per tier) into final
-   1m windows, then derives 1h from 1m and 1d from 1h *locally* (sum+count
+3. **Rank-coded cascade inside ``map_groups``**: a group's ``series_key``
+   and ``last_doc`` strings are mapped once to int64 lexicographic ranks
+   (``state/checkpoint.lex_ranks``).  Every tier is then one integer
+   ``lexsort`` plus ``reduceat`` over ``(series_key, window)`` segments
+   (``_merge``): the partials of every series merge at once into final 1m
+   windows, then 1h derives from 1m and 1d from 1h *locally* (sum+count
    carried so ``mean`` is exact — never an average of averages; min of
-   mins; max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``),
-   then optionally gap-fills; all three paths share this body.
+   mins; max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``).
+   Strings are gathered from the distinct values once, at the end, then
+   optional gap-fill runs; all three paths share this body
+   (``cascade_series_group``, or ``rollup_shard`` on the job's Arrow
+   shard).
 
 Determinism: ``last`` needs a total order under Ray's unordered block
 execution, so partials carry ``(last_ts, last_doc, last_ord)`` and every
 merge sorts on that triple (SURVEY.md §7.3.3); float sums are performed in
 that same sorted order so repeated runs are bit-identical, and a segment
-sums in the same order whichever other series share its group.
+sums in the same order whichever other series share its group.  Ranks
+sort like the strings they code (UTF-8 byte order is code-point order, so
+Python's ``str`` order), so rank-coding moves no row and no sum.  A null
+``doc_id`` ranks before every string in the partials and a null
+``last_doc`` after every string in the merges.
 
 Skew: a group task holds one whole shard, so ``num_shards`` bounds its
 memory; a hot series adds one partial row per (block, window) to its
@@ -45,7 +55,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..state.checkpoint import shard_apply
+from ..state.checkpoint import ShardSamples, lex_ranks, shard_apply
 
 WINDOW_NS = {
     "raw": 1,
@@ -74,77 +84,90 @@ PARTIAL_COLUMNS = [
 ]
 
 
+def _merge(rows: dict, window_ns: int, offset_ns: int = 0,
+           order=None) -> dict:
+    """Merge rank-coded partial rows into one row per ``(series_key,
+    window)`` of size ``window_ns``.
+
+    ``rows`` maps ``PARTIAL_COLUMNS`` to numpy arrays, ``series_key`` and
+    ``last_doc`` holding ``lex_ranks`` (a null ``last_doc`` ranks after
+    every string).  One ``lexsort`` over ``(series_key, window, last_ts,
+    last_doc, last_ord)`` (or the caller's ``order``, a permutation
+    consistent with it) orders the rows; every aggregate is a ``reduceat``
+    over the segments, so float sums run in that order, and ``last`` and
+    its tie-break triple come from one row, each segment's last.
+    """
+    w = rows["window_start"]
+    # numpy % with a positive modulus is non-negative, so the aligned
+    # floor holds for timestamps before the offset too
+    w = w - ((w - offset_ns) % window_ns)
+    s = rows["series_key"]
+    if order is None:
+        order = np.lexsort((rows["last_ord"], rows["last_doc"],
+                            rows["last_ts"], w, s))
+    if not len(order):
+        return {c: v[:0] for c, v in rows.items()}
+    w, s = w[order], s[order]
+    starts = np.flatnonzero(np.r_[True, (w[1:] != w[:-1])
+                                  | (s[1:] != s[:-1])])
+    last = order[np.r_[starts[1:], len(order)] - 1]
+    # reduceat, NOT a NaN-skipping aggregator: a NaN propagates, so a
+    # merged value never depends on how rows were cut into partials
+    return {
+        "series_key": s[starts],
+        "window_start": w[starts],
+        "sum": np.add.reduceat(rows["sum"][order], starts),
+        "count": np.add.reduceat(rows["count"][order], starts),
+        "min": np.minimum.reduceat(rows["min"][order], starts),
+        "max": np.maximum.reduceat(rows["max"][order], starts),
+        "last": rows["last"][last],
+        "last_ts": rows["last_ts"][last],
+        "last_doc": rows["last_doc"][last],
+        "last_ord": rows["last_ord"][last],
+    }
+
+
+def _sample_rows(samples: ShardSamples) -> dict:
+    """Every sample as a one-sample partial row (``_merge`` input)."""
+    v = samples.values
+    return {
+        "series_key": samples.series, "window_start": samples.ts, "sum": v,
+        "count": np.ones(len(v), np.int64), "min": v, "max": v, "last": v,
+        "last_ts": samples.ts, "last_doc": samples.doc,
+        "last_ord": samples.ordinal,
+    }
+
+
 def partial_rollup_batch(batch: pa.Table, window_ns: int = WINDOW_NS["1m"],
                          offset_ns: int = 0) -> pa.Table:
     """Collapse one sample block to per-(series, window) partials.
 
-    Pure numpy kernel: strings are factorized to codes once, rows are
-    ordered by the deterministic ``(ts, doc_id, ordinal)`` total order via
-    one numeric ``lexsort``, and every aggregate is a ``reduceat`` over
-    contiguous group segments — float sums therefore run in that same
-    sorted order, keeping repeated runs bit-identical (SURVEY.md §7.3.3).
+    ``series_key`` and ``doc_id`` are rank-coded once (``lex_ranks``), the
+    numeric rows are ordered by ``(series_key, ts, doc_id,
+    sample_ordinal)`` with one integer ``lexsort`` (a null ``doc_id``
+    before every string), and every aggregate is a ``reduceat`` over the
+    ``(series_key, window)`` segments: float sums run in that order, so
+    repeated runs are bit-identical (SURVEY.md §7.3.3).  Strings are
+    gathered from the distinct values at the end.
     """
-    import pyarrow.compute as pc
-
-    t = batch.filter(pc.equal(batch.column("value_kind"), 1))
-    if t.num_rows == 0:
-        return pa.Table.from_pandas(
-            pd.DataFrame({c: pd.Series(dtype=t_) for c, t_ in _partial_dtypes().items()}),
-            preserve_index=False,
-        )
-    ts = t.column("ts").cast(pa.int64()).to_numpy()
-    values = t.column("value_num").to_numpy(zero_copy_only=False)
-    ordinal = t.column("sample_ordinal").cast(pa.int64()).to_numpy()
-    series = t.column("series_key").to_pandas()
-    docs = t.column("doc_id").to_pandas()
-    # numpy % with a positive modulus is non-negative, so the aligned
-    # floor holds for timestamps before the offset too
-    window = ts - ((ts - offset_ns) % window_ns)
-
-    # Lexicographic doc ranks (sort=True => codes order == string order).
-    doc_codes, doc_uniques = pd.factorize(docs, sort=True)
-    skey_codes, skey_uniques = pd.factorize(series, sort=True)
-    win_codes, win_uniques = pd.factorize(window, sort=True)
-
-    # Deterministic total order, then stable partition into groups: within
-    # each (series, window) segment rows stay in (ts, doc, ordinal) order.
-    order = np.lexsort((ordinal, doc_codes, ts))
-    group = skey_codes[order].astype(np.int64) * len(win_uniques) + win_codes[order]
-    seg_order = np.argsort(group, kind="stable")
-    idx = order[seg_order]
-    group = group[seg_order]
-
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    ends = np.r_[starts[1:], len(group)] - 1
-    v = values[idx]
-    out = pd.DataFrame(
-        {
-            "series_key": skey_uniques[group[starts] // len(win_uniques)],
-            "window_start": np.asarray(win_uniques)[group[starts] % len(win_uniques)],
-            "sum": np.add.reduceat(v, starts),
-            "count": (ends - starts + 1).astype(np.int64),
-            "min": np.minimum.reduceat(v, starts),
-            "max": np.maximum.reduceat(v, starts),
-            "last": v[ends],
-            "last_ts": ts[idx][ends],
-            "last_doc": np.asarray(doc_uniques, dtype=object)[doc_codes[idx][ends]],
-            "last_ord": ordinal[idx][ends],
-        }
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    samples = ShardSamples(batch)
+    rows = _merge(_sample_rows(samples), window_ns, offset_ns,
+                  samples.order(nulls_first=True, numeric=True))
+    return pa.table({
+        **rows,
+        "series_key": samples.keys.take(rows["series_key"]),
+        "last_doc": samples.docs.take(rows["last_doc"]),
+    })
 
 
-def _partial_dtypes():
-    return {
-        "series_key": "object", "window_start": "int64", "sum": "float64",
-        "count": "int64", "min": "float64", "max": "float64", "last": "float64",
-        "last_ts": "int64", "last_doc": "object", "last_ord": "int64",
-    }
-
-
-#: Merge order: (series, window) segments, and inside a segment the 'last'
-#: tie-break triple — the order the float sums run in.
-_MERGE_ORDER = ["series_key", "window_start", "last_ts", "last_doc", "last_ord"]
+def _partial_rows(df: pd.DataFrame):
+    """A partial frame -> (rank-coded rows, series keys, docs)."""
+    rows = {c: df[c].to_numpy() for c in PARTIAL_COLUMNS}
+    rows["series_key"], keys = lex_ranks(
+        pa.array(df["series_key"], pa.string(), from_pandas=True))
+    rows["last_doc"], docs = lex_ranks(
+        pa.array(df["last_doc"], pa.string(), from_pandas=True))
+    return rows, keys, docs
 
 
 def _merge_windows(df: pd.DataFrame, window_ns: int,
@@ -153,39 +176,61 @@ def _merge_windows(df: pd.DataFrame, window_ns: int,
     ``(series_key, window)`` rows of size ``window_ns``.
 
     Input may be partials of a finer tier; re-bucketing is integer floor
-    arithmetic on ``window_start``.  Sort order makes both the float sum and
-    the 'last' pick deterministic.
+    arithmetic on ``window_start``.  The strings are rank-coded and the
+    merge is ``_merge``'s one integer sort on ``(series_key, window,
+    last_ts, last_doc, last_ord)``, a null ``last_doc`` after every
+    string; that order makes the float sum and the 'last' pick
+    deterministic.
     """
-    w = df["window_start"].to_numpy()
-    df = df.assign(window_start=w - ((w - offset_ns) % window_ns)).sort_values(
-        _MERGE_ORDER, kind="stable", ignore_index=True,
-    )
-    if not len(df):
-        return df[PARTIAL_COLUMNS]
-    w = df["window_start"].to_numpy()
-    series = pd.factorize(df["series_key"])[0]
-    # reduceat, NOT pandas agg: pandas' sum/min/max/'last' aggregators
-    # skip NaN while the partial kernel's reduceat propagates it, which
-    # made merged results depend on block boundaries and could stitch
-    # the 'last' tie-break triple from DIFFERENT rows (a NaN 'last' with
-    # another row's last_ts/doc) — the mergeability invariant breaks.
-    # Taking the whole group-end ROW keeps the triple consistent.
-    starts = np.flatnonzero(
-        np.r_[True, (w[1:] != w[:-1]) | (series[1:] != series[:-1])]
-    )
-    ends = np.r_[starts[1:], len(w)] - 1
-    return pd.DataFrame({
-        "series_key": df["series_key"].to_numpy()[starts],
-        "window_start": w[starts],
-        "sum": np.add.reduceat(df["sum"].to_numpy(), starts),
-        "count": np.add.reduceat(df["count"].to_numpy(), starts),
-        "min": np.minimum.reduceat(df["min"].to_numpy(), starts),
-        "max": np.maximum.reduceat(df["max"].to_numpy(), starts),
-        "last": df["last"].to_numpy()[ends],
-        "last_ts": df["last_ts"].to_numpy()[ends],
-        "last_doc": df["last_doc"].to_numpy()[ends],
-        "last_ord": df["last_ord"].to_numpy()[ends],
+    rows, keys, docs = _partial_rows(df)
+    rows = _merge(rows, window_ns, offset_ns)
+    rows["series_key"] = keys.take(rows["series_key"]).to_numpy(
+        zero_copy_only=False)
+    rows["last_doc"] = docs.take(rows["last_doc"]).to_numpy(
+        zero_copy_only=False)
+    return pd.DataFrame(rows)
+
+
+def _cascade(rows: dict, keys: pa.Array, docs: pa.Array, tiers,
+             order=None) -> pa.Table:
+    """Rank-coded partial rows -> every tier's rows in one Arrow table,
+    each tier merged from the previous one; ``order`` (if given) orders
+    the first merge.  Strings are gathered once, at the end."""
+    parts = []
+    for tier in tiers:
+        rows = _merge(rows, WINDOW_NS[tier], WINDOW_OFFSET_NS.get(tier, 0),
+                      order)
+        order = None
+        parts.append(rows)
+    col = {c: np.concatenate([p[c] for p in parts]) for c in PARTIAL_COLUMNS}
+    ns = pa.timestamp("ns")
+    return pa.table({
+        "tier": pa.array(list(tiers), pa.string()).take(np.repeat(
+            np.arange(len(parts)), [len(p["count"]) for p in parts])),
+        "series_key": keys.take(col["series_key"]),
+        "window_start": pa.array(col["window_start"], ns),
+        "min": col["min"],
+        "max": col["max"],
+        "mean": col["sum"] / col["count"],
+        "sum": col["sum"],
+        "count": col["count"],
+        "last": col["last"],
+        "last_ts": pa.array(col["last_ts"], ns),
+        # last_doc/last_ord ride along so tier outputs stay MERGEABLE: an
+        # incremental update (merge_tier_rollups) needs the full 'last'
+        # tie-break triple to pick the same winner a batch recompute would
+        "last_doc": docs.take(col["last_doc"]),
+        "last_ord": col["last_ord"],
     })
+
+
+def _gap_fill(result: pd.DataFrame, gap_fill, gap_fill_round):
+    if gap_fill is None or not len(result):
+        return result
+    from .gapfill import gap_fill_tier_group
+
+    return gap_fill_tier_group(result, method=gap_fill,
+                               interp_round_digits=gap_fill_round)
 
 
 def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER, *,
@@ -197,32 +242,29 @@ def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER, *,
 
     Emits one frame with a ``tier`` column covering all requested tiers;
     each coarser tier is derived from the previous one (cheap — SURVEY.md
-    §7.1.4).  Each series' rows equal those of a call over that series
-    alone, bit for bit.
+    §7.1.4) by ``_merge``: per tier one integer ``lexsort`` and
+    ``reduceat`` over rank-coded rows, strings gathered once at the end.
+    Each series' rows equal those of a call over that series alone, bit
+    for bit.
     """
-    current = df[PARTIAL_COLUMNS]
-    frames = []
-    for tier in tiers:
-        current = _merge_windows(current, WINDOW_NS[tier],
-                                 WINDOW_OFFSET_NS.get(tier, 0))
-        frames.append(current.assign(tier=tier))
-    result = pd.concat(frames, ignore_index=True)
-    result["mean"] = result["sum"] / result["count"]
-    # last_doc/last_ord ride along so tier outputs stay MERGEABLE: an
-    # incremental update (merge_tier_rollups) needs the full 'last'
-    # tie-break triple to pick the same winner a batch recompute would.
-    result = result[
-        ["tier", "series_key", "window_start", "min", "max", "mean", "sum",
-         "count", "last", "last_ts", "last_doc", "last_ord"]
-    ].copy()
-    result["window_start"] = result["window_start"].astype("datetime64[ns]")
-    result["last_ts"] = result["last_ts"].astype("datetime64[ns]")
-    if gap_fill is None or not len(result):
-        return result
-    from .gapfill import gap_fill_tier_group
+    rows, keys, docs = _partial_rows(df)
+    return _gap_fill(_cascade(rows, keys, docs, tiers).to_pandas(),
+                     gap_fill, gap_fill_round)
 
-    return gap_fill_tier_group(result, method=gap_fill,
-                               interp_round_digits=gap_fill_round)
+
+def rollup_shard(samples: ShardSamples, tiers=TIER_ORDER, *,
+                 gap_fill: str | None = None) -> pa.Table:
+    """The job's shard rollup: samples -> every tier's rows as an Arrow
+    table, with no pandas round trip.  The first tier's merge is the
+    partial kernel (``partial_rollup_batch``) run in the shard's one sort;
+    a partial of a whole shard is already final.  Gap-fill, when set,
+    runs on the pandas frame it takes."""
+    table = _cascade(_sample_rows(samples), samples.keys, samples.docs,
+                     tiers, samples.order(nulls_first=True, numeric=True))
+    if gap_fill is None or not table.num_rows:
+        return table
+    return pa.Table.from_pandas(_gap_fill(table.to_pandas(), gap_fill, None),
+                                preserve_index=False)
 
 
 class PartialRollupStage:

@@ -37,6 +37,7 @@ import shutil
 import time
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -60,8 +61,6 @@ def add_shard_column(batch: pa.Table, num_shards: int,
     row count), then gather by index — round 1 hashed every row in Python
     on the resumable-job hot path.  Same ``shard_of`` md5, so existing
     manifests stay valid."""
-    import numpy as np
-
     col = batch.column(key_column)
     chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
     out = []
@@ -77,6 +76,73 @@ def add_shard_column(batch: pa.Table, num_shards: int,
         [pa.array(a, pa.int32()) for a in out]
     ) if out else pa.array([], pa.int32())
     return batch.append_column("shard", shards)
+
+
+def lex_ranks(col):
+    """String column -> (int64 rank per row, distinct values in rank
+    order followed by one null).
+
+    Ranks are lexicographic: Arrow compares UTF-8 bytes, and UTF-8 byte
+    order is code-point order, which is Python's ``str`` order, so sorting
+    ranks sorts the strings.  A null ranks after every string (its rank
+    is the count of distinct strings), so ``uniques.take(ranks)`` gathers
+    the strings back, nulls included.
+    """
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = col.dictionary_encode()
+    order = pc.sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(order) + 1, np.int64)
+    rank[order] = np.arange(len(order))
+    rank[-1] = len(order)
+    # a null index would turn into a NaN float in to_numpy
+    idx = pc.fill_null(enc.indices, len(order)).to_numpy()
+    return rank[idx], pa.concat_arrays(
+        [enc.dictionary.take(order), pa.nulls(1, enc.dictionary.type)])
+
+
+class ShardSamples:
+    """One shard task's samples, rank-coded once and sorted once.
+
+    ``series`` and ``doc`` are ``lex_ranks`` of ``series_key`` and
+    ``doc_id``, with ``keys`` and ``docs`` their distinct strings.
+    ``order`` sorts the rows by ``(series_key, ts, doc_id,
+    sample_ordinal)``, ties in row order; the rollup partials take its
+    numeric rows, the Gorilla chunk writer all of them.  The two rank a
+    null ``doc_id`` differently (partials before every string, chunks
+    after), so a shard with a null ``doc_id`` sorts twice.
+    """
+
+    #: the sample columns it reads
+    COLUMNS = ["series_key", "ts", "value_num", "value_kind", "doc_id",
+               "sample_ordinal"]
+
+    def __init__(self, table: pa.Table):
+        self.series, self.keys = lex_ranks(table.column("series_key"))
+        doc_id = table.column("doc_id")
+        self.doc, self.docs = lex_ranks(doc_id)
+        self._null_docs = doc_id.null_count > 0
+        self.ts = table.column("ts").cast(pa.int64()).to_numpy()
+        self.values = table.column("value_num").to_numpy(
+            zero_copy_only=False)
+        self.numeric = table.column("value_kind").to_numpy(
+            zero_copy_only=False) == 1
+        self.ordinal = table.column("sample_ordinal").cast(
+            pa.int64()).to_numpy()
+        self._orders = {}
+
+    def order(self, *, nulls_first: bool, numeric: bool = False):
+        """Row indices in ``(series_key, ts, doc_id, sample_ordinal)``
+        order, a null ``doc_id`` first or last; only the numeric rows
+        (``value_kind == 1``) with ``numeric``."""
+        key = nulls_first and self._null_docs
+        if key not in self._orders:
+            doc = np.where(self.doc == len(self.docs) - 1, -1,
+                           self.doc) if key else self.doc
+            self._orders[key] = np.lexsort(
+                (self.ordinal, doc, self.ts, self.series))
+        order = self._orders[key]
+        return order[self.numeric[order]] if numeric else order
 
 
 def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *,
@@ -132,7 +198,6 @@ def _checksum_table(table: pa.Table) -> str:
     the commit path runs this on every shard."""
     if table.num_rows == 0:
         return "0" * 16 + "-0"
-    import numpy as np
     import pandas as pd
 
     df = table.select(sorted(table.column_names)).to_pandas()
@@ -303,22 +368,24 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
     take the same path: samples of completed shards are dropped before the
     shuffle (none on a fresh run), so finished work is neither recomputed
-    nor double-counted.  Each record's ``wall_s`` is the commit time and
-    ``compute_s`` the rollup (+ gap-fill) and chunk encoding time.
+    nor double-counted.
+
+    A shard task rank-codes and sorts its samples once (``ShardSamples``);
+    that one sort yields the first tier's partials and the chunk rows, the
+    coarser tiers are integer merges (``stages/rollup.rollup_shard``), and
+    both committed tables are built as Arrow, with no pandas round trip
+    unless gap-fill is set.  Each record's ``wall_s`` is the commit time,
+    ``rollup_s`` the partials, cascade and gap-fill, ``encode_s`` the chunk
+    rows, and ``compute_s`` their total.
     """
-    from ..stages.rollup import (
-        WINDOW_NS,
-        WINDOW_OFFSET_NS,
-        cascade_series_group,
-        partial_rollup_batch,
-    )
+    from ..stages.rollup import rollup_shard
     from .gorilla import GorillaChunkWriter
 
     manifest = CheckpointManifest(out_dir, chunks_dir)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
     done = sorted(manifest.completed_shards())
-    window_ns = WINDOW_NS[tiers[0]]
-    offset_ns = WINDOW_OFFSET_NS.get(tiers[0], 0)
+    writer = None if chunks_dir is None else GorillaChunkWriter(
+        chunk_bucket_ns)
 
     # Commit each shard INSIDE its group task (atomic tmp+rename + manifest
     # record written by the worker) — the driver only collects the tiny
@@ -328,26 +395,24 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     def _rollup_and_commit(samples: pa.Table) -> dict:
         shard = samples.column("shard")[0].as_py()
         t0 = time.perf_counter()
-        # one sorted pass over the whole shard: sums do not depend on how
-        # the samples were cut into blocks
-        rolled = cascade_series_group(
-            partial_rollup_batch(samples, window_ns, offset_ns).to_pandas(),
-            tiers, gap_fill=gap_fill)
-        # plain Arrow: no pandas metadata copied into every shard's footer
-        chunks = None if chunks_dir is None else pa.table(dict(
-            GorillaChunkWriter(chunk_bucket_ns)(samples.to_pandas())))
+        # one rank coding and one sorted pass over the whole shard serve
+        # the rollup and the chunks: sums do not depend on how the samples
+        # were cut into blocks
+        shard_samples = ShardSamples(samples)
+        rolled = rollup_shard(shard_samples, tiers, gap_fill=gap_fill)
+        t1 = time.perf_counter()
+        chunks = None if writer is None else writer.chunks(shard_samples)
+        t2 = time.perf_counter()
         rec = CheckpointManifest(out_dir, chunks_dir).commit_shard(
-            shard, pa.Table.from_pandas(rolled, preserve_index=False),
-            chunks=chunks,
-            extra={"compute_s": round(time.perf_counter() - t0, 4)})
+            shard, rolled, chunks=chunks,
+            extra={"compute_s": round(t2 - t0, 4),
+                   "rollup_s": round(t1 - t0, 4),
+                   "encode_s": round(t2 - t1, 4)})
         return {"shard": [shard], "rows": [rec["rows"]]}
 
     committed = shard_apply(
-        samples_ds.select_columns([
-            "series_key", "ts", "value_num", "value_kind", "doc_id",
-            "sample_ordinal"]),
-        _rollup_and_commit, num_shards, batch_format="pyarrow",
-        skip_shards=done,
+        samples_ds.select_columns(ShardSamples.COLUMNS), _rollup_and_commit,
+        num_shards, batch_format="pyarrow", skip_shards=done,
     ).to_pandas()
     shards_run = sorted(int(s) for s in committed["shard"]) if len(committed) else []
     return manifest, shards_run, done
@@ -356,9 +421,10 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
 def manifest_report(out_dir: str) -> pa.Table:
     """All shard lineage records of one stage output as a queryable Arrow
     table — the per-partition metrics surface (rows, watermarks, commit
-    and compute time, checksum) the north rule's "lineage + metrics"
-    contract exposes to operators.  One row per committed shard;
-    driver-side by design (the manifest is #shards rows, not data)."""
+    time, compute time and its rollup and chunk-encoding parts, checksum)
+    the north rule's "lineage + metrics" contract exposes to operators.
+    One row per committed shard, read in the calling process by design
+    (the manifest is #shards rows, not data)."""
     mgr = CheckpointManifest(out_dir)
     shards = sorted(mgr.completed_shards())
     recs = [mgr.load_record(s) for s in shards]
@@ -369,10 +435,8 @@ def manifest_report(out_dir: str) -> pa.Table:
             [r.get("watermark_min") for r in recs], pa.int64()),
         "watermark_max": pa.array(
             [r.get("watermark_max") for r in recs], pa.int64()),
-        "wall_s": pa.array(
-            [float(r.get("wall_s", 0.0)) for r in recs], pa.float64()),
-        "compute_s": pa.array(
-            [float(r.get("compute_s", 0.0)) for r in recs], pa.float64()),
+        **{k: pa.array([float(r.get(k, 0.0)) for r in recs], pa.float64())
+           for k in ("wall_s", "compute_s", "rollup_s", "encode_s")},
         "checksum": pa.array(
             [r.get("checksum") for r in recs], pa.string()),
         "n_input_fragments": pa.array(

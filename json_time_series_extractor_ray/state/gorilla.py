@@ -39,8 +39,9 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+import pyarrow as pa
 
-from .checkpoint import shard_apply
+from .checkpoint import ShardSamples, shard_apply
 
 _U64 = np.uint64
 #: first timestamp, first value's IEEE bits, point count
@@ -344,52 +345,61 @@ class GorillaChunkWriter:
     """Samples -> one chunk row per series, or per series x
     ``ts // bucket_ns`` bucket when ``bucket_ns`` is given.
 
-    Each series' numeric samples are sorted by ``(ts, doc_id,
-    sample_ordinal)`` and encoded, all series of the frame in one
+    The rows are rank-coded and sorted once (``ShardSamples``: one integer
+    ``lexsort`` by ``(series_key, ts, doc_id, sample_ordinal)``, a null
+    ``doc_id`` after every string), cut into series (or series x bucket)
+    segments, and every segment's numeric samples are encoded in one
     ``compress_chunks`` call, emitting ``(series_key, n_points, t_min,
     t_max, raw_bytes, chunk)`` rows for the chunk sink.  A series (or
-    bucket) with no numeric sample keeps a 0-point row.  The job and
-    ``compress_series_dataset`` call it on a whole shard.
+    bucket) with no numeric sample keeps a 0-point row.  Takes a shard's
+    Arrow table and returns one; a pandas frame is converted once at entry
+    and the rows are returned as a frame.  The job (``chunks``, sharing
+    its shard's sort) and ``compress_series_dataset`` call it on a whole
+    shard.
     """
 
     def __init__(self, bucket_ns: int | None = None):
         self.bucket_ns = bucket_ns
 
-    def __call__(self, df):
-        df = df.sort_values(["series_key", "ts", "doc_id", "sample_ordinal"],
-                            kind="stable")
-        keys = df["series_key"].to_numpy()
-        ts = df["ts"].astype("int64").to_numpy()
-        cut = keys[1:] != keys[:-1]
+    def __call__(self, samples):
+        if isinstance(samples, pa.Table):
+            return self.chunks(ShardSamples(samples))
+        return self.chunks(ShardSamples(pa.Table.from_pandas(
+            samples[ShardSamples.COLUMNS], preserve_index=False))).to_pandas()
+
+    def chunks(self, samples: ShardSamples) -> pa.Table:
+        order = samples.order(nulls_first=False)
+        series, ts = samples.series[order], samples.ts[order]
+        cut = series[1:] != series[:-1]
         if self.bucket_ns is not None:
             cut |= np.diff(ts // self.bucket_ns) != 0
-        starts = np.flatnonzero(np.r_[True, cut])
-        numeric = df["value_kind"].to_numpy() == 1
+        # [:len(order)]: 0 rows make no segment
+        starts = np.flatnonzero(np.r_[True, cut])[:len(order)]
+        numeric = samples.numeric[order]
         counts = np.add.reduceat(numeric.astype(np.int64), starts)
-        vals = df["value_num"].to_numpy(dtype=np.float64)[numeric]
-        return _chunk_rows(keys[starts], ts[numeric], vals, counts)
+        points = order[numeric]
+        return _chunk_rows(samples.keys.take(series[starts]),
+                           samples.ts[points], samples.values[points], counts)
 
 
-def _chunk_rows(keys, ts, vals, counts):
+def _chunk_rows(keys, ts, vals, counts) -> pa.Table:
     """Chunk rows ``(series_key, n_points, t_min, t_max, raw_bytes,
     chunk)``: one per ``counts`` slice of the points, all encoded in one
     call."""
-    import pandas as pd
-
     first = np.cumsum(counts) - counts
     has = counts > 0
     t_min = np.zeros(len(counts), np.int64)
     t_max = np.zeros(len(counts), np.int64)
     t_min[has] = ts[first[has]]
     t_max[has] = ts[first[has] + counts[has] - 1]
-    return pd.DataFrame(
+    return pa.table(
         {
-            "series_key": keys,
+            "series_key": pa.array(keys, pa.string()),
             "n_points": counts,
             "t_min": t_min,
             "t_max": t_max,
             "raw_bytes": 16 * counts,
-            "chunk": compress_chunks(ts, vals, counts),
+            "chunk": pa.array(compress_chunks(ts, vals, counts), pa.binary()),
         }
     )
 
@@ -407,7 +417,8 @@ def compress_series_dataset(samples_ds, *, bucket_ns: int | None = None):
     readers need no change: a time-range read prunes per-chunk
     ``t_min``/``t_max`` exactly as before, just at finer granularity.
     """
-    return shard_apply(samples_ds, GorillaChunkWriter(bucket_ns).__call__)
+    return shard_apply(samples_ds, GorillaChunkWriter(bucket_ns).__call__,
+                       batch_format="pyarrow")
 
 
 def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):

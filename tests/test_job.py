@@ -253,6 +253,11 @@ def test_manifest_report(ray_session, corpus_dir, tmp_path):
     assert (done["watermark_max"] >= done["watermark_min"]).all()
     # cascade time and commit time are reported apart
     assert (rep["compute_s"] > 0).all() and (rep["wall_s"] >= 0).all()
+    # compute time splits into rollup and chunk encoding; each is rounded
+    # to 0.1 ms apart from their total
+    assert (rep["rollup_s"] > 0).all() and (rep["encode_s"] >= 0).all()
+    assert (rep["rollup_s"] + rep["encode_s"]
+            <= rep["compute_s"] + 1.5e-4).all()
 
 
 def _chunk_frame(df):
