@@ -30,8 +30,10 @@ import pyarrow as pa
 from ..stages.rollup import (
     WINDOW_NS,
     PartialRollupStage,
-    _merge_windows,
+    _merge,
+    _partial_rows,
 )
+from ..state.checkpoint import shard_apply
 from ._util import round_half_away
 
 _ORDER = ["ts_ns", "doc_id", "ordinal"]
@@ -208,34 +210,33 @@ def hopping_rollup(samples_ds, *, width_ns: int, hop_ns: int,
     partials inside ``map_batches`` (the ladder's combiner with
     ``window_ns=hop``), so the expansion to ``k = width/hop`` overlapping
     windows multiplies bounded partials — not raw samples — and happens
-    after the one ``series_key`` shuffle, inside ``map_groups``.
+    after the one shard-keyed shuffle (``state/checkpoint.shard_apply``),
+    where the rank-coded tier merge (``stages/rollup._merge``) folds the
+    copies of every series of the shard at once.
     """
     if width_ns % hop_ns:
         raise ValueError("width_ns must be a multiple of hop_ns")
     k = width_ns // hop_ns
 
-    def _expand_group(df: pd.DataFrame) -> pd.DataFrame:
-        rep = df.loc[df.index.repeat(k)].reset_index(drop=True)
-        shifts = np.tile(np.arange(k, dtype=np.int64) * hop_ns, len(df))
+    def _expand_shard(t: pa.Table) -> pa.Table:
+        rows, keys, _ = _partial_rows(t)
+        rep = np.repeat(np.arange(t.num_rows), k)
+        rows = {c: v[rep] for c, v in rows.items()}
         # bucket b belongs to every window start s = b - i*hop, i in [0, k):
         # s <= b and b < s + width.
-        rep["window_start"] = rep["window_start"].to_numpy() - shifts
-        merged = _merge_windows(rep, hop_ns)
-        out = pd.DataFrame(
-            {
-                "series_key": merged["series_key"],
-                "window_ns": merged["window_start"],
-                "count": merged["count"],
-                "sum": round_half_away(merged["sum"], round_digits),
-                "min": merged["min"],
-                "max": merged["max"],
-            }
-        )
-        out["mean"] = round_half_away(
-            round_half_away(merged["sum"], round_digits) / merged["count"],
-            round_digits,
-        )
-        return out
+        rows["window_start"] -= np.tile(np.arange(k, dtype=np.int64) * hop_ns,
+                                        t.num_rows)
+        merged = _merge(rows, hop_ns)
+        sums = round_half_away(merged["sum"], round_digits)
+        return pa.table({
+            "series_key": keys.take(merged["series_key"]),
+            "window_ns": merged["window_start"],
+            "count": merged["count"],
+            "sum": sums,
+            "min": merged["min"],
+            "max": merged["max"],
+            "mean": round_half_away(sums / merged["count"], round_digits),
+        })
 
     partials = samples_ds.map_batches(
         PartialRollupStage(hop_ns),
@@ -243,9 +244,7 @@ def hopping_rollup(samples_ds, *, width_ns: int, hop_ns: int,
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    return partials.groupby("series_key").map_groups(
-        _expand_group, batch_format="pandas"
-    )
+    return shard_apply(partials, _expand_shard)
 
 
 # Default retention policy for the ladder tiers, relative to the corpus

@@ -5,8 +5,9 @@ The flagship flow (BASELINE.json ``north_star``)::
     read_parquet(corpus)                       # (doc_id, tokens, n_tok, source)
       -> map_batches(ExtractSamplesStage, ...) # detokenize -> parse -> samples
       -> map_batches(PartialRollupStage)       # per-block combiner
-      -> shard_apply(cascade_series_group)     # ONE shuffle, by shard; tier
-                                               # cascade over whole shards
+      -> shard_apply(cascade_series_group)     # ONE shuffle, by shard; one
+                                               # Arrow kernel per shard: tier
+                                               # cascade (+ segmented gap-fill)
       -> write_parquet(tier dirs)
 
 The resumable job (``job.run_job``) shuffles samples by shard instead and

@@ -18,11 +18,14 @@ the north_star.  Semantics:
   source row as ``last``, so a gap-filled tier keeps the tie-break triple
   that ``merge_tier_rollups`` needs; it merges only ``count > 0`` rows.
 
-Distribution: gap-fill is per-series work over tier rows.  It runs inside
-the group body of the rollup cascade (``cascade_series_group``), whose
-group is one whole shard of many series (``state/checkpoint.shard_apply``)
-on every path — the job, ``rollup_ladder`` and ``merge_tier_rollups`` — so
-it adds NO extra wide operation.
+Distribution: gap-fill is one step of the rank-coded tier cascade
+(``stages/rollup._cascade``), run on each tier's merged rows, which come
+sorted by ``(series, window)``: ``fill_gaps`` needs no sort and no
+per-series loop, one segmented pass fills every series of the tier.  The
+cascade runs on whole shards (``state/checkpoint.shard_apply``) on every
+path — the job, ``rollup_ladder`` and ``merge_tier_rollups`` — so gap-fill
+adds NO extra wide operation, and coarser tiers still merge from the
+observed rows only.
 """
 
 from __future__ import annotations
@@ -30,11 +33,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .rollup import WINDOW_NS
-
 FILL_NONE = ""
 FILL_LOCF = "locf"
 FILL_LINEAR = "linear"
+
+
+def check_gap_fill(method: str | None) -> None:
+    """Reject an unknown gap-fill method (``None`` means no gap-fill)."""
+    if method not in (None, FILL_LOCF, FILL_LINEAR):
+        raise ValueError(f"unknown gap-fill method: {method!r}")
 
 
 def gap_fill_series(df: pd.DataFrame, window_ns: int, method: str,
@@ -56,82 +63,68 @@ def gap_fill_series(df: pd.DataFrame, window_ns: int, method: str,
     value-hashable where round 1 left it rows-only.
     """
     df = df.sort_values("window_start", ignore_index=True)
-    return pd.DataFrame(_fill_segment(
-        {c: df[c].to_numpy() for c in df.columns}, window_ns, method,
-        interp_round_digits))
+    out, gap = fill_gaps({c: df[c].to_numpy() for c in df.columns},
+                         np.zeros(len(df), np.int64), window_ns, method,
+                         interp_round_digits)
+    return pd.DataFrame(dict(out, fill=np.where(gap, method, FILL_NONE)))
 
 
-def _fill_segment(cols: dict, window_ns: int, method: str,
-                  interp_round_digits: int | None) -> dict:
-    """``gap_fill_series`` on numpy columns sorted by ``window_start``."""
-    if method not in (FILL_LOCF, FILL_LINEAR):
-        raise ValueError(f"unknown gap-fill method: {method!r}")
+def fill_gaps(cols: dict, series: np.ndarray, window_ns: int, method: str,
+              interp_round_digits: int | None = None):
+    """Gap-fill the rows of many series in one pass -> ``(rows, gap)``.
+
+    ``cols`` maps column names to numpy arrays sorted by ``(series,
+    window_start)`` with one row per window; ``series`` labels each row's
+    series.  Each series gets ``(w_last - w_first) // window_ns + 1`` grid
+    slots; the observed rows scatter to theirs, a ``maximum.accumulate``
+    gives every slot its source row (the last observed row at or before
+    it) and, for ``linear``, a reversed ``minimum.accumulate`` the next
+    one.  Every column is gathered from the source row, then the filled
+    values overwrite the gaps; ``gap`` marks the filled slots.
+    """
+    check_gap_fill(method)
     w = cols["window_start"]
-    if len(w) < 2:
-        return dict(cols, fill=np.full(len(w), FILL_NONE))
-    grid = np.arange(w[0], w[-1] + window_ns, window_ns, dtype=np.int64)
-    observed = np.isin(grid, w)
-    interior = ~observed
-    idx_prev = np.searchsorted(w, grid, side="right") - 1  # last obs <= slot
-    out = {c: v[idx_prev] for c, v in cols.items()}
+    n = len(w)
+    starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])[:n]
+    lengths = np.diff(np.r_[starts, n])
+    # slot of each observed row: its series' offset plus its window index
+    slot = (w - np.repeat(w[starts], lengths)) // window_ns
+    size = slot[starts + lengths - 1] + 1
+    slot += np.repeat(np.cumsum(size) - size, lengths)
+    total = int(size.sum())
+    # a series' first slot is observed and row indices grow with the
+    # series, so the running max never reaches back into another series
+    prev = np.zeros(total, np.int64)
+    prev[slot] = np.arange(n)
+    prev = np.maximum.accumulate(prev)
+    gap = np.ones(total, bool)
+    gap[slot] = False
+    out = {c: v[prev] for c, v in cols.items()}
+    grid = w[prev] + (np.arange(total) - slot[prev]) * window_ns
     out["window_start"] = grid
 
+    prev = prev[gap]
     if method == FILL_LOCF:
         # carry the last value, not the observed row's min/max aggregates
-        filled = out["last"]
+        filled = cols["last"][prev]
     else:  # linear
-        idx_next = np.minimum(np.searchsorted(w, grid, side="left"),
-                              len(w) - 1)  # first obs >= slot
-        prev_w = w[idx_prev]
-        denom = (w[idx_next] - prev_w).astype(np.float64)
-        frac = np.zeros(len(grid))
-        frac[interior] = (grid - prev_w)[interior] / denom[interior]
+        nxt = np.full(total, n - 1, np.int64)
+        nxt[slot] = np.arange(n)
+        nxt = np.minimum.accumulate(nxt[::-1])[::-1][gap]
+        prev_w = w[prev]
+        frac = (grid[gap] - prev_w) / (w[nxt] - prev_w).astype(np.float64)
         if interp_round_digits is not None:
             from ..pipelines._util import round_half_away
 
             d = interp_round_digits
-            sums_r = round_half_away(cols["sum"], d)
-            means_i = round_half_away(
-                sums_r / cols["count"].astype(np.float64), d)
+            means = round_half_away(round_half_away(cols["sum"], d)
+                                    / cols["count"].astype(np.float64), d)
         else:
-            means_i = cols["mean"]
-        prev_mean = means_i[idx_prev]
-        filled = prev_mean + frac * (means_i[idx_next] - prev_mean)
-        out["last"] = np.where(observed, out["last"], filled)
+            means = cols["mean"]
+        filled = means[prev] + frac * (means[nxt] - means[prev])
+        out["last"][gap] = filled
     for col in ("min", "max", "mean"):
-        out[col] = np.where(observed, out[col], filled)
-    out["sum"] = np.where(observed, out["sum"], 0.0)
-    out["count"] = np.where(observed, out["count"], 0).astype(np.int64)
-    out["fill"] = np.where(observed, FILL_NONE, method)
-    return out
-
-
-def gap_fill_tier_group(df: pd.DataFrame, tier_window_ns: dict | None = None,
-                        method: str = FILL_LOCF,
-                        interp_round_digits: int | None = None) -> pd.DataFrame:
-    """Group body: all tier rows of one or many series -> gap-filled
-    rows, ordered by ``(series_key, tier, window_start)``.
-
-    Input is the rollup-ladder output schema (tier, series_key,
-    window_start/last_ts as datetime64[ns]).  One ``gap_fill_series``
-    pass per (series, tier) segment, on numpy columns.
-    """
-    tier_window_ns = tier_window_ns or WINDOW_NS
-    df = df.sort_values(["series_key", "tier", "window_start"],
-                        kind="stable", ignore_index=True)
-    cols = {c: df[c].to_numpy() for c in df.columns}
-    for c in ("window_start", "last_ts"):
-        cols[c] = cols[c].astype(np.int64)
-    keys, tiers = cols["series_key"], cols["tier"]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1])
-                                  | (tiers[1:] != tiers[:-1])])
-    parts = [
-        _fill_segment({c: v[a:b] for c, v in cols.items()},
-                      tier_window_ns[tiers[a]], method, interp_round_digits)
-        for a, b in zip(starts, np.r_[starts[1:], len(df)])
-    ]
-    out = pd.DataFrame({c: np.concatenate([p[c] for p in parts])
-                        for c in parts[0]})
-    out["window_start"] = out["window_start"].astype("datetime64[ns]")
-    out["last_ts"] = out["last_ts"].astype("datetime64[ns]")
-    return out
+        out[col][gap] = filled
+    out["sum"][gap] = 0.0
+    out["count"][gap] = 0
+    return out, gap

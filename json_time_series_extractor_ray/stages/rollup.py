@@ -24,10 +24,14 @@ SURVEY.md §2.6) — this ladder is the engine's scale mandate
    windows, then 1h derives from 1m and 1d from 1h *locally* (sum+count
    carried so ``mean`` is exact — never an average of averages; min of
    mins; max of maxes; ``last`` by maximal ``(last_ts, doc_id, ordinal)``).
-   Strings are gathered from the distinct values once, at the end, then
-   optional gap-fill runs; all three paths share this body
-   (``cascade_series_group``, or ``rollup_shard`` on the job's Arrow
-   shard).
+   Optional gap-fill is one more step per tier: the merged rows come
+   sorted by ``(series, window)``, so one segmented pass fills every
+   series (``stages/gapfill.fill_gaps``), and the next tier merges from
+   the observed rows, never the filled ones.  Strings are gathered from
+   the distinct values once, at the end.  Every path runs this one Arrow
+   kernel (``_cascade``): the job's shard (``rollup_shard``), the ladder
+   and the tier merge (``cascade_series_group``), ``hopping_rollup`` (its
+   ``_merge``) and ``rollup_oracle``.
 
 Determinism: ``last`` needs a total order under Ray's unordered block
 execution, so partials carry ``(last_ts, last_doc, last_ord)`` and every
@@ -56,6 +60,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..state.checkpoint import ShardSamples, lex_ranks, shard_apply
+from .gapfill import FILL_NONE, check_gap_fill, fill_gaps
 
 WINDOW_NS = {
     "raw": 1,
@@ -160,58 +165,47 @@ def partial_rollup_batch(batch: pa.Table, window_ns: int = WINDOW_NS["1m"],
     })
 
 
-def _partial_rows(df: pd.DataFrame):
-    """A partial frame -> (rank-coded rows, series keys, docs)."""
-    rows = {c: df[c].to_numpy() for c in PARTIAL_COLUMNS}
-    rows["series_key"], keys = lex_ranks(
-        pa.array(df["series_key"], pa.string(), from_pandas=True))
-    rows["last_doc"], docs = lex_ranks(
-        pa.array(df["last_doc"], pa.string(), from_pandas=True))
+def _partial_rows(partials):
+    """Partial rows (Arrow, or a pandas frame) -> (rank-coded rows,
+    series keys, docs)."""
+    t = pa.table(partials)
+    rows = {c: t.column(c).to_numpy() for c in PARTIAL_COLUMNS}
+    rows["series_key"], keys = lex_ranks(t.column("series_key"))
+    rows["last_doc"], docs = lex_ranks(t.column("last_doc").cast(pa.string()))
     return rows, keys, docs
 
 
-def _merge_windows(df: pd.DataFrame, window_ns: int,
-                   offset_ns: int = 0) -> pd.DataFrame:
-    """Merge partial rows of any number of series into final
-    ``(series_key, window)`` rows of size ``window_ns``.
-
-    Input may be partials of a finer tier; re-bucketing is integer floor
-    arithmetic on ``window_start``.  The strings are rank-coded and the
-    merge is ``_merge``'s one integer sort on ``(series_key, window,
-    last_ts, last_doc, last_ord)``, a null ``last_doc`` after every
-    string; that order makes the float sum and the 'last' pick
-    deterministic.
-    """
-    rows, keys, docs = _partial_rows(df)
-    rows = _merge(rows, window_ns, offset_ns)
-    rows["series_key"] = keys.take(rows["series_key"]).to_numpy(
-        zero_copy_only=False)
-    rows["last_doc"] = docs.take(rows["last_doc"]).to_numpy(
-        zero_copy_only=False)
-    return pd.DataFrame(rows)
-
-
 def _cascade(rows: dict, keys: pa.Array, docs: pa.Array, tiers,
-             order=None) -> pa.Table:
+             order=None, *, gap_fill: str | None = None,
+             gap_fill_round: int | None = None) -> pa.Table:
     """Rank-coded partial rows -> every tier's rows in one Arrow table,
-    each tier merged from the previous one; ``order`` (if given) orders
-    the first merge.  Strings are gathered once, at the end."""
-    parts = []
+    each tier merged from the previous one's observed rows; ``order`` (if
+    given) orders the first merge.  With ``gap_fill``, each tier's rows
+    are gap-filled (``stages/gapfill.fill_gaps``) in the ``(series,
+    window)`` order the merge leaves, and a ``fill`` column is added.
+    Strings are gathered once, at the end."""
+    check_gap_fill(gap_fill)
+    parts, gaps = [], []
     for tier in tiers:
-        rows = _merge(rows, WINDOW_NS[tier], WINDOW_OFFSET_NS.get(tier, 0),
-                      order)
+        window_ns = WINDOW_NS[tier]
+        rows = _merge(rows, window_ns, WINDOW_OFFSET_NS.get(tier, 0), order)
         order = None
-        parts.append(rows)
-    col = {c: np.concatenate([p[c] for p in parts]) for c in PARTIAL_COLUMNS}
+        part = dict(rows, mean=rows["sum"] / rows["count"])
+        if gap_fill is not None:
+            part, gap = fill_gaps(part, part["series_key"], window_ns,
+                                  gap_fill, gap_fill_round)
+            gaps.append(gap)
+        parts.append(part)
+    col = {c: np.concatenate([p[c] for p in parts]) for c in parts[0]}
     ns = pa.timestamp("ns")
-    return pa.table({
+    table = pa.table({
         "tier": pa.array(list(tiers), pa.string()).take(np.repeat(
             np.arange(len(parts)), [len(p["count"]) for p in parts])),
         "series_key": keys.take(col["series_key"]),
         "window_start": pa.array(col["window_start"], ns),
         "min": col["min"],
         "max": col["max"],
-        "mean": col["sum"] / col["count"],
+        "mean": col["mean"],
         "sum": col["sum"],
         "count": col["count"],
         "last": col["last"],
@@ -222,49 +216,42 @@ def _cascade(rows: dict, keys: pa.Array, docs: pa.Array, tiers,
         "last_doc": docs.take(col["last_doc"]),
         "last_ord": col["last_ord"],
     })
+    if gap_fill is None:
+        return table
+    return table.append_column("fill", pa.array(
+        [FILL_NONE, gap_fill], pa.string()).take(
+            np.concatenate(gaps).view(np.int8)))
 
 
-def _gap_fill(result: pd.DataFrame, gap_fill, gap_fill_round):
-    if gap_fill is None or not len(result):
-        return result
-    from .gapfill import gap_fill_tier_group
-
-    return gap_fill_tier_group(result, method=gap_fill,
-                               interp_round_digits=gap_fill_round)
-
-
-def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER, *,
+def cascade_series_group(partials, tiers=TIER_ORDER, *,
                          gap_fill: str | None = None,
-                         gap_fill_round: int | None = None) -> pd.DataFrame:
-    """Tier cascade (``map_groups`` body) over the 1m partials of one or
+                         gap_fill_round: int | None = None) -> pa.Table:
+    """Tier cascade (``shard_apply`` body) over the partials of one or
     many series, then optional gap-fill (``'locf'|'linear'``, see
-    ``stages/gapfill``).
+    ``stages/gapfill``): an Arrow table in (a pandas frame is accepted
+    too), an Arrow table out.
 
-    Emits one frame with a ``tier`` column covering all requested tiers;
+    Emits one table with a ``tier`` column covering all requested tiers;
     each coarser tier is derived from the previous one (cheap — SURVEY.md
     §7.1.4) by ``_merge``: per tier one integer ``lexsort`` and
-    ``reduceat`` over rank-coded rows, strings gathered once at the end.
-    Each series' rows equal those of a call over that series alone, bit
-    for bit.
+    ``reduceat`` over rank-coded rows, then a segmented gap-fill pass,
+    strings gathered once at the end.  Each series' rows equal those of a
+    call over that series alone, bit for bit.
     """
-    rows, keys, docs = _partial_rows(df)
-    return _gap_fill(_cascade(rows, keys, docs, tiers).to_pandas(),
-                     gap_fill, gap_fill_round)
+    rows, keys, docs = _partial_rows(partials)
+    return _cascade(rows, keys, docs, tiers, gap_fill=gap_fill,
+                    gap_fill_round=gap_fill_round)
 
 
 def rollup_shard(samples: ShardSamples, tiers=TIER_ORDER, *,
                  gap_fill: str | None = None) -> pa.Table:
-    """The job's shard rollup: samples -> every tier's rows as an Arrow
-    table, with no pandas round trip.  The first tier's merge is the
+    """The job's shard rollup: samples -> every tier's rows (gap-filled
+    with ``gap_fill``) as one Arrow table.  The first tier's merge is the
     partial kernel (``partial_rollup_batch``) run in the shard's one sort;
-    a partial of a whole shard is already final.  Gap-fill, when set,
-    runs on the pandas frame it takes."""
-    table = _cascade(_sample_rows(samples), samples.keys, samples.docs,
-                     tiers, samples.order(nulls_first=True, numeric=True))
-    if gap_fill is None or not table.num_rows:
-        return table
-    return pa.Table.from_pandas(_gap_fill(table.to_pandas(), gap_fill, None),
-                                preserve_index=False)
+    a partial of a whole shard is already final."""
+    return _cascade(_sample_rows(samples), samples.keys, samples.docs,
+                    tiers, samples.order(nulls_first=True, numeric=True),
+                    gap_fill=gap_fill)
 
 
 class PartialRollupStage:
@@ -289,6 +276,7 @@ def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
     resumable job path, ``state/checkpoint.run_sharded_rollup``, shuffles
     samples instead and runs the same partial kernel and body per shard.
     """
+    check_gap_fill(gap_fill)
     partials = samples_ds.map_batches(
         PartialRollupStage(WINDOW_NS[tiers[0]],
                            WINDOW_OFFSET_NS.get(tiers[0], 0)),
@@ -296,8 +284,8 @@ def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    return shard_apply(partials, lambda df: cascade_series_group(
-        df, tiers, gap_fill=gap_fill, gap_fill_round=gap_fill_round))
+    return shard_apply(partials, lambda t: cascade_series_group(
+        t, tiers, gap_fill=gap_fill, gap_fill_round=gap_fill_round))
 
 
 def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER, *,
@@ -321,6 +309,7 @@ def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER, *,
     """
     import pyarrow.compute as pc
 
+    check_gap_fill(gap_fill)
     # the finest tier of THIS ladder, not a hardcoded '1m': a job with
     # tiers=("1h","1d") stores no 1m rows, and filtering on '1m' would
     # silently merge nothing (an empty rollups_updated overwriting the
@@ -351,17 +340,16 @@ def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER, *,
         for ds in rollup_dss
     ]
     unioned = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    return shard_apply(unioned, lambda df: cascade_series_group(
-        df, tiers, gap_fill=gap_fill))
+    return shard_apply(unioned, lambda t: cascade_series_group(
+        t, tiers, gap_fill=gap_fill))
 
 
 def rollup_oracle(samples: pa.Table, tiers=TIER_ORDER) -> pd.DataFrame:
     """Single-process oracle: same semantics, no Ray, one block, one
     cascade call.  Used by tests to pin the distributed ladder
     bit-for-bit."""
-    out = cascade_series_group(partial_rollup_batch(samples).to_pandas(),
-                               tiers)
-    if not len(out):
+    out = cascade_series_group(partial_rollup_batch(samples), tiers)
+    if not out.num_rows:
         return pd.DataFrame()
-    return out.sort_values(["tier", "series_key", "window_start"],
+    return out.to_pandas().sort_values(["tier", "series_key", "window_start"],
                            ignore_index=True)

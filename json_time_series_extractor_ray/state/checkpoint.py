@@ -145,16 +145,16 @@ class ShardSamples:
         return order[self.numeric[order]] if numeric else order
 
 
-def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *,
-                batch_format: str = "pandas", skip_shards=()):
+def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=()):
     """The one shard-keyed shuffle: tag every row map-side with its
     ``shard`` (``add_shard_column``), drop rows of ``skip_shards``, then
     call ``fn`` once per whole shard (``groupby("shard").map_groups``).
 
-    ``fn`` sees all rows of many series at once (and the ``shard``
-    column, replacing any input one, e.g. a store's hive partition key),
-    so per-series work must be vectorized over ``series_key`` segments.
-    A task holds one shard: ``num_shards`` bounds its memory.
+    ``fn`` takes an Arrow table and returns one: all rows of many series
+    at once (and the ``shard`` column, replacing any input one, e.g. a
+    store's hive partition key), so per-series work must be vectorized
+    over ``series_key`` segments.  A task holds one shard: ``num_shards``
+    bounds its memory.
     """
     skip = pa.array(sorted(skip_shards), pa.int32())
 
@@ -169,7 +169,7 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *,
 
     return ds.map_batches(
         _tag, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-    ).groupby("shard").map_groups(fn, batch_format=batch_format)
+    ).groupby("shard").map_groups(fn, batch_format="pyarrow")
 
 
 def _fsync_path(path: str) -> None:
@@ -372,15 +372,19 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
 
     A shard task rank-codes and sorts its samples once (``ShardSamples``);
     that one sort yields the first tier's partials and the chunk rows, the
-    coarser tiers are integer merges (``stages/rollup.rollup_shard``), and
-    both committed tables are built as Arrow, with no pandas round trip
-    unless gap-fill is set.  Each record's ``wall_s`` is the commit time,
-    ``rollup_s`` the partials, cascade and gap-fill, ``encode_s`` the chunk
-    rows, and ``compute_s`` their total.
+    coarser tiers are integer merges (``stages/rollup.rollup_shard``), each
+    followed by the segmented gap-fill when ``gap_fill`` is set, and both
+    committed tables are built as Arrow, with no pandas round trip.  An
+    unknown ``gap_fill`` is refused here, before any sample is read.  Each
+    record's ``wall_s`` is the commit time, ``rollup_s`` the partials,
+    cascade and gap-fill, ``encode_s`` the chunk rows, and ``compute_s``
+    their total.
     """
+    from ..stages.gapfill import check_gap_fill
     from ..stages.rollup import rollup_shard
     from .gorilla import GorillaChunkWriter
 
+    check_gap_fill(gap_fill)
     manifest = CheckpointManifest(out_dir, chunks_dir)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
     done = sorted(manifest.completed_shards())
@@ -412,7 +416,7 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
 
     committed = shard_apply(
         samples_ds.select_columns(ShardSamples.COLUMNS), _rollup_and_commit,
-        num_shards, batch_format="pyarrow", skip_shards=done,
+        num_shards, skip_shards=done,
     ).to_pandas()
     shards_run = sorted(int(s) for s in committed["shard"]) if len(committed) else []
     return manifest, shards_run, done

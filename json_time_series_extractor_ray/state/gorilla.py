@@ -41,7 +41,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from .checkpoint import ShardSamples, shard_apply
+from .checkpoint import ShardSamples, lex_ranks, shard_apply
 
 _U64 = np.uint64
 #: first timestamp, first value's IEEE bits, point count
@@ -352,20 +352,15 @@ class GorillaChunkWriter:
     ``compress_chunks`` call, emitting ``(series_key, n_points, t_min,
     t_max, raw_bytes, chunk)`` rows for the chunk sink.  A series (or
     bucket) with no numeric sample keeps a 0-point row.  Takes a shard's
-    Arrow table and returns one; a pandas frame is converted once at entry
-    and the rows are returned as a frame.  The job (``chunks``, sharing
-    its shard's sort) and ``compress_series_dataset`` call it on a whole
-    shard.
+    Arrow table and returns one.  The job (``chunks``, sharing its shard's
+    sort) and ``compress_series_dataset`` call it on a whole shard.
     """
 
     def __init__(self, bucket_ns: int | None = None):
         self.bucket_ns = bucket_ns
 
-    def __call__(self, samples):
-        if isinstance(samples, pa.Table):
-            return self.chunks(ShardSamples(samples))
-        return self.chunks(ShardSamples(pa.Table.from_pandas(
-            samples[ShardSamples.COLUMNS], preserve_index=False))).to_pandas()
+    def __call__(self, samples: pa.Table) -> pa.Table:
+        return self.chunks(ShardSamples(samples))
 
     def chunks(self, samples: ShardSamples) -> pa.Table:
         order = samples.order(nulls_first=False)
@@ -417,8 +412,7 @@ def compress_series_dataset(samples_ds, *, bucket_ns: int | None = None):
     readers need no change: a time-range read prunes per-chunk
     ``t_min``/``t_max`` exactly as before, just at finer granularity.
     """
-    return shard_apply(samples_ds, GorillaChunkWriter(bucket_ns).__call__,
-                       batch_format="pyarrow")
+    return shard_apply(samples_ds, GorillaChunkWriter(bucket_ns).__call__)
 
 
 def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):
@@ -439,18 +433,21 @@ def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):
     slice in one ``compress_chunks`` call.
     Assumes per-series chunk time ranges do not overlap (the writer's
     bucket invariant); chunks are concatenated in ``(series_key, t_min,
-    t_max)`` order, so sample order — and therefore the re-encoded stream —
-    is deterministic.  A task holds one shard's points: for a shard whose
+    t_max)`` order (one integer ``lexsort`` over ``lex_ranks`` of the
+    keys), so sample order — and therefore the re-encoded stream — is
+    deterministic.  A task holds one shard's points: for a shard whose
     TOTAL history exceeds one task's memory, compact per coarse epoch
     (filter on ``t_min`` ranges).
     """
 
-    def _compact(df):
-        df = df.sort_values(["series_key", "t_min", "t_max"], kind="stable",
-                            ignore_index=True)
-        ts, vals, counts = decompress_chunks(list(df["chunk"]))
-        keys = df["series_key"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    def _compact(t: pa.Table) -> pa.Table:
+        series, keys = lex_ranks(t.column("series_key"))
+        order = np.lexsort((t.column("t_max").to_numpy(),
+                            t.column("t_min").to_numpy(), series))
+        series = series[order]
+        ts, vals, counts = decompress_chunks(
+            t.column("chunk").take(order).to_pylist())
+        starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
         total = np.add.reduceat(counts, starts)
         # a series with no points keeps one 0-point row (the writer's own
         # behavior for string-only series), so compaction never makes a
@@ -460,6 +457,7 @@ def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):
         k = np.arange(int(pieces.sum())) - np.repeat(first, pieces)
         sizes = np.minimum(np.repeat(total, pieces) - k * target_points,
                            target_points)
-        return _chunk_rows(np.repeat(keys[starts], pieces), ts, vals, sizes)
+        return _chunk_rows(keys.take(np.repeat(series[starts], pieces)),
+                           ts, vals, sizes)
 
     return shard_apply(chunks_ds, _compact)

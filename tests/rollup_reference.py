@@ -1,7 +1,7 @@
 """Reference kernels: the pandas implementations of the rollup partial,
-the tier merge and the Gorilla chunk writer's sort, kept as the oracle
-the rank-coded kernels of ``stages/rollup.py`` and ``state/gorilla.py``
-must equal bit for bit.
+the tier merge, gap-fill and the Gorilla chunk writer's sort, kept as the
+oracle the rank-coded kernels of ``stages/rollup.py``,
+``stages/gapfill.py`` and ``state/gorilla.py`` must equal bit for bit.
 
 The orders they define are the contract:
 
@@ -11,7 +11,9 @@ The orders they define are the contract:
   last_ord)``, a null ``last_doc`` after every string (``sort_values``
   puts missing values last);
 * chunk writer: rows by ``(series_key, ts, doc_id, sample_ordinal)``,
-  a null ``doc_id`` after every string.
+  a null ``doc_id`` after every string;
+* gap-fill: one grid per (series, tier), filled segment by segment,
+  rows by ``(series_key, tier, window_start)``.
 
 Ties keep their input order everywhere, and float sums run in these
 orders.  The one intended difference: a partial whose winning row has a
@@ -26,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_time_series_extractor_ray.pipelines._util import round_half_away
 from json_time_series_extractor_ray.stages.rollup import (
     PARTIAL_COLUMNS,
     TIER_ORDER,
@@ -129,6 +132,72 @@ def cascade_series_group(df: pd.DataFrame, tiers=TIER_ORDER) -> pd.DataFrame:
     result["window_start"] = result["window_start"].astype("datetime64[ns]")
     result["last_ts"] = result["last_ts"].astype("datetime64[ns]")
     return result
+
+
+def fill_segment(cols: dict, window_ns: int, method: str,
+                 interp_round_digits: int | None) -> dict:
+    """Gap-fill ONE (series, tier) segment: numpy columns sorted by
+    ``window_start`` -> the grid's rows plus ``fill``."""
+    w = cols["window_start"]
+    if len(w) < 2:
+        return dict(cols, fill=np.full(len(w), ""))
+    grid = np.arange(w[0], w[-1] + window_ns, window_ns, dtype=np.int64)
+    observed = np.isin(grid, w)
+    interior = ~observed
+    idx_prev = np.searchsorted(w, grid, side="right") - 1  # last obs <= slot
+    out = {c: v[idx_prev] for c, v in cols.items()}
+    out["window_start"] = grid
+    if method == "locf":
+        filled = out["last"]
+    else:  # linear
+        idx_next = np.minimum(np.searchsorted(w, grid, side="left"),
+                              len(w) - 1)  # first obs >= slot
+        prev_w = w[idx_prev]
+        denom = (w[idx_next] - prev_w).astype(np.float64)
+        frac = np.zeros(len(grid))
+        frac[interior] = (grid - prev_w)[interior] / denom[interior]
+        if interp_round_digits is not None:
+            d = interp_round_digits
+            sums_r = round_half_away(cols["sum"], d)
+            means_i = round_half_away(
+                sums_r / cols["count"].astype(np.float64), d)
+        else:
+            means_i = cols["mean"]
+        prev_mean = means_i[idx_prev]
+        filled = prev_mean + frac * (means_i[idx_next] - prev_mean)
+        out["last"] = np.where(observed, out["last"], filled)
+    for col in ("min", "max", "mean"):
+        out[col] = np.where(observed, out[col], filled)
+    out["sum"] = np.where(observed, out["sum"], 0.0)
+    out["count"] = np.where(observed, out["count"], 0).astype(np.int64)
+    out["fill"] = np.where(observed, "", method)
+    return out
+
+
+def gap_fill_tier_group(df: pd.DataFrame, method: str,
+                        interp_round_digits: int | None = None
+                        ) -> pd.DataFrame:
+    """Cascade rows of many series and tiers -> gap-filled rows, one
+    ``fill_segment`` call per (series, tier), ordered by ``(series_key,
+    tier, window_start)``."""
+    df = df.sort_values(["series_key", "tier", "window_start"],
+                        kind="stable", ignore_index=True)
+    cols = {c: df[c].to_numpy() for c in df.columns}
+    for c in ("window_start", "last_ts"):
+        cols[c] = cols[c].astype(np.int64)
+    keys, tiers = cols["series_key"], cols["tier"]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1])
+                                  | (tiers[1:] != tiers[:-1])])
+    parts = [
+        fill_segment({c: v[a:b] for c, v in cols.items()},
+                     WINDOW_NS[tiers[a]], method, interp_round_digits)
+        for a, b in zip(starts, np.r_[starts[1:], len(df)])
+    ]
+    out = pd.DataFrame({c: np.concatenate([p[c] for p in parts])
+                        for c in parts[0]})
+    out["window_start"] = out["window_start"].astype("datetime64[ns]")
+    out["last_ts"] = out["last_ts"].astype("datetime64[ns]")
+    return out
 
 
 def chunk_rows(df: pd.DataFrame, bucket_ns: int | None = None) -> pd.DataFrame:

@@ -70,6 +70,30 @@ class TestGapFill:
         with pytest.raises(ValueError):
             gap_fill_series(_series([0, 1], [1, 2]), MIN, "cubic")
 
+    def test_bad_method_refused_without_rows(self):
+        """Before any Dataset is touched, and on a shard with no numeric
+        sample."""
+        from json_time_series_extractor_ray.stages.rollup import (
+            merge_tier_rollups,
+            rollup_ladder,
+            rollup_shard,
+        )
+        from json_time_series_extractor_ray.state.checkpoint import (
+            ShardSamples,
+        )
+
+        strings = pa.table({
+            "series_key": ["s"], "ts": pa.array([0], pa.timestamp("ns")),
+            "value_num": [0.0], "value_kind": pa.array([2], pa.int8()),
+            "doc_id": ["d"], "sample_ordinal": pa.array([0], pa.int32()),
+        })
+        for call in (lambda: rollup_ladder(None, gap_fill="cubic"),
+                     lambda: merge_tier_rollups([None], gap_fill="cubic"),
+                     lambda: rollup_shard(ShardSamples(strings),
+                                          gap_fill="cubic")):
+            with pytest.raises(ValueError, match="unknown gap-fill method"):
+                call()
+
 
 class TestGorilla:
     def test_round_trip_regular_series(self):
@@ -126,7 +150,8 @@ class TestGorilla:
                 "sample_ordinal": [0, 0, 0, 0],
             }
         )
-        out = GorillaChunkWriter()(df)
+        out = GorillaChunkWriter()(
+            pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
         assert out["n_points"].iloc[0] == 4
         ts, vals = decompress_chunk(out["chunk"].iloc[0])
         assert list(vals) == [1.0, 2.0, 3.0, 4.0]  # sorted by ts before encode

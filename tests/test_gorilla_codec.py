@@ -395,12 +395,18 @@ def _samples(key, n, seed, kind=1):
     })
 
 
+def _chunk_frame(samples: pd.DataFrame) -> pd.DataFrame:
+    """``GorillaChunkWriter`` over a sample frame, as a frame."""
+    return GorillaChunkWriter()(pa.Table.from_pandas(
+        samples, preserve_index=False)).to_pandas()
+
+
 def test_decode_chunk_batch_equals_per_chunk_decode():
     frames = [_samples("zero", 0, 1), _samples("one", 1, 2),
               _samples("two", 2, 3), _samples("big", 10_000, 4),
               _samples("strings", 5, 5, kind=2)]
-    rows = pd.concat([GorillaChunkWriter()(f) for f in frames
-                      if len(f)] + [GorillaChunkWriter()(frames[1])],
+    rows = pd.concat([_chunk_frame(f) for f in frames
+                      if len(f)] + [_chunk_frame(frames[1])],
                      ignore_index=True)
     rows.loc[len(rows)] = ["zero", 0, 0, 0, 0, compress_chunk([], [])]
     assert sorted(rows["n_points"]) == [0, 0, 1, 1, 2, 10_000]
@@ -426,8 +432,8 @@ def test_chunk_writer_many_series_equals_one_per_call():
     frames.append(_samples("s", 4, 4, kind=2))
     mixed = pd.concat(frames, ignore_index=True).sample(frac=1,
                                                         random_state=0)
-    got = GorillaChunkWriter()(mixed).reset_index(drop=True)
-    want = pd.concat([GorillaChunkWriter()(f) for f in frames]) \
+    got = _chunk_frame(mixed)
+    want = pd.concat([_chunk_frame(f) for f in frames]) \
         .sort_values("series_key", ignore_index=True)
     pd.testing.assert_frame_equal(got, want)
 

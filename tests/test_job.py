@@ -113,6 +113,23 @@ def test_job_retention_pass(ray_session, corpus_dir, tmp_path):
     assert len(kept_1m) < len(expect_1m)  # something actually expired
 
 
+def test_job_unknown_gap_fill_fails_before_any_shard(ray_session, corpus_dir,
+                                                     tmp_path):
+    """An unknown ``gap_fill`` is refused on the driver, before the corpus
+    is read: no task fails, no manifest is made, no shard is committed."""
+    import glob
+
+    import ray
+
+    out_dir = str(tmp_path / "out_cubic")
+    with pytest.raises(ValueError,
+                       match="unknown gap-fill method: 'cubic'") as err:
+        run_job({**_config(corpus_dir, out_dir), "gap_fill": "cubic"})
+    assert not isinstance(err.value, ray.exceptions.RayError)
+    assert glob.glob(f"{out_dir}/rollups/shard=*") == []
+    assert not os.path.exists(f"{out_dir}/rollups")
+
+
 def test_job_incremental_update(ray_session, tmp_path):
     """Nightly-append shape: job on the first half of the corpus, then an
     update_input run merging the second half — rollups_updated must match

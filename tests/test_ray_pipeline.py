@@ -299,8 +299,15 @@ def test_incremental_merge_equals_batch(ray_session):
 
 
 class TestMergeWindowsNaN:
-    def _partials(self, rows):
+    """The tier merge (``cascade_series_group`` over one tier) on
+    NaN-bearing partials."""
+
+    def _merge(self, rows):
         import pandas as pd
+
+        from json_time_series_extractor_ray.stages.rollup import (
+            cascade_series_group,
+        )
 
         df = pd.DataFrame(
             rows,
@@ -308,21 +315,20 @@ class TestMergeWindowsNaN:
                      "last_ts", "last_doc", "last_ord"],
         )
         df.insert(0, "series_key", "s")
-        return df
+        df["window_start"] *= 60 * 10**9  # minutes -> 1m windows
+        out = cascade_series_group(df, ("1m",)).to_pandas()
+        out["last_ts"] = out["last_ts"].astype("int64")
+        return out
 
     def test_nan_merge_is_partition_invariant(self):
         import numpy as np
-
-        from json_time_series_extractor_ray.stages.rollup import (
-            _merge_windows,
-        )
 
         # window 0: clean partial + NaN-bearing partial (NaN last row)
         rows = [
             (0, 3.0, 2, 1.0, 2.0, 2.0, 10, "a", 0),
             (0, np.nan, 1, np.nan, np.nan, np.nan, 20, "b", 0),
         ]
-        merged = _merge_windows(self._partials(rows), 60)
+        merged = self._merge(rows)
         assert len(merged) == 1
         r = merged.iloc[0]
         # NaN propagates (matching the partial kernel's reduceat), and
@@ -333,16 +339,12 @@ class TestMergeWindowsNaN:
         assert r["count"] == 3
 
     def test_clean_merge_unchanged(self):
-        from json_time_series_extractor_ray.stages.rollup import (
-            _merge_windows,
-        )
-
         rows = [
             (0, 3.0, 2, 1.0, 2.0, 2.0, 10, "a", 0),
             (0, 5.0, 1, 5.0, 5.0, 5.0, 20, "b", 0),
-            (60, 7.0, 1, 7.0, 7.0, 7.0, 70, "c", 0),
+            (1, 7.0, 1, 7.0, 7.0, 7.0, 70, "c", 0),
         ]
-        merged = _merge_windows(self._partials(rows), 60)
+        merged = self._merge(rows)
         assert merged["sum"].tolist() == [8.0, 7.0]
         assert merged["count"].tolist() == [3, 1]
         assert merged["last"].tolist() == [5.0, 7.0]
@@ -392,10 +394,10 @@ def test_multi_series_cascade_equals_per_series(tiers):
     assert tied.any() and partials["last"].isna().any()
 
     keys = ["tier", "series_key", "window_start"]
-    together = cascade_series_group(partials, tiers).sort_values(
+    together = cascade_series_group(partials, tiers).to_pandas().sort_values(
         keys, ignore_index=True)
     apart = pd.concat(
-        [cascade_series_group(g.copy(), tiers)
+        [cascade_series_group(g.copy(), tiers).to_pandas()
          for _, g in partials.groupby("series_key", sort=True)],
         ignore_index=True,
     ).sort_values(keys, ignore_index=True)

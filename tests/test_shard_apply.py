@@ -10,9 +10,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from json_time_series_extractor_ray.stages.gapfill import gap_fill_series
+from json_time_series_extractor_ray.pipelines.downsample import hopping_rollup
 from json_time_series_extractor_ray.stages.rollup import (
-    WINDOW_NS,
     merge_tier_rollups,
     rollup_ladder,
     rollup_oracle,
@@ -23,6 +22,7 @@ from json_time_series_extractor_ray.state.gorilla import (
     compress_series_dataset,
     decompress_chunks,
 )
+from tests import rollup_reference as ref
 from tests.test_checkpoint_resume import _PlanCounter
 from tests.test_gorilla_codec import oracle_compress_chunk
 
@@ -65,17 +65,6 @@ def _sorted(df: pd.DataFrame, key=KEY) -> pd.DataFrame:
     return df.sort_values(key, ignore_index=True)
 
 
-def _gap_fill_each_series(rollups: pd.DataFrame, method: str) -> pd.DataFrame:
-    """Oracle: ``gap_fill_series`` on each (series, tier) alone."""
-    work = rollups.astype({"window_start": "int64", "last_ts": "int64"})
-    out = pd.concat(
-        [gap_fill_series(g, WINDOW_NS[tier], method)
-         for (_, tier), g in work.groupby(["series_key", "tier"])],
-        ignore_index=True)
-    return out.astype({"window_start": "datetime64[ns]",
-                       "last_ts": "datetime64[ns]"})
-
-
 @pytest.fixture(scope="module")
 def samples():
     return _samples()
@@ -84,12 +73,13 @@ def samples():
 @pytest.mark.parametrize("gap_fill", [None, "locf"])
 def test_rollup_ladder_high_cardinality_equals_oracle(ray_session, samples,
                                                       gap_fill):
-    # the gap-fill oracle costs one pandas call per (series, tier): 1m only
+    # the gap-fill oracle costs one numpy pass per (series, tier): 1m only
     tiers = ("1m", "1h", "1d") if gap_fill is None else ("1m",)
     want = rollup_oracle(samples, tiers)
     assert want["series_key"].nunique() >= 9_000
     if gap_fill is not None:
-        want = _gap_fill_each_series(want, gap_fill)
+        # oracle: the reference fill of each (series, tier) alone
+        want = ref.gap_fill_tier_group(want, gap_fill)
         assert (want["count"] == 0).sum() > 10_000  # filled rows exist
     got = rollup_ladder(_dataset(samples), tiers,
                         gap_fill=gap_fill).to_pandas()
@@ -121,7 +111,8 @@ def test_compress_series_dataset_high_cardinality(ray_session, samples,
                                   bucket_ns=bucket_ns).to_pandas()
     writer = GorillaChunkWriter(bucket_ns)
     want = pd.concat(
-        [writer(g) for _, g in samples.to_pandas().groupby("series_key")],
+        [writer(pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
+         for _, g in samples.to_pandas().groupby("series_key")],
         ignore_index=True)
     assert (want["n_points"] == 0).any()
     assert want["series_key"].nunique() >= 9_000
@@ -203,6 +194,8 @@ def test_every_per_series_path_plans_one_all_to_all(ray_session):
         samples, bucket_ns=300_000_000_000)) == 1
     assert _one_plan_ops(lambda: compact_chunks(
         ray.data.from_pandas(chunks.to_pandas()))) == 1
+    assert _one_plan_ops(lambda: hopping_rollup(
+        samples, width_ns=300_000_000_000, hop_ns=60_000_000_000)) == 1
 
 
 def test_stages_and_state_have_one_groupby():
