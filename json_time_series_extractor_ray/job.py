@@ -91,6 +91,7 @@ def run_job(config: dict) -> dict:
         )
 
     from .pipelines.timeseries import extract_pipeline
+    from .sources.parquet import read_parquet
     from .state.checkpoint import NUM_SHARDS, run_sharded_rollup
 
     out_dir = config["output_dir"].rstrip("/")
@@ -116,8 +117,8 @@ def run_job(config: dict) -> dict:
         # rollups/ is the operator's explicit (atomic rename) action.
         from .stages.rollup import merge_tier_rollups, rollup_ladder
 
-        stored = ray.data.read_parquet(f"{out_dir}/rollups")
-        increment = rollup_ladder(extract(ray.data.read_parquet(update_input)),
+        stored = read_parquet(f"{out_dir}/rollups")
+        increment = rollup_ladder(extract(read_parquet(update_input)),
                                   tiers=tiers)
         merged = merge_tier_rollups([stored, increment], tiers=tiers,
                                     gap_fill=config.get("gap_fill"))
@@ -129,7 +130,7 @@ def run_job(config: dict) -> dict:
             "output": f"{out_dir}/rollups_updated",
         }
 
-    corpus = ray.data.read_parquet(config["input"])
+    corpus = read_parquet(config["input"])
     manifest, shards_run, shards_skipped = run_sharded_rollup(
         extract(corpus),
         f"{out_dir}/rollups",
@@ -162,7 +163,7 @@ def run_job(config: dict) -> dict:
             else {tier: int(v) for tier, v in retention.items()}
         )
         wm = result["rollups"]["watermark_max"]
-        rollups_ds = ray.data.read_parquet(f"{out_dir}/rollups")
+        rollups_ds = read_parquet(f"{out_dir}/rollups")
         current = retention_expire(rollups_ds, ttl_ns=ttl_ns, watermark_ns=int(wm))
         current.write_parquet(f"{out_dir}/rollups_current")
         result["retention"] = {
@@ -200,7 +201,7 @@ def run_job(config: dict) -> dict:
             os.rename(trash, store)
         if os.path.isdir(store):
             compacted = compact_chunks(
-                ray.data.read_parquet(store),
+                read_parquet(store),
                 target_points=int(config.get("compact_target_points",
                                              1_000_000)),
             )

@@ -155,6 +155,18 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=()):
     store's hive partition key), so per-series work must be vectorized
     over ``series_key`` segments.  A task holds one shard: ``num_shards``
     bounds its memory.
+
+    The returned plan runs without Ray Data's per-operator resource
+    reservation (``op_resource_reservation_enabled = False`` on its own
+    ``Dataset.context``).  Ray reserves CPUs per operator and counts the
+    all-to-all among them, so the map side (read, extract, shard tag)
+    would run at about a third of the cluster: one task at a time on 4
+    CPUs.  Only that width changes, not the memory bound: Ray already
+    lifts the object-store budget of an operator that feeds a
+    materializing all-to-all.  Ray shares one ``DataContext`` along a
+    dataset's lineage (``ExecutionPlan.copy``), so the caller's ``ds``
+    carries the setting too; the global ``DataContext.get_current()``
+    does not.
     """
     skip = pa.array(sorted(skip_shards), pa.int32())
 
@@ -167,9 +179,11 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=()):
                                             value_set=skip)))
         return t
 
-    return ds.map_batches(
+    out = ds.map_batches(
         _tag, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
     ).groupby("shard").map_groups(fn, batch_format="pyarrow")
+    out.context.op_resource_reservation_enabled = False
+    return out
 
 
 def _fsync_path(path: str) -> None:
@@ -378,7 +392,8 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     unknown ``gap_fill`` is refused here, before any sample is read.  Each
     record's ``wall_s`` is the commit time, ``rollup_s`` the partials,
     cascade and gap-fill, ``encode_s`` the chunk rows, and ``compute_s``
-    their total.
+    their total.  The shuffle's map side (read, extract, shard tag) runs
+    at full cluster width, not one task at a time (``shard_apply``).
     """
     from ..stages.gapfill import check_gap_fill
     from ..stages.rollup import rollup_shard

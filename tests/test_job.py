@@ -291,6 +291,26 @@ def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
     assert plans.plans >= 1 and plans.ops == 1
 
 
+def test_job_reads_corpus_footers_in_process(ray_session, tmp_path,
+                                             monkeypatch):
+    """A corpus of more than 24 files (where Ray would read the footers in
+    remote tasks) runs and resumes with its footers read in the driver."""
+    from tests.test_sources import _no_remote_footers
+
+    table = iot_corpus_table(600, seed=5)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(30):
+        pq.write_table(table.slice(i * 20, 20),
+                       str(corpus / f"part-{i:02d}.parquet"))
+    _no_remote_footers(monkeypatch)
+    cfg = _config(str(corpus), str(tmp_path / "out"))
+    r1 = run_job(cfg)
+    assert r1["rollups"]["shards_completed"] > 0 and r1["shards_skipped"] == []
+    r2 = run_job(cfg)
+    assert r2["shards_run"] == [] and r2["rollups"]["rows"] == r1["rollups"]["rows"]
+
+
 @pytest.mark.parametrize("bucket_ns", [None, 300_000_000_000])
 def test_job_chunks_equal_compress_series_dataset(ray_session, corpus_dir,
                                                   tmp_path, bucket_ns):

@@ -1,7 +1,8 @@
 """Every per-series path runs on the one shard-keyed shuffle
 (``state/checkpoint.shard_apply``): at 10^4 series each path equals its
-per-series oracle bit for bit, each plans one all-to-all operator, and
-``stages/``/``state/`` keep a single ``.groupby(`` call."""
+per-series oracle bit for bit, each plans one all-to-all operator whose
+map side runs at full cluster width, and ``stages/``/``state/`` keep a
+single ``.groupby(`` call."""
 
 import pathlib
 
@@ -172,9 +173,51 @@ def test_compact_chunks_high_cardinality_matches_scalar_encoder(ray_session):
 
 
 def _one_plan_ops(make) -> int:
+    ds = make()
+    assert ds.context.op_resource_reservation_enabled is False
     with _PlanCounter() as plans:
-        make().materialize()
+        ds.materialize()
     return plans.ops
+
+
+def test_map_side_runs_tasks_concurrently(ray_session):
+    """The shuffle's map side runs several tasks at once: 8 one-block
+    map tasks that each sleep 0.25 s overlap on 4 CPUs (with Ray's
+    per-operator reservation they ran one at a time), every row still
+    reaches the shard body, and the global DataContext is untouched."""
+    import time
+
+    import ray
+    from ray.data import DataContext
+
+    from json_time_series_extractor_ray.state.checkpoint import shard_apply
+
+    reservation = DataContext.get_current().op_resource_reservation_enabled
+    blocks = [pa.table({"series_key": [f"s{b}-{i}" for i in range(25)],
+                        "row": np.arange(b * 25, (b + 1) * 25)})
+              for b in range(8)]
+
+    def _sleep(batch: pa.Table) -> pa.Table:
+        t0 = time.time()
+        time.sleep(0.25)
+        n = batch.num_rows
+        return batch.append_column("t0", pa.array([t0] * n)).append_column(
+            "t1", pa.array([time.time()] * n))
+
+    out = shard_apply(
+        ray.data.from_arrow(blocks).map_batches(
+            _sleep, batch_format="pyarrow", batch_size=None),
+        lambda t: t.drop_columns(["shard"]), num_shards=4,
+    ).to_pandas()
+
+    assert sorted(out["row"]) == list(range(200))
+    spans = out[["t0", "t1"]].drop_duplicates()
+    assert len(spans) == 8
+    events = sorted([(t, 1) for t in spans["t0"]] +
+                    [(t, -1) for t in spans["t1"]])
+    assert max(np.cumsum([d for _, d in events])) >= 2
+    assert DataContext.get_current().op_resource_reservation_enabled \
+        == reservation
 
 
 def test_every_per_series_path_plans_one_all_to_all(ray_session):
