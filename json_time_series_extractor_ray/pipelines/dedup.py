@@ -102,7 +102,7 @@ def _read(sf_dir: str, table: str, columns):
 
 def _regex_trim(text_col):
     """RE2 trim — delegate to the repo-wide canonical ``_util.regex_trim``
-    (ASCII \s only, matching the oracles' regexp_replace exactly)."""
+    (ASCII \\s only, matching the oracles' regexp_replace exactly)."""
     from ._util import regex_trim
 
     return regex_trim(text_col)
@@ -786,7 +786,7 @@ register(
     f"""
     SELECT min(doc_id) AS doc_id, count(*) AS n_copies
     FROM documents
-    GROUP BY md5(regexp_replace(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}', ' ', 'g'))
+    GROUP BY md5(regexp_replace(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}', ' ', 'g'))
     """,
 )
 
@@ -795,7 +795,7 @@ register(
     lambda sf: jaccard_block_pairs(_read(sf, "documents", ["doc_id", "text", "lang"])),
     f"""
     WITH w AS (
-        SELECT doc_id, lang, regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}') AS words
+        SELECT doc_id, lang, regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}') AS words
         FROM documents
     ),
     pos AS (
@@ -947,7 +947,7 @@ register(
         _read(sf, "documents", ["doc_id", "text"])),
     f"""
     WITH w AS (
-        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}') AS words
+        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}') AS words
         FROM documents
     ),
     pos AS (
@@ -1054,7 +1054,7 @@ register(
         _read(sf, "documents", ["doc_id", "text"])),
     f"""
     WITH w AS (
-        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}') AS words
+        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}') AS words
         FROM documents
     ),
     pos AS (
@@ -1850,7 +1850,7 @@ register(
     lambda sf: jaccard_prefix_join(_read(sf, "documents", ["doc_id", "text"])),
     f"""
     WITH w AS (
-        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}') AS words
+        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}') AS words
         FROM documents
     ),
     pos AS (

@@ -212,11 +212,11 @@ register(
     f"""
     SELECT doc_id,
            length(text) AS n_chars,
-           len(regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}')) AS n_words,
+           len(regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}')) AS n_words,
            len(regexp_extract_all(text, '{BPE_SPLIT}')) AS n_tokens_bpe,
            round(
-             CAST(length(regexp_replace(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}', '', 'g')) AS DOUBLE)
-             / len(regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}')), 6) AS avg_word_len
+             CAST(length(regexp_replace(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}', '', 'g')) AS DOUBLE)
+             / len(regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}')), 6) AS avg_word_len
     FROM documents
     """,
 )
@@ -226,7 +226,7 @@ register(
     _q_quality,
     f"""
     WITH w AS (
-        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}') AS words
+        SELECT doc_id, regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}') AS words
         FROM documents
     )
     SELECT doc_id,
@@ -248,7 +248,7 @@ register(
     "doc_fingerprint",
     _q_fingerprint,
     f"""
-    SELECT doc_id, md5(regexp_replace(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}', ' ', 'g')) AS fingerprint
+    SELECT doc_id, md5(regexp_replace(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}', ' ', 'g')) AS fingerprint
     FROM documents
     """,
 )
@@ -1207,12 +1207,12 @@ register(
         _read_documents(sf, ["lang", "text"])),
     f"""
     SELECT lang,
-           CAST(sum(len(regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}')))
+           CAST(sum(len(regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}')))
                AS BIGINT) AS n_words,
            CAST(sum(len(regexp_extract_all(text, '{BPE_SPLIT}')))
                AS BIGINT) AS n_tokens_bpe,
            round(sum(len(regexp_extract_all(text, '{BPE_SPLIT}')))
-                 / sum(len(regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}'))), 6)
+                 / sum(len(regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}'))), 6)
                AS fertility
     FROM documents GROUP BY lang
     """,
@@ -1288,11 +1288,11 @@ register(
     SELECT source,
            CAST(count(*) AS BIGINT) AS n_docs,
            CAST(sum(length(text)) AS BIGINT) AS total_chars,
-           CAST(sum(len(regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}')))
+           CAST(sum(len(regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}')))
                 AS BIGINT) AS total_words,
            round(CAST(sum(length(text)) AS DOUBLE) / count(*), 6)
                AS mean_chars,
-           round(CAST(sum(len(regexp_split_to_array(regexp_replace(text, '^\s+|\s+$', '', 'g'), '{_WS}')))
+           round(CAST(sum(len(regexp_split_to_array(regexp_replace(text, '^\\s+|\\s+$', '', 'g'), '{_WS}')))
                       AS DOUBLE) / count(*), 6) AS mean_words
     FROM documents
     GROUP BY source

@@ -48,7 +48,8 @@ def read_gorilla_chunks(path: str, *, min_ts_ns: int | None = None,
     decodes (or even fetches) chunks entirely outside the range.
     """
     import pyarrow.dataset as pads
-    import ray
+
+    from .parquet import read_parquet
 
     flt = None
     if min_ts_ns is not None:
@@ -56,7 +57,7 @@ def read_gorilla_chunks(path: str, *, min_ts_ns: int | None = None,
     if max_ts_ns is not None:
         f2 = pads.field("t_min") <= max_ts_ns
         flt = f2 if flt is None else (flt & f2)
-    ds = ray.data.read_parquet(path, filter=flt)
+    ds = read_parquet(path, filter=flt)
     return ds.map_batches(
         decode_chunk_batch, batch_format="pyarrow", zero_copy_batch=True
     )

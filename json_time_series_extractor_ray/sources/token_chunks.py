@@ -53,7 +53,8 @@ def read_token_chunks(path: str, *, min_doc_id: str | None = None,
     fetches) chunks entirely outside the range.
     """
     import pyarrow.dataset as pads
-    import ray
+
+    from .parquet import read_parquet
 
     flt = None
     if min_doc_id is not None:
@@ -61,7 +62,7 @@ def read_token_chunks(path: str, *, min_doc_id: str | None = None,
     if max_doc_id is not None:
         f2 = pads.field("min_doc_id") <= max_doc_id
         flt = f2 if flt is None else (flt & f2)
-    ds = ray.data.read_parquet(path, filter=flt)
+    ds = read_parquet(path, filter=flt)
     return ds.map_batches(
         decode_chunk_batch, batch_format="pyarrow", zero_copy_batch=True
     )

@@ -16,7 +16,7 @@ SURVEY.md §2.6) — this ladder is the engine's scale mandate
    ``shard = md5(series_key) % P`` through ``state/checkpoint.shard_apply``
    (the job samples, ``rollup_ladder`` and ``merge_tier_rollups``
    partials), so one task call covers a whole shard, never one series.
-3. **Rank-coded cascade inside ``map_groups``**: a group's ``series_key``
+3. **Rank-coded cascade inside each shard task**: a shard's ``series_key``
    and ``last_doc`` strings are mapped once to int64 lexicographic ranks
    (``state/checkpoint.lex_ranks``).  Every tier is then one integer
    ``lexsort`` plus ``reduceat`` over ``(series_key, window)`` segments

@@ -23,12 +23,15 @@ The shard axis is ``hash(series_key) % num_shards`` and it is the key of
 the one wide operation in the pipeline: samples shuffle by shard, so
 restart granularity is the unit of work (SURVEY.md §4).  ``shard_apply``
 is that shuffle, and every other per-series path (ladder, tier merge,
-chunking, compaction) runs on it too: one task call per shard, never one
-per series.
+chunking, compaction, hopping windows) runs on it too: one task call per
+non-empty shard, never one per series.  It is a direct exchange of plain
+Ray tasks, not a Ray Data ``groupby``: the map side splits each block by
+its shard id, and each shard task reads only its own slices.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import hashlib
 import json
@@ -145,45 +148,120 @@ class ShardSamples:
         return order[self.numeric[order]] if numeric else order
 
 
+def _ipc_stream(table: pa.Table) -> pa.Buffer:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue()
+
+
+def _split_block(block: pa.Table, num_shards: int):
+    """One map block, sorted by ``shard`` -> its row count per shard, then
+    one slice per shard as an Arrow IPC stream (``None`` for an empty
+    one).  A stream serializes in a quarter of the time Ray takes for a
+    table, and reads back zero-copy."""
+    counts = np.bincount(block.column("shard").to_numpy(),
+                         minlength=num_shards)
+    starts = np.cumsum(counts) - counts
+    return (counts, *(_ipc_stream(block.slice(s, n)) if n else None
+                      for s, n in zip(starts, counts)))
+
+
+def _shard_task(fn, *slices: pa.Buffer):
+    """One whole shard: its slices of every map block, one ``fn`` call ->
+    (the output's Ray Data block metadata, the output)."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    out = fn(pa.concat_tables(
+        [pa.ipc.open_stream(s).read_all() for s in slices],
+        promote_options="permissive"))
+    out = out if isinstance(out, pa.Table) else pa.table(out)
+    return get_table_block_metadata_schema(out), out
+
+
+@functools.cache
+def _ray_tasks():
+    """``_split_block`` and ``_shard_task`` as Ray tasks, made on first use:
+    importing this module does not import Ray."""
+    import ray
+
+    return ray.remote(_split_block), ray.remote(num_returns=2)(_shard_task)
+
+
+def _from_arrow_refs(tables, metas):
+    """``ray.data.from_arrow_refs(tables)`` given the tables' block
+    metadata: Ray's would start one more task per table to compute it."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(tables, metas), plan._context))
+
+
 def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=()):
     """The one shard-keyed shuffle: tag every row map-side with its
     ``shard`` (``add_shard_column``), drop rows of ``skip_shards``, then
-    call ``fn`` once per whole shard (``groupby("shard").map_groups``).
+    call ``fn`` once per whole non-empty shard.
 
-    ``fn`` takes an Arrow table and returns one: all rows of many series
-    at once (and the ``shard`` column, replacing any input one, e.g. a
-    store's hive partition key), so per-series work must be vectorized
-    over ``series_key`` segments.  A task holds one shard: ``num_shards``
-    bounds its memory.
+    ``fn`` takes an Arrow table and returns one (or a dict of columns):
+    all rows of many series at once (and the ``shard`` column, replacing
+    any input one, e.g. a store's hive partition key), so per-series work
+    must be vectorized over ``series_key`` segments.  A task holds one
+    shard: ``num_shards`` bounds its memory.
 
-    The returned plan runs without Ray Data's per-operator resource
-    reservation (``op_resource_reservation_enabled = False`` on its own
-    ``Dataset.context``).  Ray reserves CPUs per operator and counts the
-    all-to-all among them, so the map side (read, extract, shard tag)
-    would run at about a third of the cluster: one task at a time on 4
-    CPUs.  Only that width changes, not the memory bound: Ray already
-    lifts the object-store budget of an operator that feeds a
-    materializing all-to-all.  Ray shares one ``DataContext`` along a
-    dataset's lineage (``ExecutionPlan.copy``), so the caller's ``ds``
-    carries the setting too; the global ``DataContext.get_current()``
-    does not.
+    The exchange is direct, since every row's shard is known map-side.
+    The map side (``ds``, then the shard tag, which also sorts each block
+    stably by ``shard``) runs as one Ray Data plan at full cluster width
+    and streams its blocks to the calling process as object refs.  One
+    ``_split_block`` task per block returns the block's row count per
+    shard and one slice per shard.  The caller fetches only those counts,
+    then starts one ``_shard_task`` per non-empty shard on that shard's
+    slices; each returns its output and the output's block metadata.  No
+    row reaches the caller, and no Ray Data plan holds an all-to-all
+    operator: Ray's sort-based ``groupby`` would add a sampling pass, a
+    sort, a merge and tasks for empty key ranges.
+
+    Runs when called, not lazily: it returns once every shard task has
+    finished (raising the error of a failed one), as a materialized
+    ``Dataset`` over their outputs in shard order.  A shard task that
+    Ray retries calls ``fn`` again on the same rows.
     """
-    skip = pa.array(sorted(skip_shards), pa.int32())
+    import ray
+
+    skip = np.zeros(num_shards, bool)
+    skip[list(skip_shards)] = True
 
     def _tag(batch: pa.Table) -> pa.Table:
         if "shard" in batch.column_names:
             batch = batch.drop_columns(["shard"])
         t = add_shard_column(batch, num_shards)
-        if len(skip):
-            t = t.filter(pc.invert(pc.is_in(t.column("shard"),
-                                            value_set=skip)))
-        return t
+        shard = t.column("shard").to_numpy()
+        order = np.argsort(shard, kind="stable")
+        return t.take(order[~skip[shard[order]]])
 
-    out = ds.map_batches(
-        _tag, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-    ).groupby("shard").map_groups(fn, batch_format="pyarrow")
-    out.context.op_resource_reservation_enabled = False
-    return out
+    tagged = ds.map_batches(_tag, batch_format="pyarrow",
+                            zero_copy_batch=True, batch_size=None)
+    split_task, shard_task = _ray_tasks()
+    split = split_task.options(num_returns=num_shards + 1)
+    parts = [split.remote(block, num_shards)
+             for bundle in tagged.iter_internal_ref_bundles()
+             for block, meta in bundle.blocks if meta.num_rows != 0]
+    counts = np.array(ray.get([p[0] for p in parts]),
+                      np.int64).reshape(len(parts), num_shards)
+    fn_ref = ray.put(fn)
+    out = [shard_task.remote(fn_ref, *(p[1 + s] for p, n in
+                                       zip(parts, counts[:, s]) if n))
+           for s in np.flatnonzero(counts.sum(axis=0))]
+    # raises the error of a failed shard task
+    metas = ray.get([meta for meta, _ in out])
+    return _from_arrow_refs([table for _, table in out], metas)
 
 
 def _fsync_path(path: str) -> None:
@@ -381,8 +459,9 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
 
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
     take the same path: samples of completed shards are dropped before the
-    shuffle (none on a fresh run), so finished work is neither recomputed
-    nor double-counted.
+    shuffle (none on a fresh run) and only shards with samples get a task,
+    so finished work is neither recomputed nor double-counted.  A retried
+    task republishes its shard whole (``commit_shard``).
 
     A shard task rank-codes and sorts its samples once (``ShardSamples``);
     that one sort yields the first tier's partials and the chunk rows, the
@@ -392,8 +471,9 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     unknown ``gap_fill`` is refused here, before any sample is read.  Each
     record's ``wall_s`` is the commit time, ``rollup_s`` the partials,
     cascade and gap-fill, ``encode_s`` the chunk rows, and ``compute_s``
-    their total.  The shuffle's map side (read, extract, shard tag) runs
-    at full cluster width, not one task at a time (``shard_apply``).
+    their total.  The shuffle is ``shard_apply``'s direct exchange:
+    ``shards_run`` comes from the manifest once it returns, so no shard
+    output is read back.
     """
     from ..stages.gapfill import check_gap_fill
     from ..stages.rollup import rollup_shard
@@ -429,12 +509,10 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
                    "encode_s": round(t2 - t1, 4)})
         return {"shard": [shard], "rows": [rec["rows"]]}
 
-    committed = shard_apply(
-        samples_ds.select_columns(ShardSamples.COLUMNS), _rollup_and_commit,
-        num_shards, skip_shards=done,
-    ).to_pandas()
-    shards_run = sorted(int(s) for s in committed["shard"]) if len(committed) else []
-    return manifest, shards_run, done
+    # shard_apply returns once every shard task has committed
+    shard_apply(samples_ds.select_columns(ShardSamples.COLUMNS),
+                _rollup_and_commit, num_shards, skip_shards=done)
+    return manifest, sorted(manifest.completed_shards() - set(done)), done
 
 
 def manifest_report(out_dir: str) -> pa.Table:

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import sys
 
 import numpy as np
 import pandas as pd
@@ -235,6 +236,10 @@ class _PlanCounter(logging.Handler):
             self.ops += len(self._ALL_TO_ALL.findall(msg))
 
     def __enter__(self):
+        # importing ray.data configures its loggers, which drops handlers
+        # installed before it
+        import ray.data  # noqa: F401
+
         logger = logging.getLogger(self._LOGGER)
         self._level = logger.level
         logger.setLevel(logging.INFO)
@@ -245,6 +250,35 @@ class _PlanCounter(logging.Handler):
         logger = logging.getLogger(self._LOGGER)
         logger.removeHandler(self)
         logger.setLevel(self._level)
+
+
+class _ExchangeCounter:
+    """Counts shard exchanges (``state/checkpoint.shard_apply`` calls)
+    while installed, in every package module that imported the helper."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __enter__(self):
+        from json_time_series_extractor_ray.state import checkpoint
+
+        self._real = real = checkpoint.shard_apply
+
+        def _counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        self._modules = [
+            m for name, m in list(sys.modules.items())
+            if name.startswith("json_time_series_extractor_ray")
+            and getattr(m, "shard_apply", None) is real]
+        for m in self._modules:
+            m.shard_apply = _counted
+        return self
+
+    def __exit__(self, *exc):
+        for m in self._modules:
+            m.shard_apply = self._real
 
 
 class TestOneShuffle:
@@ -268,8 +302,9 @@ class TestOneShuffle:
             np.testing.assert_allclose(got[c], oracle[c], rtol=1e-12)
 
     def test_fresh_and_resumed_runs_shuffle_once(self, ray_session, tmp_path):
-        """One all-to-all operator per run, fresh or resumed, and the
-        committed rows of 5,000 series over 8 shards equal the oracle."""
+        """One shard exchange per run, fresh or resumed, with no
+        all-to-all operator in any Ray Data plan, and the committed rows
+        of 5,000 series over 8 shards equal the oracle."""
         import shutil
 
         import ray
@@ -296,10 +331,10 @@ class TestOneShuffle:
         assert oracle["series_key"].nunique() == n_series
 
         out = str(tmp_path / "out")
-        with _PlanCounter() as plans:
+        with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
             m, run, skipped = run_sharded_rollup(
                 ray.data.from_arrow(table), out, 8)
-        assert (plans.plans, plans.ops) == (1, 1)
+        assert exchanges.calls == 1 and (plans.plans, plans.ops) == (1, 0)
         assert skipped == [] and len(run) == 8
         self._assert_matches_oracle(self._committed(m), oracle)
 
@@ -307,10 +342,10 @@ class TestOneShuffle:
         for s in lost:
             shutil.rmtree(m.shard_dir(s))
             os.remove(m.record_path(s))
-        with _PlanCounter() as plans:
+        with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
             m2, run2, skipped2 = run_sharded_rollup(
                 ray.data.from_arrow(table), out, 8)
-        assert (plans.plans, plans.ops) == (1, 1)
+        assert exchanges.calls == 1 and (plans.plans, plans.ops) == (1, 0)
         assert run2 == lost and skipped2 == run[1::2]
         self._assert_matches_oracle(self._committed(m2), oracle)
 

@@ -1,7 +1,10 @@
 """End-to-end job entry point: config -> resumable run -> resume no-op."""
 
 import json
+import logging
 import os
+import shutil
+import uuid
 
 import pyarrow.parquet as pq
 import pytest
@@ -284,11 +287,99 @@ def _chunk_frame(df):
 
 
 def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
-    from tests.test_checkpoint_resume import _PlanCounter
+    """One shard exchange per job, and no all-to-all operator in any of
+    its Ray Data plans."""
+    from tests.test_checkpoint_resume import _ExchangeCounter, _PlanCounter
 
-    with _PlanCounter() as plans:
+    with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
         run_job(_config(corpus_dir, str(tmp_path / "out")))
-    assert plans.plans >= 1 and plans.ops == 1
+    assert exchanges.calls == 1
+    assert plans.plans >= 1 and plans.ops == 0
+
+
+class _SchemaWarnings(logging.Handler):
+    """Collects Ray Data's ``RefBundle with a different schema`` warnings
+    while installed."""
+
+    _LOGGER = "ray.data._internal.execution.streaming_executor_state"
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record) -> None:
+        if "RefBundle with a different schema" in record.getMessage():
+            self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        import ray.data  # noqa: F401  (its logging setup drops handlers)
+
+        logging.getLogger(self._LOGGER).addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logging.getLogger(self._LOGGER).removeHandler(self)
+
+
+def test_job_calls_shard_body_once_per_nonempty_shard(ray_session, tmp_path,
+                                                      monkeypatch):
+    """A 16-shard job over a corpus whose series fill k < 16 shards calls
+    the shard body k times, once per non-empty shard; a resume calls it
+    only for the shards it lost, and a resume with every shard done calls
+    it 0 times.  No run logs a schema-mismatch warning."""
+    import pyarrow.dataset as pads
+
+    from json_time_series_extractor_ray.state import checkpoint
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(iot_corpus_table(400, seed=7, cfg={"n_devices": 3}),
+                   str(corpus / "part-0.parquet"))
+    calls = tmp_path / "calls"
+    real = checkpoint.shard_apply
+
+    def _recorded(ds, fn, *args, **kwargs):
+        # one file per body call, named after the shard it got
+        def _body(table):
+            shards = set(table.column("shard").to_pylist())
+            name = f"{min(shards)}-{len(shards)}-{table.num_rows}-"
+            open(os.path.join(str(calls), name + uuid.uuid4().hex),
+                 "w").close()
+            return fn(table)
+
+        return real(ds, _body, *args, **kwargs)
+
+    def _run():
+        shutil.rmtree(calls, ignore_errors=True)
+        calls.mkdir()
+        with _SchemaWarnings() as warned:
+            result = run_job(cfg)
+        assert warned.messages == []
+        names = [n.split("-") for n in os.listdir(calls)]
+        # every call got one whole non-empty shard
+        assert all(n[1] == "1" and int(n[2]) > 0 for n in names)
+        return result, sorted(int(n[0]) for n in names)
+
+    monkeypatch.setattr(checkpoint, "shard_apply", _recorded)
+    cfg = dict(_config(str(corpus), str(tmp_path / "out")), num_shards=16)
+    r1, called = _run()
+    keys = pads.dataset(f"{cfg['output_dir']}/chunks").to_table(
+        columns=["series_key"]).column("series_key").to_pylist()
+    nonempty = sorted({checkpoint.shard_of(k, 16) for k in keys})
+    assert 1 < len(nonempty) < 16
+    assert called == nonempty == sorted(r1["shards_run"])
+
+    manifest = checkpoint.CheckpointManifest(f"{cfg['output_dir']}/rollups")
+    lost = nonempty[1::2]
+    for s in lost:
+        shutil.rmtree(manifest.shard_dir(s))
+        os.remove(manifest.record_path(s))
+    r2, called = _run()
+    assert called == lost == sorted(r2["shards_run"])
+
+    r3, called = _run()
+    assert called == [] and r3["shards_run"] == []
+    assert sorted(r3["shards_skipped"]) == nonempty
 
 
 def test_job_reads_corpus_footers_in_process(ray_session, tmp_path,

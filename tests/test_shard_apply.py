@@ -1,8 +1,9 @@
 """Every per-series path runs on the one shard-keyed shuffle
 (``state/checkpoint.shard_apply``): at 10^4 series each path equals its
-per-series oracle bit for bit, each plans one all-to-all operator whose
-map side runs at full cluster width, and ``stages/``/``state/`` keep a
-single ``.groupby(`` call."""
+per-series oracle bit for bit, each runs one direct shard exchange whose
+map side runs at full cluster width and whose Ray Data plans hold no
+all-to-all operator, and ``stages/``/``state/`` hold no ``.groupby(``
+call."""
 
 import pathlib
 
@@ -24,7 +25,7 @@ from json_time_series_extractor_ray.state.gorilla import (
     decompress_chunks,
 )
 from tests import rollup_reference as ref
-from tests.test_checkpoint_resume import _PlanCounter
+from tests.test_checkpoint_resume import _ExchangeCounter, _PlanCounter
 from tests.test_gorilla_codec import oracle_compress_chunk
 
 N_SERIES = 10_000
@@ -172,12 +173,13 @@ def test_compact_chunks_high_cardinality_matches_scalar_encoder(ray_session):
         assert list(g["chunk"]) == want_chunks
 
 
-def _one_plan_ops(make) -> int:
-    ds = make()
-    assert ds.context.op_resource_reservation_enabled is False
-    with _PlanCounter() as plans:
-        ds.materialize()
-    return plans.ops
+def _assert_one_exchange(make) -> None:
+    """``make()`` and the read of its output run one shard exchange, and
+    the Ray Data plans they execute hold no all-to-all operator."""
+    with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
+        make().materialize()
+    assert exchanges.calls == 1
+    assert plans.plans >= 1 and plans.ops == 0
 
 
 def test_map_side_runs_tasks_concurrently(ray_session):
@@ -220,30 +222,28 @@ def test_map_side_runs_tasks_concurrently(ray_session):
         == reservation
 
 
-def test_every_per_series_path_plans_one_all_to_all(ray_session):
+def test_every_per_series_path_runs_one_exchange(ray_session):
     import ray
 
     table = _samples(n_series=200, per_series=3, seed=2)
     samples = _dataset(table).materialize()
     ladder = rollup_ladder(samples).materialize()
     chunks = compress_series_dataset(samples).materialize()
-    assert _one_plan_ops(lambda: rollup_ladder(samples)) == 1
-    assert _one_plan_ops(lambda: rollup_ladder(samples,
-                                               gap_fill="locf")) == 1
-    assert _one_plan_ops(
-        lambda: merge_tier_rollups([ladder, ladder])) == 1
-    assert _one_plan_ops(lambda: compress_series_dataset(samples)) == 1
-    assert _one_plan_ops(lambda: compress_series_dataset(
-        samples, bucket_ns=300_000_000_000)) == 1
-    assert _one_plan_ops(lambda: compact_chunks(
-        ray.data.from_pandas(chunks.to_pandas()))) == 1
-    assert _one_plan_ops(lambda: hopping_rollup(
-        samples, width_ns=300_000_000_000, hop_ns=60_000_000_000)) == 1
+    _assert_one_exchange(lambda: rollup_ladder(samples))
+    _assert_one_exchange(lambda: rollup_ladder(samples, gap_fill="locf"))
+    _assert_one_exchange(lambda: merge_tier_rollups([ladder, ladder]))
+    _assert_one_exchange(lambda: compress_series_dataset(samples))
+    _assert_one_exchange(lambda: compress_series_dataset(
+        samples, bucket_ns=300_000_000_000))
+    _assert_one_exchange(lambda: compact_chunks(
+        ray.data.from_pandas(chunks.to_pandas())))
+    _assert_one_exchange(lambda: hopping_rollup(
+        samples, width_ns=300_000_000_000, hop_ns=60_000_000_000))
 
 
-def test_stages_and_state_have_one_groupby():
-    """The shard helper's ``groupby("shard")`` is the only one: a
-    per-series shuffle (or a per-group pandas loop) cannot come back
+def test_stages_and_state_have_no_groupby():
+    """No ``.groupby(`` at all: the shard exchange is the one shuffle, and
+    a per-series shuffle (or a per-group pandas loop) cannot come back
     unnoticed."""
     pkg = pathlib.Path(__file__).resolve().parents[1] / \
         "json_time_series_extractor_ray"
@@ -254,5 +254,4 @@ def test_stages_and_state_have_one_groupby():
         for line in path.read_text().splitlines()
         if ".groupby(" in line
     ]
-    assert [path for path, _ in hits] == ["state/checkpoint.py"]
-    assert '.groupby("shard")' in hits[0][1]
+    assert hits == []

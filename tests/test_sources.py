@@ -100,6 +100,57 @@ def test_read_parquet_reads_footers_in_process(ray_session, many_files,
     assert got == expected == list(range(300))
 
 
+def test_chunk_stores_read_footers_in_process(ray_session, tmp_path,
+                                              monkeypatch):
+    """A Gorilla chunk store and a token-chunk store of 30 files each (a
+    default 64-shard store has more than 24) read back whole with every
+    footer read in the calling process."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from json_time_series_extractor_ray.corpus import iot_corpus_table
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+    from json_time_series_extractor_ray.sources.token_chunks import (
+        read_token_chunks,
+    )
+    from json_time_series_extractor_ray.state.gorilla import (
+        GorillaChunkWriter,
+    )
+    from json_time_series_extractor_ray.state.tokenstore import (
+        compress_corpus_batch,
+    )
+
+    n = 300
+    ts = 1_704_067_200 * 10**9 + np.arange(n) * 10**9
+    samples = pa.table({
+        "series_key": pa.array([f"dev-{i % 30:02d}" for i in range(n)]),
+        "ts": pa.array(ts, pa.int64()).cast(pa.timestamp("ns")),
+        "value_num": pa.array(np.arange(n) / 4.0),
+        "value_kind": pa.array(np.ones(n, np.int8)),
+        "doc_id": pa.array([f"d{i:03d}" for i in range(n)]),
+        "sample_ordinal": pa.array(np.zeros(n, np.int32)),
+    })
+    chunks = GorillaChunkWriter()(samples)
+    corpus = iot_corpus_table(n, seed=5)
+    assert chunks.num_rows == 30
+    for name, rows in (("chunks", lambda i: chunks.slice(i, 1)),
+                       ("tokens", lambda i: compress_corpus_batch(
+                           corpus.slice(i * 10, 10)))):
+        (tmp_path / name).mkdir()
+        for i in range(30):
+            pq.write_table(rows(i), str(tmp_path / name / f"p{i:02d}.parquet"))
+
+    _no_remote_footers(monkeypatch)
+    points = read_gorilla_chunks(str(tmp_path / "chunks")).to_pandas()
+    assert sorted(zip(points["ts_ns"], points["value_num"])) == sorted(
+        zip(ts.tolist(), (np.arange(n) / 4.0).tolist()))
+    docs = read_token_chunks(str(tmp_path / "tokens")).to_pandas()
+    assert sorted(docs["doc_id"]) == sorted(corpus.column("doc_id").to_pylist())
+
+
 def test_in_process_footers_equal_rays(ray_session, many_files):
     """The in-process metadata is Ray's, footer for footer, in order."""
     import pyarrow.parquet as pq
