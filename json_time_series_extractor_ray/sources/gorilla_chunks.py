@@ -10,10 +10,15 @@ t_min, t_max, raw_bytes, chunk: binary)`` written as Parquet; decoding is
 bit-exact (delta-of-delta timestamps + XOR float64), so a read-back
 yields exactly the numeric samples that were compressed.
 
-Scale shape: chunk files are read with normal Parquet block parallelism
-(``t_min``/``t_max`` columns support predicate pushdown for time-range
-reads before any chunk is decoded); decode is a stateless per-batch
-``map_batches`` — one chunk row expands to ``n_points`` sample rows.
+Scale shape: the read is direct, with no Ray Data plan
+(``sources/parquet.read_decoded``).  The calling process reads the
+footers and keeps only the row groups whose ``t_min``/``t_max``
+statistics can overlap the time range; one Ray task per file that keeps
+any reads them, drops the chunks outside the range and decodes the rest
+in one ``decode_chunk_batch`` call (one chunk row expands to
+``n_points`` sample rows).  The read runs when called and its samples
+stay in the object store while the Dataset lives: read a large store by
+range.
 """
 
 from __future__ import annotations
@@ -23,16 +28,19 @@ import pyarrow as pa
 
 from ..state.gorilla import decompress_chunks
 
+#: the columns ``decode_chunk_batch`` reads, and the range filter's
+_COLUMNS = ["series_key", "chunk", "t_min", "t_max"]
+
 
 def decode_chunk_batch(batch: pa.Table) -> pa.Table:
     """Chunk rows -> (series_key, ts_ns, value_num) sample rows, every chunk
     of the batch decoded in one call.  A corrupt chunk raises
     ``ValueError``."""
-    keys = batch.column("series_key").to_numpy(zero_copy_only=False)
     ts, vals, counts = decompress_chunks(batch.column("chunk").to_pylist())
+    rows = np.repeat(np.arange(batch.num_rows), counts)
     return pa.table(
         {
-            "series_key": pa.array(np.repeat(keys, counts), pa.string()),
+            "series_key": batch.column("series_key").take(rows),
             "ts_ns": pa.array(ts, pa.int64()),
             "value_num": pa.array(vals, pa.float64()),
         }
@@ -41,23 +49,15 @@ def decode_chunk_batch(batch: pa.Table) -> pa.Table:
 
 def read_gorilla_chunks(path: str, *, min_ts_ns: int | None = None,
                         max_ts_ns: int | None = None):
-    """Read a chunk directory as a samples Dataset.
+    """Read a chunk directory as a materialized samples Dataset.
 
-    ``min_ts_ns``/``max_ts_ns`` prune whole chunks at the Parquet scan via
-    the ``t_min``/``t_max`` metadata columns — a time-range read never
-    decodes (or even fetches) chunks entirely outside the range.
+    ``min_ts_ns``/``max_ts_ns`` keep the chunks whose ``[t_min, t_max]``
+    overlaps the range: a row group whose statistics rule that out is
+    never fetched, and a file left with none starts no task.  Runs when
+    called (module docstring); a corrupt chunk raises ``ValueError`` here.
     """
-    import pyarrow.dataset as pads
+    from .parquet import read_decoded
 
-    from .parquet import read_parquet
-
-    flt = None
-    if min_ts_ns is not None:
-        flt = pads.field("t_max") >= min_ts_ns
-    if max_ts_ns is not None:
-        f2 = pads.field("t_min") <= max_ts_ns
-        flt = f2 if flt is None else (flt & f2)
-    ds = read_parquet(path, filter=flt)
-    return ds.map_batches(
-        decode_chunk_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return read_decoded(path, decode_chunk_batch, columns=_COLUMNS,
+                        bounds=("t_min", "t_max"), lo=min_ts_ns,
+                        hi=max_ts_ns)

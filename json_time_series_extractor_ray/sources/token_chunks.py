@@ -4,13 +4,15 @@ source)``.
 
 Mirror of ``sources/gorilla_chunks.py`` for the tokens axis: chunk files
 written by ``state.tokenstore.compress_corpus_dataset`` are Parquet with
-``min_doc_id``/``max_doc_id`` columns, so a doc-range read prunes whole
-chunks at the scan (predicate pushdown) before any payload bytes are
-fetched or decoded.  Decode is a stateless per-batch ``map_batches`` —
-one chunk row expands to ``n_docs`` corpus rows; the codec is exactly
-lossless, so readback preserves per-row token-array equality (the
-north-rule invariant) bit-for-bit, enforced by each chunk's blake2b
-checksum.
+``min_doc_id``/``max_doc_id`` columns.  The read is the same direct read
+as the Gorilla store's (``sources/parquet.read_decoded``): the calling
+process keeps only the row groups whose doc-range statistics can overlap
+the range, and one Ray task per file that keeps any fetches and decodes
+them — one chunk row expands to ``n_docs`` corpus rows.  The codec is
+exactly lossless, so readback preserves per-row token-array equality
+(the north-rule invariant) bit-for-bit, enforced by each chunk's blake2b
+checksum.  The read runs when called and holds its corpus rows in the
+object store while the Dataset lives.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..state.tokenstore import decode_token_chunk
+
+#: the columns ``decode_chunk_batch`` reads, the range filter's among them
+_COLUMNS = ["payload", "checksum", "min_doc_id", "max_doc_id", "doc_ids",
+            "n_tok", "sources"]
 
 _EMPTY = pa.table({
     "doc_id": pa.array([], pa.string()),
@@ -46,23 +52,14 @@ def decode_chunk_batch(batch: pa.Table) -> pa.Table:
 
 def read_token_chunks(path: str, *, min_doc_id: str | None = None,
                       max_doc_id: str | None = None):
-    """Read a token-chunk directory as a corpus Dataset.
+    """Read a token-chunk directory as a materialized corpus Dataset.
 
-    ``min_doc_id``/``max_doc_id`` prune whole chunks at the Parquet scan
-    via the chunk-range metadata columns — a range read never decodes (or
-    fetches) chunks entirely outside the range.
+    ``min_doc_id``/``max_doc_id`` keep the chunks whose doc range overlaps
+    the range: a row group whose statistics rule that out is never
+    fetched, and a file left with none starts no task.
     """
-    import pyarrow.dataset as pads
+    from .parquet import read_decoded
 
-    from .parquet import read_parquet
-
-    flt = None
-    if min_doc_id is not None:
-        flt = pads.field("max_doc_id") >= min_doc_id
-    if max_doc_id is not None:
-        f2 = pads.field("min_doc_id") <= max_doc_id
-        flt = f2 if flt is None else (flt & f2)
-    ds = read_parquet(path, filter=flt)
-    return ds.map_batches(
-        decode_chunk_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return read_decoded(path, decode_chunk_batch, columns=_COLUMNS,
+                        bounds=("min_doc_id", "max_doc_id"),
+                        lo=min_doc_id, hi=max_doc_id)

@@ -11,9 +11,9 @@ vocab) instead of 4, while staying exactly lossless for any int32.
 
 Scale shape: encoding is a stateless ``map_batches`` (one chunk row out
 per input batch — no shuffle, no coordination); chunk rows carry
-``min_doc_id``/``max_doc_id`` so a doc-range read prunes whole chunks at
-the Parquet scan before any payload is fetched (same pushdown pattern as
-``sources/gorilla_chunks.py``); each chunk embeds a blake2b checksum the
+``min_doc_id``/``max_doc_id`` so a doc-range read prunes whole row
+groups by their footer statistics before any payload is fetched (the
+same direct read as ``sources/gorilla_chunks.py``); each chunk embeds a blake2b checksum the
 reader verifies, so a corrupted partition fails loudly instead of
 yielding wrong token arrays.
 

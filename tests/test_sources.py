@@ -170,3 +170,191 @@ def test_in_process_footers_equal_rays(ray_session, many_files):
     assert len(ours) == len(rays) == 30
     assert ([[getattr(m, f) for f in fields] for m in ours]
             == [[getattr(m, f) for f in fields] for m in rays])
+
+
+SEC = 10**9
+T0 = 1_704_067_200 * SEC
+
+
+def _samples(keys, ts):
+    """Numeric samples, one per ``(key, ts)``, valued ``ts / 1e9``."""
+    import numpy as np
+    import pyarrow as pa
+
+    ts = np.asarray(ts, np.int64)
+    n = len(ts)
+    return pa.table({
+        "series_key": pa.array(keys, pa.string()),
+        "ts": pa.array(ts, pa.int64()).cast(pa.timestamp("ns")),
+        "value_num": pa.array((ts - T0) / 1e9),
+        "value_kind": pa.array(np.ones(n, np.int8)),
+        "doc_id": pa.array([f"d{i:04d}" for i in range(n)]),
+        "sample_ordinal": pa.array(np.zeros(n, np.int32)),
+    })
+
+
+@pytest.fixture(scope="module")
+def time_sliced_store(tmp_path_factory):
+    """30 chunk files, file ``i`` holding two series' samples of seconds
+    ``[100 i, 100 i + 10)``: the files' time ranges are disjoint."""
+    import pyarrow.parquet as pq
+
+    from json_time_series_extractor_ray.state.gorilla import (
+        GorillaChunkWriter,
+    )
+
+    d = tmp_path_factory.mktemp("time_sliced")
+    for i in range(30):
+        ts = [T0 + (100 * i + j) * SEC for j in range(10)]
+        pq.write_table(
+            GorillaChunkWriter()(_samples(["a"] * 10 + ["b"] * 10, ts * 2)),
+            str(d / f"part-{i:02d}.parquet"))
+    return str(d)
+
+
+def _points(ds):
+    df = ds.to_pandas()
+    return sorted(zip(df["series_key"], df["ts_ns"], df["value_num"]))
+
+
+def test_chunk_reads_run_no_ray_data_plan(ray_session, tmp_path,
+                                          time_sliced_store):
+    """Both chunk read-backs are direct: no Ray Data plan executes, not
+    even when the caller materializes the result."""
+    import pyarrow.parquet as pq
+
+    from json_time_series_extractor_ray.corpus import iot_corpus_table
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+    from json_time_series_extractor_ray.sources.token_chunks import (
+        read_token_chunks,
+    )
+    from json_time_series_extractor_ray.state.tokenstore import (
+        compress_corpus_batch,
+    )
+    from tests.test_checkpoint_resume import _PlanCounter
+
+    corpus = iot_corpus_table(40, seed=3)
+    for i in range(4):
+        pq.write_table(compress_corpus_batch(corpus.slice(i * 10, 10)),
+                       str(tmp_path / f"t{i}.parquet"))
+    with _PlanCounter() as plans:
+        points = read_gorilla_chunks(time_sliced_store).materialize()
+        docs = read_token_chunks(str(tmp_path)).materialize()
+        ranged = read_token_chunks(
+            str(tmp_path), min_doc_id=corpus.column("doc_id")[12].as_py(),
+            max_doc_id=corpus.column("doc_id")[12].as_py()).materialize()
+    assert plans.plans == 0
+    assert points.count() == 600
+    assert sorted(docs.to_pandas()["doc_id"]) == sorted(
+        corpus.column("doc_id").to_pylist())
+    assert ranged.num_blocks() == 1  # chunk of docs 10..19 only
+    assert corpus.column("doc_id")[12].as_py() in set(
+        ranged.to_pandas()["doc_id"])
+    none = read_token_chunks(str(tmp_path), min_doc_id="\U0010ffff")
+    assert none.count() == 0
+    assert none.schema().names == ["doc_id", "tokens", "n_tok", "source"]
+
+
+def test_range_read_starts_tasks_only_for_overlapping_files(
+        ray_session, time_sliced_store):
+    """A range over 3 of 30 files yields 3 blocks: a file whose footer
+    statistics rule the range out gets no task."""
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+
+    lo, hi = T0 + 1_005 * SEC, T0 + 1_205 * SEC  # files 10, 11 and 12
+    ds = read_gorilla_chunks(time_sliced_store, min_ts_ns=lo, max_ts_ns=hi)
+    assert ds.num_blocks() == 3
+    want = sorted((k, T0 + (100 * i + j) * SEC, float(100 * i + j))
+                  for k in "ab" for i in (10, 11, 12) for j in range(10))
+    assert _points(ds) == want
+
+
+def test_range_outside_every_chunk_reads_empty(ray_session,
+                                               time_sliced_store):
+    import pyarrow as pa
+
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+
+    ds = read_gorilla_chunks(time_sliced_store, min_ts_ns=T0 + 10**6 * SEC)
+    assert ds.count() == 0
+    assert ds.schema().base_schema == pa.schema([
+        ("series_key", pa.string()), ("ts_ns", pa.int64()),
+        ("value_num", pa.float64())])
+    assert read_gorilla_chunks(time_sliced_store,
+                               max_ts_ns=T0 - 1).count() == 0
+
+
+def test_corrupt_chunk_raises_from_the_read(ray_session, tmp_path):
+    """The read runs when called: a corrupt chunk fails the call itself."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+    from json_time_series_extractor_ray.state.gorilla import (
+        GorillaChunkWriter,
+    )
+
+    chunks = GorillaChunkWriter()(_samples(
+        ["a"] * 50, [T0 + j * SEC for j in range(50)]))
+    cut = pc.binary_slice(chunks.column("chunk"), 0, -2)
+    pq.write_table(chunks.set_column(
+        chunks.schema.get_field_index("chunk"), "chunk", cut),
+        str(tmp_path / "bad.parquet"))
+    with pytest.raises(ValueError, match="gorilla:"):
+        read_gorilla_chunks(str(tmp_path))
+
+
+def test_flat_and_shard_partitioned_stores_read_equal(ray_session,
+                                                      tmp_path):
+    """The same chunks written flat by ``write_parquet`` and as the job's
+    ``chunks/shard=NNNNN/`` store read back equal, whole and by range; the
+    store's ``_``- and ``.``-prefixed entries are not read."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray
+
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+    from json_time_series_extractor_ray.state.checkpoint import shard_of
+    from json_time_series_extractor_ray.state.gorilla import (
+        GorillaChunkWriter,
+    )
+
+    keys = [f"dev-{i % 7}" for i in range(700)]
+    chunks = GorillaChunkWriter(bucket_ns=20 * SEC)(
+        _samples(keys, T0 + np.arange(700) * SEC))
+    flat = str(tmp_path / "flat")
+    ray.data.from_arrow(chunks).repartition(3).write_parquet(flat)
+    store = tmp_path / "chunks"
+    shard = np.array([shard_of(k, 4) for k in
+                      chunks.column("series_key").to_pylist()])
+    for s in np.unique(shard):
+        (store / f"shard={s:05d}").mkdir(parents=True)
+        pq.write_table(chunks.filter(shard == s),
+                       str(store / f"shard={s:05d}" / "part-0.parquet"))
+    (store / "_manifest").mkdir()
+    (store / "_manifest" / "00000.json").write_text("{}")
+    (store / ".part-0.parquet.crc").write_bytes(b"\0")
+
+    t_min = chunks.column("t_min").to_numpy()
+    t_max = chunks.column("t_max").to_numpy()
+    n_points = chunks.column("n_points").to_numpy()
+    for lo, hi in ((T0, T0 + 700 * SEC), (T0 + 250 * SEC, T0 + 300 * SEC)):
+        a = _points(read_gorilla_chunks(flat, min_ts_ns=lo, max_ts_ns=hi))
+        b = _points(read_gorilla_chunks(str(store), min_ts_ns=lo,
+                                        max_ts_ns=hi))
+        assert a == b
+        assert len(a) == n_points[(t_max >= lo) & (t_min <= hi)].sum()
+    assert _points(read_gorilla_chunks(flat)) == _points(
+        read_gorilla_chunks(str(store))) == sorted(
+            zip(keys, (T0 + np.arange(700) * SEC).tolist(),
+                np.arange(700, dtype=float).tolist()))
