@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..state.checkpoint import shard_apply
 
 #: Adaptive execution: when the MATERIALIZED partial relation of a
 #: value-ordered statistic (``ranktests``, ``psidrift``) is small enough to
@@ -45,6 +50,112 @@ def round_half_away(x, digits: int = 6):
     scale = 10.0 ** digits
     arr = np.asarray(x, dtype=np.float64)
     return np.sign(arr) * np.floor(np.abs(arr) * scale + 0.5) / scale
+
+
+def as_table(out, schema: pa.Schema) -> pa.Table:
+    """Rows as one table of exactly ``schema``, with no pandas metadata
+    (Ray cannot hash a schema that carries it): ``out`` is a pandas
+    frame, a dict of columns, or a list of row tuples in ``schema``
+    order.  No rows gives ``schema.empty_table()``."""
+    frame = pd.DataFrame(out, columns=schema.names) \
+        if isinstance(out, list) else pd.DataFrame(out)
+    if frame.empty:
+        return schema.empty_table()
+    return pa.Table.from_pandas(frame[schema.names], schema=schema,
+                                preserve_index=False).replace_schema_metadata()
+
+
+def sharded_aggregate(ds, partial, final, schema: pa.Schema, *,
+                      key: str = "series_key"):
+    """A keyed aggregate on the one shard exchange
+    (``state/checkpoint.shard_apply``): ``partial`` maps each Arrow block
+    to bounded partial rows, the exchange brings every partial row of one
+    ``key`` value into one task, and ``final`` reduces that whole shard's
+    partial rows (a pandas frame, the one pandas bridge; many keys at
+    once) to output rows in any form ``as_table`` takes.  Each shard's
+    output is cast once to ``schema``, and an input with no rows gives
+    one empty block of it.  Runs when called, like ``shard_apply``."""
+    import ray
+
+    def _reduce(t: pa.Table) -> pa.Table:
+        return as_table(final(t.drop_columns(["shard"]).to_pandas()), schema)
+
+    out = shard_apply(ds.map_batches(partial, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      _reduce, key=key)
+    return out if out.num_blocks() else ray.data.from_arrow(
+        schema.empty_table())
+
+
+def window_rows(batch: pa.Table, window_ns: int,
+                ts_col: str = "ts") -> pd.DataFrame:
+    """(series_key, window_ns, ts_ns, v) of a block's numeric samples
+    (non-null ``value_num``); ``ts_col`` is a timestamp or int64 ns."""
+    t = batch.filter(batch.column("value_num").is_valid())
+    ts = t.column(ts_col)
+    if pa.types.is_timestamp(ts.type):
+        ts = ts.cast(pa.timestamp("ns"))
+    ts = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+    return pd.DataFrame({
+        "series_key": t.column("series_key").to_pandas(),
+        "window_ns": ts // window_ns * window_ns,
+        "ts_ns": ts,
+        "v": t.column("value_num").to_numpy(zero_copy_only=False),
+    })
+
+
+def window_sums(df: pd.DataFrame, **aggs) -> pd.DataFrame:
+    """Named aggregates per (series_key, window_ns), keys as columns."""
+    return df.groupby(["series_key", "window_ns"], sort=True).agg(
+        **aggs).reset_index()
+
+
+#: the (series, window) partials of ``window_means``
+_MEAN_PARTIALS = pa.schema([("series_key", pa.string()),
+                            ("window_ns", pa.int64()), ("n", pa.int64()),
+                            ("s", pa.float64())])
+
+
+def window_means(samples_ds, *, window_ns: int, fit, schema: pa.Schema,
+                 series=None, round_digits: int = 6):
+    """The canonical rounded window mean ``round(round(Σv, 6) / n, 6)`` of
+    every (series_key, window) of the numeric samples, fitted one shard
+    at a time: each block collapses to (series_key, window_ns) ->
+    (n, Σv) partials, ``sharded_aggregate`` brings each series' partials
+    into one task, and ``fit(series, windows, y, starts)`` gets that
+    shard's series keys, window starts and means sorted by
+    (series_key, window_ns), with series ``i`` in rows
+    ``starts[i]:starts[i + 1]``.  ``fit`` returns output rows (see
+    ``as_table``), cast to ``schema``.
+
+    With ``series``, only those keys are kept, and all of them meet in
+    one task (a cross-series fit such as a pair correlation)."""
+    keep = None if series is None else pa.array(list(series), pa.string())
+    # a cross-series fit's partials carry its constant exchange key
+    partials = _MEAN_PARTIALS if keep is None else \
+        _MEAN_PARTIALS.append(pa.field("group", pa.string()))
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        if keep is not None:
+            batch = batch.filter(pc.is_in(batch.column("series_key"),
+                                          value_set=keep))
+        g = window_sums(window_rows(batch, window_ns), n=("v", "size"),
+                        s=("v", "sum"))
+        g["group"] = ""
+        return as_table(g, partials)
+
+    def _final(df: pd.DataFrame):
+        g = window_sums(df, n=("n", "sum"), s=("s", "sum"))
+        y = round_half_away(
+            round_half_away(g["s"].to_numpy(), round_digits)
+            / g["n"].to_numpy(), round_digits)
+        series = g["series_key"].to_numpy()
+        starts = np.r_[0, np.flatnonzero(series[1:] != series[:-1]) + 1,
+                       len(series)]
+        return fit(series, g["window_ns"].to_numpy(np.int64), y, starts)
+
+    return sharded_aggregate(samples_ds, _partial, _final, schema,
+                             key="series_key" if keep is None else "group")
 
 
 def hash_shards(values, num_shards: int, *, mix=None):

@@ -1,12 +1,18 @@
 """Windowed second-moment rollups and rollup-ladder diffing.
 
+Every operator here runs on the one shard exchange through the two
+``_util`` helpers: ``sharded_aggregate`` (a per-block partial, the
+exchange, one reduce per shard) for the operators that keep their own
+moments, and ``window_means`` (the canonical rounded window-mean
+combiner on ``sharded_aggregate``) for the per-series fits over window
+means.  Partials are bounded by window count, never sample count.
+
 ``window_stddev``: per-(series, window) n/mean/stddev via per-block
-moment partials (n, Σv, Σv²) — the same one-combiner-one-groupby shape
-as the core rollup, so window count (not sample count) bounds the
-shuffle.  Oracle parity uses the repo's rounded-moments rule: Σv and Σv²
-are rounded to 6 decimals on both engines before the variance
-arithmetic, and the whole expression is the same IEEE formula, so the
-result hashes exactly despite cross-engine summation order.
+moment partials (n, Σv, Σv²).  Oracle parity uses the repo's
+rounded-moments rule: Σv and Σv² are rounded to 6 decimals on both
+engines before the variance arithmetic, and the whole expression is the
+same IEEE formula, so the result hashes exactly despite cross-engine
+summation order.
 
 ``diff_rollups``: compare two rollup ladders (two corpus versions, two
 pipeline runs) and emit the windows whose exact columns differ — the
@@ -14,7 +20,7 @@ verification/CDC complement of ``merge_tier_rollups``-style incremental
 maintenance: after an incremental update, diffing against a batch
 recompute must return ZERO rows.  Only exact columns (count) are
 compared, so the diff itself needs no float tolerance.  Both sides are
-projected to (key, window, count) BEFORE the one co-partition shuffle.
+projected to (key, window, count) BEFORE the one exchange.
 """
 
 from __future__ import annotations
@@ -23,77 +29,54 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import round_half_away
+from ._util import (
+    as_table,
+    round_half_away,
+    sharded_aggregate,
+    window_means,
+    window_rows,
+    window_sums,
+)
 from .registry import register
 
-_SHARDS = 64
+
+def _schema(*fields) -> pa.Schema:
+    """``series_key`` (string) then ``(name, type)`` fields."""
+    return pa.schema([("series_key", pa.string()), *fields])
 
 
-def _shard64(series: pd.Series, window: pd.Series) -> np.ndarray:
-    from ._util import hash_shards
-
-    return hash_shards(series, _SHARDS, mix=window)
+_I, _F = pa.int64(), pa.float64()
 
 
 def window_stddev(samples_ds, *, window_ns: int, round_digits: int = 6):
     """Per-(series_key, window) n / mean / stddev (sample stddev, n>=2)."""
+    moments = _schema(("window_ns", _I), ("n", _I), ("s", _F), ("ss", _F))
 
     def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "ss": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
+        df = window_rows(batch, window_ns)
         df["vv"] = df["v"] * df["v"]
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum"), ss=("vv", "sum")
-        ).reset_index()
-        g["shard"] = _shard64(g["series_key"], g["window_ns"])
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return as_table(window_sums(df, n=("v", "size"), s=("v", "sum"),
+                                    ss=("vv", "sum")), moments)
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum"), ss=("ss", "sum")
-        ).reset_index()
-        g = g[g["n"] >= 2].copy()
-        if g.empty:
-            return pd.DataFrame({
-                "series_key": pd.Series(dtype="object"),
-                "window_ns": pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "mean": pd.Series(dtype="float64"),
-                "stddev": pd.Series(dtype="float64"),
-            })
+        g = window_sums(df, n=("n", "sum"), s=("s", "sum"),
+                        ss=("ss", "sum"))
+        g = g[g["n"] >= 2]
         n = g["n"].to_numpy().astype(np.float64)
         s6 = round_half_away(g["s"].to_numpy(), round_digits)
         ss6 = round_half_away(g["ss"].to_numpy(), round_digits)
         var = (ss6 - s6 * s6 / n) / (n - 1)
-        return pd.DataFrame({
+        return {
             "series_key": g["series_key"].to_numpy(),
             "window_ns": g["window_ns"].to_numpy(),
-            "n": g["n"].to_numpy().astype(np.int64),
+            "n": g["n"].to_numpy(),
             "mean": round_half_away(s6 / n, round_digits),
             "stddev": round_half_away(np.sqrt(np.maximum(var, 0.0)),
                                       round_digits),
-        })
+        }
 
-    partials = samples_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("shard").map_groups(_final, batch_format="pandas")
+    return sharded_aggregate(samples_ds, _partial, _final, _schema(
+        ("window_ns", _I), ("n", _I), ("mean", _F), ("stddev", _F)))
 
 
 def window_trend(samples_ds, *, window_ns: int, round_digits: int = 6):
@@ -106,45 +89,23 @@ def window_trend(samples_ds, *, window_ns: int, round_digits: int = 6):
     cross-engine moment oracles go wrong).  With identical rounded
     moments, the slope expression is the same IEEE arithmetic on both
     engines.  Same partial-combiner shape as :func:`window_stddev`."""
+    moments = _schema(("window_ns", _I), ("n", _I), ("sx", _F),
+                      ("sxx", _F), ("sy", _F), ("sxy", _F))
 
     def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        cols = {
-            "series_key": pa.array([], pa.string()),
-            "window_ns": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-            "sx": pa.array([], pa.float64()),
-            "sxx": pa.array([], pa.float64()),
-            "sy": pa.array([], pa.float64()),
-            "sxy": pa.array([], pa.float64()),
-            "shard": pa.array([], pa.int32()),
-        }
-        if t.num_rows == 0:
-            return pa.table(cols)
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        w = ts // window_ns * window_ns
+        df = window_rows(batch, window_ns)
         half_h = window_ns / 2e9 / 3600.0
-        x = ((ts - w) / 1e9 / 3600.0) - half_h
-        y = t.column("value_num").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": w,
-            "x": x, "y": y, "xx": x * x, "xy": x * y,
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("x", "size"), sx=("x", "sum"), sxx=("xx", "sum"),
-            sy=("y", "sum"), sxy=("xy", "sum"),
-        ).reset_index()
-        g["shard"] = _shard64(g["series_key"], g["window_ns"])
-        return pa.Table.from_pandas(g, preserve_index=False)
+        x = ((df["ts_ns"] - df["window_ns"]) / 1e9 / 3600.0) - half_h
+        y = df["v"]
+        df = df.assign(x=x, xx=x * x, xy=x * y)
+        return as_table(window_sums(
+            df, n=("x", "size"), sx=("x", "sum"), sxx=("xx", "sum"),
+            sy=("v", "sum"), sxy=("xy", "sum")), moments)
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), sx=("sx", "sum"), sxx=("sxx", "sum"),
-            sy=("sy", "sum"), sxy=("sxy", "sum"),
-        ).reset_index()
+        g = window_sums(df, n=("n", "sum"), sx=("sx", "sum"),
+                        sxx=("sxx", "sum"), sy=("sy", "sum"),
+                        sxy=("sxy", "sum"))
         n = g["n"].to_numpy().astype(np.float64)
         sx = round_half_away(g["sx"].to_numpy(), round_digits)
         sxx = round_half_away(g["sxx"].to_numpy(), round_digits)
@@ -154,22 +115,15 @@ def window_trend(samples_ds, *, window_ns: int, round_digits: int = 6):
         keep = (g["n"].to_numpy() >= 2) & (denom > 0)
         g = g[keep]
         slope = (n * sxy - sx * sy)[keep] / denom[keep]
-        return pd.DataFrame({
+        return {
             "series_key": g["series_key"].to_numpy(),
-            "window_ns": g["window_ns"].to_numpy().astype(np.int64),
-            "n": g["n"].to_numpy().astype(np.int64),
+            "window_ns": g["window_ns"].to_numpy(),
+            "n": g["n"].to_numpy(),
             "slope": round_half_away(slope, round_digits),
-        }) if keep.any() else pd.DataFrame({
-            "series_key": pd.Series(dtype="object"),
-            "window_ns": pd.Series(dtype="int64"),
-            "n": pd.Series(dtype="int64"),
-            "slope": pd.Series(dtype="float64"),
-        })
+        }
 
-    partials = samples_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("shard").map_groups(_final, batch_format="pandas")
+    return sharded_aggregate(samples_ds, _partial, _final, _schema(
+        ("window_ns", _I), ("n", _I), ("slope", _F)))
 
 
 def simple_window_rollup(samples_ds, *, window_ns: int, ts_col: str = "ts",
@@ -177,75 +131,53 @@ def simple_window_rollup(samples_ds, *, window_ns: int, ts_col: str = "ts",
     """Per-(series, window) n/min/max/sum/mean over bare numeric samples
     (no ``last`` — no doc lineage needed, so it runs on storage-readback
     streams that carry only (series_key, ts, value)).  Same partial-
-    combiner + shard-groupby shape as :func:`window_stddev`; sum/mean
-    follow the repo's rounded-sum oracle rule."""
+    combiner shape as :func:`window_stddev`; sum/mean follow the repo's
+    rounded-sum oracle rule."""
+    moments = _schema(("window_ns", _I), ("n", _I), ("s", _F), ("mn", _F),
+                      ("mx", _F))
 
     def _partial(batch: pa.Table) -> pa.Table:
-        ts_raw = batch.column(ts_col)
-        if pa.types.is_timestamp(ts_raw.type):
-            ts_raw = ts_raw.cast(pa.timestamp("ns"))
-        ts = ts_raw.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": batch.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": batch.column("value_num").to_numpy(zero_copy_only=False),
-        }).dropna(subset=["v"])
-        if df.empty:  # typed empty block, not a null-inferred schema
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "mn": pa.array([], pa.float64()),
-                "mx": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum"), mn=("v", "min"), mx=("v", "max")
-        ).reset_index()
-        g["shard"] = _shard64(g["series_key"], g["window_ns"])
-        return pa.Table.from_pandas(g, preserve_index=False)
+        df = window_rows(batch, window_ns, ts_col).dropna(subset=["v"])
+        return as_table(window_sums(
+            df, n=("v", "size"), s=("v", "sum"), mn=("v", "min"),
+            mx=("v", "max")), moments)
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum"), mn=("mn", "min"), mx=("mx", "max")
-        ).reset_index()
+        g = window_sums(df, n=("n", "sum"), s=("s", "sum"),
+                        mn=("mn", "min"), mx=("mx", "max"))
         n = g["n"].to_numpy().astype(np.float64)
         s6 = round_half_away(g["s"].to_numpy(), round_digits)
-        return pd.DataFrame({
+        return {
             "series_key": g["series_key"].to_numpy(),
-            "window_ns": g["window_ns"].to_numpy().astype(np.int64),
-            "n": g["n"].to_numpy().astype(np.int64),
+            "window_ns": g["window_ns"].to_numpy(),
+            "n": g["n"].to_numpy(),
             "min": g["mn"].to_numpy(),
             "max": g["mx"].to_numpy(),
             "sum": s6,
             "mean": round_half_away(s6 / n, round_digits),
-        })
+        }
 
-    partials = samples_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("shard").map_groups(_final, batch_format="pandas")
+    return sharded_aggregate(samples_ds, _partial, _final, _schema(
+        ("window_ns", _I), ("n", _I), ("min", _F), ("max", _F),
+        ("sum", _F), ("mean", _F)))
 
 
 def diff_rollups(a_ds, b_ds, *, count_col: str = "count"):
     """Windows whose exact ``count`` differs between two rollup ladders
     (missing on one side counts as 0).  Output: (series_key, window_ns,
     count_a, count_b)."""
+    counts = _schema(("window_ns", _I), ("cnt", _I), ("side", pa.int8()))
 
-    def _prep(side: int):
+    def _side(side: int):
         def _fn(batch: pa.Table) -> pa.Table:
-            sk = batch.column("series_key").to_pandas()
-            w = batch.column("window_ns").to_numpy(zero_copy_only=False)
-            cnt = batch.column(count_col).to_numpy(zero_copy_only=False)
-            return pa.table({
-                "series_key": pa.array(sk, pa.string()),
-                "window_ns": pa.array(w, pa.int64()),
-                "cnt": pa.array(cnt.astype(np.int64), pa.int64()),
-                "side": pa.array(np.full(len(w), side, np.int8), pa.int8()),
-                "shard": pa.array(_shard64(sk, pd.Series(w)), pa.int32()),
-            })
+            return batch.append_column("side", pa.array(
+                np.full(batch.num_rows, side, np.int8)))
         return _fn
+
+    def _project(batch: pa.Table) -> pa.Table:
+        return pa.table([batch.column(c).cast(f.type) for c, f in zip(
+            ("series_key", "window_ns", count_col, "side"), counts)],
+            schema=counts)
 
     def _diff(df: pd.DataFrame) -> pd.DataFrame:
         piv = df.pivot_table(
@@ -256,21 +188,20 @@ def diff_rollups(a_ds, b_ds, *, count_col: str = "count"):
             if side not in piv.columns:
                 piv[side] = 0
         piv = piv.reset_index()
-        keep = piv[0] != piv[1]
-        out = piv[keep]
-        return pd.DataFrame({
+        out = piv[piv[0] != piv[1]]
+        return {
             "series_key": out["series_key"].to_numpy(),
-            "window_ns": out["window_ns"].to_numpy().astype(np.int64),
-            "count_a": out[0].to_numpy().astype(np.int64),
-            "count_b": out[1].to_numpy().astype(np.int64),
-        })
+            "window_ns": out["window_ns"].to_numpy(),
+            "count_a": out[0].to_numpy(),
+            "count_b": out[1].to_numpy(),
+        }
 
-    a = a_ds.map_batches(_prep(0), batch_format="pyarrow",
-                         zero_copy_batch=True)
-    b = b_ds.map_batches(_prep(1), batch_format="pyarrow",
-                         zero_copy_batch=True)
-    return a.union(b).groupby("shard").map_groups(_diff,
-                                                  batch_format="pandas")
+    sides = [ds.map_batches(_side(side), batch_format="pyarrow",
+                            zero_copy_batch=True)
+             for side, ds in enumerate((a_ds, b_ds))]
+    return sharded_aggregate(sides[0].union(sides[1]), _project, _diff,
+                             _schema(("window_ns", _I), ("count_a", _I),
+                                     ("count_b", _I)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +395,21 @@ HOLT_BETA = 0.25   # SAME IEEE op sequence in numpy and in the SQL CTE
 
 
 def holt_smooth(samples_ds, *, window_ns: int, alpha: float = HOLT_ALPHA,
-                beta: float = HOLT_BETA, round_digits: int = 6,
-                num_shards: int = _SHARDS):
+                beta: float = HOLT_BETA, round_digits: int = 6):
     """Per-series Holt linear smoothing over window means: level
     ``l_t = a*y_t + (1-a)*(l_{t-1} + b_{t-1})``, trend
     ``b_t = B*(l_t - l_{t-1}) + (1-B)*b_{t-1}`` (init ``l_1 = y_1``,
     ``b_1 = 0``), plus the one-step-ahead forecast ``l_t + b_t`` — the
     classic short-horizon forecaster for dashboard-style series.
 
-    Scale shape: window means come from the usual per-block (n, sum)
-    combiner, but the ONE shuffle shards by SERIES (not window): the
-    recursion is sequential per series, so a group task must see all
-    of a series' windows in order — per-series state is the operator's
-    inherent frontier, bounded by retention/window (e.g. one year of
-    1h windows = 8,760 rows per series), never by sample count.  The
-    per-series time loop is O(windows) Python, amortized over the
-    vectorized window aggregation that reduced samples to windows.
+    Scale shape: window means come from ``window_means``, whose ONE
+    exchange shards by SERIES (not window): the recursion is sequential
+    per series, so a shard task must see all of a series' windows in
+    order — per-series state is the operator's inherent frontier,
+    bounded by retention/window (e.g. one year of 1h windows = 8,760
+    rows per series), never by sample count.  The per-series time loop
+    is O(windows) Python, amortized over the vectorized window
+    aggregation that reduced samples to windows.
 
     Hash parity: y is the repo's canonical rounded mean
     (``round(round(sum,6)/n,6)``); alpha/beta default to exact binary
@@ -487,44 +417,11 @@ def holt_smooth(samples_ds, *, window_ns: int, alpha: float = HOLT_ALPHA,
     sequence — the recursion needs NO intermediate rounding to hash
     exactly (pinned by the oracle at two scales).
     """
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _smooth(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        out_l = np.empty(len(g))
-        out_b = np.empty(len(g))
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+    def _smooth(series, windows, y, starts):
+        out_l = np.empty(len(y))
+        out_b = np.empty(len(y))
+        for lo, hi in zip(starts[:-1], starts[1:]):
             l = y[lo]
             b = 0.0
             out_l[lo], out_b[lo] = l, b
@@ -533,20 +430,19 @@ def holt_smooth(samples_ds, *, window_ns: int, alpha: float = HOLT_ALPHA,
                 b = beta * (l_new - l) + (1 - beta) * b
                 l = l_new
                 out_l[i], out_b[i] = l, b
-        return pd.DataFrame({
+        return {
             "series_key": series,
-            "window_ns": g["window_ns"].to_numpy(np.int64),
+            "window_ns": windows,
             "y": y,
             "level": round_half_away(out_l, round_digits),
             "trend": round_half_away(out_b, round_digits),
             "forecast_next": round_half_away(out_l + out_b, round_digits),
-        })
+        }
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_smooth, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_smooth,
+                        round_digits=round_digits, schema=_schema(
+                            ("window_ns", _I), ("y", _F), ("level", _F),
+                            ("trend", _F), ("forecast_next", _F)))
 
 
 def _q_holt(sf_dir: str):
@@ -592,8 +488,7 @@ register(
 # Welch's t: weekend vs weekday values per series
 # ---------------------------------------------------------------------------
 
-def welch_weekend_effect(samples_ds, *, round_digits: int = 6,
-                         num_shards: int = _SHARDS):
+def welch_weekend_effect(samples_ds, *, round_digits: int = 6):
     """Per series: Welch's t-statistic comparing weekend vs weekday
     sample values (unequal-variance two-sample t) plus both group means
     — the seasonality-effect screen that complements the chi-square
@@ -601,44 +496,24 @@ def welch_weekend_effect(samples_ds, *, round_digits: int = 6,
 
     Scale shape: the usual rounded-moments discipline — per-block
     (series, is_weekend) partials carry (n, sum, sum-of-squares), one
-    series-sharded merge holds each series' TWO moment rows and
-    evaluates the identical IEEE expression both engines round the
-    same way.  Day-of-week matches DuckDB ``dayofweek`` (0 = Sunday,
-    6 = Saturday).
+    series-sharded exchange (``sharded_aggregate``) holds each series'
+    TWO moment rows and evaluates the identical IEEE expression both
+    engines round the same way.  Day-of-week matches DuckDB
+    ``dayofweek`` (0 = Sunday, 6 = Saturday).
     """
-    from ._util import hash_shards
-
     day_ns = 86_400_000_000_000
+    moments = _schema(("wk", pa.int8()), ("n", _I), ("s", _F), ("ss", _F))
 
     def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "wk": pa.array([], pa.int8()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "ss": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        dow = ((ts // day_ns) + 4) % 7
-        v = t.column("value_num").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "wk": ((dow == 0) | (dow == 6)).astype(np.int8),
-            "v": v,
-            "vv": v * v,
-        })
-        g = df.groupby(["series_key", "wk"], sort=False).agg(
+        df = window_rows(batch, day_ns)
+        dow = ((df["ts_ns"] // day_ns) + 4) % 7
+        df = df.assign(wk=((dow == 0) | (dow == 6)).astype(np.int8),
+                       vv=df["v"] * df["v"])
+        return as_table(df.groupby(["series_key", "wk"], sort=False).agg(
             n=("v", "size"), s=("v", "sum"), ss=("vv", "sum")
-        ).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        ).reset_index(), moments)
 
-    def _welch(df: pd.DataFrame) -> pd.DataFrame:
+    def _welch(df: pd.DataFrame) -> list:
         g = df.groupby(["series_key", "wk"], sort=True).agg(
             n=("n", "sum"), s=("s", "sum"), ss=("ss", "sum")
         ).reset_index()
@@ -668,15 +543,11 @@ def welch_weekend_effect(samples_ds, *, round_digits: int = 6,
                 round_half_away(np.array([m1]), round_digits)[0],
                 round_half_away(np.array([t_stat]), round_digits)[0],
             ))
-        return pd.DataFrame(
-            out_rows, columns=["series_key", "n_weekday", "n_weekend",
-                               "mean_weekday", "mean_weekend", "t_stat"])
+        return out_rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_welch, batch_format="pandas")
-    )
+    return sharded_aggregate(samples_ds, _partial, _welch, _schema(
+        ("n_weekday", _I), ("n_weekend", _I), ("mean_weekday", _F),
+        ("mean_weekend", _F), ("t_stat", _F)))
 
 
 def _q_welch(sf_dir: str):
@@ -729,8 +600,7 @@ KALMAN_R = 1.0   # obs variance      is the SAME IEEE op sequence in both
 
 
 def kalman_level(samples_ds, *, window_ns: int, q: float = KALMAN_Q,
-                 r: float = KALMAN_R, round_digits: int = 6,
-                 num_shards: int = _SHARDS):
+                 r: float = KALMAN_R, round_digits: int = 6):
     """Per-series local-level Kalman filter over window means: the
     state-space counterpart of ``holt_smooth`` (level-only model
     ``x_t = x_{t-1} + w``, ``y_t = x_t + v`` with Var(w)=q, Var(v)=r).
@@ -740,10 +610,10 @@ def kalman_level(samples_ds, *, window_ns: int, q: float = KALMAN_Q,
     burn-in (starts at ~0.55, converges to the steady-state Riccati
     value), giving principled early-window smoothing.
 
-    Scale shape: identical to ``holt_smooth`` — per-block (n, sum)
-    window combiner, ONE series-sharded shuffle, O(windows) sequential
-    recursion per series inside the group task (per-series state is the
-    operator's inherent frontier, bounded by retention not samples).
+    Scale shape: identical to ``holt_smooth`` — ``window_means``' ONE
+    series-sharded exchange, O(windows) sequential recursion per series
+    inside the shard task (per-series state is the operator's inherent
+    frontier, bounded by retention not samples).
 
     Hash parity: y is the canonical rounded mean; q/r are exact binary
     fractions and — key property of the LOCAL-LEVEL model — P and K
@@ -752,44 +622,11 @@ def kalman_level(samples_ds, *, window_ns: int, q: float = KALMAN_Q,
     hashes exactly with no intermediate rounding (pinned by the oracle's
     recursive CTE carrying (x, P) through the same IEEE expressions).
     """
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _filter(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        out_x = np.empty(len(g))
-        out_k = np.empty(len(g))
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+    def _filter(series, windows, y, starts):
+        out_x = np.empty(len(y))
+        out_k = np.empty(len(y))
+        for lo, hi in zip(starts[:-1], starts[1:]):
             x = y[lo]
             p = r
             out_x[lo], out_k[lo] = x, 0.0
@@ -799,19 +636,18 @@ def kalman_level(samples_ds, *, window_ns: int, q: float = KALMAN_Q,
                 x = x + gain * (y[i] - x)
                 p = (1.0 - gain) * p_pred
                 out_x[i], out_k[i] = x, gain
-        return pd.DataFrame({
+        return {
             "series_key": series,
-            "window_ns": g["window_ns"].to_numpy(np.int64),
+            "window_ns": windows,
             "y": y,
             "level": round_half_away(out_x, round_digits),
             "gain": round_half_away(out_k, round_digits),
-        })
+        }
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_filter, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_filter,
+                        round_digits=round_digits, schema=_schema(
+                            ("window_ns", _I), ("y", _F), ("level", _F),
+                            ("gain", _F)))
 
 
 def _q_kalman(sf_dir: str):
@@ -867,7 +703,6 @@ THEIL_SEN_MAX_WINDOWS = 4_000
 
 
 def theil_sen_trend(samples_ds, *, window_ns: int, round_digits: int = 6,
-                    num_shards: int = _SHARDS,
                     max_windows: int = THEIL_SEN_MAX_WINDOWS):
     """Per-series Theil-Sen estimator: the MEDIAN of all pairwise slopes
     over the series' window means, plus the matching median intercept
@@ -877,9 +712,9 @@ def theil_sen_trend(samples_ds, *, window_ns: int, round_digits: int = 6,
     Scale shape: the hourly-mean rollup is the scale REDUCER — pairwise
     work grows with the square of the WINDOW count (bounded by
     retention/window, e.g. one year of 1h windows = 8,760), never with
-    raw sample count.  The usual per-block (n, sum) combiner feeds ONE
-    series-sharded shuffle; each group task vectorizes its pair slopes
-    with numpy ``triu_indices``.  A series whose window count exceeds
+    raw sample count.  ``window_means`` feeds ONE series-sharded
+    exchange; each shard task vectorizes its pair slopes with numpy
+    ``triu_indices``.  A series whose window count exceeds
     ``max_windows`` (default 4,000 -> 8M pairs, ~130 MB of task scratch)
     fails LOUDLY naming the fix (coarser window / shorter retention)
     rather than silently OOMing a worker.
@@ -891,47 +726,11 @@ def theil_sen_trend(samples_ds, *, window_ns: int, round_digits: int = 6,
     inputs.  The intercept derives from the ALREADY-ROUNDED slope so
     both engines subtract identical products.
     """
-    from ._util import hash_shards
-
     hour_ns = 3_600_000_000_000.0
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _trend(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y_all = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        w = g["window_ns"].to_numpy(np.int64)
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-        out = {"series_key": [], "n_windows": [], "theil_sen_slope": [],
-               "intercept_at_start": []}
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+    def _trend(series, w, y_all, starts):
+        rows = []
+        for lo, hi in zip(starts[:-1], starts[1:]):
             n = hi - lo
             if n < 2:
                 continue
@@ -948,25 +747,14 @@ def theil_sen_trend(samples_ds, *, window_ns: int, round_digits: int = 6,
             slope6 = round_half_away(np.float64(np.median(slopes)),
                                      round_digits)
             icept = np.median(y - slope6 * x)
-            out["series_key"].append(series[lo])
-            out["n_windows"].append(n)
-            out["theil_sen_slope"].append(slope6)
-            out["intercept_at_start"].append(
-                round_half_away(np.float64(icept), round_digits))
-        return pd.DataFrame({
-            "series_key": np.asarray(out["series_key"], dtype=object),
-            "n_windows": np.asarray(out["n_windows"], dtype=np.int64),
-            "theil_sen_slope": np.asarray(out["theil_sen_slope"],
-                                          dtype=np.float64),
-            "intercept_at_start": np.asarray(out["intercept_at_start"],
-                                             dtype=np.float64),
-        })
+            rows.append((series[lo], n, slope6, round_half_away(
+                np.float64(icept), round_digits)))
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_trend, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_trend,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("theil_sen_slope", _F),
+                            ("intercept_at_start", _F)))
 
 
 def _q_theil_sen(sf_dir: str):
@@ -1016,8 +804,7 @@ _DAY_NS = 86_400_000_000_000
 
 
 def mase_seasonal(samples_ds, *, window_ns: int = _H,
-                  season_ns: int = _DAY_NS, round_digits: int = 6,
-                  num_shards: int = _SHARDS):
+                  season_ns: int = _DAY_NS, round_digits: int = 6):
     """Per-series forecastability screen: the MAE of the seasonal-naive
     forecast (``y_t = y(t - season)``) scaled by the MAE of the one-step
     naive forecast (``y_t = y(t - window)``) over hourly window means —
@@ -1028,36 +815,11 @@ def mase_seasonal(samples_ds, *, window_ns: int = _H,
     season/step earlier, if present), so gaps drop pairs on both engines
     identically instead of silently mis-aligning ordinal positions.
 
-    Scale shape: the usual window-mean combiner + ONE series-sharded
-    shuffle; per-series matching is two vectorized ``searchsorted``
-    probes over the (bounded) window grid.  Hash parity: canonical
-    round-6 means, round-6 summed absolute errors, ratio of the two
-    ROUNDED MAEs.
+    Scale shape: ``window_means``' ONE series-sharded exchange;
+    per-series matching is two vectorized ``searchsorted`` probes over
+    the (bounded) window grid.  Hash parity: canonical round-6 means,
+    round-6 summed absolute errors, ratio of the two ROUNDED MAEs.
     """
-    from ._util import hash_shards
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     def _lag_mae(w: np.ndarray, y: np.ndarray, lag_ns: int):
         """(n_pairs, round-6 summed |err|) for the wall-time lag."""
@@ -1071,20 +833,9 @@ def mase_seasonal(samples_ds, *, window_ns: int = _H,
         return int(ok.sum()), float(round_half_away(
             np.float64(d.sum()), round_digits))
 
-    def _mase(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y_all = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        w_all = g["window_ns"].to_numpy(np.int64)
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-        out = {"series_key": [], "n_naive": [], "n_snaive": [],
-               "mae_naive": [], "mae_snaive": [], "mase": []}
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+    def _mase(series, w_all, y_all, starts):
+        rows = []
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w, y = w_all[lo:hi], y_all[lo:hi]
             n1, s1 = _lag_mae(w, y, window_ns)
             ns_, ss = _lag_mae(w, y, season_ns)
@@ -1094,27 +845,15 @@ def mase_seasonal(samples_ds, *, window_ns: int = _H,
             maes = round_half_away(np.float64(ss / ns_), round_digits)
             if mae1 == 0.0:
                 continue
-            out["series_key"].append(series[lo])
-            out["n_naive"].append(n1)
-            out["n_snaive"].append(ns_)
-            out["mae_naive"].append(mae1)
-            out["mae_snaive"].append(maes)
-            out["mase"].append(
-                round_half_away(np.float64(maes / mae1), round_digits))
-        return pd.DataFrame({
-            "series_key": np.asarray(out["series_key"], dtype=object),
-            "n_naive": np.asarray(out["n_naive"], dtype=np.int64),
-            "n_snaive": np.asarray(out["n_snaive"], dtype=np.int64),
-            "mae_naive": np.asarray(out["mae_naive"], dtype=np.float64),
-            "mae_snaive": np.asarray(out["mae_snaive"], dtype=np.float64),
-            "mase": np.asarray(out["mase"], dtype=np.float64),
-        })
+            rows.append((series[lo], n1, ns_, mae1, maes, round_half_away(
+                np.float64(maes / mae1), round_digits)))
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_mase, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_mase,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_naive", _I), ("n_snaive", _I),
+                            ("mae_naive", _F), ("mae_snaive", _F),
+                            ("mase", _F)))
 
 
 def _q_mase(sf_dir: str):
@@ -1174,7 +913,7 @@ HW_PERIOD = 24    # 1h windows -> daily seasonality
 def holt_winters_smooth(samples_ds, *, window_ns: int,
                         period: int = HW_PERIOD, alpha: float = HW_ALPHA,
                         beta: float = HW_BETA, gamma: float = HW_GAMMA,
-                        round_digits: int = 6, num_shards: int = _SHARDS):
+                        round_digits: int = 6):
     """Per-series additive Holt-Winters over window means — the seasonal
     extension of ``holt_smooth``:
 
@@ -1189,43 +928,18 @@ def holt_winters_smooth(samples_ds, *, window_ns: int,
     coefficient discipline that lets ``events_holt_1h`` hash with no
     intermediate rounding.
 
-    Scale shape: identical to ``holt_smooth`` — per-block (n, sum)
-    window combiners, ONE series-sharded shuffle, sequential O(windows)
-    recursion per series task bounded by retention, never by samples.
+    Scale shape: identical to ``holt_smooth`` — ``window_means``' ONE
+    series-sharded exchange, sequential O(windows) recursion per series
+    in the shard task, bounded by retention, never by samples.
     ``forecast_next`` is the one-step-ahead ``l_t + b_t + s_{t+1-m}``.
     """
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _smooth(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        out_l = np.empty(len(g))
-        out_b = np.empty(len(g))
-        out_s = np.empty(len(g))
-        out_f = np.empty(len(g))
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+    def _smooth(series, windows, y, starts):
+        out_l = np.empty(len(y))
+        out_b = np.empty(len(y))
+        out_s = np.empty(len(y))
+        out_f = np.empty(len(y))
+        for lo, hi in zip(starts[:-1], starts[1:]):
             l = y[lo]
             b = 0.0
             seasons = [0.0] * period  # seasons[0] == s_{t-m}
@@ -1240,21 +954,21 @@ def holt_winters_smooth(samples_ds, *, window_ns: int,
                 seasons = seasons[1:] + [s_new]
                 out_l[i], out_b[i], out_s[i] = l, b, s_new
                 out_f[i] = l + b + seasons[0]
-        return pd.DataFrame({
+        return {
             "series_key": series,
-            "window_ns": g["window_ns"].to_numpy(np.int64),
+            "window_ns": windows,
             "y": y,
             "level": round_half_away(out_l, round_digits),
             "trend": round_half_away(out_b, round_digits),
             "seasonal": round_half_away(out_s, round_digits),
             "forecast_next": round_half_away(out_f, round_digits),
-        })
+        }
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_smooth, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_smooth,
+                        round_digits=round_digits, schema=_schema(
+                            ("window_ns", _I), ("y", _F), ("level", _F),
+                            ("trend", _F), ("seasonal", _F),
+                            ("forecast_next", _F)))
 
 
 def _q_holt_winters(sf_dir: str):
@@ -1311,7 +1025,7 @@ register("events_holt_winters_1h", _q_holt_winters, _hw_sql())
 # ---------------------------------------------------------------------------
 
 def ar2_yule_walker(samples_ds, *, window_ns: int, round_digits: int = 6,
-                    min_windows: int = 5, num_shards: int = _SHARDS):
+                    min_windows: int = 5):
     """Per-series AR(2) coefficients via Yule-Walker over the tier's
     window means: demeaned autocovariances c0/c1/c2, autocorrelations
     r1/r2, then ``phi1 = r1*(1-r2)/(1-r1^2)``,
@@ -1319,9 +1033,9 @@ def ar2_yule_walker(samples_ds, *, window_ns: int, round_digits: int = 6,
     decomposition behind the ACF diagnostic (``acf_tier`` reports the
     correlations; this solves the model they imply).
 
-    Scale shape: identical to ``holt_smooth`` — per-block (n, sum)
-    window combiner, ONE series-sharded shuffle, O(windows) vectorized
-    math per series (bounded by retention, never sample count).
+    Scale shape: identical to ``holt_smooth`` — ``window_means``' ONE
+    series-sharded exchange, O(windows) vectorized math per series
+    (bounded by retention, never sample count).
 
     Hash parity: the round-before-derive ladder — canonical rounded
     mean y, round-6 series mean mu, round-6 covariance sums, round-6
@@ -1329,43 +1043,10 @@ def ar2_yule_walker(samples_ds, *, window_ns: int, round_digits: int = 6,
     ``1 - r1^2 <> 0`` degenerate filter evaluates on identical values
     on both engines.  Series with fewer than ``min_windows`` windows or
     zero variance are dropped (both sides)."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -1388,17 +1069,12 @@ def ar2_yule_walker(samples_ds, *, window_ns: int, round_digits: int = 6,
             phi2 = round_half_away(
                 np.array([(r2 - r1 * r1) / denom]), round_digits)[0]
             rows.append((series[lo], n, r1, r2, phi1, phi2))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "r1", "r2", "phi1", "phi2",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "r1": "float64", "r2": "float64",
-                   "phi1": "float64", "phi2": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("r1", _F), ("r2", _F),
+                            ("phi1", _F), ("phi2", _F)))
 
 
 def _q_ar2(sf_dir: str):
@@ -1457,62 +1133,27 @@ register(
 # ---------------------------------------------------------------------------
 
 def pacf_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-              min_windows: int = 5, num_shards: int = _SHARDS):
+              min_windows: int = 5):
     """Per-series partial autocorrelations at lags 1-3 via the
     Durbin-Levinson recursion on the demeaned window-mean
     autocorrelations — the AR-order diagnostic that complements
     ``acf_tier`` (raw correlations) and ``ar2_yule_walker`` (the lag-2
     solve): pacf2 IS phi2, and pacf3 measures what a third lag adds.
 
-    Scale shape: identical to ``ar2_yule_walker`` — per-block (n, sum)
-    window combiner, ONE series-sharded shuffle, O(windows) math per
-    series.
+    Scale shape: identical to ``ar2_yule_walker`` — ``window_means``'
+    ONE series-sharded exchange, O(windows) math per series.
 
     Hash parity: round-before-derive at every recursion step — rounded
     r1/r2/r3, rounded pacf2, rounded phi21, THEN pacf3 from those
     rounded doubles; both degenerate denominators filter on identical
     values on the two engines."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -1536,17 +1177,12 @@ def pacf_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
                 continue
             pacf3 = _r6((r3 - phi21 * r2 - pacf2 * r1) / den3)
             rows.append((series[lo], n, r1, pacf2, pacf3))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "pacf1", "pacf2", "pacf3",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "pacf1": "float64", "pacf2": "float64",
-                   "pacf3": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("pacf1", _F),
+                            ("pacf2", _F), ("pacf3", _F)))
 
 
 def _q_pacf(sf_dir: str):
@@ -1618,8 +1254,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def variance_ratio(samples_ds, *, window_ns: int, q: int = 4,
-                   round_digits: int = 6, min_windows: int = 8,
-                   num_shards: int = _SHARDS):
+                   round_digits: int = 6, min_windows: int = 8):
     """Per-series variance ratio VR(q) over the tier's window means
     (Lo-MacKinlay shape): population variance of q-step differences over
     q times the variance of 1-step differences.  VR ~= 1 for a random
@@ -1627,60 +1262,26 @@ def variance_ratio(samples_ds, *, window_ns: int, q: int = 4,
     companion diagnostic to ``ar2_yule_walker`` (which fits the model;
     this scores the martingale null).
 
-    Scale shape: the AR-family shape — (n, sum) window combiner, ONE
-    series-sharded shuffle, O(windows) numpy per series.
+    Scale shape: the AR-family shape — ``window_means``' ONE
+    series-sharded exchange, O(windows) numpy per series.
 
     Hash parity: round-before-derive — rounded window mean y, rounded
     diff sums, rounded diff means, rounded centered sums of squares,
     rounded variances, THEN the ratio; the ``var1 > 0`` filter
     evaluates on identical values on both engines."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _vr(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
+    def _pop_var(d: np.ndarray) -> float:
+        n = len(d)
+        m = _r6(round_half_away(d.sum(), round_digits) / n)
+        ss = round_half_away(((d - m) * (d - m)).sum(), round_digits)
+        return _r6(ss / n)
 
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
-        def _pop_var(d: np.ndarray) -> float:
-            n = len(d)
-            m = _r6(round_half_away(d.sum(), round_digits) / n)
-            ss = round_half_away(((d - m) * (d - m)).sum(), round_digits)
-            return _r6(ss / n)
-
+    def _vr(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < max(min_windows, q + 1):
@@ -1691,16 +1292,12 @@ def variance_ratio(samples_ds, *, window_ns: int, q: int = 4,
                 continue
             vr = _r6(varq / q / var1)
             rows.append((series[lo], n, var1, varq, vr))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "var1", "varq", "vr",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "var1": "float64", "varq": "float64", "vr": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_vr, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_vr,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("var1", _F), ("varq", _F),
+                            ("vr", _F)))
 
 
 def _q_vr(sf_dir: str):
@@ -1766,7 +1363,7 @@ _HURST_SIZES = (8, 16, 32, 64)
 
 
 def hurst_rs(samples_ds, *, window_ns: int, sizes=_HURST_SIZES,
-             round_digits: int = 6, num_shards: int = _SHARDS):
+             round_digits: int = 6):
     """Per-series Hurst exponent via classical R/S analysis over the
     tier's window means: for each block size b, split the mean sequence
     into full consecutive blocks, compute the rescaled range
@@ -1776,8 +1373,8 @@ def hurst_rs(samples_ds, *, window_ns: int, sizes=_HURST_SIZES,
     anti-persistent).  Complements ``events_variance_ratio`` (one q)
     with the multi-scale exponent.
 
-    Scale shape: the AR-family shape — (n, sum) window combiner, ONE
-    series-sharded shuffle, O(windows x |sizes|) vectorized math per
+    Scale shape: the AR-family shape — ``window_means``' ONE
+    series-sharded exchange, O(windows x |sizes|) vectorized math per
     series.
 
     Hash parity: rounded window mean y, rounded block mean, rounded
@@ -1786,47 +1383,13 @@ def hurst_rs(samples_ds, *, window_ns: int, sizes=_HURST_SIZES,
     R / S / per-block ratio / per-size average; the ln()-space OLS
     follows the ``zipf_slope`` precedent — raw ln on identical rounded
     inputs, final slope rounded."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             pts = []
             for b in sizes:
@@ -1862,16 +1425,11 @@ def hurst_rs(samples_ds, *, window_ns: int, sizes=_HURST_SIZES,
                 continue
             hurst = _r6((k * sxy - sx * sy) / denom)
             rows.append((series[lo], k, hurst))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_sizes", "hurst",
-        ]).astype({"series_key": "object", "n_sizes": "int64",
-                   "hurst": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_sizes", _I), ("hurst", _F)))
 
 
 def _q_hurst(sf_dir: str):
@@ -1957,60 +1515,26 @@ register("events_hurst_rs", _q_hurst, _hurst_sql(_H))
 # ---------------------------------------------------------------------------
 
 def ljung_box_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-                   min_windows: int = 5, num_shards: int = _SHARDS):
+                   min_windows: int = 5):
     """Per-series Ljung-Box Q statistic over lags 1-3 of the demeaned
     window means: Q = n(n+2) * sum_k r_k^2 / (n-k).  The portmanteau
     "is there ANY autocorrelation" companion of ``acf_tier`` /
     ``pacf_tier`` — under white noise Q ~ chi2(3), so Q >> 7.81 flags a
     series whose window means are serially dependent.
 
-    Scale shape: identical to ``pacf_tier`` — per-block (n, sum) window
-    combiner, ONE series-sharded shuffle, O(windows) math per series.
+    Scale shape: identical to ``pacf_tier`` — ``window_means``' ONE
+    series-sharded exchange, O(windows) math per series.
 
     Hash parity: rounded window mean y, rounded mu, rounded c0, rounded
     r1/r2/r3 (same pipeline as PACF), THEN Q from those rounded doubles
     with the identical IEEE expression on both engines; final round."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -2028,17 +1552,12 @@ def ljung_box_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
                        + r[1] * r[1] / (n - 2.0)
                        + r[2] * r[2] / (n - 3.0)))
             rows.append((series[lo], n, r[0], r[1], r[2], q))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "r1", "r2", "r3", "q_lb",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "r1": "float64", "r2": "float64", "r3": "float64",
-                   "q_lb": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("r1", _F), ("r2", _F),
+                            ("r3", _F), ("q_lb", _F)))
 
 
 def _q_ljung_box(sf_dir: str):
@@ -2102,7 +1621,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def jarque_bera_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-                     min_windows: int = 5, num_shards: int = _SHARDS):
+                     min_windows: int = 5):
     """Per-series Jarque-Bera normality statistic over the window
     means: with central moments m2/m3/m4 of the demeaned means,
     skewness g1 = m3 / (m2 * sqrt(m2)) and excess kurtosis
@@ -2111,54 +1630,20 @@ def jarque_bera_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
     ``events_weekend_welch_t`` (location) and ``events_runs_test``
     (independence).
 
-    Scale shape: per-block (n, sum) window combiner, ONE series-sharded
-    shuffle, O(windows) vectorized moments per series.
+    Scale shape: ``window_means``' ONE series-sharded exchange,
+    O(windows) vectorized moments per series.
 
     Hash parity: rounded window mean y, rounded mu, rounded moment sums
     (sum d^2, sum d^3, sum d^4), rounded m2/m3/m4, rounded g1/g2, THEN
     JB from those rounded doubles; g1 uses m2*sqrt(m2) (not pow) so
     both engines run the identical IEEE expression."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -2175,17 +1660,12 @@ def jarque_bera_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
             g2 = _r6(m4 / (m2 * m2) - 3.0)
             jb = _r6(n / 6.0 * (g1 * g1 + g2 * g2 / 4.0))
             rows.append((series[lo], n, g1, g2, jb))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "skew_g1", "kurt_g2", "jb",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "skew_g1": "float64", "kurt_g2": "float64",
-                   "jb": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("skew_g1", _F),
+                            ("kurt_g2", _F), ("jb", _F)))
 
 
 def _q_jarque_bera(sf_dir: str):
@@ -2242,7 +1722,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def mann_kendall_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-                      min_windows: int = 5, num_shards: int = _SHARDS):
+                      min_windows: int = 5):
     """Per-series Mann-Kendall monotonic-trend test over the tier's
     window means: S = sum over i<j of sign(y_j - y_i) with the tie-corrected
     variance var(S) = [n(n-1)(2n+5) - sum_t t(t-1)(2t+5)] / 18 and the
@@ -2250,55 +1730,21 @@ def mann_kendall_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
     nonparametric companion of ``events_theil_sen_1h`` (which estimates
     the slope MK tests the existence of).
 
-    Scale shape: per-block (n, sum) window combiner, ONE series-sharded
-    shuffle; the O(windows^2) pairwise sign sum runs vectorized on the
-    tier's bounded window count per series (the DAILY tier here —
-    ~hundreds of points — never raw samples).
+    Scale shape: ``window_means``' ONE series-sharded exchange; the
+    O(windows^2) pairwise sign sum runs vectorized on the tier's bounded
+    window count per series (the DAILY tier here — ~hundreds of points —
+    never raw samples).
 
     Hash parity: rounded daily mean y; S and the tie counts are exact
     integers on both engines; var(S) divides the exact integer
     numerator by 18.0 in one IEEE op; z from those, final round."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -2319,16 +1765,12 @@ def mann_kendall_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
             else:
                 z = 0.0
             rows.append((series[lo], n, s_stat, z))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "s_stat", "z_mk",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "s_stat": "int64", "z_mk": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("s_stat", _I),
+                            ("z_mk", _F)))
 
 
 def _q_mann_kendall(sf_dir: str):
@@ -2401,7 +1843,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def grubbs_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-                min_windows: int = 5, num_shards: int = _SHARDS):
+                min_windows: int = 5):
     """Per-series Grubbs statistic over the window means:
     G = max|y - mean| / population_std, plus the window holding the
     extreme deviation (ties break to the EARLIEST window on the rounded
@@ -2409,54 +1851,19 @@ def grubbs_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
     single-most-extreme-point companion of ``events_mad_outliers``
     (which flags ALL robust outliers).
 
-    Scale shape: per-block (n, sum) window combiner, ONE series-sharded
-    shuffle, O(windows) vectorized math per series.
+    Scale shape: ``window_means``' ONE series-sharded exchange,
+    O(windows) vectorized math per series.
 
     Hash parity: rounded window mean y, rounded mu, rounded per-window
     deviation (so the argmax/tie-break compares identical doubles),
     rounded population std, final rounded ratio."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        windows = g["window_ns"].to_numpy()
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -2472,16 +1879,12 @@ def grubbs_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
             at = int(np.argmax(dev == gmax))  # earliest window on ties
             g_stat = _r6(gmax / s_dev)
             rows.append((series[lo], n, int(windows[lo:hi][at]), g_stat))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "window_ns", "g_stat",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "window_ns": "int64", "g_stat": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("window_ns", _I),
+                            ("g_stat", _F)))
 
 
 def _q_grubbs(sf_dir: str):
@@ -2542,8 +1945,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def seasonal_strength_hod(samples_ds, *, round_digits: int = 6,
-                          min_windows: int = 48,
-                          num_shards: int = _SHARDS):
+                          min_windows: int = 48):
     """Per-series hour-of-day seasonal strength as ANOVA eta-squared
     over the HOURLY window means: group the means by hour-of-day
     (0..23), eta2 = SS_between / SS_total — the share of hourly-mean
@@ -2551,57 +1953,20 @@ def seasonal_strength_hod(samples_ds, *, round_digits: int = 6,
     companion of ``events_hourly_profile`` (the profile itself) and
     ``events_dominant_period_1h`` (which finds the period eta2 scores).
 
-    Scale shape: per-block (n, sum) window combiner, ONE series-sharded
-    shuffle, O(windows) + O(24) math per series.
+    Scale shape: ``window_means``' ONE series-sharded exchange,
+    O(windows) + O(24) math per series.
 
     Hash parity: rounded hourly mean y, rounded mu, rounded per-hour
     group means, rounded SS_between / SS_total, final rounded ratio.
     Hour-of-day is exact integer arithmetic on the window epoch."""
-    from ._util import hash_shards
 
-    window_ns = _H
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        windows = g["window_ns"].to_numpy()
+    def _fit(series, windows, y, starts):
         hod = (windows % _D) // _H
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             h = hod[lo:hi].astype(np.int64)
             n = len(w)
@@ -2621,16 +1986,12 @@ def seasonal_strength_hod(samples_ds, *, round_digits: int = 6,
                 (nh[mask] * (mh - mu) * (mh - mu)).sum(), round_digits)
             rows.append((series[lo], n, int(mask.sum()),
                          _r6(ssb / sst)))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "n_hours", "eta2_hod",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "n_hours": "int64", "eta2_hod": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=_H, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("n_hours", _I),
+                            ("eta2_hod", _F)))
 
 
 def _q_seasonal_strength(sf_dir: str):
@@ -2702,7 +2063,8 @@ def kendall_tau_pair(samples_ds, *, x_series: str, y_series: str,
 
     Scale shape: the Engle-Granger pair shape — blocks collapse to
     bounded (series, window) partials and only the TWO requested keys
-    survive the combiner, so the single co-grouping step moves
+    survive the combiner, so the single exchange (``window_means`` on
+    one constant pair key, so both series meet in one task) moves
     <= 2 x n_windows rows; the O(n_windows^2) sign sum runs vectorized
     on the DAILY tier's bounded window count, never raw samples.
 
@@ -2710,45 +2072,9 @@ def kendall_tau_pair(samples_ds, *, x_series: str, y_series: str,
     integers on both engines; the denominator is sqrt of an exact
     integer product evaluated in one IEEE op; final round."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        sk = t.column("series_key").to_numpy(zero_copy_only=False)
-        sel = (sk == x_series) | (sk == y_series)
-        if not sel.any():
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "pair": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)[sel]
-        df = pd.DataFrame({
-            "series_key": sk[sel],
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(
-                zero_copy_only=False)[sel],
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["pair"] = np.zeros(len(g), np.int32)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "x_series": pd.Series(dtype="object"),
-            "y_series": pd.Series(dtype="object"),
-            "n_windows": pd.Series(dtype="int64"),
-            "cd": pd.Series(dtype="int64"),
-            "tau_b": pd.Series(dtype="float64"),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        g["m"] = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
+    def _fit(series, windows, m, starts):
+        g = pd.DataFrame({"series_key": series, "window_ns": windows,
+                          "m": m})
         xf = g[g["series_key"] == x_series][["window_ns", "m"]].rename(
             columns={"m": "x"})
         yf = g[g["series_key"] == y_series][["window_ns", "m"]].rename(
@@ -2757,7 +2083,7 @@ def kendall_tau_pair(samples_ds, *, x_series: str, y_series: str,
             "window_ns", ignore_index=True)
         n = len(j)
         if n < min_windows:
-            return empty
+            return []
         x = j["x"].to_numpy()
         y = j["y"].to_numpy()
         dx = np.sign(x[None, :] - x[:, None])
@@ -2770,21 +2096,17 @@ def kendall_tau_pair(samples_ds, *, x_series: str, y_series: str,
         n2 = int(sum(t * (t - 1) // 2 for t in ty if t > 1))
         den = (n0 - n1) * (n0 - n2)
         if den <= 0:
-            return empty
+            return []
         tau = round_half_away(np.array([cd / np.sqrt(den)]),
                               round_digits)[0]
-        return pd.DataFrame({
-            "x_series": [x_series], "y_series": [y_series],
-            "n_windows": np.array([n], np.int64),
-            "cd": np.array([cd], np.int64),
-            "tau_b": [tau],
-        })
+        return [(x_series, y_series, n, cd, tau)]
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("pair").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        series=(x_series, y_series),
+                        round_digits=round_digits, schema=pa.schema([
+                            ("x_series", pa.string()),
+                            ("y_series", pa.string()), ("n_windows", _I),
+                            ("cd", _I), ("tau_b", _F)]))
 
 
 def _kendall_sql(x_series: str, y_series: str, window_ns: int,
@@ -2862,7 +2184,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def pettitt_tier(samples_ds, *, window_ns: int, min_windows: int = 10,
-                 round_digits: int = 6, num_shards: int = _SHARDS):
+                 round_digits: int = 6):
     """Per-series Pettitt changepoint test over the tier's window
     means: U_k = sum over i<=k, j>k of sign(y_i - y_j), K = max|U_k|
     over the split points k = 1..n-1, reported with the EARLIEST window
@@ -2876,47 +2198,13 @@ def pettitt_tier(samples_ds, *, window_ns: int, min_windows: int = 10,
     needs no float discipline beyond the canonical rounded means the
     ranks are computed on.
 
-    Scale shape: per-block (n, sum) window combiner, ONE series-sharded
-    shuffle, O(n log n) rank + O(n) cumsum per series on the DAILY
-    tier's bounded window count."""
-    from ._util import hash_shards
+    Scale shape: ``window_means``' ONE series-sharded exchange,
+    O(n log n) rank + O(n) cumsum per series on the DAILY tier's bounded
+    window count."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        windows = g["window_ns"].to_numpy()
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -2931,16 +2219,12 @@ def pettitt_tier(samples_ds, *, window_ns: int, min_windows: int = 10,
             k_stat = int(uu.max())
             at = int(np.argmax(uu == k_stat))  # earliest split on ties
             rows.append((series[lo], n, int(windows[lo:hi][at]), k_stat))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "window_ns", "k_stat",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "window_ns": "int64", "k_stat": "int64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("window_ns", _I),
+                            ("k_stat", _I)))
 
 
 def _q_pettitt(sf_dir: str):
@@ -3004,7 +2288,7 @@ register(
 # ---------------------------------------------------------------------------
 
 def arch_lm_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-                 min_windows: int = 5, num_shards: int = _SHARDS):
+                 min_windows: int = 5):
     """Per-series Engle ARCH-LM test with one lag over the window
     means: square the demeaned means, then LM = n * r1(sq)^2 where
     r1(sq) is the lag-1 autocorrelation of the squared series — under
@@ -3012,54 +2296,19 @@ def arch_lm_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
     that ``events_ljung_box_1h`` (autocorrelation of the LEVEL) cannot
     see.
 
-    Scale shape: identical to ``ljung_box_tier`` — per-block (n, sum)
-    window combiner, ONE series-sharded shuffle, O(windows) math per
-    series.
+    Scale shape: identical to ``ljung_box_tier`` — ``window_means``' ONE
+    series-sharded exchange, O(windows) math per series.
 
     Hash parity: rounded window mean y, rounded mu, rounded squared
     deviation sq, rounded mu_sq, rounded c0/c1 sums, rounded r1, THEN
     LM from those rounded doubles; final round."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _r6(v: float) -> float:
+        return round_half_away(np.array([v]), round_digits)[0]
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
-
-        def _r6(v: float) -> float:
-            return round_half_away(np.array([v]), round_digits)[0]
-
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -3075,16 +2324,12 @@ def arch_lm_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
                                      round_digits) / c0)
             lm = _r6(float(n) * r1 * r1)
             rows.append((series[lo], n, r1, lm))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "r1_sq", "arch_lm",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "r1_sq": "float64", "arch_lm": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("r1_sq", _F),
+                            ("arch_lm", _F)))
 
 
 def _q_arch_lm(sf_dir: str):
@@ -3148,59 +2393,26 @@ register(
 # ---------------------------------------------------------------------------
 
 def bowley_skew_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
-                     min_windows: int = 5, num_shards: int = _SHARDS):
+                     min_windows: int = 5):
     """Per-series Bowley (quartile) skewness over the window means:
     B = (q3 + q1 - 2*q2) / (q3 - q1) in [-1, 1] — the outlier-robust
     companion of ``events_jarque_bera_1h``'s moment skewness g1 (a
     single extreme window saturates g1 but moves B only through the
     quartiles).
 
-    Scale shape: per-block (n, sum) window combiner, ONE series-sharded
-    shuffle, O(windows log windows) per series.
+    Scale shape: ``window_means``' ONE series-sharded exchange,
+    O(windows log windows) per series.
 
     Hash parity: quartiles via the shared ``_weighted_quantiles`` lerp
     (bit-equal to DuckDB ``quantile_cont`` — the ``psi_drift`` decile
     discipline), each rounded, THEN B from the rounded quartiles with
     the identical IEEE expression; the q3 > q1 degenerate filter
     compares identical rounded doubles on both engines."""
-    from ._util import hash_shards
     from .psidrift import _weighted_quantiles
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
+    def _fit(series, windows, y, starts):
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             w = y[lo:hi]
             n = len(w)
             if n < min_windows:
@@ -3215,17 +2427,12 @@ def bowley_skew_tier(samples_ds, *, window_ns: int, round_digits: int = 6,
                 np.array([(q3 + q1 - 2.0 * q2) / (q3 - q1)]),
                 round_digits)[0]
             rows.append((series[lo], n, q1, q2, q3, b))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_windows", "q1", "q2", "q3", "bowley_skew",
-        ]).astype({"series_key": "object", "n_windows": "int64",
-                   "q1": "float64", "q2": "float64", "q3": "float64",
-                   "bowley_skew": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=window_ns, fit=_fit,
+                        round_digits=round_digits, schema=_schema(
+                            ("n_windows", _I), ("q1", _F), ("q2", _F),
+                            ("q3", _F), ("bowley_skew", _F)))
 
 
 def _q_bowley(sf_dir: str):

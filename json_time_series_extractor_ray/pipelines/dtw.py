@@ -5,10 +5,10 @@ plain correlation misses).
 Scale shape — the window rollup is the scale REDUCER, exactly like
 ``theil_sen_trend``:
 
-* the expensive pass over raw samples is the usual per-block (n, sum)
-  combiner + ONE groupby: it reduces the corpus to (series, window,
-  mean) rows bounded by series x retention/window, never by sample
-  count;
+* the expensive pass over raw samples is ``window_means`` (the
+  per-block (n, sum) combiner + ONE shard exchange): it reduces the
+  corpus to (series, window, mean) rows bounded by series x
+  retention/window, never by sample count;
 * the reduced means table is collected (bounded, with a LOUD
   ``max_series`` x ``max_windows`` guard naming the fix) and each
   series' ordered vector is broadcast ONCE via ``ray.put``;
@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import round_half_away
+from ._util import round_half_away, window_means
 from .registry import register
 
 DTW_MAX_WINDOWS = 500
@@ -64,45 +64,18 @@ def dtw_pair(a: np.ndarray, b: np.ndarray) -> float:
 
 def window_mean_vectors(samples_ds, *, window_ns: int,
                         round_digits: int = 6) -> pd.DataFrame:
-    """(series_key, window_ns, y) canonical rounded window means —
-    per-block combiner, one groupby, window-ordered."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // window_ns * window_ns,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    merged = (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby(["series_key", "window_ns"])
-        .sum(["n", "s"])
-    ).to_pandas()
-    merged = merged.sort_values(["series_key", "window_ns"],
-                                ignore_index=True)
-    return pd.DataFrame({
-        "series_key": merged["series_key"],
-        "window_ns": merged["window_ns"].astype(np.int64),
-        "y": round_half_away(
-            round_half_away(merged["sum(s)"].to_numpy(), round_digits)
-            / merged["sum(n)"].to_numpy(), round_digits),
-    })
+    """(series_key, window_ns, y) canonical rounded window means
+    (``window_means``), collected and window-ordered."""
+    schema = pa.schema([("series_key", pa.string()),
+                        ("window_ns", pa.int64()), ("y", pa.float64())])
+    means = window_means(
+        samples_ds, window_ns=window_ns, round_digits=round_digits,
+        fit=lambda series, windows, y, starts: {
+            "series_key": series, "window_ns": windows, "y": y},
+        schema=schema)
+    # Ray's to_pandas drops empty blocks, and with them every column
+    return means.to_pandas().reindex(columns=schema.names).sort_values(
+        ["series_key", "window_ns"], ignore_index=True)
 
 
 def dtw_distances(samples_ds, *, window_ns: int,

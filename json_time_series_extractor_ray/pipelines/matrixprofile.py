@@ -12,9 +12,9 @@ not oracle-stable).
 
 Scale shape (the DTW discipline, ``dtw.py``):
 
-* the raw-sample pass is the shared per-block (n, sum) combiner + ONE
-  groupby, reducing the corpus to (series, window, mean) rows bounded
-  by series x retention/window;
+* the raw-sample pass is the shared ``window_means`` combiner (per-block
+  (n, sum) partials + ONE shard exchange), reducing the corpus to
+  (series, window, mean) rows bounded by series x retention/window;
 * per-series profile tasks fan out as a Dataset over the series list,
   each O(n_windows^2 x m) on one small broadcast vector — quadratic in
   WINDOW COUNT by definition, bounded by a LOUD ``max_windows`` guard

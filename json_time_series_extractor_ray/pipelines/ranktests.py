@@ -49,6 +49,7 @@ from ._util import (
     MAX_DRIVER_FOLD_ROWS,
     round_half_away,
     value_ordered_shards,
+    window_means,
 )
 from .registry import register
 
@@ -477,8 +478,7 @@ register("events_longest_streak", _q_streak, _streak_sql())
 _HOUR_NS = 3_600_000_000_000
 
 
-def ks_weekend(samples_ds, *, round_digits: int = 6, min_each: int = 5,
-               num_shards: int = 64):
+def ks_weekend(samples_ds, *, round_digits: int = 6, min_each: int = 5):
     """Per series: the EXACT two-sample KS statistic between the weekend
     and weekday HOURLY window means,
     D = max over v of |F_wk(v) - F_wd(v)| = d_num / (nA * nB) with the
@@ -487,56 +487,22 @@ def ks_weekend(samples_ds, *, round_digits: int = 6, min_each: int = 5,
     complements ``events_weekend_mannwhitney`` (location shift) and
     ``events_weekend_welch_t`` (means under normality).
 
-    Scale shape: the (n, sum) hourly combiner collapses raw samples
-    before the ONE series-sharded shuffle; the per-series ECDF scan is
-    a vectorized sort + searchsorted over the tier's bounded window
-    count (hours, never raw samples).
+    Scale shape: ``window_means`` collapses raw samples to hourly
+    means before its ONE series-sharded exchange; the per-series ECDF
+    scan is a vectorized sort + searchsorted over the tier's bounded
+    window count (hours, never raw samples).
 
     Hash parity: rounded hourly mean y; weekend flag is exact integer
     epoch arithmetic ((epoch_day + 4) % 7 in {0, 6}); cA/cB/d_num are
     exact integers on both engines (DuckDB cumulates with RANGE so tied
     means share one ECDF step, matching searchsorted side='right');
     final D divides exact ints in one IEEE op, then rounds."""
-    from ._util import hash_shards
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        keep = batch.column("value_num").is_valid()
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({
-                "series_key": pa.array([], pa.string()),
-                "window_ns": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "shard": pa.array([], pa.int32()),
-            })
-        ts = t.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_pandas(),
-            "window_ns": ts // _HOUR_NS * _HOUR_NS,
-            "v": t.column("value_num").to_numpy(zero_copy_only=False),
-        })
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("v", "size"), s=("v", "sum")).reset_index()
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["series_key", "window_ns"], sort=True).agg(
-            n=("n", "sum"), s=("s", "sum")).reset_index()
-        y = round_half_away(
-            round_half_away(g["s"].to_numpy(), round_digits)
-            / g["n"].to_numpy(), round_digits)
-        windows = g["window_ns"].to_numpy()
+    def _fit(series, windows, y, starts):
         dow = ((windows // _DAY_NS) + 4) % 7
         wk = (dow == 0) | (dow == 6)
-        series = g["series_key"].to_numpy()
-        starts = np.r_[0, np.where(series[1:] != series[:-1])[0] + 1,
-                       len(series)]
         rows = []
-        for si in range(len(starts) - 1):
-            lo, hi = starts[si], starts[si + 1]
+        for lo, hi in zip(starts[:-1], starts[1:]):
             yv = y[lo:hi]
             wv = wk[lo:hi]
             na = int(wv.sum())
@@ -550,17 +516,14 @@ def ks_weekend(samples_ds, *, round_digits: int = 6, min_each: int = 5,
             d = round_half_away(np.array([d_num / (na * nb)]),
                                 round_digits)[0]
             rows.append((series[lo], na, nb, d_num, d))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "n_weekend", "n_weekday", "d_num", "ks_d",
-        ]).astype({"series_key": "object", "n_weekend": "int64",
-                   "n_weekday": "int64", "d_num": "int64",
-                   "ks_d": "float64"})
+        return rows
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_fit, batch_format="pandas")
-    )
+    return window_means(samples_ds, window_ns=_HOUR_NS, fit=_fit,
+                        round_digits=round_digits, schema=pa.schema([
+                            ("series_key", pa.string()),
+                            ("n_weekend", pa.int64()),
+                            ("n_weekday", pa.int64()),
+                            ("d_num", pa.int64()), ("ks_d", pa.float64())]))
 
 
 def _q_ks_weekend(sf_dir: str):

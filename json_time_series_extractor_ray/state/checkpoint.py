@@ -23,10 +23,11 @@ The shard axis is ``hash(series_key) % num_shards`` and it is the key of
 the one wide operation in the pipeline: samples shuffle by shard, so
 restart granularity is the unit of work (SURVEY.md §4).  ``shard_apply``
 is that shuffle, and every other per-series path (ladder, tier merge,
-chunking, compaction, hopping windows) runs on it too: one task call per
-non-empty shard, never one per series.  It is a direct exchange of plain
-Ray tasks, not a Ray Data ``groupby``: the map side splits each block by
-its shard id, and each shard task reads only its own slices.
+chunking, compaction, hopping windows, the pipelines' sharded aggregates)
+runs on it too: one task call per non-empty shard, never one per series.
+It is a direct exchange of plain Ray tasks, not a Ray Data ``groupby``:
+the map side splits each block by its shard id, and each shard task reads
+only its own slices.
 """
 
 from __future__ import annotations
@@ -205,10 +206,11 @@ def _from_arrow_refs(tables, metas):
         plan, LogicalPlan(FromArrow(tables, metas), plan._context))
 
 
-def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=()):
-    """The one shard-keyed shuffle: tag every row map-side with its
-    ``shard`` (``add_shard_column``), drop rows of ``skip_shards``, then
-    call ``fn`` once per whole non-empty shard.
+def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
+                key: str = "series_key"):
+    """The one shard-keyed shuffle: tag every row map-side with the
+    ``shard`` of its ``key`` column (``add_shard_column``), drop rows of
+    ``skip_shards``, then call ``fn`` once per whole non-empty shard.
 
     ``fn`` takes an Arrow table and returns one (or a dict of columns):
     all rows of many series at once (and the ``shard`` column, replacing
@@ -241,7 +243,7 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=()):
     def _tag(batch: pa.Table) -> pa.Table:
         if "shard" in batch.column_names:
             batch = batch.drop_columns(["shard"])
-        t = add_shard_column(batch, num_shards)
+        t = add_shard_column(batch, num_shards, key)
         shard = t.column("shard").to_numpy()
         order = np.argsort(shard, kind="stable")
         return t.take(order[~skip[shard[order]]])

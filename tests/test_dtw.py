@@ -9,6 +9,7 @@ import pytest
 from json_time_series_extractor_ray.pipelines.dtw import (
     dtw_distances,
     dtw_pair,
+    window_mean_vectors,
 )
 
 _D = 86_400_000_000_000
@@ -81,3 +82,12 @@ class TestDtwPipeline:
         with pytest.raises(ValueError, match="max_windows"):
             dtw_distances(_samples(ray_session, df), window_ns=_D,
                           max_windows=2)
+
+    def test_no_numeric_samples_give_no_pairs(self, ray_session):
+        df = pd.DataFrame({"series_key": ["a", "b"], "ts_ns": [0, _D],
+                           "value_num": [np.nan, np.nan]})
+        means = window_mean_vectors(_samples(ray_session, df), window_ns=_D)
+        assert len(means) == 0
+        assert list(means.columns) == ["series_key", "window_ns", "y"]
+        assert dtw_distances(_samples(ray_session, df),
+                             window_ns=_D).count() == 0

@@ -215,6 +215,31 @@ SUBSET = [
     "late_shipment_priority",
     "excess_supply_suppliers",
     "suppliers_kept_waiting",
+    # every diffstats operator on the shared exchange helpers
+    # (sharded_aggregate / window_means) not gated above
+    "events_window_stddev_1h",
+    "events_daily_trend",
+    "events_gorilla_rollup_roundtrip",
+    "events_rollup_1m_diff",
+    "events_holt_winters_1h",
+    "events_ar2_yule_walker",
+    "events_pacf_1h",
+    "events_variance_ratio",
+    "events_hurst_rs",
+    "events_ljung_box_1h",
+    "events_jarque_bera_1h",
+    "events_mann_kendall_1d",
+    "events_grubbs_1h",
+    "events_seasonal_strength_hod",
+    "events_kendall_tau_pair",
+    "events_pettitt_1d",
+    "events_arch_lm_1h",
+    "events_bowley_skew_1h",
+    # the other window_means callers: KS weekend test, and the matrix
+    # profile over dtw.window_mean_vectors
+    "events_ks_weekend",
+    "events_matrix_profile_1d",
+    "events_top_motif_1d",
 ]
 
 

@@ -2,8 +2,10 @@
 (``state/checkpoint.shard_apply``): at 10^4 series each path equals its
 per-series oracle bit for bit, each runs one direct shard exchange whose
 map side runs at full cluster width and whose Ray Data plans hold no
-all-to-all operator, and ``stages/``/``state/`` hold no ``.groupby(``
-call."""
+all-to-all operator, ``stages/``/``state/`` hold no ``.groupby(`` call,
+and ``pipelines/diffstats.py`` no hand-written shuffle.  The
+``pipelines/_util`` helpers on the exchange (``sharded_aggregate``,
+``window_means``) produce blocks of exactly their declared schema."""
 
 import pathlib
 
@@ -12,12 +14,27 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from json_time_series_extractor_ray.pipelines import _util
+from json_time_series_extractor_ray.pipelines._util import (
+    round_half_away,
+    window_means,
+)
+from json_time_series_extractor_ray.pipelines.diffstats import (
+    ar2_yule_walker,
+    holt_smooth,
+    kendall_tau_pair,
+    simple_window_rollup,
+    welch_weekend_effect,
+    window_stddev,
+)
 from json_time_series_extractor_ray.pipelines.downsample import hopping_rollup
+from json_time_series_extractor_ray.pipelines.ranktests import ks_weekend
 from json_time_series_extractor_ray.stages.rollup import (
     merge_tier_rollups,
     rollup_ladder,
     rollup_oracle,
 )
+from json_time_series_extractor_ray.state.checkpoint import shard_of
 from json_time_series_extractor_ray.state.gorilla import (
     GorillaChunkWriter,
     compact_chunks,
@@ -29,6 +46,7 @@ from tests.test_checkpoint_resume import _ExchangeCounter, _PlanCounter
 from tests.test_gorilla_codec import oracle_compress_chunk
 
 N_SERIES = 10_000
+H_NS = 3_600_000_000_000
 BASE = 1_704_067_200 * 10**9  # 2024-01-01, a day boundary
 KEY = ["tier", "series_key", "window_start"]
 
@@ -239,12 +257,19 @@ def test_every_per_series_path_runs_one_exchange(ray_session):
         ray.data.from_pandas(chunks.to_pandas())))
     _assert_one_exchange(lambda: hopping_rollup(
         samples, width_ns=300_000_000_000, hop_ns=60_000_000_000))
+    _assert_one_exchange(lambda: window_stddev(samples, window_ns=H_NS))
+    _assert_one_exchange(lambda: holt_smooth(samples, window_ns=H_NS))
+    _assert_one_exchange(lambda: kendall_tau_pair(
+        samples, x_series="dev-00000/temp", y_series="dev-00001/temp",
+        window_ns=H_NS))
+    _assert_one_exchange(lambda: ks_weekend(samples))
 
 
 def test_stages_and_state_have_no_groupby():
     """No ``.groupby(`` at all: the shard exchange is the one shuffle, and
     a per-series shuffle (or a per-group pandas loop) cannot come back
-    unnoticed."""
+    unnoticed.  ``pipelines/diffstats.py`` runs every operator on the
+    ``_util`` helpers: no ``map_groups(`` and no ``hash_shards``."""
     pkg = pathlib.Path(__file__).resolve().parents[1] / \
         "json_time_series_extractor_ray"
     hits = [
@@ -255,3 +280,177 @@ def test_stages_and_state_have_no_groupby():
         if ".groupby(" in line
     ]
     assert hits == []
+    diffstats = (pkg / "pipelines" / "diffstats.py").read_text()
+    assert "map_groups(" not in diffstats
+    assert "hash_shards" not in diffstats
+
+
+def _numeric(table: pa.Table) -> pa.Table:
+    """String samples (``value_kind`` 2) carry no ``value_num``."""
+    import pyarrow.compute as pc
+
+    return table.set_column(
+        table.schema.get_field_index("value_num"), "value_num",
+        pc.if_else(pc.equal(table.column("value_kind"), 2),
+                   pa.scalar(None, pa.float64()), table.column("value_num")))
+
+
+def test_window_means_high_cardinality_equals_one_pass(ray_session,
+                                                       samples):
+    """10^4 series over 8 blocks: every (series, window) mean equals the
+    rounded mean of one pandas pass, and each ``fit`` segment is exactly
+    one series' windows."""
+    table = _numeric(samples)
+
+    def _fit(series, windows, y, starts):
+        lens = np.diff(starts)
+        assert (series[starts[:-1]] == series[starts[1:] - 1]).all()
+        assert (series[starts[1:-1]] > series[starts[:-2]]).all()
+        return {"series_key": series, "window_ns": windows, "y": y,
+                "seg_len": np.repeat(lens, lens)}
+
+    got = window_means(_dataset(table), window_ns=H_NS, fit=_fit,
+                       schema=pa.schema([("series_key", pa.string()),
+                                         ("window_ns", pa.int64()),
+                                         ("y", pa.float64()),
+                                         ("seg_len", pa.int64())]))
+    got = _sorted(got.to_pandas(), ["series_key", "window_ns"])
+
+    df = table.to_pandas().dropna(subset=["value_num"])
+    ts = df["ts"].to_numpy().astype("datetime64[ns]").astype(np.int64)
+    want = df.assign(window_ns=ts // H_NS * H_NS).groupby(
+        ["series_key", "window_ns"], sort=True)["value_num"].agg(
+        ["sum", "size"]).reset_index()
+    want["y"] = round_half_away(round_half_away(want["sum"], 6)
+                                / want["size"], 6)
+    want["seg_len"] = want.groupby("series_key")["y"].transform("size")
+    assert want["series_key"].nunique() >= 9_000
+    pd.testing.assert_frame_equal(
+        got, want[["series_key", "window_ns", "y", "seg_len"]],
+        check_exact=True)
+
+
+def _brute_tau_b(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(cd, tau_b) by a loop over every window pair."""
+    n = len(x)
+    cd = n1 = n2 = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            cd += int(np.sign(x[j] - x[i]) * np.sign(y[j] - y[i]))
+            n1 += x[i] == x[j]
+            n2 += y[i] == y[j]
+    n0 = n * (n - 1) // 2
+    return cd, cd / np.sqrt((n0 - n1) * (n0 - n2))
+
+
+def test_kendall_tau_pair_across_shards_equals_brute_force(ray_session):
+    """The two series hash to different shards; the pair key still
+    brings both into one task, and the result equals a brute-force
+    tau-b over their aligned daily means (with ties, and windows only
+    one series has)."""
+    import ray
+
+    day = 86_400_000_000_000
+    keys = [f"dev-{i:05d}/temp" for i in range(50)]
+    x_key = keys[0]
+    y_key = next(k for k in keys if shard_of(k, 64) != shard_of(x_key, 64))
+    rng = np.random.default_rng(7)
+    rows = []
+    for key in keys:
+        days = rng.choice(40, 30, replace=False)
+        for d in days:
+            for v in rng.integers(0, 6, rng.integers(1, 4)) / 2.0:
+                rows.append((key, BASE + int(d) * day
+                             + int(rng.integers(0, day)), v))
+    df = pd.DataFrame(rows, columns=["series_key", "ts_ns", "value_num"])
+    df = df.sample(frac=1.0, random_state=3, ignore_index=True)
+    table = pa.table({
+        "series_key": pa.array(df["series_key"], pa.string()),
+        "ts": pa.array(df["ts_ns"], pa.int64()).cast(pa.timestamp("ns")),
+        "value_num": pa.array(df["value_num"], pa.float64()),
+    })
+    got = kendall_tau_pair(_dataset(table), x_series=x_key,
+                           y_series=y_key, window_ns=day).to_pandas()
+
+    means = df.assign(w=df["ts_ns"] // day).groupby(
+        ["series_key", "w"])["value_num"].agg(["sum", "size"])
+    means = pd.Series(round_half_away(round_half_away(means["sum"], 6)
+                                      / means["size"], 6), means.index)
+    both = pd.concat([means[x_key].rename("x"), means[y_key].rename("y")],
+                     axis=1, join="inner").sort_index()
+    x, y = both["x"].to_numpy(), both["y"].to_numpy()
+    assert len(x) >= 5 and len(np.unique(x)) < len(x)  # ties exist
+    cd, tau = _brute_tau_b(x, y)
+    assert got.to_dict("records") == [{
+        "x_series": x_key, "y_series": y_key, "n_windows": len(x),
+        "cd": cd, "tau_b": round_half_away(tau, 6)}]
+
+    # neither series exists: no shard runs, the output is still typed
+    none = kendall_tau_pair(_dataset(table), x_series="nope",
+                            y_series="nada", window_ns=day)
+    assert none.count() == 0
+    assert none.schema().names == ["x_series", "y_series", "n_windows",
+                                   "cd", "tau_b"]
+
+
+def _blocks(ds) -> list:
+    import ray
+
+    return [ray.get(block) for bundle in ds.iter_internal_ref_bundles()
+            for block, _ in bundle.blocks]
+
+
+def _assert_clean(schema: pa.Schema) -> None:
+    assert schema.metadata is None
+    hash(schema)
+
+
+def _declared(ints=(), floats=()) -> pa.Schema:
+    return pa.schema([("series_key", pa.string())]
+                     + [(c, pa.int64()) for c in ints]
+                     + [(c, pa.float64()) for c in floats])
+
+
+@pytest.mark.parametrize("make, schema, empty", [
+    (lambda ds: simple_window_rollup(ds, window_ns=60_000_000_000),
+     _declared(["window_ns", "n"], ["min", "max", "sum", "mean"]), False),
+    (lambda ds: window_stddev(ds, window_ns=H_NS),
+     _declared(["window_ns", "n"], ["mean", "stddev"]), False),
+    # two weekdays of samples: no series has a weekend group
+    (welch_weekend_effect,
+     _declared(["n_weekday", "n_weekend"],
+               ["mean_weekday", "mean_weekend", "t_stat"]), True),
+    (lambda ds: holt_smooth(ds, window_ns=H_NS),
+     _declared(["window_ns"], ["y", "level", "trend", "forecast_next"]),
+     False),
+    # every series has fewer than 5 hourly windows: every shard's fit
+    # emits zero rows
+    (lambda ds: ar2_yule_walker(ds, window_ns=H_NS),
+     _declared(["n_windows"], ["r1", "r2", "phi1", "phi2"]), True),
+], ids=["simple_window_rollup", "window_stddev", "welch", "holt",
+        "ar2_all_below_min_windows"])
+def test_helper_blocks_have_the_declared_schema(ray_session, monkeypatch,
+                                                make, schema, empty):
+    """Every partial block the helpers exchange has one schema, and every
+    output block exactly the declared one, empty blocks too; neither
+    carries pandas metadata, so Ray can hash them."""
+    samples = _dataset(_numeric(_samples(n_series=300, per_series=3,
+                                         seed=5))).materialize()
+    partials = []
+    real = _util.shard_apply
+
+    def _capture(ds, fn, **kwargs):
+        ds = ds.materialize()
+        partials.extend(_blocks(ds))
+        return real(ds, fn, **kwargs)
+
+    monkeypatch.setattr(_util, "shard_apply", _capture)
+    out = make(samples)
+    assert len({b.schema for b in partials}) == 1
+    _assert_clean(partials[0].schema)
+
+    blocks = _blocks(out)
+    assert len(blocks) > 1
+    assert (sum(b.num_rows for b in blocks) == 0) == empty
+    assert all(b.schema == schema for b in blocks)
+    _assert_clean(blocks[0].schema)
