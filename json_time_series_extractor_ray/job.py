@@ -8,7 +8,7 @@ reference has to a "config -> pipeline -> writer" flow,
     ray job submit -- python -m json_time_series_extractor_ray.job \\
         --config job.json
 
-Config schema (all paths may be any fsspec-able URI Ray Data can read)::
+Config schema (all paths may be any URI pyarrow's filesystems resolve)::
 
     {
       "input": "/data/corpus/",            # Parquet (doc_id, tokens, n_tok, source)
@@ -32,17 +32,25 @@ Config schema (all paths may be any fsspec-able URI Ray Data can read)::
                                            # writes <out>/rollups_current with
                                            # expired windows dropped, watermark
                                            # taken from the shard manifests
-      "extract_concurrency": null,         # null=tasks, int/(min,max)=actor pool
-      "batch_size": null
     }
 
-The job extracts the corpus once and shuffles its samples once, by shard;
-each shard task writes ``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/``
-(the Gorilla raw tier) and then its manifest record.  Rerunning with the
-same config skips shards recorded in ``<output_dir>/rollups/_manifest``
-(see state/checkpoint.py).  A task holds one shard's samples: ``num_shards``,
-not ``chunk_bucket_ns``, bounds task memory.  Exit output is one JSON line
-of manifest metrics.
+The job extracts the corpus once and shuffles its samples once, by shard,
+with no Ray Data plan: the driver reads the corpus footers
+(``sources/parquet.plan_row_groups``, hive partitioning, names starting
+with ``_`` or ``.`` ignored) and cuts the row groups into a few groups
+per CPU; one plain Ray task per group reads ``doc_id``/``tokens``, runs
+the extraction stage (built once in the driver and shipped once) and
+splits its samples by shard (``state/checkpoint.shard_apply``).  Each
+shard task writes ``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/`` (the
+Gorilla raw tier) and then its manifest record.  The removed options
+``extract_concurrency`` and ``batch_size`` are refused: no actor pool
+runs, and the samples do not depend on how the corpus is cut.
+
+Rerunning with the same config skips shards recorded in
+``<output_dir>/rollups/_manifest`` (see state/checkpoint.py).  A map task
+holds one row-group group (about one block), a shard task one shard's
+samples: ``num_shards``, not ``chunk_bucket_ns``, bounds its memory.  Exit
+output is one JSON line of manifest metrics.
 """
 
 from __future__ import annotations
@@ -77,7 +85,25 @@ def _replace_store(store: str, tmp_new: str, trash: str, write_fn) -> None:
     shutil.rmtree(trash)
 
 
+def _extract_group(stage, filesystem, group: list):
+    """One map task's rows: a row-group group of the corpus -> its
+    samples, only the columns the shard tasks read."""
+    from .sources.parquet import read_row_groups
+    from .state.checkpoint import ShardSamples
+
+    corpus = read_row_groups(filesystem, group,
+                             [stage.id_column, stage.tokens_column])
+    return stage(corpus).select(ShardSamples.COLUMNS)
+
+
 def run_job(config: dict) -> dict:
+    for knob in ("extract_concurrency", "batch_size"):
+        if config.get(knob) is not None:
+            raise ValueError(
+                f"job option {knob!r} was removed: the job's map side is "
+                "one plain task per row-group group, with no actor pool "
+                "and no batch cut to tune; drop the key")
+
     import ray
 
     if not ray.is_initialized():  # standalone runs; the driver/tests own Ray otherwise
@@ -90,20 +116,15 @@ def run_job(config: dict) -> dict:
             8 * 1024 * 1024
         )
 
-    from .pipelines.timeseries import extract_pipeline
-    from .sources.parquet import read_parquet
+    from .sources.parquet import plan_row_groups, read_parquet
+    from .stages.extract import ExtractSamplesStage
     from .state.checkpoint import NUM_SHARDS, run_sharded_rollup
 
     out_dir = config["output_dir"].rstrip("/")
     tiers = tuple(config.get("tiers", ("1m", "1h", "1d")))
-
-    def extract(corpus_ds):
-        return extract_pipeline(
-            corpus_ds, config.get("options") or {"recursive": True},
-            tokenizer=config.get("tokenizer", "utf8"),
-            concurrency=config.get("extract_concurrency"),
-            batch_size=config.get("batch_size"),
-            fallback_now_ns=config.get("fallback_now_ns", 0))
+    extract_args = dict(options=config.get("options") or {"recursive": True},
+                        tokenizer=config.get("tokenizer", "utf8"),
+                        fallback_now_ns=config.get("fallback_now_ns", 0))
 
     update_input = config.get("update_input")
     if update_input:
@@ -115,11 +136,14 @@ def run_job(config: dict) -> dict:
         # the merge skips their gap-fill rows and re-applies gap_fill.
         # Output goes to <out>/rollups_updated; promoting it over
         # rollups/ is the operator's explicit (atomic rename) action.
+        from .pipelines.timeseries import extract_pipeline
         from .stages.rollup import merge_tier_rollups, rollup_ladder
 
         stored = read_parquet(f"{out_dir}/rollups")
-        increment = rollup_ladder(extract(read_parquet(update_input)),
-                                  tiers=tiers)
+        increment = rollup_ladder(
+            extract_pipeline(read_parquet(update_input), batch_size=None,
+                             **extract_args),
+            tiers=tiers)
         merged = merge_tier_rollups([stored, increment], tiers=tiers,
                                     gap_fill=config.get("gap_fill"))
         merged = merged.materialize()  # small rollup rows; consumed twice
@@ -130,9 +154,11 @@ def run_job(config: dict) -> dict:
             "output": f"{out_dir}/rollups_updated",
         }
 
-    corpus = read_parquet(config["input"])
+    # built (and its options validated) here, shipped once to every task
+    stage = ray.put(ExtractSamplesStage(**extract_args))
+    corpus, groups = plan_row_groups(config["input"])
     manifest, shards_run, shards_skipped = run_sharded_rollup(
-        extract(corpus),
+        [(_extract_group, stage, corpus.filesystem, g) for g in groups],
         f"{out_dir}/rollups",
         config.get("num_shards", NUM_SHARDS),
         tiers=tiers,
@@ -180,7 +206,7 @@ def run_job(config: dict) -> dict:
         # (read_token_chunks(out) == the corpus, bit-for-bit).
         from .state.tokenstore import compress_corpus_dataset
 
-        tchunks = compress_corpus_dataset(corpus)
+        tchunks = compress_corpus_dataset(read_parquet(config["input"]))
         tchunks.write_parquet(f"{out_dir}/token_chunks")
         result["token_chunks_written"] = True
 

@@ -13,10 +13,11 @@ yields exactly the numeric samples that were compressed.
 Scale shape: the read is direct, with no Ray Data plan
 (``sources/parquet.read_decoded``).  The calling process reads the
 footers and keeps only the row groups whose ``t_min``/``t_max``
-statistics can overlap the time range; one Ray task per file that keeps
-any reads them, drops the chunks outside the range and decodes the rest
-in one ``decode_chunk_batch`` call (one chunk row expands to
-``n_points`` sample rows).  The read runs when called and its samples
+statistics can overlap the time range, and cuts them into a bounded
+number of groups (``plan_row_groups``); one Ray task per group reads
+them, drops the chunks outside the range and decodes the rest in one
+``decode_chunk_batch`` call (one chunk row expands to ``n_points``
+sample rows).  The read runs when called and its samples
 stay in the object store while the Dataset lives: read a large store by
 range.
 """

@@ -1,6 +1,7 @@
 """Parquet reads whose footers are read in the calling process: Ray
-Data's ``read_parquet`` for the job's inputs, and ``read_decoded``, the
-direct read of both chunk stores.
+Data's ``read_parquet`` for the maintenance passes' inputs, and the
+row-group planner (``plan_row_groups``) behind the direct reads: the
+job's map side and ``read_decoded``, the read of both chunk stores.
 
 ``ray.data.read_parquet`` reads the footers of more than 24 files in
 remote tasks of 0.5 CPU each (38 files: 7 tasks), so it runs up to twice
@@ -11,18 +12,23 @@ processes again whenever the last one was more than a second ago: on a
 job's wall time followed it.  Reading the footers here costs about 1 ms a
 file on local storage and starts no process.
 
-``read_decoded`` runs no Ray Data plan at all.  Ray Data's streaming
+The direct reads run no Ray Data plan at all.  Ray Data's streaming
 executor costs 70-85 ms per plan on a 4-CPU host, where eight plain Ray
 tasks take 6 ms, so a chunk read-back spent more time starting its plan
-than decoding.  It prunes row groups by their footer statistics in the
-calling process and decodes each file that keeps any in one Ray task.
+than decoding, and a job more time around its exchange than in it.  The
+calling process reads every footer, keeps the row groups a filter does
+not rule out, and cuts them into a bounded number of contiguous groups,
+one plain Ray task each.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -62,24 +68,75 @@ def read_parquet(paths, **kwargs):
             paths, meta_provider=_InProcessFooters(), **kwargs)
 
 
-def _read_file(filesystem, path: str, row_groups: list, columns: list,
-               keep, decode):
-    """One file's kept row groups -> the rows ``keep`` keeps ->
-    ``decode`` -> (the output's Ray Data block metadata, the output)."""
+def plan_row_groups(path, keep=None):
+    """The driver-side read plan of a Parquet directory (or file) ->
+    ``(dataset, groups)``.
+
+    ``path`` resolves as Ray's ``read_parquet`` resolves it: hive
+    partitioning, names starting with ``_`` or ``.`` ignored.  Every
+    footer is read here; with ``keep`` (a ``pyarrow.dataset`` filter
+    expression) only the row groups whose statistics do not rule it out
+    stay.  The kept row groups, in file order, are cut into
+    ``min(#row groups, max(2 x cluster CPUs, ceil(bytes / the block
+    target)))`` contiguous groups of about equal footer
+    ``total_byte_size``, so a read runs a few tasks per CPU and a task
+    holds about one block.  A group is a list of ``(file path, [row
+    group ids])``, read by ``read_row_groups``; a file with no kept row
+    group is in no group.
+    """
+    import ray
+    from ray.data.context import DataContext
+
+    dataset = pads.dataset(path, format="parquet", partitioning="hive")
+    pieces = []
+    for frag in dataset.get_fragments():
+        if keep is not None:
+            frag = frag.subset(keep)
+        pieces += [(frag.path, rg.id, rg.total_byte_size)
+                   for rg in frag.row_groups]
+    if not pieces:
+        return dataset, []
+    cum = np.cumsum([size for _, _, size in pieces], dtype=np.float64)
+    target = DataContext.get_current().target_max_block_size
+    n = max(2 * int(ray.cluster_resources().get("CPU", 1)),
+            int(np.ceil(cum[-1] / target)) if target else 0)
+    n = min(len(pieces), n)
+    # the first piece past each 1/n of the bytes starts a group; every
+    # group keeps at least one piece
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n) / n) + 1
+    starts = [0]
+    for j, cut in enumerate(cuts.tolist(), 1):
+        starts.append(min(max(cut, starts[-1] + 1), len(pieces) - n + j))
+    return dataset, [
+        [(file, [rg for _, rg, _ in rgs])
+         for file, rgs in itertools.groupby(pieces[a:b], key=lambda p: p[0])]
+        for a, b in zip(starts, starts[1:] + [len(pieces)])]
+
+
+def read_row_groups(filesystem, group: list, columns: list) -> pa.Table:
+    """One group of ``plan_row_groups``, only ``columns``, as one table."""
+    return pa.concat_tables(
+        [pq.ParquetFile(file, filesystem=filesystem).read_row_groups(
+            row_groups, columns=columns) for file, row_groups in group],
+        promote_options="permissive")
+
+
+def _read_group(filesystem, group: list, columns: list, keep, decode):
+    """One group's rows -> the rows ``keep`` keeps -> ``decode`` -> (the
+    output's Ray Data block metadata, the output)."""
     from ray.data._internal.util import get_table_block_metadata_schema
 
-    table = pq.ParquetFile(path, filesystem=filesystem).read_row_groups(
-        row_groups, columns=columns)
+    table = read_row_groups(filesystem, group, columns)
     out = decode(table if keep is None else table.filter(keep))
     return get_table_block_metadata_schema(out), out
 
 
 @functools.cache
 def _read_task():
-    """``_read_file`` as a Ray task, made on first use."""
+    """``_read_group`` as a Ray task, made on first use."""
     import ray
 
-    return ray.remote(num_returns=2)(_read_file)
+    return ray.remote(num_returns=2)(_read_group)
 
 
 def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
@@ -88,13 +145,12 @@ def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
     the chunks whose range, the columns named by ``bounds = (first,
     last)``, overlaps ``[lo, hi]`` (either end ``None``: open).
 
-    The store resolves as Ray's ``read_parquet`` resolves it (hive
-    partitioning; names starting with ``_`` or ``.`` ignored).  The
-    calling process reads every footer and keeps the row groups whose
-    statistics do not rule the overlap out; one Ray task per file that
-    keeps any reads them (only ``columns``), drops the chunks outside the
-    range and calls ``decode`` once on the rest.  A pruned file starts no
-    task; when every file is pruned, the output is ``decode`` of no rows.
+    ``plan_row_groups`` resolves the store, reads every footer in the
+    calling process and keeps the row groups whose statistics do not rule
+    the overlap out; one Ray task per group reads them (only
+    ``columns``), drops the chunks outside the range and calls ``decode``
+    once on the rest.  A pruned file starts no task; when every file is
+    pruned, the output is ``decode`` of no rows.
 
     Runs when called, not lazily: it returns once every task has
     finished (raising the error of a failed one), and the decoded rows
@@ -114,17 +170,10 @@ def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
     if hi is not None:
         upper = pads.field(first) <= hi
         keep = upper if keep is None else keep & upper
-    dataset = pads.dataset(path, format="parquet", partitioning="hive")
-    files = []
-    for frag in dataset.get_fragments():
-        if keep is not None:
-            frag = frag.subset(keep)
-        row_groups = [rg.id for rg in frag.row_groups]
-        if row_groups:
-            files.append((frag.path, row_groups))
+    dataset, groups = plan_row_groups(path, keep)
     task = _read_task()
-    out = [task.remote(dataset.filesystem, p, rgs, columns, keep, decode)
-           for p, rgs in files]
+    out = [task.remote(dataset.filesystem, group, columns, keep, decode)
+           for group in groups]
     if not out:
         empty = decode(dataset.schema.empty_table().select(columns))
         return _from_arrow_refs([ray.put(empty)],

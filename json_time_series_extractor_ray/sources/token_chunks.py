@@ -7,12 +7,12 @@ written by ``state.tokenstore.compress_corpus_dataset`` are Parquet with
 ``min_doc_id``/``max_doc_id`` columns.  The read is the same direct read
 as the Gorilla store's (``sources/parquet.read_decoded``): the calling
 process keeps only the row groups whose doc-range statistics can overlap
-the range, and one Ray task per file that keeps any fetches and decodes
-them — one chunk row expands to ``n_docs`` corpus rows.  The codec is
-exactly lossless, so readback preserves per-row token-array equality
-(the north-rule invariant) bit-for-bit, enforced by each chunk's blake2b
-checksum.  The read runs when called and holds its corpus rows in the
-object store while the Dataset lives.
+the range, and one Ray task per group of them (``plan_row_groups``)
+fetches and decodes them — one chunk row expands to ``n_docs`` corpus
+rows.  The codec is exactly lossless, so readback preserves per-row
+token-array equality (the north-rule invariant) bit-for-bit, enforced by
+each chunk's blake2b checksum.  The read runs when called and holds its
+corpus rows in the object store while the Dataset lives.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ is that shuffle, and every other per-series path (ladder, tier merge,
 chunking, compaction, hopping windows, the pipelines' sharded aggregates)
 runs on it too: one task call per non-empty shard, never one per series.
 It is a direct exchange of plain Ray tasks, not a Ray Data ``groupby``:
-the map side splits each block by its shard id, and each shard task reads
-only its own slices.
+the map side (a Ray Data plan's blocks, or plain map tasks such as the
+job's read + extract) splits its rows by shard id, and each shard task
+reads only its own slices.
 """
 
 from __future__ import annotations
@@ -156,6 +157,19 @@ def _ipc_stream(table: pa.Table) -> pa.Buffer:
     return sink.getvalue()
 
 
+def _tag(batch: pa.Table, num_shards: int, key: str,
+         skip: np.ndarray) -> pa.Table:
+    """Map side of ``shard_apply``: tag every row with the ``shard`` of its
+    ``key`` (replacing any ``shard`` column), drop the rows of shards
+    ``skip`` marks, and sort the rest stably by ``shard``."""
+    if "shard" in batch.column_names:
+        batch = batch.drop_columns(["shard"])
+    t = add_shard_column(batch, num_shards, key)
+    shard = t.column("shard").to_numpy()
+    order = np.argsort(shard, kind="stable")
+    return t.take(order[~skip[shard[order]]])
+
+
 def _split_block(block: pa.Table, num_shards: int):
     """One map block, sorted by ``shard`` -> its row count per shard, then
     one slice per shard as an Arrow IPC stream (``None`` for an empty
@@ -166,6 +180,12 @@ def _split_block(block: pa.Table, num_shards: int):
     starts = np.cumsum(counts) - counts
     return (counts, *(_ipc_stream(block.slice(s, n)) if n else None
                       for s, n in zip(starts, counts)))
+
+
+def _map_task(num_shards: int, key: str, skip: np.ndarray, fn, *args):
+    """One map input of ``shard_apply``: ``fn(*args)``, tagged and split
+    by shard in the same task -> ``_split_block``'s output."""
+    return _split_block(_tag(fn(*args), num_shards, key, skip), num_shards)
 
 
 def _shard_task(fn, *slices: pa.Buffer):
@@ -182,11 +202,12 @@ def _shard_task(fn, *slices: pa.Buffer):
 
 @functools.cache
 def _ray_tasks():
-    """``_split_block`` and ``_shard_task`` as Ray tasks, made on first use:
-    importing this module does not import Ray."""
+    """``_split_block``, ``_map_task`` and ``_shard_task`` as Ray tasks,
+    made on first use: importing this module does not import Ray."""
     import ray
 
-    return ray.remote(_split_block), ray.remote(num_returns=2)(_shard_task)
+    return (ray.remote(_split_block), ray.remote(_map_task),
+            ray.remote(num_returns=2)(_shard_task))
 
 
 def _from_arrow_refs(tables, metas):
@@ -219,42 +240,47 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
     shard: ``num_shards`` bounds its memory.
 
     The exchange is direct, since every row's shard is known map-side.
-    The map side (``ds``, then the shard tag, which also sorts each block
-    stably by ``shard``) runs as one Ray Data plan at full cluster width
-    and streams its blocks to the calling process as object refs.  One
-    ``_split_block`` task per block returns the block's row count per
-    shard and one slice per shard.  The caller fetches only those counts,
-    then starts one ``_shard_task`` per non-empty shard on that shard's
-    slices; each returns its output and the output's block metadata.  No
-    row reaches the caller, and no Ray Data plan holds an all-to-all
-    operator: Ray's sort-based ``groupby`` would add a sampling pass, a
-    sort, a merge and tasks for empty key ranges.
+    ``ds`` is the map side, in one of two forms:
+
+    * a ``ray.data.Dataset``: it and the shard tag (``_tag``) run as one
+      Ray Data plan at full cluster width and stream their blocks to the
+      calling process as object refs; one ``_split_block`` task per block
+      then returns the block's row count per shard and one slice per
+      shard;
+    * a list of map inputs ``(f, *args)``: one plain Ray task per input
+      calls ``f(*args)`` (Ray resolves object-ref arguments), tags the
+      output and splits it in the same task, with no Ray Data plan.
+
+    The caller fetches only the counts, then starts one ``_shard_task``
+    per non-empty shard on that shard's slices; each returns its output
+    and the output's block metadata.  No row reaches the caller, and no
+    Ray Data plan holds an all-to-all operator: Ray's sort-based
+    ``groupby`` would add a sampling pass, a sort, a merge and tasks for
+    empty key ranges.
 
     Runs when called, not lazily: it returns once every shard task has
-    finished (raising the error of a failed one), as a materialized
-    ``Dataset`` over their outputs in shard order.  A shard task that
-    Ray retries calls ``fn`` again on the same rows.
+    finished (raising the error of a failed map or shard task), as a
+    materialized ``Dataset`` over their outputs in shard order.  A shard
+    task that Ray retries calls ``fn`` again on the same rows.
     """
     import ray
 
     skip = np.zeros(num_shards, bool)
     skip[list(skip_shards)] = True
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        if "shard" in batch.column_names:
-            batch = batch.drop_columns(["shard"])
-        t = add_shard_column(batch, num_shards, key)
-        shard = t.column("shard").to_numpy()
-        order = np.argsort(shard, kind="stable")
-        return t.take(order[~skip[shard[order]]])
-
-    tagged = ds.map_batches(_tag, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None)
-    split_task, shard_task = _ray_tasks()
-    split = split_task.options(num_returns=num_shards + 1)
-    parts = [split.remote(block, num_shards)
-             for bundle in tagged.iter_internal_ref_bundles()
-             for block, meta in bundle.blocks if meta.num_rows != 0]
+    split_task, map_task, shard_task = _ray_tasks()
+    if isinstance(ds, list):
+        mapped = map_task.options(num_returns=num_shards + 1)
+        parts = [mapped.remote(num_shards, key, skip, *inp) for inp in ds]
+    else:
+        tagged = ds.map_batches(
+            _tag, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None,
+            fn_kwargs=dict(num_shards=num_shards, key=key, skip=skip))
+        split = split_task.options(num_returns=num_shards + 1)
+        parts = [split.remote(block, num_shards)
+                 for bundle in tagged.iter_internal_ref_bundles()
+                 for block, meta in bundle.blocks if meta.num_rows != 0]
+    # raises the error of a failed map task
     counts = np.array(ray.get([p[0] for p in parts]),
                       np.int64).reshape(len(parts), num_shards)
     fn_ref = ray.put(fn)
@@ -450,7 +476,7 @@ class CheckpointManifest:
         }
 
 
-def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
+def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
                        tiers=("1m", "1h", "1d"), gap_fill=None,
                        chunks_dir: str | None = None,
                        chunk_bucket_ns: int | None = None):
@@ -458,6 +484,11 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
     commit every shard missing from the checkpoint manifest inside its
     group task; with ``chunks_dir``, also its Gorilla chunks (per series,
     or per series x ``chunk_bucket_ns`` bucket).
+
+    ``samples`` is either form of ``shard_apply``'s map side: a samples
+    ``Dataset`` (only ``ShardSamples.COLUMNS`` are exchanged), or a list
+    of map inputs whose outputs hold those columns (``job.run_job``'s
+    read + extract tasks, which select them themselves).
 
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
     take the same path: samples of completed shards are dropped before the
@@ -511,9 +542,10 @@ def run_sharded_rollup(samples_ds, out_dir: str, num_shards: int, *,
                    "encode_s": round(t2 - t1, 4)})
         return {"shard": [shard], "rows": [rec["rows"]]}
 
+    if not isinstance(samples, list):
+        samples = samples.select_columns(ShardSamples.COLUMNS)
     # shard_apply returns once every shard task has committed
-    shard_apply(samples_ds.select_columns(ShardSamples.COLUMNS),
-                _rollup_and_commit, num_shards, skip_shards=done)
+    shard_apply(samples, _rollup_and_commit, num_shards, skip_shards=done)
     return manifest, sorted(manifest.completed_shards() - set(done)), done
 
 

@@ -287,14 +287,27 @@ def _chunk_frame(df):
 
 
 def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
-    """One shard exchange per job, and no all-to-all operator in any of
-    its Ray Data plans."""
+    """One shard exchange per job, fresh or resumed, and no Ray Data plan
+    at all: the map side is plain tasks."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
     from tests.test_checkpoint_resume import _ExchangeCounter, _PlanCounter
 
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
     with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
-        run_job(_config(corpus_dir, str(tmp_path / "out")))
+        r1 = run_job(cfg)
     assert exchanges.calls == 1
-    assert plans.plans >= 1 and plans.ops == 0
+    assert plans.plans == 0
+    m = CheckpointManifest(f"{cfg['output_dir']}/rollups")
+    lost = r1["shards_run"][::2]
+    for s in lost:
+        os.remove(m.record_path(s))
+    with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
+        r2 = run_job(cfg)
+    assert r2["shards_run"] == lost
+    assert exchanges.calls == 1
+    assert plans.plans == 0
 
 
 class _SchemaWarnings(logging.Handler):
@@ -464,3 +477,171 @@ def test_job_crash_resume_keeps_chunk_store(ray_session, corpus_dir,
     r2 = run_job(cfg)
     assert r2["shards_run"] == odd
     assert digest() == before
+
+
+def _shard_outputs(out_dir):
+    """Every committed shard's rollup and chunk file bytes and its
+    manifest ``rows``/``checksum``/``chunk_rows``/``chunk_checksum``."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    m = CheckpointManifest(f"{out_dir}/rollups", f"{out_dir}/chunks")
+    out = {}
+    for s in sorted(m.completed_shards()):
+        rec = m.load_record(s)
+        files = {}
+        for d in (m.shard_dir(s), m.chunk_dir(s)):
+            for name in sorted(os.listdir(d)):
+                with open(os.path.join(d, name), "rb") as f:
+                    files[os.path.join(os.path.basename(d), name)] = f.read()
+        out[s] = ({k: rec[k] for k in ("rows", "checksum", "chunk_rows",
+                                       "chunk_checksum")}, files)
+    return out
+
+
+def test_job_equals_dataset_path(ray_session, tmp_path):
+    """The job's plain map tasks commit what ``run_sharded_rollup`` fed a
+    samples ``Dataset`` of the same docs commits, file for file and
+    checksum for checksum, over a corpus of multi-row-group files, a
+    hive-partitioned subdirectory and an ``_``-prefixed file that is not
+    read."""
+    import ray
+
+    from json_time_series_extractor_ray.pipelines.timeseries import (
+        extract_pipeline,
+    )
+    from json_time_series_extractor_ray.state.checkpoint import (
+        run_sharded_rollup,
+    )
+
+    table = iot_corpus_table(900, seed=13)
+    corpus = tmp_path / "corpus"
+    (corpus / "region=eu").mkdir(parents=True)
+    pq.write_table(table.slice(0, 400), str(corpus / "part-0.parquet"),
+                   row_group_size=60)
+    pq.write_table(table.slice(400, 300), str(corpus / "part-1.parquet"),
+                   row_group_size=110)
+    pq.write_table(table.slice(700), str(corpus / "region=eu" / "p.parquet"),
+                   row_group_size=70)
+    pq.write_table(iot_corpus_table(50, seed=14),
+                   str(corpus / "_ignored.parquet"))
+    cfg = dict(_config(str(corpus), str(tmp_path / "job")), num_shards=16,
+               fallback_now_ns=0)
+    run_job(cfg)
+
+    ref = str(tmp_path / "ref")
+    samples = extract_pipeline(ray.data.from_arrow(table), cfg["options"],
+                               fallback_now_ns=0)
+    run_sharded_rollup(samples, f"{ref}/rollups", 16, tiers=cfg["tiers"],
+                       chunks_dir=f"{ref}/chunks")
+    got, want = _shard_outputs(cfg["output_dir"]), _shard_outputs(ref)
+    assert len(want) > 1
+    assert got.keys() == want.keys()
+    for s in want:
+        assert got[s] == want[s], f"shard {s} differs"
+
+
+def test_job_map_side_is_few_tasks_each_doc_once(ray_session, tmp_path,
+                                                  monkeypatch):
+    """A 30-file corpus runs in at most 2 x CPUs map tasks, and every doc
+    reaches extraction exactly once."""
+    import json as _json
+
+    import ray
+
+    from json_time_series_extractor_ray import job
+    from json_time_series_extractor_ray.sources.parquet import (
+        read_row_groups,
+    )
+
+    table = iot_corpus_table(600, seed=5)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(30):
+        pq.write_table(table.slice(i * 20, 20),
+                       str(corpus / f"part-{i:02d}.parquet"))
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    real = job._extract_group
+
+    def _recorded(stage, filesystem, group):
+        docs = read_row_groups(filesystem, group, ["doc_id"])
+        with open(os.path.join(str(calls), uuid.uuid4().hex), "w") as f:
+            _json.dump(docs.column("doc_id").to_pylist(), f)
+        return real(stage, filesystem, group)
+
+    monkeypatch.setattr(job, "_extract_group", _recorded)
+    r = run_job(_config(str(corpus), str(tmp_path / "out")))
+    assert r["rollups"]["shards_completed"] > 0
+    seen = []
+    for name in os.listdir(calls):
+        with open(calls / name) as f:
+            seen += _json.load(f)
+    n_tasks = len(os.listdir(calls))
+    assert 1 <= n_tasks <= 2 * ray.cluster_resources()["CPU"]
+    assert sorted(seen) == sorted(table.column("doc_id").to_pylist())
+
+
+def test_job_empty_corpus_commits_nothing(ray_session, tmp_path):
+    """A corpus with no rows commits no shard and raises nothing, fresh or
+    rerun."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(iot_corpus_table(10, seed=3).slice(0, 0),
+                   str(corpus / "part-0.parquet"))
+    cfg = _config(str(corpus), str(tmp_path / "out"))
+    for _ in range(2):
+        r = run_job(cfg)
+        assert r["shards_run"] == [] and r["shards_skipped"] == []
+        assert r["rollups"]["shards_completed"] == 0
+        assert r["rollups"]["rows"] == 0
+    assert not os.path.exists(f"{cfg['output_dir']}/chunks")
+
+
+def test_job_corrupt_doc_raises_extraction_error(ray_session, tmp_path):
+    """One undecodable doc under the default ``on_error="raise"`` fails
+    the job with the extraction error, and commits nothing."""
+    import threading
+
+    import pyarrow as pa
+
+    from json_time_series_extractor_ray.corpus import texts_to_corpus_table
+
+    good = iot_corpus_table(200, seed=3)
+    bad = texts_to_corpus_table(["bad-doc"], ['{"device": "d1", "t": '],
+                                ["test"], "utf8").cast(good.schema)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(pa.concat_tables([good.slice(0, 100), bad,
+                                     good.slice(100)]),
+                   str(corpus / "part-0.parquet"), row_group_size=50)
+    cfg = _config(str(corpus), str(tmp_path / "out"))
+    raised = []
+
+    def _run():
+        try:
+            run_job(cfg)
+        except Exception as e:  # noqa: BLE001  (checked below)
+            raised.append(e)
+
+    t = threading.Thread(target=_run, daemon=True)
+    t.start()
+    t.join(120)
+    assert not t.is_alive(), "run_job hung on a corrupt doc"
+    # the worker's JSONDecodeError, re-raised in the driver
+    assert len(raised) == 1 and isinstance(raised[0], ValueError)
+    assert "Expecting value" in str(raised[0])
+    assert not os.path.exists(f"{cfg['output_dir']}/chunks")
+
+
+@pytest.mark.parametrize("knob,value", [("extract_concurrency", 2),
+                                        ("batch_size", 64)])
+def test_job_refuses_removed_extraction_knobs(tmp_path, knob, value):
+    """Both removed options are refused, naming the key, before anything
+    is read or written; a null value is accepted as before."""
+    cfg = dict(_config(str(tmp_path / "missing"), str(tmp_path / "out")),
+               **{knob: value})
+    with pytest.raises(ValueError, match=knob):
+        run_job(cfg)
+    assert not os.path.exists(tmp_path / "out")

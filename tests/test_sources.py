@@ -257,6 +257,59 @@ def test_chunk_reads_run_no_ray_data_plan(ray_session, tmp_path,
     assert none.schema().names == ["doc_id", "tokens", "n_tok", "source"]
 
 
+def test_full_read_runs_few_tasks(ray_session, time_sliced_store):
+    """A whole read of 30 one-row-group files runs one task per group of
+    files, at most 2 x CPUs of them, and decodes every point once."""
+    import ray
+
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+
+    ds = read_gorilla_chunks(time_sliced_store)
+    assert ds.num_blocks() <= 2 * ray.cluster_resources()["CPU"]
+    assert _points(ds) == sorted(
+        (k, T0 + (100 * i + j) * SEC, float(100 * i + j))
+        for k in "ab" for i in range(30) for j in range(10))
+
+
+@pytest.mark.parametrize("sizes,n", [
+    ([10] * 30, 8),            # even sizes: 30 row groups in 8 groups
+    ([10] * 3, 3),             # fewer row groups than 2 x CPUs
+    ([1000, 1, 1, 1, 1, 1, 1, 1, 1, 1], 8),  # one heavy row group
+    ([0] * 12, 8),             # no bytes at all
+])
+def test_plan_row_groups_cuts_contiguous_balanced_groups(
+        ray_session, tmp_path, sizes, n):
+    """The planner covers every row group once, in file order, in
+    ``min(#row groups, 2 x CPUs)`` non-empty contiguous groups (the bytes
+    stay below one block target here), balanced by footer bytes."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from json_time_series_extractor_ray.sources.parquet import (
+        plan_row_groups,
+    )
+
+    rng = np.random.default_rng(0)
+    pieces = []
+    for i, size in enumerate(sizes):
+        # one file of one row group, 100 x ``size`` float64 values
+        path = str(tmp_path / f"f{i:02d}.parquet")
+        pq.write_table(pa.table({"x": rng.normal(size=size * 100)}), path)
+        pieces.append(path)
+    _, groups = plan_row_groups(str(tmp_path))
+    assert len(groups) == n and all(groups)
+    flat = [(f, rg) for g in groups for f, rgs in g for rg in rgs]
+    assert flat == [(p, 0) for p in pieces]
+    if len(set(sizes)) == 1 and sizes[0]:
+        lens = [sum(len(rgs) for _, rgs in g) for g in groups]
+        assert max(lens) - min(lens) <= 1
+    if sizes[0] == 1000:
+        assert groups[0] == [(pieces[0], [0])]
+
+
 def test_range_read_starts_tasks_only_for_overlapping_files(
         ray_session, time_sliced_store):
     """A range over 3 of 30 files yields 3 blocks: a file whose footer
