@@ -11,7 +11,8 @@ reference has to a "config -> pipeline -> writer" flow,
 Config schema (all paths may be any URI pyarrow's filesystems resolve)::
 
     {
-      "input": "/data/corpus/",            # Parquet (doc_id, tokens, n_tok, source)
+      "input": "/data/corpus/",            # Parquet (doc_id, tokens, n_tok, source):
+                                           # a directory, a file or a list of them
       "output_dir": "/data/out/",          # rollups/ (+ manifest) and chunks/
       "options": {"recursive": true, ...}, # ExtractorOptions.from_dict payload
       "tokenizer": "utf8",
@@ -38,19 +39,23 @@ The job extracts the corpus once and shuffles its samples once, by shard,
 with no Ray Data plan: the driver reads the corpus footers
 (``sources/parquet.plan_row_groups``, hive partitioning, names starting
 with ``_`` or ``.`` ignored) and cuts the row groups into a few groups
-per CPU; one plain Ray task per group reads ``doc_id``/``tokens``, runs
-the extraction stage (built once in the driver and shipped once) and
-splits its samples by shard (``state/checkpoint.shard_apply``).  Each
-shard task writes ``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/`` (the
-Gorilla raw tier) and then its manifest record.  The removed options
+per CPU; one plain Ray task per group streams ``doc_id``/``tokens`` in
+tables of a tenth of the block target (the cut of Ray's Parquet
+reader), runs the extraction stage (built once in the driver and shipped
+once) on each and splits the group's samples by shard
+(``state/checkpoint.shard_apply``).  Each shard task writes
+``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/`` (the Gorilla raw tier)
+and then its manifest record.  The removed options
 ``extract_concurrency`` and ``batch_size`` are refused: no actor pool
 runs, and the samples do not depend on how the corpus is cut.
 
 Rerunning with the same config skips shards recorded in
 ``<output_dir>/rollups/_manifest`` (see state/checkpoint.py).  A map task
-holds one row-group group (about one block), a shard task one shard's
-samples: ``num_shards``, not ``chunk_bucket_ns``, bounds its memory.  Exit
-output is one JSON line of manifest metrics.
+holds one table of its group's rows at a time and the group's samples (a
+group is about one block target of footer bytes, or one row group when a
+row group is larger), a shard task one shard's samples: ``num_shards``,
+not ``chunk_bucket_ns``, bounds its memory.  Exit output is one JSON
+line of manifest metrics.
 """
 
 from __future__ import annotations
@@ -85,15 +90,21 @@ def _replace_store(store: str, tmp_new: str, trash: str, write_fn) -> None:
     shutil.rmtree(trash)
 
 
-def _extract_group(stage, filesystem, group: list):
-    """One map task's rows: a row-group group of the corpus -> its
-    samples, only the columns the shard tasks read."""
-    from .sources.parquet import read_row_groups
+def _extract_group(stage, group: list, batch_bytes):
+    """One map task's rows: a row-group group of the corpus, read in
+    tables of about ``batch_bytes`` -> their samples, only the columns the
+    shard tasks read, as one chunk (the shard tag and the slices handed to
+    the shard tasks cost per chunk)."""
+    import pyarrow as pa
+
+    from .sources.parquet import iter_row_groups
     from .state.checkpoint import ShardSamples
 
-    corpus = read_row_groups(filesystem, group,
-                             [stage.id_column, stage.tokens_column])
-    return stage(corpus).select(ShardSamples.COLUMNS)
+    columns = [stage.id_column, stage.tokens_column]
+    return pa.concat_tables(
+        [stage(t).select(ShardSamples.COLUMNS)
+         for t in iter_row_groups(group, columns, batch_bytes)],
+        promote_options="permissive").combine_chunks()
 
 
 def run_job(config: dict) -> dict:
@@ -156,9 +167,14 @@ def run_job(config: dict) -> dict:
 
     # built (and its options validated) here, shipped once to every task
     stage = ray.put(ExtractSamplesStage(**extract_args))
-    corpus, groups = plan_row_groups(config["input"])
+    _, groups = plan_row_groups(config["input"])
+    # a map task holds one table of rows at a time, cut as Ray's Parquet
+    # reader cuts its blocks (the batches the 8 MiB target was tuned on),
+    # so a row group larger than a block is never read whole
+    target = ray.data.DataContext.get_current().target_max_block_size
+    batch_bytes = target // 10 if target else None
     manifest, shards_run, shards_skipped = run_sharded_rollup(
-        [(_extract_group, stage, corpus.filesystem, g) for g in groups],
+        [(_extract_group, stage, g, batch_bytes) for g in groups],
         f"{out_dir}/rollups",
         config.get("num_shards", NUM_SHARDS),
         tiers=tiers,

@@ -68,35 +68,38 @@ def read_parquet(paths, **kwargs):
             paths, meta_provider=_InProcessFooters(), **kwargs)
 
 
-def plan_row_groups(path, keep=None):
-    """The driver-side read plan of a Parquet directory (or file) ->
-    ``(dataset, groups)``.
+def plan_row_groups(paths, keep=None):
+    """The driver-side read plan of Parquet directories or files ->
+    ``(schema, groups)``.
 
-    ``path`` resolves as Ray's ``read_parquet`` resolves it: hive
-    partitioning, names starting with ``_`` or ``.`` ignored.  Every
-    footer is read here; with ``keep`` (a ``pyarrow.dataset`` filter
-    expression) only the row groups whose statistics do not rule it out
-    stay.  The kept row groups, in file order, are cut into
-    ``min(#row groups, max(2 x cluster CPUs, ceil(bytes / the block
-    target)))`` contiguous groups of about equal footer
-    ``total_byte_size``, so a read runs a few tasks per CPU and a task
-    holds about one block.  A group is a list of ``(file path, [row
-    group ids])``, read by ``read_row_groups``; a file with no kept row
-    group is in no group.
+    ``paths`` (one path or a list) resolve as Ray's ``read_parquet``
+    resolves them: hive partitioning, names starting with ``_`` or ``.``
+    ignored.  Every footer is read here; with ``keep`` (a
+    ``pyarrow.dataset`` filter expression) only the row groups whose
+    statistics do not rule it out stay.  The kept row groups, in file
+    order, are cut into ``min(#row groups, max(2 x cluster CPUs,
+    ceil(bytes / the block target)))`` contiguous groups of about equal
+    footer ``total_byte_size``, so a read runs a few tasks per CPU.  A
+    group is a list of ``(filesystem, file path, [row group ids])``, read
+    by ``iter_row_groups``; a file with no kept row group is in no group.
+    ``schema`` is the unified schema of the files.
     """
     import ray
     from ray.data.context import DataContext
 
-    dataset = pads.dataset(path, format="parquet", partitioning="hive")
+    datasets = [pads.dataset(p, format="parquet", partitioning="hive")
+                for p in ([paths] if isinstance(paths, str) else paths)]
     pieces = []
-    for frag in dataset.get_fragments():
-        if keep is not None:
-            frag = frag.subset(keep)
-        pieces += [(frag.path, rg.id, rg.total_byte_size)
-                   for rg in frag.row_groups]
+    for dataset in datasets:
+        for frag in dataset.get_fragments():
+            if keep is not None:
+                frag = frag.subset(keep)
+            pieces += [(dataset.filesystem, frag.path, rg.id,
+                        rg.total_byte_size) for rg in frag.row_groups]
+    schema = pa.unify_schemas([d.schema for d in datasets])
     if not pieces:
-        return dataset, []
-    cum = np.cumsum([size for _, _, size in pieces], dtype=np.float64)
+        return schema, []
+    cum = np.cumsum([p[-1] for p in pieces], dtype=np.float64)
     target = DataContext.get_current().target_max_block_size
     n = max(2 * int(ray.cluster_resources().get("CPU", 1)),
             int(np.ceil(cum[-1] / target)) if target else 0)
@@ -107,26 +110,50 @@ def plan_row_groups(path, keep=None):
     starts = [0]
     for j, cut in enumerate(cuts.tolist(), 1):
         starts.append(min(max(cut, starts[-1] + 1), len(pieces) - n + j))
-    return dataset, [
-        [(file, [rg for _, rg, _ in rgs])
-         for file, rgs in itertools.groupby(pieces[a:b], key=lambda p: p[0])]
+    return schema, [
+        [(fs, file, [p[2] for p in rgs]) for (fs, file), rgs in
+         itertools.groupby(pieces[a:b], key=lambda p: (p[0], p[1]))]
         for a, b in zip(starts, starts[1:] + [len(pieces)])]
 
 
-def read_row_groups(filesystem, group: list, columns: list) -> pa.Table:
-    """One group of ``plan_row_groups``, only ``columns``, as one table."""
-    return pa.concat_tables(
-        [pq.ParquetFile(file, filesystem=filesystem).read_row_groups(
-            row_groups, columns=columns) for file, row_groups in group],
-        promote_options="permissive")
+#: Rows per Parquet read batch of ``iter_row_groups``: its tables
+#: overshoot ``batch_bytes`` by at most this many rows.
+READ_ROWS = 256
 
 
-def _read_group(filesystem, group: list, columns: list, keep, decode):
+def iter_row_groups(group: list, columns: list, batch_bytes=None):
+    """One group of ``plan_row_groups``, only ``columns``, as tables:
+    one per file, or with ``batch_bytes`` each file's rows streamed in
+    tables of about that many bytes of Arrow memory (Ray's Parquet reader
+    cuts its blocks the same way, at a tenth of the block target), so a
+    task never holds a whole large row group.  Yields at least one table
+    per file, empty for a file of no rows."""
+    for fs, file, row_groups in group:
+        f = pq.ParquetFile(file, filesystem=fs)
+        if batch_bytes is None:
+            yield f.read_row_groups(row_groups, columns=columns)
+            continue
+        acc, size, cut = [], 0, False
+        for batch in f.iter_batches(batch_size=READ_ROWS,
+                                    row_groups=row_groups, columns=columns):
+            acc.append(batch)
+            size += batch.nbytes
+            if size >= batch_bytes:
+                yield pa.Table.from_batches(acc).combine_chunks()
+                acc, size, cut = [], 0, True
+        if acc:
+            yield pa.Table.from_batches(acc).combine_chunks()
+        elif not cut:
+            yield f.schema_arrow.empty_table().select(columns)
+
+
+def _read_group(group: list, columns: list, keep, decode):
     """One group's rows -> the rows ``keep`` keeps -> ``decode`` -> (the
     output's Ray Data block metadata, the output)."""
     from ray.data._internal.util import get_table_block_metadata_schema
 
-    table = read_row_groups(filesystem, group, columns)
+    table = pa.concat_tables(iter_row_groups(group, columns),
+                             promote_options="permissive")
     out = decode(table if keep is None else table.filter(keep))
     return get_table_block_metadata_schema(out), out
 
@@ -170,12 +197,11 @@ def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
     if hi is not None:
         upper = pads.field(first) <= hi
         keep = upper if keep is None else keep & upper
-    dataset, groups = plan_row_groups(path, keep)
+    schema, groups = plan_row_groups(path, keep)
     task = _read_task()
-    out = [task.remote(dataset.filesystem, group, columns, keep, decode)
-           for group in groups]
+    out = [task.remote(group, columns, keep, decode) for group in groups]
     if not out:
-        empty = decode(dataset.schema.empty_table().select(columns))
+        empty = decode(schema.empty_table().select(columns))
         return _from_arrow_refs([ray.put(empty)],
                                 [get_table_block_metadata_schema(empty)])
     # raises the error of a failed task

@@ -188,6 +188,10 @@ def _map_task(num_shards: int, key: str, skip: np.ndarray, fn, *args):
     return _split_block(_tag(fn(*args), num_shards, key, skip), num_shards)
 
 
+def _identity(table: pa.Table) -> pa.Table:
+    return table
+
+
 def _shard_task(fn, *slices: pa.Buffer):
     """One whole shard: its slices of every map block, one ``fn`` call ->
     (the output's Ray Data block metadata, the output)."""
@@ -202,12 +206,11 @@ def _shard_task(fn, *slices: pa.Buffer):
 
 @functools.cache
 def _ray_tasks():
-    """``_split_block``, ``_map_task`` and ``_shard_task`` as Ray tasks,
-    made on first use: importing this module does not import Ray."""
+    """``_map_task`` and ``_shard_task`` as Ray tasks, made on first use:
+    importing this module does not import Ray."""
     import ray
 
-    return (ray.remote(_split_block), ray.remote(_map_task),
-            ray.remote(num_returns=2)(_shard_task))
+    return ray.remote(_map_task), ray.remote(num_returns=2)(_shard_task)
 
 
 def _from_arrow_refs(tables, metas):
@@ -240,23 +243,19 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
     shard: ``num_shards`` bounds its memory.
 
     The exchange is direct, since every row's shard is known map-side.
-    ``ds`` is the map side, in one of two forms:
-
-    * a ``ray.data.Dataset``: it and the shard tag (``_tag``) run as one
-      Ray Data plan at full cluster width and stream their blocks to the
-      calling process as object refs; one ``_split_block`` task per block
-      then returns the block's row count per shard and one slice per
-      shard;
-    * a list of map inputs ``(f, *args)``: one plain Ray task per input
-      calls ``f(*args)`` (Ray resolves object-ref arguments), tags the
-      output and splits it in the same task, with no Ray Data plan.
-
-    The caller fetches only the counts, then starts one ``_shard_task``
-    per non-empty shard on that shard's slices; each returns its output
-    and the output's block metadata.  No row reaches the caller, and no
-    Ray Data plan holds an all-to-all operator: Ray's sort-based
-    ``groupby`` would add a sampling pass, a sort, a merge and tasks for
-    empty key ranges.
+    ``ds`` is the map side: a list of map inputs ``(f, *args)``, or a
+    ``ray.data.Dataset``, which runs as one Ray Data plan at full cluster
+    width (its blocks made Arrow tables) and streams its blocks to the
+    calling process as object refs, each block one map input.  One plain
+    Ray task per map input (``_map_task``) calls ``f(*args)`` (Ray
+    resolves object-ref arguments), tags its rows with their shard and
+    sorts them by it (``_tag``), and returns its row count per shard and
+    one slice per shard (``_split_block``).  The caller fetches only the counts, then
+    starts one ``_shard_task`` per non-empty shard on that shard's slices;
+    each returns its output and the output's block metadata.  No row
+    reaches the caller, and no Ray Data plan holds an all-to-all operator:
+    Ray's sort-based ``groupby`` would add a sampling pass, a sort, a
+    merge and tasks for empty key ranges.
 
     Runs when called, not lazily: it returns once every shard task has
     finished (raising the error of a failed map or shard task), as a
@@ -267,19 +266,17 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
 
     skip = np.zeros(num_shards, bool)
     skip[list(skip_shards)] = True
-    split_task, map_task, shard_task = _ray_tasks()
-    if isinstance(ds, list):
-        mapped = map_task.options(num_returns=num_shards + 1)
-        parts = [mapped.remote(num_shards, key, skip, *inp) for inp in ds]
-    else:
-        tagged = ds.map_batches(
-            _tag, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-            fn_kwargs=dict(num_shards=num_shards, key=key, skip=skip))
-        split = split_task.options(num_returns=num_shards + 1)
-        parts = [split.remote(block, num_shards)
-                 for bundle in tagged.iter_internal_ref_bundles()
-                 for block, meta in bundle.blocks if meta.num_rows != 0]
+    map_task, shard_task = _ray_tasks()
+    if not isinstance(ds, list):
+        # the plan only makes every block an Arrow table; lazily: a block's
+        # map task starts as the block arrives
+        blocks = ds.map_batches(_identity, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
+        ds = ((_identity, block)
+              for bundle in blocks.iter_internal_ref_bundles()
+              for block, meta in bundle.blocks if meta.num_rows != 0)
+    mapped = map_task.options(num_returns=num_shards + 1)
+    parts = [mapped.remote(num_shards, key, skip, *inp) for inp in ds]
     # raises the error of a failed map task
     counts = np.array(ray.get([p[0] for p in parts]),
                       np.int64).reshape(len(parts), num_shards)

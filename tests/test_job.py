@@ -494,7 +494,8 @@ def _shard_outputs(out_dir):
         for d in (m.shard_dir(s), m.chunk_dir(s)):
             for name in sorted(os.listdir(d)):
                 with open(os.path.join(d, name), "rb") as f:
-                    files[os.path.join(os.path.basename(d), name)] = f.read()
+                    files[os.path.relpath(os.path.join(d, name), out_dir)] = (
+                        f.read())
         out[s] = ({k: rec[k] for k in ("rows", "checksum", "chunk_rows",
                                        "chunk_checksum")}, files)
     return out
@@ -552,7 +553,7 @@ def test_job_map_side_is_few_tasks_each_doc_once(ray_session, tmp_path,
 
     from json_time_series_extractor_ray import job
     from json_time_series_extractor_ray.sources.parquet import (
-        read_row_groups,
+        iter_row_groups,
     )
 
     table = iot_corpus_table(600, seed=5)
@@ -565,11 +566,12 @@ def test_job_map_side_is_few_tasks_each_doc_once(ray_session, tmp_path,
     calls.mkdir()
     real = job._extract_group
 
-    def _recorded(stage, filesystem, group):
-        docs = read_row_groups(filesystem, group, ["doc_id"])
+    def _recorded(stage, group, batch_bytes):
+        docs = [d for t in iter_row_groups(group, ["doc_id"])
+                for d in t.column("doc_id").to_pylist()]
         with open(os.path.join(str(calls), uuid.uuid4().hex), "w") as f:
-            _json.dump(docs.column("doc_id").to_pylist(), f)
-        return real(stage, filesystem, group)
+            _json.dump(docs, f)
+        return real(stage, group, batch_bytes)
 
     monkeypatch.setattr(job, "_extract_group", _recorded)
     r = run_job(_config(str(corpus), str(tmp_path / "out")))
@@ -581,6 +583,88 @@ def test_job_map_side_is_few_tasks_each_doc_once(ray_session, tmp_path,
     n_tasks = len(os.listdir(calls))
     assert 1 <= n_tasks <= 2 * ray.cluster_resources()["CPU"]
     assert sorted(seen) == sorted(table.column("doc_id").to_pylist())
+
+
+def test_job_streams_a_large_row_group_in_bounded_batches(
+        ray_session, tmp_path, monkeypatch):
+    """Under a small block target, a corpus file of one row group larger
+    than the target reaches extraction in tables of about a tenth of the
+    target, every doc once, and the job commits what it commits under the
+    default target."""
+    import json as _json
+
+    import ray
+
+    from json_time_series_extractor_ray import job
+    from json_time_series_extractor_ray.sources.parquet import READ_ROWS
+
+    table = iot_corpus_table(3000, seed=9)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(table, str(corpus / "part-0.parquet"),
+                   row_group_size=len(table))
+    cfg = dict(_config(str(corpus), str(tmp_path / "ref")), num_shards=16)
+    run_job(cfg)
+
+    target = 512 * 1024
+    assert table.nbytes > 4 * target
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    real = job._extract_group
+
+    class _Recording:
+        def __init__(self, stage):
+            self.stage = stage
+            self.id_column = stage.id_column
+            self.tokens_column = stage.tokens_column
+
+        def __call__(self, batch):
+            with open(os.path.join(str(calls), uuid.uuid4().hex), "w") as f:
+                _json.dump([batch.column("doc_id").to_pylist(),
+                            batch.nbytes], f)
+            return self.stage(batch)
+
+    def _recorded(stage, group, batch_bytes):
+        return real(_Recording(stage), group, batch_bytes)
+
+    monkeypatch.setattr(job, "_extract_group", _recorded)
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = target
+    try:
+        run_job(dict(cfg, output_dir=str(tmp_path / "small")))
+    finally:
+        ctx.target_max_block_size = saved
+    docs, sizes = [], []
+    for name in os.listdir(calls):
+        with open(calls / name) as f:
+            ids, nbytes = _json.load(f)
+        docs += ids
+        sizes.append(nbytes)
+    # a read batch of the two columns is under READ_ROWS x 2 KB here
+    assert len(sizes) > 4
+    assert max(sizes) < target // 10 + READ_ROWS * 2048
+    assert sorted(docs) == sorted(table.column("doc_id").to_pylist())
+    assert (_shard_outputs(str(tmp_path / "small"))
+            == _shard_outputs(str(tmp_path / "ref")))
+
+
+def test_job_input_may_be_a_list(ray_session, tmp_path):
+    """``input`` may list directories and files: the job commits what it
+    commits for one directory holding the same files."""
+    table = iot_corpus_table(600, seed=21)
+    one, a, b = (tmp_path / d for d in ("one", "a", "b"))
+    for d in (one, a, b):
+        d.mkdir()
+    for i in range(3):
+        part = table.slice(200 * i, 200)
+        pq.write_table(part, str(one / f"part-{i}.parquet"))
+        pq.write_table(part, str((a if i < 2 else b) / f"part-{i}.parquet"))
+    run_job(_config(str(one), str(tmp_path / "ref")))
+    run_job(_config([str(a), str(b / "part-2.parquet")],
+                    str(tmp_path / "list")))
+    want = _shard_outputs(str(tmp_path / "ref"))
+    assert want and _shard_outputs(str(tmp_path / "list")) == want
 
 
 def test_job_empty_corpus_commits_nothing(ray_session, tmp_path):

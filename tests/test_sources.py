@@ -301,13 +301,50 @@ def test_plan_row_groups_cuts_contiguous_balanced_groups(
         pieces.append(path)
     _, groups = plan_row_groups(str(tmp_path))
     assert len(groups) == n and all(groups)
-    flat = [(f, rg) for g in groups for f, rgs in g for rg in rgs]
+    flat = [(f, rg) for g in groups for _, f, rgs in g for rg in rgs]
     assert flat == [(p, 0) for p in pieces]
     if len(set(sizes)) == 1 and sizes[0]:
-        lens = [sum(len(rgs) for _, rgs in g) for g in groups]
+        lens = [sum(len(rgs) for _, _, rgs in g) for g in groups]
         assert max(lens) - min(lens) <= 1
     if sizes[0] == 1000:
-        assert groups[0] == [(pieces[0], [0])]
+        assert [(f, rgs) for _, f, rgs in groups[0]] == [(pieces[0], [0])]
+
+
+def test_iter_row_groups_streams_bounded_tables(tmp_path):
+    """With ``batch_bytes``, a file of one large row group streams as
+    tables of at most ``batch_bytes`` plus one read batch, together every
+    row once in order; without, one table per file.  A file of no rows
+    yields one empty table with the asked columns."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from json_time_series_extractor_ray.sources.parquet import (
+        READ_ROWS,
+        iter_row_groups,
+        plan_row_groups,
+    )
+
+    n = 10 * READ_ROWS
+    big = pa.table({"i": np.arange(n), "x": np.arange(n, dtype=np.float64),
+                    "s": [f"row-{i}" for i in range(n)]})
+    pq.write_table(big, str(tmp_path / "big.parquet"), row_group_size=n)
+    pq.write_table(big.slice(0, 0), str(tmp_path / "empty.parquet"))
+    _, groups = plan_row_groups(str(tmp_path))
+    group = [piece for g in groups for piece in g]
+    assert [len(rgs) for _, _, rgs in group] == [1, 1]
+    batch_bytes = big.slice(0, 3 * READ_ROWS).select(["i", "x"]).nbytes
+    step = big.slice(0, READ_ROWS).select(["i", "x"]).nbytes
+
+    tables = list(iter_row_groups(group, ["i", "x"], batch_bytes))
+    assert len(tables) > 2
+    assert all(t.nbytes < batch_bytes + step for t in tables)
+    assert tables[-1].num_rows == 0 and tables[-1].schema.names == ["i", "x"]
+    assert pa.concat_tables(tables).equals(big.select(["i", "x"]))
+
+    whole = list(iter_row_groups(group, ["s"]))
+    assert [t.num_rows for t in whole] == [n, 0]
+    assert whole[0].equals(big.select(["s"]))
 
 
 def test_range_read_starts_tasks_only_for_overlapping_files(
