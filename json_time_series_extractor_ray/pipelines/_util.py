@@ -66,23 +66,31 @@ def as_table(out, schema: pa.Schema) -> pa.Table:
 
 
 def sharded_aggregate(ds, partial, final, schema: pa.Schema, *,
-                      key: str = "series_key"):
+                      key: str | None = "series_key"):
     """A keyed aggregate on the one shard exchange
     (``state/checkpoint.shard_apply``): ``partial`` maps each Arrow block
     to bounded partial rows, the exchange brings every partial row of one
     ``key`` value into one task, and ``final`` reduces that whole shard's
     partial rows (a pandas frame, the one pandas bridge; many keys at
-    once) to output rows in any form ``as_table`` takes.  Each shard's
-    output is cast once to ``schema``, and an input with no rows gives
-    one empty block of it.  Runs when called, like ``shard_apply``."""
+    once) to output rows in any form ``as_table`` takes.  With
+    ``key=None`` every partial row meets in one task (a global reduce
+    such as a contingency table).  Each shard's output is cast once to
+    ``schema``, and an input with no rows gives one empty block of it.
+    Runs when called, like ``shard_apply``."""
     import ray
 
-    def _reduce(t: pa.Table) -> pa.Table:
-        return as_table(final(t.drop_columns(["shard"]).to_pandas()), schema)
+    def _partial(batch: pa.Table) -> pa.Table:
+        t = partial(batch)
+        return t.append_column("group", pa.array(
+            np.zeros(t.num_rows, np.int8))) if key is None else t
 
-    out = shard_apply(ds.map_batches(partial, batch_format="pyarrow",
+    def _reduce(t: pa.Table) -> pa.Table:
+        t = t.drop_columns(["shard"] + (["group"] if key is None else []))
+        return as_table(final(t.to_pandas()), schema)
+
+    out = shard_apply(ds.map_batches(_partial, batch_format="pyarrow",
                                      zero_copy_batch=True),
-                      _reduce, key=key)
+                      _reduce, key=key or "group")
     return out if out.num_blocks() else ray.data.from_arrow(
         schema.empty_table())
 
@@ -131,18 +139,14 @@ def window_means(samples_ds, *, window_ns: int, fit, schema: pa.Schema,
     With ``series``, only those keys are kept, and all of them meet in
     one task (a cross-series fit such as a pair correlation)."""
     keep = None if series is None else pa.array(list(series), pa.string())
-    # a cross-series fit's partials carry its constant exchange key
-    partials = _MEAN_PARTIALS if keep is None else \
-        _MEAN_PARTIALS.append(pa.field("group", pa.string()))
 
     def _partial(batch: pa.Table) -> pa.Table:
         if keep is not None:
             batch = batch.filter(pc.is_in(batch.column("series_key"),
                                           value_set=keep))
-        g = window_sums(window_rows(batch, window_ns), n=("v", "size"),
-                        s=("v", "sum"))
-        g["group"] = ""
-        return as_table(g, partials)
+        return as_table(window_sums(window_rows(batch, window_ns),
+                                    n=("v", "size"), s=("v", "sum")),
+                        _MEAN_PARTIALS)
 
     def _final(df: pd.DataFrame):
         g = window_sums(df, n=("n", "sum"), s=("s", "sum"))
@@ -155,7 +159,7 @@ def window_means(samples_ds, *, window_ns: int, fit, schema: pa.Schema,
         return fit(series, g["window_ns"].to_numpy(np.int64), y, starts)
 
     return sharded_aggregate(samples_ds, _partial, _final, schema,
-                             key="series_key" if keep is None else "group")
+                             key="series_key" if keep is None else None)
 
 
 def hash_shards(values, num_shards: int, *, mix=None):

@@ -1,24 +1,38 @@
 """Time-series analytics operators: OHLC candles, z-score anomaly
-detection, and time-weighted averages.
+detection, time-weighted averages, and the histogram, smoothing,
+correlation, rank, association and fit operators that follow them.
 
 The reference is a per-document flat-map with no analytics (SURVEY.md
-§2.6); these extend the engine's rollup family with the next three
-aggregates a metrics/IoT user reaches for.  Scale shapes:
+§2.6); these extend the engine's rollup family with the aggregates a
+metrics/IoT user reaches for.  Scale shapes:
 
-* **OHLC** follows the ladder's combiner contract (stages/rollup.py):
-  each sample block collapses to at most one partial row per
-  ``(series_key, window)`` inside ``map_batches`` — carrying the
-  deterministic open/close pick keys ``(ts, doc_id, ordinal)`` — before
-  the single ``series_key`` shuffle, so even a hot series is bounded by
-  (#blocks x #windows) partial rows, never raw samples.
-* **Z-score anomalies** is the canonical two-pass broadcast shape: pass 1
-  reduces the stream to one ``(sum, sumsq, count)`` row per series
-  (per-block partials -> one tiny groupby), pass 2 re-scans the stream
-  flagging ``|z| > threshold`` with the k-row stats table broadcast into
-  every task — two sequential scans, zero joins, nothing materialized.
-* **TWA** needs within-window point adjacency, so it shuffles on
-  ``series_key`` and sorts per series (the ``rate_increase`` contract,
-  downsample.py): series cardinality must be >= desired parallelism.
+* **One exchange.**  Every keyed operator runs on
+  ``_util.sharded_aggregate``: a per-block partial inside
+  ``map_batches``, the one shard exchange (``state/checkpoint.
+  shard_apply``) that brings every partial row of one key value into one
+  task, and one ``final`` per shard over many keys at once.  No Ray Data
+  ``groupby`` runs here.
+* **Bounded partials.**  OHLC follows the ladder's combiner contract
+  (stages/rollup.py): each block collapses to at most one partial row per
+  ``(series_key, window)``, carrying the deterministic open/close pick
+  keys ``(ts, doc_id, ordinal)``, so even a hot series is bounded by
+  (#blocks x #windows) partial rows, never raw samples.  Histograms,
+  profiles, counts and moments collapse the same way.  TWA, EWMA, percent
+  rank and inter-arrival gaps need point adjacency or ranks, so their
+  raw projected rows cross the exchange: key cardinality must be >= the
+  desired parallelism (the ``rate_increase`` contract, downsample.py).
+* **Keys.**  Per-series operators shard on ``series_key``; their
+  ``final`` sorts the shard by (key, order) and walks its key segments,
+  each float sum in the order of the one-series expression.  A composite
+  key shards on a column every row of a group shares: ``series_key`` for
+  ``(series_key, bin | hour | day)``, ``series_a`` for a series pair.
+  Integer keys (a user id, a day number) shard through their string form
+  (``add_shard_column``).  Global tables (the PMI scores, the chi-square
+  cells, the Spearman pair) gather every partial row into one task
+  (``key=None``).
+* **Two passes.**  Z-score anomalies and seasonal residuals reduce the
+  stream to a small per-series table first (one exchange), then re-scan
+  the stream with that table broadcast into every task: zero joins.
 
 Float parity with the DuckDB oracles follows the repo rule (memory +
 BASELINE notes): cross-engine summation order differs, so every sum is
@@ -33,23 +47,24 @@ exact min/max.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.rollup import WINDOW_NS
-from ._util import round_half_away
+from ._util import as_table, round_half_away, sharded_aggregate
 
 _ORDER = ["ts_ns", "doc_id", "ordinal"]
 
-_OHLC_PARTIAL_DTYPES = {
-    "series_key": "object", "window_ns": "int64",
-    "open": "float64", "high": "float64", "low": "float64",
-    "close": "float64",
-    "open_ts": "int64", "open_doc": "object", "open_ord": "int64",
-    "close_ts": "int64", "close_doc": "object", "close_ord": "int64",
-}
+_I, _F, _S = pa.int64(), pa.float64(), pa.string()
+
+
+def _schema(*fields) -> pa.Schema:
+    """``series_key`` (string) then ``(name, type)`` fields."""
+    return pa.schema([("series_key", _S), *fields])
 
 
 def _numeric(batch: pa.Table) -> pa.Table:
@@ -64,9 +79,29 @@ def _numeric(batch: pa.Table) -> pa.Table:
     })
 
 
+def _runs(df: pd.DataFrame, by, order=()):
+    """A shard frame sorted by (``by``, ``order``), and the bounds of its
+    runs of equal ``by`` values: run ``i`` is rows
+    ``bounds[i]:bounds[i + 1]``."""
+    df = df.sort_values([*by, *order], kind="stable", ignore_index=True)
+    start = np.zeros(len(df), bool)
+    start[:1] = True
+    for c in by:
+        k = df[c].to_numpy()
+        start[1:] |= k[1:] != k[:-1]
+    return df, np.r_[np.flatnonzero(start), len(df)]
+
+
 # ---------------------------------------------------------------------------
 # OHLC candles
 # ---------------------------------------------------------------------------
+
+_OHLC = _schema(("window_ns", _I), ("open", _F), ("high", _F), ("low", _F),
+                ("close", _F))
+_OHLC_PARTIALS = pa.schema([
+    *_OHLC, ("open_ts", _I), ("open_doc", _S), ("open_ord", _I),
+    ("close_ts", _I), ("close_doc", _S), ("close_ord", _I)])
+
 
 def ohlc_partial_batch(batch: pa.Table, window_ns: int) -> pa.Table:
     """One sample block -> per-(series, window) OHLC partials.
@@ -76,11 +111,7 @@ def ohlc_partial_batch(batch: pa.Table, window_ns: int) -> pa.Table:
     reduceat for high/low and segment-boundary picks for open/close."""
     t = _numeric(batch)
     if t.num_rows == 0:
-        return pa.Table.from_pandas(
-            pd.DataFrame({c: pd.Series(dtype=d)
-                          for c, d in _OHLC_PARTIAL_DTYPES.items()}),
-            preserve_index=False,
-        )
+        return _OHLC_PARTIALS.empty_table()
     ts = t.column("ts_ns").to_numpy()
     v = t.column("value_num").to_numpy(zero_copy_only=False)
     ordinal = t.column("ordinal").to_numpy()
@@ -115,45 +146,34 @@ def ohlc_partial_batch(batch: pa.Table, window_ns: int) -> pa.Table:
 
 
 def _ohlc_merge(df: pd.DataFrame) -> pd.DataFrame:
-    """Merge one series' partial rows into final per-window candles."""
-    # open: the partial whose (open_ts, open_doc, open_ord) is minimal
-    a = df.sort_values(["window_ns", "open_ts", "open_doc", "open_ord"],
-                       kind="stable")
-    opens = a.groupby("window_ns", sort=True).first()
-    # close: maximal (close_ts, close_doc, close_ord)
-    d = df.sort_values(["window_ns", "close_ts", "close_doc", "close_ord"],
-                       kind="stable")
-    closes = d.groupby("window_ns", sort=True).last()
-    hl = df.groupby("window_ns", sort=True).agg(
-        high=("high", "max"), low=("low", "min")
-    )
-    out = pd.DataFrame({
-        "series_key": opens["series_key"],
-        "open": opens["open"],
-        "high": hl["high"],
-        "low": hl["low"],
-        "close": closes["close"],
-    }).reset_index()
-    return out[["series_key", "window_ns", "open", "high", "low", "close"]]
+    """Merge a shard's partial rows into final per-(series, window)
+    candles: open from the partial with the least (open_ts, open_doc,
+    open_ord), close from the greatest (close_ts, close_doc, close_ord)."""
+    keys = ["series_key", "window_ns"]
+    opens = df.sort_values(keys + ["open_ts", "open_doc", "open_ord"],
+                           kind="stable").groupby(keys, sort=True).first()
+    closes = df.sort_values(keys + ["close_ts", "close_doc", "close_ord"],
+                            kind="stable").groupby(keys, sort=True).last()
+    hl = df.groupby(keys, sort=True).agg(high=("high", "max"),
+                                         low=("low", "min"))
+    return hl.assign(open=opens["open"], close=closes["close"]).reset_index()
 
 
-def ohlc_rollup(samples_ds, *, window_ns: int = WINDOW_NS["1m"],
-                batch_size: int = 65536):
+def ohlc_rollup(samples_ds, *, window_ns: int = WINDOW_NS["1m"]):
     """Per-(series, window) OHLC candles over the numeric sample stream."""
-    import functools
-
-    partial = samples_ds.map_batches(
-        functools.partial(ohlc_partial_batch, window_ns=window_ns),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
-    )
-    return partial.groupby("series_key").map_groups(
-        _ohlc_merge, batch_format="pandas"
-    )
+    return sharded_aggregate(
+        samples_ds, functools.partial(ohlc_partial_batch, window_ns=window_ns),
+        _ohlc_merge, _OHLC)
 
 
 # ---------------------------------------------------------------------------
 # Z-score anomaly flags
 # ---------------------------------------------------------------------------
+
+_STATS = _schema(("s", _F), ("ss", _F), ("n", _I))
+_STATS_PARTIALS = pa.schema([*_STATS, ("first_ts", _I), ("first_doc", _S),
+                             ("first_ord", _I)])
+
 
 def _stats_partial(batch: pa.Table) -> pa.Table:
     """One block -> per-series (sum, sumsq, count) partials, summed in the
@@ -162,15 +182,7 @@ def _stats_partial(batch: pa.Table) -> pa.Table:
     reason at merge time."""
     t = _numeric(batch)
     if t.num_rows == 0:
-        return pa.table({
-            "series_key": pa.array([], pa.string()),
-            "s": pa.array([], pa.float64()),
-            "ss": pa.array([], pa.float64()),
-            "n": pa.array([], pa.int64()),
-            "first_ts": pa.array([], pa.int64()),
-            "first_doc": pa.array([], pa.string()),
-            "first_ord": pa.array([], pa.int64()),
-        })
+        return _STATS_PARTIALS.empty_table()
     ts = t.column("ts_ns").to_numpy()
     v = t.column("value_num").to_numpy(zero_copy_only=False)
     ordinal = t.column("ordinal").to_numpy()
@@ -200,23 +212,21 @@ def series_stats(samples_ds):
     per series).  Partials merge in sorted ``(first_ts, first_doc,
     first_ord)`` order so the float sums are deterministic across runs."""
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["first_ts", "first_doc", "first_ord"],
-                            kind="stable")
-        return pd.DataFrame({
-            "series_key": [df["series_key"].iloc[0]],
-            "s": [df["s"].to_numpy().sum()],
-            "ss": [df["ss"].to_numpy().sum()],
-            "n": [int(df["n"].sum())],
-        })
+    def _merge(df: pd.DataFrame) -> dict:
+        df, bounds = _runs(df, ["series_key"],
+                           ["first_ts", "first_doc", "first_ord"])
+        s, ss = df["s"].to_numpy(), df["ss"].to_numpy()
+        runs = list(zip(bounds[:-1], bounds[1:]))
+        return {
+            "series_key": df["series_key"].to_numpy()[bounds[:-1]],
+            "s": [s[a:b].sum() for a, b in runs],
+            "ss": [ss[a:b].sum() for a, b in runs],
+            "n": np.add.reduceat(df["n"].to_numpy(), bounds[:-1]),
+        }
 
-    partial = samples_ds.map_batches(
-        _stats_partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    merged = partial.groupby("series_key").map_groups(
-        _merge, batch_format="pandas"
-    )
-    return merged.to_pandas()  # k rows — one per series
+    # k rows — one per series
+    return sharded_aggregate(samples_ds, _stats_partial, _merge,
+                             _STATS).to_pandas()
 
 
 def zscore_anomalies(samples_fn, *, threshold: float = 3.0,
@@ -297,46 +307,32 @@ def twa_rollup(samples_ds, *, window_ns: int = WINDOW_NS["1d"],
     so the weighted sums stay small enough for 6-decimal rounding to
     absorb cross-engine summation-order noise."""
 
-    def _twa_group(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_ORDER, kind="stable", ignore_index=True)
-        ts = df["ts_ns"].to_numpy()
-        v = df["value_num"].to_numpy()
-        w = ts - (ts % window_ns)
-        # windows are contiguous runs after the sort — slice by run
-        # boundaries instead of a fresh O(n) mask per window (round-2
-        # review: the mask loop was O(windows x points) per series).
-        # Slices keep the summation expression byte-identical.
-        starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
-        ends = np.r_[starts[1:], len(w)]
-        out_w, out_twa = [], []
-        for s_i, e_i in zip(starts, ends):
-            win = w[s_i]
-            twin, vwin = ts[s_i:e_i], v[s_i:e_i]
+    def _partial(batch: pa.Table) -> pa.Table:
+        t = _numeric(batch)
+        ts = t.column("ts_ns").to_numpy()
+        return t.append_column("window_ns", pa.array(ts - ts % window_ns))
+
+    def _twa(df: pd.DataFrame) -> list:
+        # windows are runs after the sort; each window's sum is its own
+        # slice, so the summation expression is the one-window one
+        df, bounds = _runs(df, ["series_key", "window_ns"], _ORDER)
+        keys, w = df["series_key"].to_numpy(), df["window_ns"].to_numpy()
+        ts, v = df["ts_ns"].to_numpy(), df["value_num"].to_numpy()
+        rows = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            twin, vwin = ts[a:b], v[a:b]
             if len(twin) < 2 or twin[-1] == twin[0]:
                 continue
             dt_s = (twin[1:] - twin[:-1]) / 1_000_000_000.0
             num = round_half_away(
                 float((vwin[:-1] * dt_s).sum()), round_digits)
             dur = (twin[-1] - twin[0]) / 1_000_000_000.0
-            out_w.append(win)
-            out_twa.append(round_half_away(num / dur, round_digits))
-        return pd.DataFrame({
-            "series_key": df["series_key"].iloc[0] if out_w else
-            pd.Series(dtype="object"),
-            "window_ns": pd.Series(out_w, dtype="int64"),
-            "twa": pd.Series(out_twa, dtype="float64"),
-        }) if out_w else pd.DataFrame({
-            "series_key": pd.Series(dtype="object"),
-            "window_ns": pd.Series(dtype="int64"),
-            "twa": pd.Series(dtype="float64"),
-        })
+            rows.append((keys[a], w[a],
+                         round_half_away(num / dur, round_digits)))
+        return rows
 
-    proj = samples_ds.map_batches(
-        _numeric, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return proj.groupby("series_key").map_groups(
-        _twa_group, batch_format="pandas"
-    )
+    return sharded_aggregate(samples_ds, _partial, _twa,
+                             _schema(("window_ns", _I), ("twa", _F)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +446,35 @@ _register_queries()
 # Per-series value histograms (fixed-bin, clamped)
 # ---------------------------------------------------------------------------
 
+_HIST_PARTIALS = _schema(("bin", _I), ("n", _I))
+
+
+def _hist_partial(lo: float, width: float, n_bins: int):
+    """Block -> per-(series_key, bin) counts (a numpy clamp + one pandas
+    size): at most ``n_series x n_bins`` partial rows per block."""
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        t = _numeric(batch)
+        v = t.column("value_num").to_numpy(zero_copy_only=False)
+        bins = np.clip(np.floor((v - lo) / width), 0, n_bins - 1).astype(
+            np.int64)
+        return as_table(pd.DataFrame({
+            "series_key": t.column("series_key").to_pandas(),
+            "bin": bins,
+        }).groupby(["series_key", "bin"], sort=False).size().reset_index(
+            name="n"), _HIST_PARTIALS)
+
+    return _partial
+
+
+def _hist_merge(df: pd.DataFrame, lo: float, width: float) -> pd.DataFrame:
+    """A shard's histogram partials -> (series_key, bin, bin_lo, n),
+    sorted by (series_key, bin)."""
+    g = df.groupby(["series_key", "bin"], sort=True)["n"].sum().reset_index()
+    g["bin_lo"] = lo + g["bin"].to_numpy(np.float64) * width
+    return g
+
+
 def value_histogram(samples_ds, *, lo: float = 0.0, hi: float = 1000.0,
                     n_bins: int = 25):
     """Fixed-bin value histogram per series: ``bin = clamp(floor((v - lo)
@@ -457,51 +482,15 @@ def value_histogram(samples_ds, *, lo: float = 0.0, hi: float = 1000.0,
     emitting only observed ``(series_key, bin)`` cells.
 
     Scale shape: the per-batch combiner collapses every block to at most
-    ``n_series x n_bins`` partial rows (a numpy factorize+bincount), so
-    the single ``(series_key, bin)`` groupby shuffles bounded partials —
-    the distributed-histogram textbook shape.
+    ``n_series x n_bins`` partial rows, so the one ``series_key``
+    exchange moves bounded partials — the distributed-histogram textbook
+    shape.
     """
-    import pandas as pd
-
     width = (hi - lo) / n_bins
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        t = _numeric(batch)
-        v = t.column("value_num").to_numpy(zero_copy_only=False)
-        bins = np.clip(np.floor((v - lo) / width), 0, n_bins - 1).astype(
-            np.int64)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_numpy(
-                zero_copy_only=False),
-            "bin": bins,
-        })
-        part = df.groupby(["series_key", "bin"], sort=False).size()
-        idx = part.index.to_frame(index=False)
-        return pa.table({
-            "series_key": pa.array(idx["series_key"], pa.string()),
-            "bin": pa.array(idx["bin"].to_numpy(), pa.int64()),
-            "n": pa.array(part.to_numpy().astype(np.int64), pa.int64()),
-        })
-
-    agg = (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby(["series_key", "bin"])
-        .sum("n")
-    )
-
-    def _shape(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "series_key": batch.column("series_key"),
-            "bin": batch.column("bin").cast(pa.int64()),
-            "bin_lo": pa.array(
-                lo + batch.column("bin").cast(pa.float64()).to_numpy(
-                    zero_copy_only=False) * width, pa.float64()),
-            "n": batch.column("sum(n)").cast(pa.int64()),
-        })
-
-    return agg.map_batches(_shape, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return sharded_aggregate(
+        samples_ds, _hist_partial(lo, width, n_bins),
+        lambda df: _hist_merge(df, lo, width),
+        _schema(("bin", _I), ("bin_lo", _F), ("n", _I)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,37 +505,35 @@ def ewma_smooth(samples_ds, *, alpha: float = 0.5, window_k: int = 8):
 
     The finite window keeps the operator SQL-mirrorable (a bounded
     row_number self-join) where the infinite-history EWMA recurrence is
-    not.  Per-series order -> one ``series_key`` shuffle (the
-    ``rate_increase`` partitioning contract: series cardinality must be
-    >= desired parallelism); the smoothing itself is one numpy
-    convolution per group.
+    not.  Per-series order -> the raw numeric rows cross the one
+    ``series_key`` exchange (series cardinality must be >= desired
+    parallelism); the smoothing itself is one numpy convolution per
+    series segment of the shard.
     """
     w = (1.0 - alpha) ** np.arange(window_k)
 
     def _smooth(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_ORDER, kind="stable", ignore_index=True)
+        df, bounds = _runs(df, ["series_key"], _ORDER)
         v = df["value_num"].to_numpy()
-        n = len(v)
-        num = np.convolve(v, w)[:n]
-        den = np.convolve(np.ones(n), w)[:n]
-        return pd.DataFrame({
-            "series_key": df["series_key"],
-            "ts_ns": df["ts_ns"],
-            "value_num": v,
-            "ewma": round_half_away(num / den, 6),
-        })
+        ewma = np.empty(len(v))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            n = b - a
+            ewma[a:b] = (np.convolve(v[a:b], w)[:n]
+                         / np.convolve(np.ones(n), w)[:n])
+        return df.assign(ewma=round_half_away(ewma, 6))
 
-    return (
-        samples_ds.map_batches(_numeric, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("series_key")
-        .map_groups(_smooth, batch_format="pandas")
-    )
+    return sharded_aggregate(samples_ds, _numeric, _smooth, _schema(
+        ("ts_ns", _I), ("value_num", _F), ("ewma", _F)))
 
 
 # ---------------------------------------------------------------------------
 # Pairwise series correlation over rollup windows
 # ---------------------------------------------------------------------------
+
+_PAIR_MOMENTS = pa.schema([
+    ("series_a", _S), ("series_b", _S), ("n", _I),
+    *((m, _F) for m in ("sx", "sy", "sxx", "syy", "sxy"))])
+
 
 def pairwise_window_corr(wide_ds, *, series=None):
     """Pearson correlation between every pair of series over their 1m
@@ -555,9 +542,9 @@ def pairwise_window_corr(wide_ds, *, series=None):
 
     Scale shape: runs over the already-pivoted window table; each block
     collapses to one ``(pair, n, sx, sy, sxx, syy, sxy)`` partial row per
-    pair inside ``map_batches``, one tiny ``groupby(pair)`` merges them,
-    and the closed-form corr is computed from the 6-dp-rounded sums (the
-    repo's cross-engine float-parity rule; DuckDB's native ``corr()``
+    pair inside ``map_batches``, one exchange keyed on ``series_a`` merges
+    them, and the closed-form corr is computed from the 6-dp-rounded sums
+    (the repo's cross-engine float-parity rule; DuckDB's native ``corr()``
     uses different numerics, so the oracle applies the IDENTICAL rounded
     expression instead).  Pair names are ordered lexicographically on
     both sides.
@@ -570,66 +557,38 @@ def pairwise_window_corr(wide_ds, *, series=None):
              for i, a in enumerate(series) for b in series[i + 1:]]
 
     def _partial(batch: pa.Table) -> pa.Table:
-        rows = {"series_a": [], "series_b": [], "n": [], "sx": [],
-                "sy": [], "sxx": [], "syy": [], "sxy": []}
         data = {s: batch.column(cols[s]).to_numpy(zero_copy_only=False)
                 for s in series}
+        rows = []
         for a, b in pairs:
             x, y = data[a], data[b]
             ok = ~(np.isnan(x) | np.isnan(y))
             xs, ys = x[ok], y[ok]
-            rows["series_a"].append(a)
-            rows["series_b"].append(b)
-            rows["n"].append(int(ok.sum()))
-            rows["sx"].append(float(xs.sum()))
-            rows["sy"].append(float(ys.sum()))
-            rows["sxx"].append(float((xs * xs).sum()))
-            rows["syy"].append(float((ys * ys).sum()))
-            rows["sxy"].append(float((xs * ys).sum()))
-        return pa.table({
-            "series_a": pa.array(rows["series_a"], pa.string()),
-            "series_b": pa.array(rows["series_b"], pa.string()),
-            "n": pa.array(rows["n"], pa.int64()),
-            "sx": pa.array(rows["sx"], pa.float64()),
-            "sy": pa.array(rows["sy"], pa.float64()),
-            "sxx": pa.array(rows["sxx"], pa.float64()),
-            "syy": pa.array(rows["syy"], pa.float64()),
-            "sxy": pa.array(rows["sxy"], pa.float64()),
-        })
+            rows.append((a, b, int(ok.sum()), float(xs.sum()),
+                         float(ys.sum()), float((xs * xs).sum()),
+                         float((ys * ys).sum()), float((xs * ys).sum())))
+        return as_table(rows, _PAIR_MOMENTS)
 
-    agg = (
-        wide_ds.map_batches(_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        .groupby(["series_a", "series_b"])
-        .sum(["n", "sx", "sy", "sxx", "syy", "sxy"])
-    )
-
-    def _corr(batch: pa.Table) -> pa.Table:
-        n = batch.column("sum(n)").cast(pa.float64()).to_numpy(
-            zero_copy_only=False)
-        sx = round_half_away(
-            batch.column("sum(sx)").to_numpy(zero_copy_only=False), 6)
-        sy = round_half_away(
-            batch.column("sum(sy)").to_numpy(zero_copy_only=False), 6)
-        sxx = round_half_away(
-            batch.column("sum(sxx)").to_numpy(zero_copy_only=False), 6)
-        syy = round_half_away(
-            batch.column("sum(syy)").to_numpy(zero_copy_only=False), 6)
-        sxy = round_half_away(
-            batch.column("sum(sxy)").to_numpy(zero_copy_only=False), 6)
+    def _corr(df: pd.DataFrame) -> dict:
+        g = df.groupby(["series_a", "series_b"], sort=True).sum() \
+            .reset_index()
+        n = g["n"].to_numpy(np.float64)
+        sx, sy, sxx, syy, sxy = (round_half_away(g[m].to_numpy(), 6)
+                                 for m in ("sx", "sy", "sxx", "syy", "sxy"))
         var = (n * sxx - sx * sx) * (n * syy - sy * sy)
         corr = np.where(var > 0,
                         (n * sxy - sx * sy) / np.sqrt(np.maximum(var, 1e-300)),
                         np.nan)
-        return pa.table({
-            "series_a": batch.column("series_a"),
-            "series_b": batch.column("series_b"),
-            "n_windows": batch.column("sum(n)").cast(pa.int64()),
-            "corr": pa.array(round_half_away(corr, 6), pa.float64()),
-        })
+        return {
+            "series_a": g["series_a"].to_numpy(),
+            "series_b": g["series_b"].to_numpy(),
+            "n_windows": g["n"].to_numpy(),
+            "corr": round_half_away(corr, 6),
+        }
 
-    return agg.map_batches(_corr, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return sharded_aggregate(wide_ds, _partial, _corr, pa.schema([
+        ("series_a", _S), ("series_b", _S), ("n_windows", _I),
+        ("corr", _F)]), key="series_a")
 
 
 def _register_analytics2() -> None:
@@ -734,54 +693,30 @@ def seasonal_profile(samples_ds, *, period_ns: int = 3_600_000_000_000,
 
     Same combiner contract as the rollup ladder with the window key
     replaced by ``(ts // period) % cycle``: every block collapses to at
-    most ``n_series x cycle`` partial (sum, count) rows, one tiny
-    ``(series_key, hour)`` groupby merges them.  The mean is computed
-    from the 6-dp-rounded sum (cross-engine float-parity rule).
+    most ``n_series x cycle`` partial (sum, count) rows, and the one
+    ``series_key`` exchange merges them.  The mean is computed from the
+    6-dp-rounded sum (cross-engine float-parity rule).
     """
-    import pandas as pd
+    partials = _schema(("hour", _I), ("s", _F), ("n", _I))
 
     def _partial(batch: pa.Table) -> pa.Table:
         t = _numeric(batch)
         ts = t.column("ts_ns").to_numpy(zero_copy_only=False)
-        v = t.column("value_num").to_numpy(zero_copy_only=False)
-        hour = ((ts // period_ns) % cycle).astype(np.int64)
-        df = pd.DataFrame({
-            "series_key": t.column("series_key").to_numpy(
-                zero_copy_only=False),
-            "hour": hour,
-            "v": v,
-        })
-        g = df.groupby(["series_key", "hour"], sort=False)["v"].agg(
-            ["sum", "size"])
-        idx = g.index.to_frame(index=False)
-        return pa.table({
-            "series_key": pa.array(idx["series_key"], pa.string()),
-            "hour": pa.array(idx["hour"].to_numpy(), pa.int64()),
-            "s": pa.array(g["sum"].to_numpy(), pa.float64()),
-            "n": pa.array(g["size"].to_numpy().astype(np.int64), pa.int64()),
-        })
+        return as_table(pd.DataFrame({
+            "series_key": t.column("series_key").to_pandas(),
+            "hour": ((ts // period_ns) % cycle).astype(np.int64),
+            "v": t.column("value_num").to_numpy(zero_copy_only=False),
+        }).groupby(["series_key", "hour"], sort=False).agg(
+            s=("v", "sum"), n=("v", "size")).reset_index(), partials)
 
-    agg = (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby(["series_key", "hour"])
-        .sum(["s", "n"])
-    )
+    def _mean(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(["series_key", "hour"], sort=True).agg(
+            s=("s", "sum"), n=("n", "sum")).reset_index()
+        s = round_half_away(g["s"].to_numpy(), 6)
+        return g.assign(mean=round_half_away(s / g["n"].to_numpy(), 6))
 
-    def _mean(batch: pa.Table) -> pa.Table:
-        s = round_half_away(
-            batch.column("sum(s)").to_numpy(zero_copy_only=False), 6)
-        n = batch.column("sum(n)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        return pa.table({
-            "series_key": batch.column("series_key"),
-            "hour": batch.column("hour").cast(pa.int64()),
-            "n": pa.array(n, pa.int64()),
-            "mean": pa.array(round_half_away(s / n, 6), pa.float64()),
-        })
-
-    return agg.map_batches(_mean, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return sharded_aggregate(samples_ds, _partial, _mean, _schema(
+        ("hour", _I), ("n", _I), ("mean", _F)))
 
 
 def _register_analytics3() -> None:
@@ -816,8 +751,6 @@ def seasonal_residuals(samples_fn, *, period_ns: int = 3_600_000_000_000,
     into the flag scan — the ``zscore_anomalies`` two-pass discipline
     (stats pass + streaming map pass), never a shuffle join.
     """
-    import pandas as pd
-
     prof = seasonal_profile(samples_fn(), period_ns=period_ns,
                             cycle=cycle).to_pandas()
     # dense (series -> cycle-length mean vector) map: the per-batch lookup
@@ -889,13 +822,13 @@ def acf_tier(rollup_ds, *, tier: str = "1m", lags=(1, 2, 3)):
     means, in window order — the seasonality/persistence diagnostic.
 
     Same wide-op budget as ``cumulative_tier``: the tier is bounded
-    (#series x #windows), one ``series_key`` groupby co-locates each
-    mean sequence, and the lag products are one vectorized pass.  Float
-    parity: Pearson terms are computed from 6-dp-rounded sums with the
-    identical expression tree as the oracle (round-before-derive);
-    zero-variance sides are filtered on BOTH sides.
+    (#series x #windows), the one ``series_key`` exchange co-locates each
+    mean sequence, and each series' lag sums are one vectorized pass over
+    its segment of the shard.  Float parity: Pearson terms are computed
+    from 6-dp-rounded sums with the identical expression tree as the
+    oracle (round-before-derive); zero-variance sides are filtered on
+    BOTH sides.
     """
-    import pyarrow.compute as pc
 
     def _partial(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch.column("tier"), tier))
@@ -908,36 +841,33 @@ def acf_tier(rollup_ds, *, tier: str = "1m", lags=(1, 2, 3)):
             "mean": pa.array(round_half_away(s / n, 6), pa.float64()),
         })
 
-    def _acf(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("window_ns", ignore_index=True)
-        m = df["mean"].to_numpy()
+    def _acf(df: pd.DataFrame) -> list:
+        df, bounds = _runs(df, ["series_key"], ["window_ns"])
+        keys, means = df["series_key"].to_numpy(), df["mean"].to_numpy()
         rows = []
-        for k in lags:
-            if len(m) <= k:
-                continue
-            x, y = m[:-k], m[k:]
-            n = len(x)
-            sx = round_half_away(x.sum(), 6)
-            sy = round_half_away(y.sum(), 6)
-            sxy = round_half_away((x * y).sum(), 6)
-            sxx = round_half_away((x * x).sum(), 6)
-            syy = round_half_away((y * y).sum(), 6)
-            vx = n * sxx - sx * sx
-            vy = n * syy - sy * sy
-            if vx <= 0 or vy <= 0:
-                continue
-            acf = round_half_away(
-                (n * sxy - sx * sy) / np.sqrt(vx * vy), 6)
-            rows.append((df["series_key"].iloc[0], k, n, acf))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "lag", "n_pairs", "acf"
-        ]).astype({"series_key": "object", "lag": "int64",
-                   "n_pairs": "int64", "acf": "float64"})
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            m = means[a:b]
+            for k in lags:
+                if len(m) <= k:
+                    continue
+                x, y = m[:-k], m[k:]
+                n = len(x)
+                sx = round_half_away(x.sum(), 6)
+                sy = round_half_away(y.sum(), 6)
+                sxy = round_half_away((x * y).sum(), 6)
+                sxx = round_half_away((x * x).sum(), 6)
+                syy = round_half_away((y * y).sum(), 6)
+                vx = n * sxx - sx * sx
+                vy = n * syy - sy * sy
+                if vx <= 0 or vy <= 0:
+                    continue
+                acf = round_half_away(
+                    (n * sxy - sx * sy) / np.sqrt(vx * vy), 6)
+                rows.append((keys[a], k, n, acf))
+        return rows
 
-    partial = rollup_ds.map_batches(_partial, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return partial.groupby("series_key").map_groups(
-        _acf, batch_format="pandas")
+    return sharded_aggregate(rollup_ds, _partial, _acf, _schema(
+        ("lag", _I), ("n_pairs", _I), ("acf", _F)))
 
 
 # ---------------------------------------------------------------------------
@@ -947,9 +877,10 @@ def acf_tier(rollup_ds, *, tier: str = "1m", lags=(1, 2, 3)):
 def interarrival_stats(events_ds):
     """Per user: count / mean / max of the gaps (seconds) between
     consecutive events in ``(ts, event_id)`` order; single-event users
-    have no gaps and are dropped (both sides).  One ``user_id`` groupby;
-    the diff is one numpy pass — user cardinality is the parallelism
-    (the ``rate_increase`` contract)."""
+    have no gaps and are dropped (both sides).  One ``user_id`` exchange;
+    each user's diff is one numpy pass over its segment of the shard —
+    user cardinality is the parallelism (the ``rate_increase``
+    contract)."""
 
     def _proj(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -959,34 +890,22 @@ def interarrival_stats(events_ds):
             "event_id": batch.column("event_id"),
         })
 
-    def _gaps(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts_ns", "event_id"], kind="stable",
-                            ignore_index=True)
-        if len(df) < 2:
-            return pd.DataFrame({
-                "user_id": pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "n_gaps": pd.Series(dtype="int64"),
-                "mean_gap_s": pd.Series(dtype="float64"),
-                "max_gap_s": pd.Series(dtype="float64"),
-            })
-        gaps = np.diff(df["ts_ns"].to_numpy()) / 1e9
-        s = round_half_away(gaps.sum(), 6)
-        return pd.DataFrame({
-            "user_id": np.array([df["user_id"].iloc[0]], np.int64),
-            "n_events": np.array([len(df)], np.int64),
-            "n_gaps": np.array([len(gaps)], np.int64),
-            "mean_gap_s": round_half_away(
-                np.array([s / len(gaps)]), 6),
-            "max_gap_s": np.array([gaps.max()], np.float64),
-        })
+    def _gaps(df: pd.DataFrame) -> list:
+        df, bounds = _runs(df, ["user_id"], ["ts_ns", "event_id"])
+        users, ts = df["user_id"].to_numpy(), df["ts_ns"].to_numpy()
+        rows = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b - a < 2:
+                continue
+            gaps = np.diff(ts[a:b]) / 1e9
+            s = round_half_away(gaps.sum(), 6)
+            rows.append((users[a], b - a, len(gaps),
+                         round_half_away(s / len(gaps), 6), gaps.max()))
+        return rows
 
-    return (
-        events_ds.map_batches(_proj, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("user_id")
-        .map_groups(_gaps, batch_format="pandas")
-    )
+    return sharded_aggregate(events_ds, _proj, _gaps, pa.schema([
+        ("user_id", _I), ("n_events", _I), ("n_gaps", _I),
+        ("mean_gap_s", _F), ("max_gap_s", _F)]), key="user_id")
 
 
 def _register_analytics4() -> None:
@@ -1086,39 +1005,31 @@ def percent_rank_daily(samples_fn, *, day_ns: int = _PR_DAY_NS):
     value_num)``: ``(rank_min - 1) / (n - 1)``, 0 for singleton days,
     ties sharing the min rank.
 
-    The day scoping is the scale contract: a whole-series rank would put
-    one series' entire history in one group task (unbounded), while
-    (series, day) groups are bounded by a day's sample volume — the same
-    co-partition the rollup ladder uses.  ONE groupby; the per-group
-    kernel is a vectorized pandas rank.  Rank ratios are exact small-int
+    The day scoping is the scale contract: a whole-series rank would need
+    one series' entire history at once, while (series, day) groups are
+    bounded by a day's sample volume — the same co-partition the rollup
+    ladder uses.  The one exchange shards on ``series_key`` (every row of
+    a (series, day) group shares it); the shard's kernel is one
+    vectorized pandas group rank.  Rank ratios are exact small-int
     divisions, round-6 on both engines.
     """
 
-    def _add_day(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts_ns").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "day", pa.array(ts // day_ns, pa.int64()))
+    def _partial(batch: pa.Table) -> pa.Table:
+        t = _numeric(batch)
+        ts = t.column("ts_ns").to_numpy(zero_copy_only=False)
+        return t.append_column("day", pa.array(ts // day_ns, pa.int64()))
 
     def _rank(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        r = df["value_num"].rank(method="min").to_numpy()
-        pct = (r - 1.0) / (n - 1.0) if n > 1 else np.zeros(n)
-        return pd.DataFrame({
-            "series_key": df["series_key"],
-            "ts_ns": df["ts_ns"].astype(np.int64),
-            "doc_id": df["doc_id"],
-            "ordinal": df["ordinal"].astype(np.int64),
-            "value_num": df["value_num"],
-            "pct_rank": round_half_away(pct, 6),
-        })
+        g = df.groupby(["series_key", "day"], sort=False)["value_num"]
+        r = g.rank(method="min").to_numpy()
+        n = g.transform("size").to_numpy(np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pct = np.where(n > 1, (r - 1.0) / (n - 1.0), 0.0)
+        return df.assign(pct_rank=round_half_away(pct, 6))
 
-    return (
-        samples_fn().map_batches(_numeric, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-        .map_batches(_add_day, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["series_key", "day"])
-        .map_groups(_rank, batch_format="pandas")
-    )
+    return sharded_aggregate(samples_fn(), _partial, _rank, _schema(
+        ("ts_ns", _I), ("doc_id", _S), ("ordinal", _I), ("value_num", _F),
+        ("pct_rank", _F)))
 
 
 def _q_percent_rank(sf_dir: str):
@@ -1153,42 +1064,38 @@ _register_percent_rank()
 # Event-type co-occurrence PMI (market-basket association over time windows)
 # ---------------------------------------------------------------------------
 
-def type_cooccurrence_pmi(events_ds, *, window_ns: int = 3_600_000_000_000,
-                          num_shards: int = 64):
+def type_cooccurrence_pmi(events_ds, *, window_ns: int = 3_600_000_000_000):
     """Pointwise mutual information between event-type pairs that
     co-occur inside the same (user, tumbling window) basket — the
     standard association score `ln(P(a,b) / (P(a)P(b)))` over basket
     incidence, positive when two behaviours cluster together.
 
     Scale shape: each block collapses to its distinct
-    ``(user, window, type)`` triples (the only rows that shuffle — the
-    basket relation, bounded by users x windows x |types|, never raw
-    events); ONE hash-shard groupby on (user, window) makes triples
-    globally distinct and emits per-shard pair/single/basket COUNT
-    partials (each shard's output is <= |types|^2 + |types| + 1 tiny
-    rows); a single-group merge computes the PMI table (<= |types|^2
-    rows).  The per-basket pair expansion is a self-merge bounded by
-    |types| per basket (5 here -> <= 10 pairs).  PMI is a log of an
-    integer-count ratio evaluated by the identical expression on both
-    engines; round-6 absorbs libm ULP differences.
+    ``(user, window, type)`` triples (the only rows that cross the first
+    exchange — the basket relation, bounded by users x windows x |types|,
+    never raw events); that exchange shards on ``user_id`` (every triple
+    of a basket shares it), makes triples globally distinct and emits
+    per-shard pair/single/basket COUNT partials (each shard's output is
+    <= |types|^2 + |types| + 1 tiny rows); a one-task gather computes the
+    PMI table (<= |types|^2 rows).  The per-basket pair expansion is a
+    self-merge bounded by |types| per basket (5 here -> <= 10 pairs).
+    PMI is a log of an integer-count ratio evaluated by the identical
+    expression on both engines; round-6 absorbs libm ULP differences.
     """
-    from ._util import hash_shards, round_half_away
+    triples = pa.schema([("user_id", _I), ("w", _I), ("event_type", _S)])
+    counts = pa.schema([("a", _S), ("b", _S), ("c", _I)])
 
     def _triples(batch: pa.Table) -> pa.Table:
         t = batch.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
+        return as_table(pd.DataFrame({
             "user_id": batch.column("user_id")
             .to_numpy(zero_copy_only=False),
             "w": t - (t % window_ns),
             "event_type": batch.column("event_type").to_pandas(),
-        }).drop_duplicates()
-        mix = df["user_id"].to_numpy(np.int64) * np.int64(1_000_003) \
-            + df["w"].to_numpy(np.int64)
-        df["shard"] = hash_shards(mix, num_shards)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        }).drop_duplicates(), triples)
 
-    def _shard_counts(df: pd.DataFrame) -> pd.DataFrame:
+    def _shard_counts(df: pd.DataFrame) -> dict:
         df = df.drop_duplicates(["user_id", "w", "event_type"])
         nb = len(df[["user_id", "w"]].drop_duplicates())
         singles = df.groupby("event_type", sort=False).size().reset_index(
@@ -1197,7 +1104,7 @@ def type_cooccurrence_pmi(events_ds, *, window_ns: int = 3_600_000_000_000,
         m = m[m["event_type_x"] < m["event_type_y"]]
         pairs = m.groupby(["event_type_x", "event_type_y"], sort=False) \
             .size().reset_index(name="c")
-        return pd.DataFrame({
+        return {
             "a": ([""] + singles["event_type"].tolist()
                   + pairs["event_type_x"].tolist()),
             "b": ([""] + [""] * len(singles)
@@ -1207,10 +1114,9 @@ def type_cooccurrence_pmi(events_ds, *, window_ns: int = 3_600_000_000_000,
                 singles["c"].to_numpy(np.int64),
                 pairs["c"].to_numpy(np.int64),
             ]),
-            "one": np.zeros(1 + len(singles) + len(pairs), np.int32),
-        })
+        }
 
-    def _pmi(df: pd.DataFrame) -> pd.DataFrame:
+    def _pmi(df: pd.DataFrame) -> list:
         g = df.groupby(["a", "b"], sort=False)["c"].sum()
         nb = float(g.loc[("", "")])
         singles = {a: float(c) for (a, b), c in g.items()
@@ -1218,20 +1124,15 @@ def type_cooccurrence_pmi(events_ds, *, window_ns: int = 3_600_000_000_000,
         rows = [(a, b, int(c),
                  np.log(float(c) * nb / (singles[a] * singles[b])))
                 for (a, b), c in g.items() if b != ""]
-        rows.sort()
-        return pd.DataFrame({
-            "type_a": [r[0] for r in rows],
-            "type_b": [r[1] for r in rows],
-            "n_pair": pd.Series([r[2] for r in rows], dtype="int64"),
-            "pmi": round_half_away(np.array([r[3] for r in rows]), 6),
-        })
+        return [(a, b, c, round_half_away(p, 6))
+                for a, b, c, p in sorted(rows)]
 
-    return (
-        events_ds.map_batches(_triples, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard").map_groups(_shard_counts, batch_format="pandas")
-        .groupby("one").map_groups(_pmi, batch_format="pandas")
-    )
+    shard_counts = sharded_aggregate(events_ds, _triples, _shard_counts,
+                                     counts, key="user_id")
+    return sharded_aggregate(
+        shard_counts, lambda t: t, _pmi, pa.schema([
+            ("type_a", _S), ("type_b", _S), ("n_pair", _I), ("pmi", _F)]),
+        key=None)
 
 
 def _q_type_pmi(sf_dir: str):
@@ -1281,43 +1182,35 @@ _register_pmi(
 # ---------------------------------------------------------------------------
 
 def group_mode(events_ds, *, key: str = "user_id",
-               value: str = "event_type", num_shards: int = 64):
+               value: str = "event_type"):
     """Modal ``value`` per ``key`` with a deterministic tie-break
     (highest count wins, lexicographically smallest value on ties —
     SQL's ``mode()`` is tie-nondeterministic, so the oracle pins the
     same rule with ``row_number``).
 
     Scale shape: per-block (key, value, cnt) partials — bounded by
-    keys x |values| per block, never raw rows — merge in key-sharded
-    pandas tasks where the argmax is a sort over each key's <= |values|
-    candidate rows.
+    keys x |values| per block, never raw rows — merge in one exchange
+    keyed on the (integer) ``key``, where the argmax is a sort over each
+    key's <= |values| candidate rows.
     """
-    from ._util import hash_shards
 
     def _partial(batch: pa.Table) -> pa.Table:
-        g = pd.DataFrame({
+        return as_table(pd.DataFrame({
             "k": batch.column(key).to_numpy(zero_copy_only=False),
             "v": batch.column(value).to_pandas(),
-        }).groupby(["k", "v"], sort=False).size().reset_index(name="cnt")
-        g["shard"] = hash_shards(g["k"].to_numpy(), num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        }).groupby(["k", "v"], sort=False).size().reset_index(name="cnt"),
+            pa.schema([("k", _I), ("v", _S), ("cnt", _I)]))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
+    def _merge(df: pd.DataFrame) -> dict:
         g = df.groupby(["k", "v"], sort=False)["cnt"].sum().reset_index()
         g = g.sort_values(["k", "cnt", "v"],
                           ascending=[True, False, True])
         top = g.drop_duplicates("k", keep="first")
-        return pd.DataFrame({
-            key: top["k"].astype(np.int64),
-            "mode_value": top["v"].astype(str),
-            "mode_count": top["cnt"].astype(np.int64),
-        })
+        return {key: top["k"], "mode_value": top["v"],
+                "mode_count": top["cnt"]}
 
-    return (
-        events_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard").map_groups(_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(events_ds, _partial, _merge, pa.schema([
+        (key, _I), ("mode_value", _S), ("mode_count", _I)]), key="k")
 
 
 def _q_user_mode(sf_dir: str):
@@ -1367,7 +1260,7 @@ def type_dow_chi2(events_ds):
     (is behaviour type independent of weekday?).
 
     Scale shape: per-block (type, dow) count partials (bounded by
-    |types| x 7 per block) and ONE tiny merge task that holds the whole
+    |types| x 7 per block) and ONE tiny gather task that holds the whole
     contingency matrix — expectations need every row/column total, so
     a single-task finish over dozens of cells is the right plan, not a
     limitation.  Counts are exact int64; both engines evaluate the
@@ -1378,16 +1271,14 @@ def type_dow_chi2(events_ds):
     def _partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        dow = ((ts // _DAY_NS_CHI) + 4) % 7
-        g = pd.DataFrame({
+        return as_table(pd.DataFrame({
             "event_type": batch.column("event_type").to_pandas(),
-            "dow": dow,
-        }).groupby(["event_type", "dow"], sort=False) \
-            .size().reset_index(name="n")
-        g["one"] = np.zeros(len(g), np.int32)
-        return pa.Table.from_pandas(g, preserve_index=False)
+            "dow": ((ts // _DAY_NS_CHI) + 4) % 7,
+        }).groupby(["event_type", "dow"], sort=False).size().reset_index(
+            name="n"), pa.schema([("event_type", _S), ("dow", _I),
+                                  ("n", _I)]))
 
-    def _chi2(df: pd.DataFrame) -> pd.DataFrame:
+    def _chi2(df: pd.DataFrame) -> dict:
         g = df.groupby(["event_type", "dow"], sort=True)["n"].sum() \
             .reset_index()
         n_total = float(g["n"].sum())
@@ -1398,19 +1289,12 @@ def type_dow_chi2(events_ds):
         obs = g["n"].to_numpy(np.float64)
         exp = round_half_away(row_tot * col_tot / n_total, 6)
         contrib = round_half_away((obs - exp) * (obs - exp) / exp, 6)
-        return pd.DataFrame({
-            "event_type": g["event_type"].astype(str),
-            "dow": g["dow"].astype(np.int64),
-            "observed": g["n"].astype(np.int64),
-            "expected": exp,
-            "contrib": contrib,
-        })
+        return {"event_type": g["event_type"], "dow": g["dow"],
+                "observed": g["n"], "expected": exp, "contrib": contrib}
 
-    return (
-        events_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("one").map_groups(_chi2, batch_format="pandas")
-    )
+    return sharded_aggregate(events_ds, _partial, _chi2, pa.schema([
+        ("event_type", _S), ("dow", _I), ("observed", _I),
+        ("expected", _F), ("contrib", _F)]), key=None)
 
 
 def _q_type_dow_chi2(sf_dir: str):
@@ -1462,7 +1346,7 @@ SLO_SLOW_RATE = 0.202  # daily gate (budget 0.2 x 1.01)
 
 
 def slo_burn_alerts(events_ds, *, fast_rate: float = SLO_FAST_RATE,
-                    slow_rate: float = SLO_SLOW_RATE, num_shards: int = 32):
+                    slow_rate: float = SLO_SLOW_RATE):
     """Multi-window burn-rate alerting (the SRE-workbook pattern): an
     hour alerts only when ITS error rate crosses the fast line AND the
     containing day's rate crosses the slow line — the long window
@@ -1470,30 +1354,27 @@ def slo_burn_alerts(events_ds, *, fast_rate: float = SLO_FAST_RATE,
     early.
 
     Scale shape: per-block (hour, n, err) count partials; the ONE
-    shuffle shards by DAY, so a single group task holds one day's
-    <= 24 hourly rows and evaluates both window conditions locally —
-    no second exchange, no join between the two window sizes.  Rates
-    are round-6 of exact integer counts, so both engines compare the
-    identical numbers against the same literal thresholds.
+    exchange is keyed on the (integer) DAY, so a shard task holds whole
+    days of <= 24 hourly rows each and evaluates both window conditions
+    locally — no second exchange, no join between the two window sizes.
+    Rates are round-6 of exact integer counts, so both engines compare
+    the identical numbers against the same literal thresholds.
     """
-    import pyarrow.compute as pc
-
-    from ._util import hash_shards
 
     def _partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        hour = ts // _HOUR_NS_SLO * _HOUR_NS_SLO
         err = pc.equal(batch.column("event_type"), "error") \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        g = pd.DataFrame({"hour_ns": hour, "err": err}) \
+        g = pd.DataFrame({"hour_ns": ts // _HOUR_NS_SLO * _HOUR_NS_SLO,
+                          "err": err}) \
             .groupby("hour_ns", sort=False).agg(
                 n=("err", "size"), err=("err", "sum")).reset_index()
-        g["shard"] = hash_shards(
-            g["hour_ns"].to_numpy() // _DAY_NS_SLO, num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        g["day"] = g["hour_ns"] // _DAY_NS_SLO
+        return as_table(g, pa.schema([("hour_ns", _I), ("n", _I),
+                                      ("err", _I), ("day", _I)]))
 
-    def _alerts(df: pd.DataFrame) -> pd.DataFrame:
+    def _alerts(df: pd.DataFrame) -> dict:
         g = df.groupby("hour_ns", sort=True).agg(
             n=("n", "sum"), err=("err", "sum")).reset_index()
         g["day_ns"] = g["hour_ns"] // _DAY_NS_SLO * _DAY_NS_SLO
@@ -1503,19 +1384,17 @@ def slo_burn_alerts(events_ds, *, fast_rate: float = SLO_FAST_RATE,
         rate_1d = round_half_away(
             d["err"].to_numpy(np.float64) / d["n"].to_numpy(np.float64), 6)
         keep = (rate_1h >= fast_rate) & (rate_1d >= slow_rate)
-        return pd.DataFrame({
+        return {
             "hour_ns": g["hour_ns"].to_numpy(np.int64)[keep],
             "n": g["n"].to_numpy(np.int64)[keep],
             "err": g["err"].to_numpy(np.int64)[keep],
             "rate_1h": rate_1h[keep],
             "rate_1d": rate_1d[keep],
-        })
+        }
 
-    return (
-        events_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard").map_groups(_alerts, batch_format="pandas")
-    )
+    return sharded_aggregate(events_ds, _partial, _alerts, pa.schema([
+        ("hour_ns", _I), ("n", _I), ("err", _I), ("rate_1h", _F),
+        ("rate_1d", _F)]), key="day")
 
 
 def _q_slo_burn(sf_dir: str):
@@ -1560,7 +1439,7 @@ _register_slo(
 # Schema drift report: per (series, month) value-kind mix + first-seen flags
 # ---------------------------------------------------------------------------
 
-def schema_drift_report(samples_ds, *, num_shards: int = 32):
+def schema_drift_report(samples_ds):
     """Per (series_key, epoch week, value_kind): sample count plus
     ``is_new_kind`` — true in the FIRST week that kind ever appears
     for the series.  The data-quality screen for evolving payloads: a
@@ -1568,47 +1447,36 @@ def schema_drift_report(samples_ds, *, num_shards: int = 32):
     numbers shows up as a flagged new-kind row, before it breaks a
     downstream cast.
 
-    Scale shape: per-block (series, month, kind) count partials —
-    bounded by series x kinds per block; the ONE shuffle shards by
-    SERIES so a group task holds a series' whole (week x kind) grid
-    and computes first-appearance locally.  Counts are exact ints; the
-    kind code matches the sample schema (0 null / 1 number / 2 string).
+    Scale shape: per-block (series, week, kind) count partials —
+    bounded by series x weeks x kinds per block; the ONE exchange is
+    keyed on SERIES so a shard task holds each of its series' whole
+    (week x kind) grid and computes first-appearance locally.  Counts
+    are exact ints; the kind code matches the sample schema (0 null /
+    1 number / 2 string).
     """
-    from ._util import hash_shards
-
     week_ns = 7 * 86_400_000_000_000
+    counts = _schema(("week_ns", _I), ("value_kind", _I), ("n", _I))
 
     def _partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.timestamp("ns")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        g = pd.DataFrame({
+        return as_table(pd.DataFrame({
             "series_key": batch.column("series_key").to_pandas(),
             "week_ns": ts // week_ns * week_ns,
             "value_kind": batch.column("value_kind")
             .to_numpy(zero_copy_only=False).astype(np.int64),
-        }).groupby(["series_key", "week_ns", "value_kind"], sort=False) \
-            .size().reset_index(name="n")
-        g["shard"] = hash_shards(g["series_key"], num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        }).groupby(["series_key", "week_ns", "value_kind"], sort=False)
+            .size().reset_index(name="n"), counts)
 
     def _drift(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["series_key", "week_ns", "value_kind"],
                        sort=True)["n"].sum().reset_index()
         first = g.groupby(["series_key", "value_kind"])["week_ns"] \
             .transform("min")
-        return pd.DataFrame({
-            "series_key": g["series_key"].astype(str),
-            "week_ns": g["week_ns"].astype(np.int64),
-            "value_kind": g["value_kind"].astype(np.int64),
-            "n": g["n"].astype(np.int64),
-            "is_new_kind": (g["week_ns"] == first).astype(bool),
-        })
+        return g.assign(is_new_kind=g["week_ns"] == first)
 
-    return (
-        samples_ds.map_batches(_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-        .groupby("shard").map_groups(_drift, batch_format="pandas")
-    )
+    return sharded_aggregate(samples_ds, _partial, _drift, pa.schema([
+        *counts, ("is_new_kind", pa.bool_())]))
 
 
 def _q_schema_drift(sf_dir: str):
@@ -1650,18 +1518,20 @@ def _q_user_balance_corr(sf_dir: str) -> pd.DataFrame:
     keyed by user_id, customer by c_custkey).
 
     Scale shape: events collapse to per-user counts via per-block
-    ``value_counts`` partials + ONE small shuffle over distinct users;
-    the (small) per-user table broadcast-joins the customer balance
-    (loud ``MAX_BROADCAST_DIM_ROWS`` via ``relational._dim_map``); the
-    correlation folds per-block moment partials.  Moment sums round to
-    6 on both engines, then one identical IEEE expression.
+    ``value_counts`` partials + ONE exchange keyed on the user id; each
+    shard task looks its users' balances up in the (small) customer map
+    (loud ``MAX_BROADCAST_DIM_ROWS`` via ``relational._dim_map``,
+    broadcast with the task) and emits one moment row, and the driver
+    folds the per-shard moments.  Moment sums round to 6 on both
+    engines, then one identical IEEE expression.
     """
-    import pyarrow.compute as pc
     import ray
 
-    from ._util import round_half_away
-    from .enrich import broadcast_join
     from .relational import _dim_map
+
+    bal = _dim_map(f"{sf_dir}/customer.parquet", "c_custkey", "c_acctbal",
+                   None)
+    moments = ("sx", "sy", "sxx", "sxy", "syy")
 
     def _counts(batch: pa.Table) -> pa.Table:
         vc = pc.value_counts(batch.column("user_id"))
@@ -1670,51 +1540,30 @@ def _q_user_balance_corr(sf_dir: str) -> pd.DataFrame:
             "cnt": vc.field("counts").cast(pa.int64()),
         })
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": df["user_id"].iloc[:1],
-            "cnt": pd.Series([int(df["cnt"].sum())], dtype="int64"),
-        })
+    def _moments(df: pd.DataFrame) -> dict:
+        cnt = df.groupby("user_id", sort=False)["cnt"].sum()
+        # users without a customer row (or balance) drop out
+        y = cnt.index.map(bal).to_numpy(np.float64)
+        ok = ~np.isnan(y)
+        x, y = cnt.to_numpy(np.float64)[ok], y[ok]
+        return {"n": [len(x)], "sx": [x.sum()], "sy": [y.sum()],
+                "sxx": [(x * x).sum()], "sxy": [(x * y).sum()],
+                "syy": [(y * y).sum()]}
 
-    per_user = (
+    m = sharded_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["user_id"])
-        .map_batches(_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id").map_groups(_merge, batch_format="pandas")
-    )
-    bal = _dim_map(f"{sf_dir}/customer.parquet", "c_custkey", "c_acctbal",
-                   None)
-    joined = broadcast_join(per_user, bal, key="user_id",
-                            value_name="acctbal",
-                            value_type=pa.float64())
-
-    def _moments(batch: pa.Table) -> pa.Table:
-        x = batch.column("cnt").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        y = batch.column("acctbal").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "n": pa.array([len(x)], pa.int64()),
-            "sx": pa.array([float(x.sum())], pa.float64()),
-            "sy": pa.array([float(y.sum())], pa.float64()),
-            "sxx": pa.array([float((x * x).sum())], pa.float64()),
-            "sxy": pa.array([float((x * y).sum())], pa.float64()),
-            "syy": pa.array([float((y * y).sum())], pa.float64()),
-        })
-
-    m = joined.map_batches(_moments, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .sum(["n", "sx", "sy", "sxx", "sxy", "syy"])
-    n = int(m["sum(n)"] or 0)
+                              columns=["user_id"]),
+        _counts, _moments,
+        pa.schema([("n", _I), *((c, _F) for c in moments)]),
+        key="user_id").to_pandas().sum()
+    n = int(m["n"])
     if n < 2:
         return pd.DataFrame({
             "n_users": pd.Series([n], dtype="int64"),
             "corr": [np.nan],
         })
-    sx = round_half_away(np.float64(m["sum(sx)"]), 6)
-    sy = round_half_away(np.float64(m["sum(sy)"]), 6)
-    sxx = round_half_away(np.float64(m["sum(sxx)"]), 6)
-    sxy = round_half_away(np.float64(m["sum(sxy)"]), 6)
-    syy = round_half_away(np.float64(m["sum(syy)"]), 6)
+    sx, sy, sxx, sxy, syy = (round_half_away(np.float64(m[c]), 6)
+                             for c in moments)
     denom = (n * sxx - sx * sx) * (n * syy - sy * sy)
     corr = ((n * sxy - sx * sy) / np.sqrt(denom) if denom > 0
             else np.nan)
@@ -1775,9 +1624,9 @@ def _q_part_rank_stability(sf_dir: str) -> pd.DataFrame:
     moment sums through one identical IEEE expression.
 
     Scale shape: per-block (part, month) revenue partials -> ONE
-    part-keyed shuffle; each month's ranking runs in one
-    dimension-bounded task (loud ``MAX_RANK_ROWS``; the remedy for a
-    fact-scale key is the distributed prefix-rank of
+    one-task gather that ranks each month and correlates the two; the
+    task is dimension-bounded (loud ``MAX_RANK_ROWS`` per month; the
+    remedy for a fact-scale key is the distributed prefix-rank of
     ``customer_spend_gini``); only parts present in BOTH months enter
     the correlation.
     """
@@ -1785,8 +1634,6 @@ def _q_part_rank_stability(sf_dir: str) -> pd.DataFrame:
 
     import pyarrow.dataset as pads
     import ray
-
-    from ._util import round_half_away
 
     lo = _dt.datetime.fromisoformat(SPEARMAN_M1[0])
     hi = _dt.datetime.fromisoformat(SPEARMAN_M2[1])
@@ -1813,43 +1660,28 @@ def _q_part_rank_stability(sf_dir: str) -> pd.DataFrame:
             "mo": (ts >= split_ns).astype(np.int8),
             "rev": rev,
         })
-        g = df.groupby(["pk", "mo"], sort=False)["rev"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return as_table(
+            df.groupby(["pk", "mo"], sort=False)["rev"].sum().reset_index(),
+            pa.schema([("pk", _I), ("mo", pa.int8()), ("rev", _F)]))
 
-    def _rank_month(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) > MAX_RANK_ROWS:
+    def _spearman(df: pd.DataFrame) -> dict:
+        rows = int(df["mo"].value_counts().max())
+        if rows > MAX_RANK_ROWS:
             raise ValueError(
-                f"rank task holds {len(df)} rows (> MAX_RANK_ROWS="
+                f"rank task holds {rows} rows (> MAX_RANK_ROWS="
                 f"{MAX_RANK_ROWS}); use a distributed prefix-rank (see "
                 "customer_spend_gini) for fact-scale keys")
-        g = df.groupby("pk", sort=False)["rev"].sum()
-        rev = round_half_away(g.to_numpy(), 2)
-        s = pd.Series(rev)
-        # average rank with ties, over the ROUNDED revenue
-        rank = s.rank(method="average").to_numpy()
-        return pd.DataFrame({
-            "pk": g.index.to_numpy(np.int64),
-            "mo": np.repeat(df["mo"].iloc[0], len(g)).astype(np.int8),
-            "rank": rank,
-        })
-
-    ranked = (
-        li.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("mo").map_groups(_rank_month, batch_format="pandas")
-    )
-
-    def _pair(df: pd.DataFrame) -> pd.DataFrame:
-        wide = df.pivot_table(index="pk", columns="mo", values="rank",
-                              aggfunc="first").dropna()
+        g = df.groupby(["mo", "pk"], sort=False)["rev"].sum().reset_index()
+        # average rank with ties within each month, over the ROUNDED revenue
+        g["rank"] = pd.Series(round_half_away(g["rev"].to_numpy(), 2)) \
+            .groupby(g["mo"].to_numpy()).rank(method="average").to_numpy()
+        wide = g.pivot_table(index="pk", columns="mo", values="rank",
+                             aggfunc="first").dropna()
         x = wide[0].to_numpy(np.float64)
         y = wide[1].to_numpy(np.float64)
         n = len(x)
         if n < 2:
-            return pd.DataFrame({
-                "n_parts": pd.Series([n], dtype="int64"),
-                "spearman_rho": [np.nan],
-            })
+            return {"n_parts": [n], "spearman_rho": [np.nan]}
         sx = round_half_away(np.float64(x.sum()), 6)
         sy = round_half_away(np.float64(y.sum()), 6)
         sxx = round_half_away(np.float64((x * x).sum()), 6)
@@ -1858,19 +1690,11 @@ def _q_part_rank_stability(sf_dir: str) -> pd.DataFrame:
         denom = (n * sxx - sx * sx) * (n * syy - sy * sy)
         rho = ((n * sxy - sx * sy) / np.sqrt(denom) if denom > 0
                else np.nan)
-        return pd.DataFrame({
-            "n_parts": pd.Series([n], dtype="int64"),
-            "spearman_rho": [float(round_half_away(np.float64(rho), 6))],
-        })
+        return {"n_parts": [n],
+                "spearman_rho": [float(round_half_away(np.float64(rho), 6))]}
 
-    withk = ranked.map_batches(
-        lambda t: t.append_column("__one", pa.array([0] * t.num_rows,
-                                                    pa.int32())),
-        batch_format="pyarrow", zero_copy_batch=True)
-    out = withk.groupby("__one").map_groups(
-        lambda df: _pair(df.drop(columns="__one")),
-        batch_format="pandas")
-    return out.to_pandas()
+    return sharded_aggregate(li, _partial, _spearman, pa.schema([
+        ("n_parts", _I), ("spearman_rho", _F)]), key=None).to_pandas()
 
 
 from .registry import register as _register_spearman  # noqa: E402
@@ -1926,53 +1750,43 @@ def _q_orders_lognormal(sf_dir: str):
     implied median ``exp(mu)``.
 
     Scale shape: per-block (priority, n, sum, sumsq of ln) moment
-    partials -> ONE tiny groupby merge; the rounded-moments rule makes
-    the sigma expression identical on both engines.
+    partials -> ONE exchange keyed on the priority; the rounded-moments
+    rule makes the sigma expression identical on both engines.
     """
     import ray
-
-    from ._util import round_half_away
 
     def _partial(batch: pa.Table) -> pa.Table:
         pr = batch.column("o_orderpriority").to_pandas()
         lx = np.log(batch.column("o_totalprice")
                     .to_numpy(zero_copy_only=False))
         df = pd.DataFrame({"pri": pr, "lx": lx, "lx2": lx * lx})
-        g = df.groupby("pri", sort=False).agg(
+        return as_table(df.groupby("pri", sort=False).agg(
             n=("lx", "size"), s=("lx", "sum"), ss=("lx2", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        ).reset_index(), pa.schema([("pri", _S), ("n", _I), ("s", _F),
+                                    ("ss", _F)]))
 
-    def _fit(df: pd.DataFrame) -> pd.DataFrame:
-        n = int(df["n"].sum())
-        if n < 2:
-            return pd.DataFrame({
-                "o_orderpriority": pd.Series([], dtype=object),
-                "n_orders": pd.Series([], dtype="int64"),
-                "mu": pd.Series([], dtype="float64"),
-                "sigma": pd.Series([], dtype="float64"),
-                "median_price": pd.Series([], dtype="float64"),
-            })
-        s = float(round_half_away(np.float64(df["s"].sum()), 6))
-        ss = float(round_half_away(np.float64(df["ss"].sum()), 6))
-        mu = float(round_half_away(np.float64(s / n), 6))
-        var = (ss - s * s / n) / (n - 1)
-        sigma = float(round_half_away(
-            np.float64(np.sqrt(max(var, 0.0))), 6))
-        return pd.DataFrame({
-            "o_orderpriority": df["pri"].iloc[:1],
-            "n_orders": pd.Series([n], dtype="int64"),
-            "mu": pd.Series([mu], dtype="float64"),
-            "sigma": pd.Series([sigma], dtype="float64"),
-            "median_price": round_half_away(np.array([np.exp(mu)]), 2),
-        })
+    def _fit(df: pd.DataFrame) -> list:
+        rows = []
+        for pri, g in df.groupby("pri", sort=False):
+            n = int(g["n"].sum())
+            if n < 2:
+                continue
+            s = float(round_half_away(np.float64(g["s"].sum()), 6))
+            ss = float(round_half_away(np.float64(g["ss"].sum()), 6))
+            mu = float(round_half_away(np.float64(s / n), 6))
+            var = (ss - s * s / n) / (n - 1)
+            sigma = float(round_half_away(
+                np.float64(np.sqrt(max(var, 0.0))), 6))
+            rows.append((pri, n, mu, sigma,
+                         round_half_away(np.exp(mu), 2)))
+        return rows
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"])
-    return ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("pri").map_groups(_fit, batch_format="pandas")
+    return sharded_aggregate(ds, _partial, _fit, pa.schema([
+        ("o_orderpriority", _S), ("n_orders", _I), ("mu", _F),
+        ("sigma", _F), ("median_price", _F)]), key="pri")
 
 
 from .registry import register as _register_lognorm  # noqa: E402
@@ -2002,12 +1816,11 @@ def _q_brand_disc_qty_corr(sf_dir: str):
     """Per part brand: Pearson correlation between line-item discount
     and quantity — the "do discounts move volume" screen.  The brand
     arrives via a broadcast part->brand map (never a shuffle); per-block
-    (brand, moments) partials fold through ONE tiny groupby; rounded
-    moment sums feed one identical IEEE expression.
+    (brand, moments) partials fold through ONE exchange keyed on the
+    brand; rounded moment sums feed one identical IEEE expression.
     """
     import ray
 
-    from ._util import round_half_away
     from .enrich import broadcast_join
     from .relational import _dim_map
 
@@ -2018,6 +1831,7 @@ def _q_brand_disc_qty_corr(sf_dir: str):
         columns=["l_partkey", "l_discount", "l_quantity"])
     j = broadcast_join(li, brand, key="l_partkey", value_name="brand",
                        value_type=pa.string())
+    moments = ("sx", "sy", "sxx", "sxy", "syy")
 
     def _moments(batch: pa.Table) -> pa.Table:
         x = batch.column("l_discount").to_numpy(zero_copy_only=False)
@@ -2027,35 +1841,25 @@ def _q_brand_disc_qty_corr(sf_dir: str):
             "n": np.ones(len(x), dtype=np.int64),
             "sx": x, "sy": y, "sxx": x * x, "sxy": x * y, "syy": y * y,
         })
-        g = df.groupby("brand", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return as_table(df.groupby("brand", sort=False).sum().reset_index(),
+                        pa.schema([("brand", _S), ("n", _I),
+                                   *((m, _F) for m in moments)]))
 
-    def _corr(df: pd.DataFrame) -> pd.DataFrame:
-        n = int(df["n"].sum())
-        sx = round_half_away(np.float64(df["sx"].sum()), 6)
-        sy = round_half_away(np.float64(df["sy"].sum()), 6)
-        sxx = round_half_away(np.float64(df["sxx"].sum()), 6)
-        sxy = round_half_away(np.float64(df["sxy"].sum()), 6)
-        syy = round_half_away(np.float64(df["syy"].sum()), 6)
-        denom = (n * sxx - sx * sx) * (n * syy - sy * sy)
-        if not (n >= 2 and denom > 0):
-            return pd.DataFrame({
-                "brand": pd.Series([], dtype=object),
-                "n_items": pd.Series([], dtype="int64"),
-                "corr": pd.Series([], dtype="float64"),
-            })
-        corr = (n * sxy - sx * sy) / np.sqrt(denom)
-        return pd.DataFrame({
-            "brand": df["brand"].iloc[:1],
-            "n_items": pd.Series([n], dtype="int64"),
-            "corr": round_half_away(np.array([corr]), 6),
-        })
+    def _corr(df: pd.DataFrame) -> list:
+        rows = []
+        for brand_, g in df.groupby("brand", sort=False):
+            n = int(g["n"].sum())
+            sx, sy, sxx, sxy, syy = (
+                round_half_away(np.float64(g[m].sum()), 6) for m in moments)
+            denom = (n * sxx - sx * sx) * (n * syy - sy * sy)
+            if not (n >= 2 and denom > 0):
+                continue
+            corr = (n * sxy - sx * sy) / np.sqrt(denom)
+            rows.append((brand_, n, round_half_away(corr, 6)))
+        return rows
 
-    return (
-        j.map_batches(_moments, batch_format="pyarrow",
-                      zero_copy_batch=True)
-        .groupby("brand").map_groups(_corr, batch_format="pandas")
-    )
+    return sharded_aggregate(j, _moments, _corr, pa.schema([
+        ("brand", _S), ("n_items", _I), ("corr", _F)]), key="brand")
 
 
 _register_xcorr(
@@ -2098,41 +1902,39 @@ def hist_quantile(samples_ds, *, lo: float = 0.0, hi: float = 1000.0,
     exact over raw values.
 
     Scale shape: rides the histogram combiner — every block collapses to
-    <= n_series x n_bins partials, one (series_key, bin) groupby, then a
-    tiny per-series interpolation over <= n_bins rows.  The raw values
-    never shuffle, which is the whole point at 100 TB.
+    <= n_series x n_bins partials, the one ``series_key`` exchange merges
+    them, and each series' interpolation runs over its <= n_bins rows of
+    the shard.  The raw values never shuffle, which is the whole point at
+    100 TB.
 
     Hash parity: rank/cum/cnt are exact (integers and p * total), the
     single rounded derivation is the final interpolated value with the
     identical expression tree ``round(bin_lo + (rank - cum_before)
     * width / cnt, 6)`` on both engines."""
-    import pandas as pd
-
     width = (hi - lo) / n_bins
-    hist = value_histogram(samples_ds, lo=lo, hi=hi, n_bins=n_bins)
 
-    def _interp(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("bin", ignore_index=True)
-        cnt = df["n"].to_numpy(np.float64)
-        cum = np.cumsum(cnt)
-        total = cum[-1]
+    def _interp(df: pd.DataFrame) -> list:
+        h, bounds = _runs(_hist_merge(df, lo, width), ["series_key"])
+        keys, bin_lo = h["series_key"].to_numpy(), h["bin_lo"].to_numpy()
+        counts = h["n"].to_numpy(np.float64)
         rows = []
-        for p in ps:
-            rank = p * total
-            i = int(np.searchsorted(cum, rank, side="left"))
-            i = min(i, len(cnt) - 1)
-            cum_before = cum[i] - cnt[i]
-            q = round_half_away(np.array([
-                df["bin_lo"].iloc[i]
-                + (rank - cum_before) * width / cnt[i]]), 6)[0]
-            rows.append((df["series_key"].iloc[0], p, int(total), q))
-        return pd.DataFrame(rows, columns=[
-            "series_key", "p", "total", "q",
-        ]).astype({"series_key": "object", "p": "float64",
-                   "total": "int64", "q": "float64"})
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            cnt = counts[a:b]
+            cum = np.cumsum(cnt)
+            total = cum[-1]
+            for p in ps:
+                rank = p * total
+                i = int(np.searchsorted(cum, rank, side="left"))
+                i = min(i, len(cnt) - 1)
+                cum_before = cum[i] - cnt[i]
+                q = round_half_away(
+                    bin_lo[a + i] + (rank - cum_before) * width / cnt[i], 6)
+                rows.append((keys[a], p, int(total), q))
+        return rows
 
-    return hist.groupby("series_key").map_groups(
-        _interp, batch_format="pandas")
+    return sharded_aggregate(samples_ds, _hist_partial(lo, width, n_bins),
+                             _interp, _schema(("p", _F), ("total", _I),
+                                              ("q", _F)))
 
 
 def _register_analytics5() -> None:

@@ -44,10 +44,16 @@ def events_corpus_dataset(sf_dir: str, tokenizer: str = "utf8", *, filter=None):
 
     ``filter`` is a pyarrow dataset expression pushed into the parquet
     scan (row-group pruning + row filtering at the read — rows outside
-    the predicate never leave storage)."""
+    the predicate never leave storage).  The file's pandas metadata is
+    dropped from the read schema: Ray cannot hash a schema that carries
+    it when it unifies the schemas of the blocks it splits a row group
+    into."""
+    import pyarrow.parquet as pq
     import ray
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", filter=filter)
+    path = f"{sf_dir}/events.parquet"
+    ds = ray.data.read_parquet(
+        path, filter=filter, schema=pq.read_schema(path).remove_metadata())
     fn = functools.partial(events_to_corpus, tokenizer=tokenizer)
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 

@@ -65,18 +65,22 @@ def add_shard_column(batch: pa.Table, num_shards: int,
     md5-hash only the UNIQUE keys (series-key cardinality is tiny next to
     row count), then gather by index — round 1 hashed every row in Python
     on the resumable-job hot path.  Same ``shard_of`` md5, so existing
-    manifests stay valid."""
+    manifests stay valid.  A non-string key (an integer id, a day number)
+    hashes through its string form, and every null key goes to shard 0."""
     col = batch.column(key_column)
+    if not pa.types.is_string(col.type):
+        col = pc.cast(col, pa.string())
     chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
     out = []
     for chunk in chunks:
         enc = chunk.dictionary_encode()
+        # one trailing slot for the null key
         lut = np.array(
-            [shard_of(k, num_shards) for k in enc.dictionary.to_pylist()],
-            dtype=np.int32,
+            [shard_of(k, num_shards) for k in enc.dictionary.to_pylist()]
+            + [0], dtype=np.int32,
         )
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        out.append(lut[idx] if len(lut) else np.empty(0, np.int32))
+        idx = pc.fill_null(enc.indices, len(lut) - 1).to_numpy()
+        out.append(lut[idx])
     shards = pa.chunked_array(
         [pa.array(a, pa.int32()) for a in out]
     ) if out else pa.array([], pa.int32())
@@ -188,8 +192,11 @@ def _map_task(num_shards: int, key: str, skip: np.ndarray, fn, *args):
     return _split_block(_tag(fn(*args), num_shards, key, skip), num_shards)
 
 
-def _identity(table: pa.Table) -> pa.Table:
-    return table
+def _to_arrow(block) -> pa.Table:
+    """A Ray Data block (Arrow or pandas) as an Arrow table."""
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
 
 
 def _shard_task(fn, *slices: pa.Buffer):
@@ -244,13 +251,14 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
 
     The exchange is direct, since every row's shard is known map-side.
     ``ds`` is the map side: a list of map inputs ``(f, *args)``, or a
-    ``ray.data.Dataset``, which runs as one Ray Data plan at full cluster
-    width (its blocks made Arrow tables) and streams its blocks to the
-    calling process as object refs, each block one map input.  One plain
-    Ray task per map input (``_map_task``) calls ``f(*args)`` (Ray
-    resolves object-ref arguments), tags its rows with their shard and
-    sorts them by it (``_tag``), and returns its row count per shard and
-    one slice per shard (``_split_block``).  The caller fetches only the counts, then
+    ``ray.data.Dataset``, whose plan runs at full cluster width (a
+    materialized one runs none) and streams its blocks to the calling
+    process as object refs, each block one map input that its map task
+    makes an Arrow table (``_to_arrow``).  One plain Ray task per map
+    input (``_map_task``) calls ``f(*args)`` (Ray resolves object-ref
+    arguments), tags its rows with their shard and sorts them by it
+    (``_tag``), and returns its row count per shard and one slice per
+    shard (``_split_block``).  The caller fetches only the counts, then
     starts one ``_shard_task`` per non-empty shard on that shard's slices;
     each returns its output and the output's block metadata.  No row
     reaches the caller, and no Ray Data plan holds an all-to-all operator:
@@ -268,12 +276,9 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
     skip[list(skip_shards)] = True
     map_task, shard_task = _ray_tasks()
     if not isinstance(ds, list):
-        # the plan only makes every block an Arrow table; lazily: a block's
-        # map task starts as the block arrives
-        blocks = ds.map_batches(_identity, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None)
-        ds = ((_identity, block)
-              for bundle in blocks.iter_internal_ref_bundles()
+        # lazily: a block's map task starts as the block arrives
+        ds = ((_to_arrow, block)
+              for bundle in ds.iter_internal_ref_bundles()
               for block, meta in bundle.blocks if meta.num_rows != 0)
     mapped = map_task.options(num_returns=num_shards + 1)
     parts = [mapped.remote(num_shards, key, skip, *inp) for inp in ds]

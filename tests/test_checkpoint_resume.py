@@ -48,6 +48,33 @@ class TestManifest:
         assert shard_of("abc", 16) == shard_of("abc", 16)
         assert 0 <= shard_of("abc", 16) < 16
 
+    def test_add_shard_column_string_keys_keep_their_shards(self):
+        keys = ["series-000", "dev-1/temp", "", "é/ü", "series-000"]
+        t = add_shard_column(pa.table({"series_key": pa.chunked_array(
+            [keys[:2], keys[2:]])}), 64)
+        assert t.column("shard").type == pa.int32()
+        # the ids every job manifest and shard directory already uses
+        assert t.column("shard").to_pylist() == [43, 5, 4, 36, 43]
+        assert t.column("shard").to_pylist() == [shard_of(k, 64)
+                                                 for k in keys]
+
+    def test_add_shard_column_integer_keys_hash_their_string_form(self):
+        keys = [0, 7, -3, 2**40, 7]
+        t = add_shard_column(pa.table({"user_id": pa.array(keys, pa.int64())}),
+                             64, "user_id")
+        assert t.column("shard").to_pylist() == [shard_of(str(k), 64)
+                                                 for k in keys]
+
+    def test_add_shard_column_null_keys_share_one_shard(self):
+        for keys in (pa.array(["a", None, "b", None]),
+                     pa.array([None, 1, None, 2], pa.int64()),
+                     pa.nulls(3, pa.string())):
+            shards = add_shard_column(pa.table({"k": keys}), 64, "k") \
+                .column("shard").to_pylist()
+            want = [0 if k is None else shard_of(str(k), 64)
+                    for k in keys.to_pylist()]
+            assert shards == want
+
     def test_commit_is_atomic_and_recorded(self, tmp_path):
         m = CheckpointManifest(str(tmp_path / "out"))
         t = pa.table({"series_key": ["a"], "window_start": [1], "v": [2.0]})

@@ -240,6 +240,13 @@ SUBSET = [
     "events_ks_weekend",
     "events_matrix_profile_1d",
     "events_top_motif_1d",
+    # every analytics operator runs on the shared exchange; these five
+    # were not gated above
+    "events_hist_quantile",
+    "user_activity_balance_corr",
+    "parts_rank_stability",
+    "orders_lognormal_fit",
+    "brand_discount_quantity_corr",
 ]
 
 

