@@ -42,10 +42,14 @@ with ``_`` or ``.`` ignored) and cuts the row groups into a few groups
 per CPU; one plain Ray task per group streams ``doc_id``/``tokens`` in
 tables of a tenth of the block target (the cut of Ray's Parquet
 reader), runs the extraction stage (built once in the driver and shipped
-once) on each and splits the group's samples by shard
-(``state/checkpoint.shard_apply``).  Each shard task writes
+once) on each and splits the group's samples by shard (the exchange of
+``state/checkpoint.run_sharded_rollup``).  Each shard task writes
 ``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/`` (the Gorilla raw tier)
-and then its manifest record.  The removed options
+and then its manifest record.  The job builds no Ray Data ``Dataset`` and
+none of its tasks imports ``ray.data``; the driver reads only the block
+target from Ray Data's ``DataContext``.  So a cold job (this module run
+in a fresh process) starts no Ray Data stats actor and pays no
+``ray.data`` import in its workers.  The removed options
 ``extract_concurrency`` and ``batch_size`` are refused: no actor pool
 runs, and the samples do not depend on how the corpus is cut.
 

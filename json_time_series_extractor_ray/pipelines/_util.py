@@ -20,6 +20,23 @@ from ..state.checkpoint import shard_apply
 MAX_DRIVER_FOLD_ROWS = 5_000_000
 
 
+def read_parquet_file(path: str, columns=None, **kwargs):
+    """``ray.data.read_parquet(path, columns=columns, **kwargs)`` of one
+    Parquet file, with its pandas metadata dropped from the read schema
+    (only ``columns``, in their order): Ray cannot hash a schema that
+    carries it when it unifies the schemas of the blocks it splits a row
+    group into, and logs "Failed to hash the schemas" from every such
+    read task."""
+    import pyarrow.parquet as pq
+    import ray
+
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema,
+                                 **kwargs)
+
+
 def shard_to_pandas(tbl) -> "pd.DataFrame":
     """Arrow shard frame -> pandas without float64-decaying ints: an int
     column WITH nulls becomes a pandas nullable IntegerArray built

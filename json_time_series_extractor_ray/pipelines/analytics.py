@@ -55,7 +55,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.rollup import WINDOW_NS
-from ._util import as_table, round_half_away, sharded_aggregate
+from ._util import (
+    as_table,
+    read_parquet_file,
+    round_half_away,
+    sharded_aggregate,
+)
 
 _ORDER = ["ts_ns", "doc_id", "ordinal"]
 
@@ -956,9 +961,7 @@ def _register_analytics4() -> None:
     )
 
     def _q_interarrival(sf_dir: str):
-        import ray
-
-        return interarrival_stats(ray.data.read_parquet(
+        return interarrival_stats(read_parquet_file(
             f"{sf_dir}/events.parquet",
             columns=["user_id", "ts", "event_id"]))
 
@@ -1136,9 +1139,7 @@ def type_cooccurrence_pmi(events_ds, *, window_ns: int = 3_600_000_000_000):
 
 
 def _q_type_pmi(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id", "event_type"])
     return type_cooccurrence_pmi(ds)
 
@@ -1214,9 +1215,7 @@ def group_mode(events_ds, *, key: str = "user_id",
 
 
 def _q_user_mode(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
     return group_mode(ds)
 
@@ -1298,9 +1297,7 @@ def type_dow_chi2(events_ds):
 
 
 def _q_type_dow_chi2(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
     return type_dow_chi2(ds)
 
@@ -1398,9 +1395,7 @@ def slo_burn_alerts(events_ds, *, fast_rate: float = SLO_FAST_RATE,
 
 
 def _q_slo_burn(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
     return slo_burn_alerts(ds)
 
@@ -1525,8 +1520,6 @@ def _q_user_balance_corr(sf_dir: str) -> pd.DataFrame:
     folds the per-shard moments.  Moment sums round to 6 on both
     engines, then one identical IEEE expression.
     """
-    import ray
-
     from .relational import _dim_map
 
     bal = _dim_map(f"{sf_dir}/customer.parquet", "c_custkey", "c_acctbal",
@@ -1551,8 +1544,7 @@ def _q_user_balance_corr(sf_dir: str) -> pd.DataFrame:
                 "syy": [(y * y).sum()]}
 
     m = sharded_aggregate(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["user_id"]),
+        read_parquet_file(f"{sf_dir}/events.parquet", columns=["user_id"]),
         _counts, _moments,
         pa.schema([("n", _I), *((c, _F) for c in moments)]),
         key="user_id").to_pandas().sum()
@@ -1633,11 +1625,10 @@ def _q_part_rank_stability(sf_dir: str) -> pd.DataFrame:
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray
 
     lo = _dt.datetime.fromisoformat(SPEARMAN_M1[0])
     hi = _dt.datetime.fromisoformat(SPEARMAN_M2[1])
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount",
                  "l_shipdate"],
@@ -1753,8 +1744,6 @@ def _q_orders_lognormal(sf_dir: str):
     partials -> ONE exchange keyed on the priority; the rounded-moments
     rule makes the sigma expression identical on both engines.
     """
-    import ray
-
     def _partial(batch: pa.Table) -> pa.Table:
         pr = batch.column("o_orderpriority").to_pandas()
         lx = np.log(batch.column("o_totalprice")
@@ -1781,7 +1770,7 @@ def _q_orders_lognormal(sf_dir: str):
                          round_half_away(np.exp(mu), 2)))
         return rows
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"])
     return sharded_aggregate(ds, _partial, _fit, pa.schema([
@@ -1819,14 +1808,12 @@ def _q_brand_disc_qty_corr(sf_dir: str):
     (brand, moments) partials fold through ONE exchange keyed on the
     brand; rounded moment sums feed one identical IEEE expression.
     """
-    import ray
-
     from .enrich import broadcast_join
     from .relational import _dim_map
 
     brand = _dim_map(f"{sf_dir}/part.parquet", "p_partkey", "p_brand",
                      None)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_discount", "l_quantity"])
     j = broadcast_join(li, brand, key="l_partkey", value_name="brand",

@@ -30,6 +30,7 @@ from ..corpus import events_to_corpus
 from ..extractor import ExtractorOptions
 from ..stages.extract import extract_dataset
 from ..stages.rollup import TIER_ORDER, rollup_ladder
+from ._util import read_parquet_file
 
 #: Options for the events-derived payloads
 #: ``{"time": iso, "type": str, "user": int, "value": float, "props": {...}}``:
@@ -44,16 +45,9 @@ def events_corpus_dataset(sf_dir: str, tokenizer: str = "utf8", *, filter=None):
 
     ``filter`` is a pyarrow dataset expression pushed into the parquet
     scan (row-group pruning + row filtering at the read — rows outside
-    the predicate never leave storage).  The file's pandas metadata is
-    dropped from the read schema: Ray cannot hash a schema that carries
-    it when it unifies the schemas of the blocks it splits a row group
-    into."""
-    import pyarrow.parquet as pq
-    import ray
-
-    path = f"{sf_dir}/events.parquet"
-    ds = ray.data.read_parquet(
-        path, filter=filter, schema=pq.read_schema(path).remove_metadata())
+    the predicate never leave storage).  The read drops the file's pandas
+    metadata (``_util.read_parquet_file``)."""
+    ds = read_parquet_file(f"{sf_dir}/events.parquet", filter=filter)
     fn = functools.partial(events_to_corpus, tokenizer=tokenizer)
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 

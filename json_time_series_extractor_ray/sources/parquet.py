@@ -19,6 +19,13 @@ than decoding, and a job more time around its exchange than in it.  The
 calling process reads every footer, keeps the row groups a filter does
 not rule out, and cuts them into a bounded number of contiguous groups,
 one plain Ray task each.
+
+Importing this module does not import ``ray.data`` (about 0.6 s in a
+fresh process), and neither does ``iter_row_groups``, which the job's
+map tasks run: Ray Data is imported only by ``read_parquet`` and by
+``read_decoded``, whose output is a ``Dataset``.  The first ``Dataset``
+of a Ray session starts Ray Data's stats actor, so the first read-back
+after a job pays that start.
 """
 
 from __future__ import annotations
@@ -32,26 +39,33 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from ray.data.datasource.parquet_meta_provider import (
-    PARALLELIZE_META_FETCH_THRESHOLD,
-    ParquetMetadataProvider,
-)
 
+@functools.cache
+def _in_process_footers():
+    """``_InProcessFooters``: Ray's metadata provider, with every batch of
+    footers read in the calling process (the same metadata, in the same
+    order).  The class is built on first use, so importing this module
+    does not import ``ray.data``."""
+    from ray.data.datasource.parquet_meta_provider import (
+        PARALLELIZE_META_FETCH_THRESHOLD,
+        ParquetMetadataProvider,
+    )
 
-class _InProcessFooters(ParquetMetadataProvider):
-    """Ray's metadata provider, with every batch of footers read in the
-    calling process: the same metadata, in the same order."""
+    class _InProcessFooters(ParquetMetadataProvider):
+        def prefetch_file_metadata(self, fragments, **ray_remote_args):
+            # Ray reads at most this many footers in process
+            step = PARALLELIZE_META_FETCH_THRESHOLD
+            out = []
+            for i in range(0, len(fragments), step):
+                part = fragments[i:i + step]
+                meta = super().prefetch_file_metadata(part) or []
+                out += meta
+                if len(meta) < len(part):
+                    # as Ray: metadata ends at the first fragment without it
+                    break
+            return out
 
-    def prefetch_file_metadata(self, fragments, **ray_remote_args):
-        step = PARALLELIZE_META_FETCH_THRESHOLD  # at most this many: in process
-        out = []
-        for i in range(0, len(fragments), step):
-            part = fragments[i:i + step]
-            meta = super().prefetch_file_metadata(part) or []
-            out += meta
-            if len(meta) < len(part):
-                break  # as Ray: metadata ends at the first fragment without it
-        return out
+    return _InProcessFooters
 
 
 def read_parquet(paths, **kwargs):
@@ -65,7 +79,7 @@ def read_parquet(paths, **kwargs):
         # to keep the footer reads out of remote tasks.
         warnings.simplefilter("ignore", DeprecationWarning)
         return ray.data.read_parquet(
-            paths, meta_provider=_InProcessFooters(), **kwargs)
+            paths, meta_provider=_in_process_footers()(), **kwargs)
 
 
 def plan_row_groups(paths, keep=None):

@@ -21,14 +21,15 @@ metrics.  Design:
 
 The shard axis is ``hash(series_key) % num_shards`` and it is the key of
 the one wide operation in the pipeline: samples shuffle by shard, so
-restart granularity is the unit of work (SURVEY.md §4).  ``shard_apply``
-is that shuffle, and every other per-series path (ladder, tier merge,
-chunking, compaction, hopping windows, the pipelines' sharded aggregates)
-runs on it too: one task call per non-empty shard, never one per series.
-It is a direct exchange of plain Ray tasks, not a Ray Data ``groupby``:
-the map side (a Ray Data plan's blocks, or plain map tasks such as the
-job's read + extract) splits its rows by shard id, and each shard task
-reads only its own slices.
+restart granularity is the unit of work (SURVEY.md §4).  ``_exchange``
+is that shuffle.  The job (``run_sharded_rollup``) calls it directly, and
+every other per-series path (ladder, tier merge, chunking, compaction,
+hopping windows, the pipelines' sharded aggregates) through
+``shard_apply``, its ``Dataset`` form: one task call per non-empty shard,
+never one per series.  It is a direct exchange of plain Ray tasks, not a
+Ray Data ``groupby``: the map side (a Ray Data plan's blocks, or plain
+map tasks such as the job's read + extract) splits its rows by shard id,
+and each shard task reads only its own slices.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _ipc_stream(table: pa.Table) -> pa.Buffer:
 
 def _tag(batch: pa.Table, num_shards: int, key: str,
          skip: np.ndarray) -> pa.Table:
-    """Map side of ``shard_apply``: tag every row with the ``shard`` of its
+    """Map side of the exchange: tag every row with the ``shard`` of its
     ``key`` (replacing any ``shard`` column), drop the rows of shards
     ``skip`` marks, and sort the rest stably by ``shard``."""
     if "shard" in batch.column_names:
@@ -187,7 +188,7 @@ def _split_block(block: pa.Table, num_shards: int):
 
 
 def _map_task(num_shards: int, key: str, skip: np.ndarray, fn, *args):
-    """One map input of ``shard_apply``: ``fn(*args)``, tagged and split
+    """One map input of the exchange: ``fn(*args)``, tagged and split
     by shard in the same task -> ``_split_block``'s output."""
     return _split_block(_tag(fn(*args), num_shards, key, skip), num_shards)
 
@@ -200,13 +201,18 @@ def _to_arrow(block) -> pa.Table:
 
 
 def _shard_task(fn, *slices: pa.Buffer):
-    """One whole shard: its slices of every map block, one ``fn`` call ->
-    (the output's Ray Data block metadata, the output)."""
-    from ray.data._internal.util import get_table_block_metadata_schema
-
-    out = fn(pa.concat_tables(
+    """One whole shard: its slices of every map block, one ``fn`` call."""
+    return fn(pa.concat_tables(
         [pa.ipc.open_stream(s).read_all() for s in slices],
         promote_options="permissive"))
+
+
+def _as_block(fn, table: pa.Table):
+    """``shard_apply``'s shard body: ``fn(table)`` as an Arrow table ->
+    (its Ray Data block metadata, the table)."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    out = fn(table)
     out = out if isinstance(out, pa.Table) else pa.table(out)
     return get_table_block_metadata_schema(out), out
 
@@ -217,7 +223,7 @@ def _ray_tasks():
     importing this module does not import Ray."""
     import ray
 
-    return ray.remote(_map_task), ray.remote(num_returns=2)(_shard_task)
+    return ray.remote(_map_task), ray.remote(_shard_task)
 
 
 def _from_arrow_refs(tables, metas):
@@ -237,39 +243,13 @@ def _from_arrow_refs(tables, metas):
         plan, LogicalPlan(FromArrow(tables, metas), plan._context))
 
 
-def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
-                key: str = "series_key"):
-    """The one shard-keyed shuffle: tag every row map-side with the
-    ``shard`` of its ``key`` column (``add_shard_column``), drop rows of
-    ``skip_shards``, then call ``fn`` once per whole non-empty shard.
-
-    ``fn`` takes an Arrow table and returns one (or a dict of columns):
-    all rows of many series at once (and the ``shard`` column, replacing
-    any input one, e.g. a store's hive partition key), so per-series work
-    must be vectorized over ``series_key`` segments.  A task holds one
-    shard: ``num_shards`` bounds its memory.
-
-    The exchange is direct, since every row's shard is known map-side.
-    ``ds`` is the map side: a list of map inputs ``(f, *args)``, or a
-    ``ray.data.Dataset``, whose plan runs at full cluster width (a
-    materialized one runs none) and streams its blocks to the calling
-    process as object refs, each block one map input that its map task
-    makes an Arrow table (``_to_arrow``).  One plain Ray task per map
-    input (``_map_task``) calls ``f(*args)`` (Ray resolves object-ref
-    arguments), tags its rows with their shard and sorts them by it
-    (``_tag``), and returns its row count per shard and one slice per
-    shard (``_split_block``).  The caller fetches only the counts, then
-    starts one ``_shard_task`` per non-empty shard on that shard's slices;
-    each returns its output and the output's block metadata.  No row
-    reaches the caller, and no Ray Data plan holds an all-to-all operator:
-    Ray's sort-based ``groupby`` would add a sampling pass, a sort, a
-    merge and tasks for empty key ranges.
-
-    Runs when called, not lazily: it returns once every shard task has
-    finished (raising the error of a failed map or shard task), as a
-    materialized ``Dataset`` over their outputs in shard order.  A shard
-    task that Ray retries calls ``fn`` again on the same rows.
-    """
+def _exchange(ds, fn, num_shards: int, skip_shards=(),
+              key: str = "series_key", num_returns: int = 1) -> list:
+    """The direct exchange behind ``shard_apply`` (which documents it):
+    map, tag and split every map input, fetch the counts, and start one
+    ``_shard_task`` per non-empty shard -> the shard tasks' output refs in
+    shard order, not waited on (a list of ``num_returns`` refs each when
+    ``num_returns > 1``).  Raises the error of a failed map task."""
     import ray
 
     skip = np.zeros(num_shards, bool)
@@ -282,13 +262,59 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
               for block, meta in bundle.blocks if meta.num_rows != 0)
     mapped = map_task.options(num_returns=num_shards + 1)
     parts = [mapped.remote(num_shards, key, skip, *inp) for inp in ds]
-    # raises the error of a failed map task
     counts = np.array(ray.get([p[0] for p in parts]),
                       np.int64).reshape(len(parts), num_shards)
     fn_ref = ray.put(fn)
-    out = [shard_task.remote(fn_ref, *(p[1 + s] for p, n in
-                                       zip(parts, counts[:, s]) if n))
-           for s in np.flatnonzero(counts.sum(axis=0))]
+    shard_task = shard_task.options(num_returns=num_returns)
+    return [shard_task.remote(fn_ref, *(p[1 + s] for p, n in
+                                        zip(parts, counts[:, s]) if n))
+            for s in np.flatnonzero(counts.sum(axis=0))]
+
+
+def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
+                key: str = "series_key"):
+    """The one shard-keyed shuffle: tag every row map-side with the
+    ``shard`` of its ``key`` column (``add_shard_column``), drop rows of
+    ``skip_shards``, then call ``fn`` once per whole non-empty shard.
+
+    ``fn`` takes an Arrow table and returns one (or a dict of columns):
+    all rows of many series at once (and the ``shard`` column, replacing
+    any input one, e.g. a store's hive partition key), so per-series work
+    must be vectorized over ``series_key`` segments.  A task holds one
+    shard: ``num_shards`` bounds its memory.
+
+    The exchange (``_exchange``) is direct, since every row's shard is
+    known map-side.  ``ds`` is the map side: a list of map inputs
+    ``(f, *args)``, or a ``ray.data.Dataset``, whose plan runs at full
+    cluster width (a materialized one runs none) and streams its blocks
+    to the calling process as object refs, each block one map input that
+    its map task makes an Arrow table (``_to_arrow``).  One plain Ray task
+    per map input (``_map_task``) calls ``f(*args)`` (Ray resolves
+    object-ref arguments), tags its rows with their shard and sorts them
+    by it (``_tag``), and returns its row count per shard and one slice
+    per shard (``_split_block``).  The caller fetches only the counts,
+    then starts one ``_shard_task`` per non-empty shard on that shard's
+    slices.  No row reaches the caller, and no Ray Data plan holds an
+    all-to-all operator: Ray's sort-based ``groupby`` would add a
+    sampling pass, a sort, a merge and tasks for empty key ranges.
+
+    This wrapper is the exchange's ``Dataset`` form: each shard task also
+    computes its output's block metadata (``_as_block``), and the outputs
+    become a materialized ``Dataset`` in shard order.  Apart from a
+    ``Dataset`` map side, building it is the only Ray Data step, and the
+    first ``Dataset`` of a Ray session starts Ray Data's stats actor (a
+    worker process, about a second on a 4-CPU host).  The job
+    (``run_sharded_rollup``) calls the exchange directly and builds no
+    ``Dataset``.
+
+    Runs when called, not lazily: it returns once every shard task has
+    finished (raising the error of a failed map or shard task).  A shard
+    task that Ray retries calls ``fn`` again on the same rows.
+    """
+    import ray
+
+    out = _exchange(ds, functools.partial(_as_block, fn), num_shards,
+                    skip_shards, key, num_returns=2)
     # raises the error of a failed shard task
     metas = ray.get([meta for meta, _ in out])
     return _from_arrow_refs([table for _, table in out], metas)
@@ -490,7 +516,11 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     ``samples`` is either form of ``shard_apply``'s map side: a samples
     ``Dataset`` (only ``ShardSamples.COLUMNS`` are exchanged), or a list
     of map inputs whose outputs hold those columns (``job.run_job``'s
-    read + extract tasks, which select them themselves).
+    read + extract tasks, which select them themselves).  It calls the
+    exchange (``_exchange``) directly and waits on each shard's id, so it
+    builds no ``Dataset``, and on a list no task of it imports
+    ``ray.data``: a job in a fresh Ray session starts no Ray Data stats
+    actor.
 
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
     take the same path: samples of completed shards are dropped before the
@@ -506,10 +536,11 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     unknown ``gap_fill`` is refused here, before any sample is read.  Each
     record's ``wall_s`` is the commit time, ``rollup_s`` the partials,
     cascade and gap-fill, ``encode_s`` the chunk rows, and ``compute_s``
-    their total.  The shuffle is ``shard_apply``'s direct exchange:
-    ``shards_run`` comes from the manifest once it returns, so no shard
-    output is read back.
+    their total.  No shard output is read back: a shard task returns only
+    its shard id, once its record is written.
     """
+    import ray
+
     from ..stages.gapfill import check_gap_fill
     from ..stages.rollup import rollup_shard
     from .gorilla import GorillaChunkWriter
@@ -522,11 +553,11 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
         chunk_bucket_ns)
 
     # Commit each shard INSIDE its group task (atomic tmp+rename + manifest
-    # record written by the worker) — the driver only collects the tiny
-    # per-shard record summaries, never the data.  Requires the output dirs
-    # to be on storage all workers share (true single-node and for any
-    # cluster writing to shared/object storage).
-    def _rollup_and_commit(samples: pa.Table) -> dict:
+    # record written by the worker) — the driver only collects the shard
+    # ids, never the data.  Requires the output dirs to be on storage all
+    # workers share (true single-node and for any cluster writing to
+    # shared/object storage).
+    def _rollup_and_commit(samples: pa.Table) -> int:
         shard = samples.column("shard")[0].as_py()
         t0 = time.perf_counter()
         # one rank coding and one sorted pass over the whole shard serve
@@ -537,18 +568,19 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
         t1 = time.perf_counter()
         chunks = None if writer is None else writer.chunks(shard_samples)
         t2 = time.perf_counter()
-        rec = CheckpointManifest(out_dir, chunks_dir).commit_shard(
+        CheckpointManifest(out_dir, chunks_dir).commit_shard(
             shard, rolled, chunks=chunks,
             extra={"compute_s": round(t2 - t0, 4),
                    "rollup_s": round(t1 - t0, 4),
                    "encode_s": round(t2 - t1, 4)})
-        return {"shard": [shard], "rows": [rec["rows"]]}
+        return shard
 
     if not isinstance(samples, list):
         samples = samples.select_columns(ShardSamples.COLUMNS)
-    # shard_apply returns once every shard task has committed
-    shard_apply(samples, _rollup_and_commit, num_shards, skip_shards=done)
-    return manifest, sorted(manifest.completed_shards() - set(done)), done
+    # returns once every shard task has committed (raising the error of a
+    # failed one)
+    run = ray.get(_exchange(samples, _rollup_and_commit, num_shards, done))
+    return manifest, sorted(run), done
 
 
 def manifest_report(out_dir: str) -> pa.Table:

@@ -4,7 +4,6 @@ import json
 import logging
 import os
 import re
-import sys
 
 import numpy as np
 import pandas as pd
@@ -280,8 +279,8 @@ class _PlanCounter(logging.Handler):
 
 
 class _ExchangeCounter:
-    """Counts shard exchanges (``state/checkpoint.shard_apply`` calls)
-    while installed, in every package module that imported the helper."""
+    """Counts shard exchanges (``state/checkpoint._exchange`` calls: one per
+    ``shard_apply`` or ``run_sharded_rollup`` call) while installed."""
 
     def __init__(self):
         self.calls = 0
@@ -289,23 +288,19 @@ class _ExchangeCounter:
     def __enter__(self):
         from json_time_series_extractor_ray.state import checkpoint
 
-        self._real = real = checkpoint.shard_apply
+        self._real = real = checkpoint._exchange
 
         def _counted(*args, **kwargs):
             self.calls += 1
             return real(*args, **kwargs)
 
-        self._modules = [
-            m for name, m in list(sys.modules.items())
-            if name.startswith("json_time_series_extractor_ray")
-            and getattr(m, "shard_apply", None) is real]
-        for m in self._modules:
-            m.shard_apply = _counted
+        checkpoint._exchange = _counted
         return self
 
     def __exit__(self, *exc):
-        for m in self._modules:
-            m.shard_apply = self._real
+        from json_time_series_extractor_ray.state import checkpoint
+
+        checkpoint._exchange = self._real
 
 
 class TestOneShuffle:

@@ -4,6 +4,9 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 import uuid
 
 import pyarrow.parquet as pq
@@ -310,6 +313,70 @@ def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
     assert plans.plans == 0
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _python(*args, timeout=600) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process with the package importable."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [REPO, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, *args], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return proc
+
+
+def test_job_modules_do_not_import_ray_data():
+    """The modules a job's tasks run import no ``ray.data`` (about 0.6 s
+    in every fresh worker process)."""
+    proc = _python("-c", textwrap.dedent("""
+        import sys
+        from json_time_series_extractor_ray import job
+        from json_time_series_extractor_ray.sources import parquet
+        from json_time_series_extractor_ray.state import checkpoint, gorilla
+        from json_time_series_extractor_ray.stages import extract, rollup
+        print(sorted(m for m in sys.modules if m.startswith("ray.data")))
+    """))
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_job_starts_no_ray_data_stats_actor(corpus_dir, tmp_path):
+    """A job in a fresh Ray session builds no ``Dataset``, so Ray Data's
+    stats actor (a worker process of its own) never starts."""
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
+    proc = _python("-c", textwrap.dedent(f"""
+        import json
+        import ray
+        from json_time_series_extractor_ray.job import run_job
+        ray.init(address="local", num_cpus=2, include_dashboard=False)
+        result = run_job({cfg!r})
+        assert result["shards_run"], result
+        print(json.dumps(sorted(
+            a["name"] for a in ray.util.list_named_actors(
+                all_namespaces=True))))
+        ray.shutdown()
+    """))
+    names = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "datasets_stats_actor" not in names
+
+
+def test_job_cli(corpus_dir, tmp_path):
+    """``python -m json_time_series_extractor_ray.job --config`` runs the
+    job in a fresh process and prints its result as the last line."""
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = _python("-m", "json_time_series_extractor_ray.job",
+                   "--config", str(path))
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["shards_run"] and result["shards_skipped"] == []
+    for store in ("rollups", "chunks"):
+        parts = os.listdir(os.path.join(cfg["output_dir"], store))
+        assert sorted(p for p in parts if p.startswith("shard=")) == [
+            f"shard={s:05d}" for s in result["shards_run"]]
+
+
 class _SchemaWarnings(logging.Handler):
     """Collects Ray Data's ``RefBundle with a different schema`` warnings
     while installed."""
@@ -349,7 +416,7 @@ def test_job_calls_shard_body_once_per_nonempty_shard(ray_session, tmp_path,
     pq.write_table(iot_corpus_table(400, seed=7, cfg={"n_devices": 3}),
                    str(corpus / "part-0.parquet"))
     calls = tmp_path / "calls"
-    real = checkpoint.shard_apply
+    real = checkpoint._exchange
 
     def _recorded(ds, fn, *args, **kwargs):
         # one file per body call, named after the shard it got
@@ -373,7 +440,7 @@ def test_job_calls_shard_body_once_per_nonempty_shard(ray_session, tmp_path,
         assert all(n[1] == "1" and int(n[2]) > 0 for n in names)
         return result, sorted(int(n[0]) for n in names)
 
-    monkeypatch.setattr(checkpoint, "shard_apply", _recorded)
+    monkeypatch.setattr(checkpoint, "_exchange", _recorded)
     cfg = dict(_config(str(corpus), str(tmp_path / "out")), num_shards=16)
     r1, called = _run()
     keys = pads.dataset(f"{cfg['output_dir']}/chunks").to_table(

@@ -314,7 +314,7 @@ class _Samples:
         return _Samples(self.table.select(cols))
 
 
-def test_no_pandas_sort_in_shard_kernels(monkeypatch, tmp_path):
+def test_no_pandas_sort_in_shard_kernels(ray_session, monkeypatch, tmp_path):
     """The cascade, gap-fill, the chunk writer, compaction and the job's
     shard body never sort a pandas frame (a string sort costs more than
     the whole kernel)."""
@@ -331,17 +331,23 @@ def test_no_pandas_sort_in_shard_kernels(monkeypatch, tmp_path):
     partials = partial_rollup_batch(samples)
     chunks = GorillaChunkWriter(5 * MIN)(samples)
 
-    def _in_process(ds, fn, num_shards=checkpoint.NUM_SHARDS, *,
-                    skip_shards=()):
+    def _shards(ds, fn, num_shards):
         t = checkpoint.add_shard_column(ds.table, num_shards)
         shard = t.column("shard").to_numpy()
-        return pa.concat_tables([pa.table(fn(t.filter(pa.array(shard == s))))
-                                 for s in np.unique(shard)])
+        return [fn(t.filter(pa.array(shard == s))) for s in np.unique(shard)]
+
+    def _in_process(ds, fn, num_shards=checkpoint.NUM_SHARDS, *,
+                    skip_shards=()):
+        return pa.concat_tables(
+            [pa.table(out) for out in _shards(ds, fn, num_shards)])
+
+    def _in_process_exchange(ds, fn, num_shards, skip_shards=()):
+        return [ray_session.put(out) for out in _shards(ds, fn, num_shards)]
 
     def _no_sort(*args, **kwargs):
         raise AssertionError("pandas sort_values called")
 
-    monkeypatch.setattr(checkpoint, "shard_apply", _in_process)
+    monkeypatch.setattr(checkpoint, "_exchange", _in_process_exchange)
     monkeypatch.setattr(gorilla, "shard_apply", _in_process)
     monkeypatch.setattr(pd.DataFrame, "sort_values", _no_sort)
     for gap_fill in (None, "locf", "linear"):

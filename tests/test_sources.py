@@ -159,14 +159,14 @@ def test_in_process_footers_equal_rays(ray_session, many_files):
     )
 
     from json_time_series_extractor_ray.sources.parquet import (
-        _InProcessFooters,
+        _in_process_footers,
     )
 
     fragments = pq.ParquetDataset(many_files).fragments
     fields = ("num_rows", "num_row_groups", "total_byte_size",
               "schema_pickled")
     rays = ParquetMetadataProvider().prefetch_file_metadata(fragments)
-    ours = _InProcessFooters().prefetch_file_metadata(fragments)
+    ours = _in_process_footers()().prefetch_file_metadata(fragments)
     assert len(ours) == len(rays) == 30
     assert ([[getattr(m, f) for f in fields] for m in ours]
             == [[getattr(m, f) for f in fields] for m in rays])
