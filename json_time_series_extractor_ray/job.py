@@ -121,19 +121,18 @@ def run_job(config: dict) -> dict:
 
     import ray
 
+    from .state.checkpoint import NUM_SHARDS, data_context, run_sharded_rollup
+
     if not ray.is_initialized():  # standalone runs; the driver/tests own Ray otherwise
         ray.init(address="local", include_dashboard=False)
         # Standalone sessions only (never mutate a caller-owned session):
         # 8 MB blocks keep the extraction kernel's per-batch sort + gather
         # working set in cache — measured 2-3x less extract CPU than the
         # default target on the 6M-doc headline (see bench.py).
-        ray.data.DataContext.get_current().target_max_block_size = (
-            8 * 1024 * 1024
-        )
+        data_context().target_max_block_size = 8 * 1024 * 1024
 
     from .sources.parquet import plan_row_groups, read_parquet
     from .stages.extract import ExtractSamplesStage
-    from .state.checkpoint import NUM_SHARDS, run_sharded_rollup
 
     out_dir = config["output_dir"].rstrip("/")
     tiers = tuple(config.get("tiers", ("1m", "1h", "1d")))
@@ -175,7 +174,7 @@ def run_job(config: dict) -> dict:
     # a map task holds one table of rows at a time, cut as Ray's Parquet
     # reader cuts its blocks (the batches the 8 MiB target was tuned on),
     # so a row group larger than a block is never read whole
-    target = ray.data.DataContext.get_current().target_max_block_size
+    target = data_context().target_max_block_size
     batch_bytes = target // 10 if target else None
     manifest, shards_run, shards_skipped = run_sharded_rollup(
         [(_extract_group, stage, g, batch_bytes) for g in groups],

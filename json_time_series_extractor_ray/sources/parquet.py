@@ -99,7 +99,8 @@ def plan_row_groups(paths, keep=None):
     ``schema`` is the unified schema of the files.
     """
     import ray
-    from ray.data.context import DataContext
+
+    from ..state.checkpoint import data_context
 
     datasets = [pads.dataset(p, format="parquet", partitioning="hive")
                 for p in ([paths] if isinstance(paths, str) else paths)]
@@ -114,7 +115,7 @@ def plan_row_groups(paths, keep=None):
     if not pieces:
         return schema, []
     cum = np.cumsum([p[-1] for p in pieces], dtype=np.float64)
-    target = DataContext.get_current().target_max_block_size
+    target = data_context().target_max_block_size
     n = max(2 * int(ray.cluster_resources().get("CPU", 1)),
             int(np.ceil(cum[-1] / target)) if target else 0)
     n = min(len(pieces), n)

@@ -57,7 +57,18 @@ SAMPLE_SCHEMA = pa.schema(
 
 
 class ExtractSamplesStage:
-    """tokens/text batches in, SAMPLE_SCHEMA batches out."""
+    """tokens/text batches in, SAMPLE_SCHEMA batches out.
+
+    Two kernels emit the same samples.  When the options are inside the
+    shredded kernel's envelope (``stages/shred.plan_is_shreddable``:
+    recursive, array indexes in keys, no filter, no start pointer, the
+    built-in timestamp parsing; any key template), each batch first tries
+    ``stages/shred.try_shred_batch``, and a batch it cannot prove, such as
+    one whose ``{name}`` placeholder is not a top-level string in every
+    doc or whose docs order their keys differently, takes the
+    per-document traversal of ``extractor.py``.  ``shred=False`` pins the
+    traversal.
+    """
 
     def __init__(
         self,
@@ -89,10 +100,8 @@ class ExtractSamplesStage:
         # retry-storm the job.  Skips are counted per worker and logged.
         self.on_error = on_error
         self.skipped_docs = 0
-        # Vectorized Arrow shredding (stages/shred.py) covers the default
-        # options envelope; every batch it cannot PROVE identical falls
-        # back to the per-document traversal.  shred=False pins the
-        # traversal (the conformance reference path).
+        # Vectorized Arrow shredding (stages/shred.py); every batch it
+        # cannot PROVE identical falls back to the per-document traversal.
         from .shred import plan_is_shreddable
 
         self.shred = bool(shred) and plan_is_shreddable(self.plan)

@@ -9,12 +9,19 @@ suppression); this module emits *identical* output on inputs it accepts
 and returns ``None`` (caller falls back to the traversal) on anything it
 cannot PROVE it handles identically.
 
+Key templates are shredded part by part: literals and the ``{$prop}`` /
+``{$prop-local}`` / ``{$prop-path}`` forms render once per distinct
+pointer, and a document-property placeholder ``{name}`` is a gather of
+the top-level ``name`` column by document, joined with the other parts by
+one ``binary_join_element_wise``.
+
 Fallback triggers — each pins a real semantic hazard:
 
-* options outside the fast-leaf envelope (filters, templates, start_at,
-  no-index keys, non-recursive, custom timestamp parser / default-ts
-  provider, multi-segment timestamp property);
-* JSON parse errors, root arrays, reader schema-unification conflicts;
+* options outside the envelope (filters, start_at, no-index keys,
+  non-recursive, custom timestamp parser / default-ts provider,
+  multi-segment timestamp property);
+* JSON parse errors, root arrays, reader schema-unification conflicts,
+  duplicate keys;
 * any null in a NESTED position: Arrow conflates JSON ``null`` with an
   absent key, but the reference treats them differently (absent emits
   nothing; explicit null emits a NULL-kind sample);
@@ -23,6 +30,13 @@ Fallback triggers — each pins a real semantic hazard:
   mask — when the masks agree elementwise, null <=> absent is proven and
   the ambiguity vanishes; any disagreement (explicit nulls, key text
   inside a string value, spaced separators) falls back;
+* a ``{name}`` placeholder whose column is not a top-level string present
+  and non-null in every doc, or whose name also names a field below the
+  top level: numbers, bools and objects render as raw JSON text, a
+  missing value drops or replaces the sample, and a name at two depths
+  joins the values of every ancestor;
+* documents whose object keys are not in the batch schema's order (see
+  the key-order check below);
 * timestamp values outside the strict ISO shape on which Arrow's cast and
   ``functions/timestamps.py`` are proven bit-identical (probe-verified:
   1-7 digit fractions, 'Z' and numeric offsets), or non-string/int types;
@@ -31,16 +45,23 @@ Fallback triggers — each pins a real semantic hazard:
   depth limit (depth-limited containers coerce to JSON text — traversal
   territory).
 
-CONTRACT (not machine-checkable after parsing): all documents in a batch
-render object properties in one globally-consistent order (true of any
-canonical JSON producer, including every corpus builder in this repo).
-Arrow's reader unions fields by first occurrence; per-document key-order
-variation would permute ``sample_ordinal`` relative to the reference.
-``ExtractSamplesStage(shred=False)`` opts out.
+Key order: Arrow's reader unions fields by first occurrence, and samples
+are numbered in that schema order, so a document whose keys come in
+another order would get permuted ``sample_ordinal`` values.  Every batch
+is checked on its raw text (``_key_order_ok``): at each object level with
+two or more sample-producing fields, every key name must name exactly one
+field of the schema, its ``"name":`` spellings must be exactly as many as
+its parsed instances (each spelling is then that key, never text inside
+a string value), and within every object instance they must rise in
+schema order.  Timestamp fields the kernel consumes are exempt, since
+their position does not change the output.  Anything the check cannot
+settle (a name at two levels, a key spelled with an escape, whitespace
+before a colon) falls back.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 
@@ -49,14 +70,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.json as paj
 
+from ..extractor import ExtractionContext, _full_property_name, _property_path
 from ..functions.timestamps import TimestampSource
 
 #: ISO shapes proven bit-identical between Arrow's string->timestamp cast
 #: and functions/timestamps.parse_iso_timestamp_ns (fraction 1-7 digits =
 #: the reference's 100 ns resolution ceiling).
-_ISO_STRICT = re.compile(
-    r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d{1,7})?(Z|[+-]\d{2}:\d{2})$"
-)
 _ISO_STRICT_PATTERN = (
     r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d{1,7})?(Z|[+-]\d{2}:\d{2})$"
 )
@@ -66,21 +85,75 @@ _MAX_LIST_INDEX = 65536
 _SRC_DOC = np.int8(int(TimestampSource.DOCUMENT))
 _SRC_NOW = np.int8(int(TimestampSource.CURRENT_TIME))
 
+_POINTER_PLACEHOLDERS = ("$prop", "$prop-local", "$prop-path")
+#: A key whose raw text holds an escape: its ``"name":`` spelling differs
+#: from its name, so the key-order check cannot count it.
+_ESCAPED_KEY = r'\\.(?:[^"\\]|\\.)*"\s*:'
+
 
 class _Fallback(Exception):
     """Internal: input outside the proven envelope — use the traversal."""
 
 
 def plan_is_shreddable(plan) -> bool:
-    """Options envelope the vectorized program covers exactly."""
+    """Options envelope the vectorized program covers exactly: recursive
+    mode with array indexes kept in keys, no filter, no start pointer, the
+    built-in timestamp parsing of a single-segment property and a
+    deterministic fallback.  Any key template qualifies; each batch then
+    proves its ``{name}`` placeholders (``try_shred_batch``)."""
     o = plan.options
     return bool(
-        plan.fast_leaf  # no filter, default template, idx keys, recursive
+        plan.filter is None
+        and o.recursive
+        and o.include_array_indexes_in_sample_keys
         and plan.start_at is None
         and o.get_default_timestamp is None
         and o.timestamp_parser is None
         and (plan.timestamp_property is None or plan.ts_prop_single is not None)
     )
+
+
+def _key_parts(plan) -> list:
+    """The key template as ``("ptr", render)`` runs of literals and
+    ``$prop`` forms (``render(pointer) -> str``) and ``("doc", name)``
+    document-property placeholders, in template order."""
+    tmpl = plan.template
+    if tmpl.is_default:
+        return [("ptr", plan.key_for_pointer)]
+    if not tmpl.has_placeholders:
+        return [("ptr", lambda ptr, text=plan.options.template: text)]
+    ctx = ExtractionContext(plan)
+
+    def render(ptr, run):
+        return "".join(
+            text if kind == "lit"
+            else _property_path(ctx, ptr) if text == "$prop-path"
+            else _full_property_name(ctx, ptr, text == "$prop-local")
+            for kind, text in run
+        )
+
+    parts, run = [], []
+    for kind, text in tmpl.segments + (("ph", None),):
+        if kind == "lit" or text in _POINTER_PLACEHOLDERS:
+            run.append((kind, text))
+            continue
+        if run:
+            parts.append(("ptr", lambda ptr, run=tuple(run): render(ptr, run)))
+            run = []
+        if text is not None:
+            parts.append(("doc", text))
+    return parts
+
+
+def _nested_names(typ, out: set) -> set:
+    """Every field name below the top level of ``typ``."""
+    if pa.types.is_struct(typ):
+        for f in typ:
+            out.add(f.name)
+            _nested_names(f.type, out)
+    elif pa.types.is_list(typ) or pa.types.is_large_list(typ):
+        _nested_names(typ.value_type, out)
+    return out
 
 
 def _max_container_level(typ, level: int) -> int:
@@ -137,13 +210,20 @@ class _Emitter:
     when under a list (``i`` = per-instance element index), else just
     ``post_ptr`` (``pre_ptr`` empty, ``elem_idx`` None).  Only ONE list
     dimension is supported — lists below a list element fall back.
+
+    ``keys`` records, for the key-order check, each object field's name,
+    level (None for a consumed timestamp) and the level instances that
+    hold it (None: all).
     """
 
-    def __init__(self, plan):
+    def __init__(self, plan, ptr_parts):
         self.plan = plan
+        self.ptr_parts = ptr_parts
         self.ts_name = plan.ts_prop_single
         self.allow_nested = plan.options.allow_nested_timestamps
         self.leaves: list[dict] = []
+        self.keys: list[tuple] = []  # (name, level, instances)
+        self.level_sizes: list[int] = []
 
     # -- leaf fragment ------------------------------------------------
     def _leaf(self, arr: pa.Array, doc_idx, ts, src, slot,
@@ -155,16 +235,15 @@ class _Emitter:
             raise _Fallback  # nested null <=> absent ambiguity
         typ = arr.type
         rec = {"doc_idx": doc_idx, "slot": slot, "ts": ts, "src": src, "n": m}
-        kfp = self.plan.key_for_pointer
         if elem_idx is None:
-            rec["key_lookup"] = [kfp(pre_ptr + post_ptr)]
+            ptrs = [pre_ptr + post_ptr]
             rec["key_idx"] = np.zeros(m, np.int32)
         else:
             max_i = int(elem_idx.max()) + 1
-            rec["key_lookup"] = [
-                kfp(pre_ptr + (str(i),) + post_ptr) for i in range(max_i)
-            ]
+            ptrs = [pre_ptr + (str(i),) + post_ptr for i in range(max_i)]
             rec["key_idx"] = elem_idx.astype(np.int32)
+        rec["key_lookup"] = [[render(p) for p in ptrs]
+                             for render in self.ptr_parts]
         if pa.types.is_floating(typ):
             rec["num"] = arr.to_numpy(zero_copy_only=False)
             rec["kind"] = 1
@@ -189,6 +268,8 @@ class _Emitter:
         """``fields``: [(name, pa.Array)] over one instance set.  Nested
         levels require null-free children; the top level may carry nulls
         (pre-verified null <=> absent).  Returns slots consumed."""
+        level = len(self.level_sizes)
+        self.level_sizes.append(len(doc_idx))
         next_slot = 0
         for name, col in fields:
             if col.null_count:
@@ -198,9 +279,11 @@ class _Emitter:
                 sub = col.drop_null()
                 s_doc, s_ts, s_src = doc_idx[vmask], ts[vmask], src[vmask]
                 s_base = slot_base[vmask]
+                self.keys.append((name, level, np.flatnonzero(vmask)))
             else:
                 sub, s_doc, s_ts, s_src, s_base = (col, doc_idx, ts, src,
                                                    slot_base)
+                self.keys.append((name, level, None))
             typ = sub.type
             if pa.types.is_struct(typ):
                 next_slot += self._emit_struct(
@@ -234,6 +317,7 @@ class _Emitter:
             ts = _parse_ts_column(ts_col)
             src = np.full(len(arr), _SRC_DOC, np.int8)
             names = [n for n in names if n != self.ts_name]
+            self.keys.append((self.ts_name, None, None))
         fields = [(n, cols[n]) for n in names]
         return self.emit_level(fields, doc_idx, ts, src, slot_base,
                                pre_ptr, elem_idx, post_ptr, top_level=False)
@@ -273,6 +357,79 @@ class _Emitter:
         return max_count * per_elem
 
 
+def _key_order_ok(em, get_texts, has_backslash) -> bool:
+    """The key-order check of the module docstring over ``em``'s recorded
+    keys (False: fall back); ``get_texts()`` returns the batch's raw
+    documents as a string array, ``has_backslash()`` whether they hold a
+    backslash."""
+    levels = {}
+    where = {}
+    for name, level, inst in em.keys:
+        where.setdefault(name, []).append(level)
+        if level is not None:
+            levels.setdefault(level, []).append((name, inst))
+    levels = {lv: f for lv, f in levels.items() if len(f) > 1}
+    if not levels:
+        return True
+    texts_arr = get_texts()
+    bufs = texts_arr.buffers()
+    u8 = np.frombuffer(bufs[2], np.uint8)
+    offsets = np.frombuffer(bufs[1], np.int32)[
+        texts_arr.offset: texts_arr.offset + len(texts_arr) + 1]
+    if has_backslash() and pc.any(
+        pc.match_substring_regex(texts_arr, _ESCAPED_KEY)
+    ).as_py():
+        return False
+    # A quote followed by ':' closes a key (a '\\":' inside a value string
+    # has a backslash before its quote, which no name ends with).  With no
+    # backslash in any key, the key closing at ``e`` is ``name`` iff the
+    # bytes before ``e`` are '"name' (the quote before a key's closing
+    # quote opens it) -- unless ``name`` ends like the text before an
+    # opening quote (',', ':', '[', '{' or a space), so names that do are
+    # not counted.  Every match is then a real key, and a level's matches
+    # are all its keys iff they are as many as its instances.
+    ends = u8[:-1] == 0x22
+    ends &= u8[1:] == 0x3A
+    ends = np.flatnonzero(ends)
+    padded = np.zeros(len(u8) + 16 - len(u8) % 8, np.uint8)
+    padded[8: 8 + len(u8)] = u8
+    # words[i]: the 8 bytes before u8[i], as an integer whose top byte is
+    # u8[i - 1] (the pad before the buffer is zeros, which no key holds)
+    words = np.lib.stride_tricks.as_strided(
+        padded.view("<u8"), (len(u8) + 1,), (1,))
+    tails = words[ends]
+    shifted = {}
+    for level, fields in levels.items():
+        last = np.full(em.level_sizes[level], -1, np.int64)
+        for name, inst in fields:
+            if len(where[name]) > 1 or name[-1:] in tuple(",:[{ \t\n\r"):
+                return False
+            want = ('"' + name).encode()
+            # match '"name' 8 bytes at a time, backwards from each key end
+            k = min(8, len(want))
+            if k not in shifted:
+                shifted[k] = tails >> np.uint64(64 - 8 * k)
+            pos = ends[shifted[k]
+                       == np.uint64(int.from_bytes(want[-k:], "little"))]
+            for stop in range(len(want) - 8, 0, -8):
+                k = min(8, stop)
+                word = words[np.maximum(pos - (len(want) - stop), 0)]
+                pos = pos[word >> np.uint64(64 - 8 * k)
+                          == np.uint64(int.from_bytes(want[stop - k: stop],
+                                                      "little"))]
+            if len(pos) != (len(last) if inst is None else len(inst)):
+                return False  # e.g. a key with a space before its colon
+            if inst is None:
+                if (pos <= last).any():
+                    return False
+                last = pos
+            else:
+                if (pos <= last[inst]).any():
+                    return False
+                last[inst] = pos
+    return True
+
+
 def try_shred_batch(texts, plan, fallback_arr, default_now,
                     id_col: pa.Array, sample_schema: pa.Schema,
                     raw_utf8=None):
@@ -287,7 +444,6 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
     per-doc bytes.decode / join / re-encode round trip.  ``texts`` may be
     None in that case.
     """
-    texts_arr_lazy = [None]
     if raw_utf8 is not None:
         data, offsets = raw_utf8
         n_docs = len(offsets) - 1
@@ -308,10 +464,11 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
         source = pa.BufferReader(pa.py_buffer(buf_arr))
         buf_len = len(buf_arr)
 
-        def _texts_arr():
+        @functools.cache
+        def texts_arr():
             # zero-copy string view over the NDJSON buffer itself; value i
-            # carries its trailing '\n' (harmless: only used for substring
-            # presence checks)
+            # carries its trailing '\n' (harmless: only used for the
+            # raw-text presence and key-order checks)
             off32 = (offsets.astype(np.int64) - base + np.arange(
                 n_docs + 1, dtype=np.int64
             )).astype(np.int32)
@@ -330,8 +487,14 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
         source = io.BytesIO(buf)
         buf_len = len(buf)
 
-        def _texts_arr():
+        @functools.cache
+        def texts_arr():
             return pa.array(texts, pa.string())
+
+    @functools.cache
+    def has_backslash():
+        data = texts_arr().buffers()[2]
+        return bool((np.frombuffer(data, np.uint8) == 0x5C).any())
 
     if fallback_arr is not None:
         fb = np.asarray(fallback_arr, dtype=np.int64)
@@ -367,42 +530,58 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
             continue
         if '"' in f.name or "\\" in f.name:
             return None
-        if texts_arr_lazy[0] is None:
-            texts_arr_lazy[0] = _texts_arr()
         # A \uXXXX escape can spell the key in raw text without the
         # regex below ever matching ('"v":' decodes to '"v":'),
         # flipping presence to a silent false-absent — the dangerous
         # direction.  \u appears only inside JSON strings, so any doc
         # containing it goes to the traversal.
-        if pc.any(pc.match_substring(texts_arr_lazy[0], "\\u")).as_py():
+        if has_backslash() and pc.any(
+            pc.match_substring(texts_arr(), "\\u")
+        ).as_py():
             return None
         # '"name"\s*:' not '"name":' — legal JSON allows whitespace
         # before the colon, and a plain-substring miss there would make
         # an explicit null look ABSENT (masks agree -> proof passes ->
         # silently dropped NULL-kind sample).  A value-string false
         # positive only forces a harmless fallback.
-        import re as _re
-
         pres = pc.match_substring_regex(
-            texts_arr_lazy[0], f'"{_re.escape(f.name)}"\\s*:'
+            texts_arr(), f'"{re.escape(f.name)}"\\s*:'
         )
         if not pc.all(pc.equal(pres, pc.is_valid(col))).as_py():
             return None
 
+    cols = {
+        f.name: (
+            tbl.column(f.name).chunk(0)
+            if isinstance(tbl.column(f.name), pa.ChunkedArray)
+            else tbl.column(f.name)
+        )
+        for f in tbl.schema
+    }
+    # {name} placeholders: a gather of the top-level column, proven equal
+    # to the traversal's ancestor join (extractor._render_template) when
+    # the name is nowhere below the top level and the column is a string
+    # present and non-null in every doc
+    key_parts = _key_parts(plan)
+    doc_names = [name for kind, name in key_parts if kind == "doc"]
+    if doc_names:
+        nested = set()
+        for f in tbl.schema:
+            _nested_names(f.type, nested)
+        for name in doc_names:
+            col = cols.get(name)
+            if (col is None or name in nested or col.null_count
+                    or not pa.types.is_string(col.type)):
+                return None
+    doc_cols = {name: cols[name] for name in doc_names}
+
     try:
-        cols = {
-            f.name: (
-                tbl.column(f.name).chunk(0)
-                if isinstance(tbl.column(f.name), pa.ChunkedArray)
-                else tbl.column(f.name)
-            )
-            for f in tbl.schema
-        }
         names = list(cols)
         ts_name = plan.ts_prop_single
         doc_idx = np.arange(n_docs, dtype=np.int64)
         ts = fb.copy()
         src = np.full(n_docs, _SRC_NOW, np.int8)
+        em = _Emitter(plan, [r for kind, r in key_parts if kind == "ptr"])
         if ts_name is not None and ts_name in cols:
             ts_col = cols.pop(ts_name)
             names = [n for n in names if n != ts_name]
@@ -410,14 +589,15 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
             vmask = pc.is_valid(ts_col).to_numpy(zero_copy_only=False)
             ts = np.where(vmask, parsed, fb)
             src = np.where(vmask, _SRC_DOC, _SRC_NOW).astype(np.int8)
-
-        em = _Emitter(plan)
+            em.keys.append((ts_name, None, None))
         em.emit_level(
             [(n, cols[n]) for n in names], doc_idx, ts, src,
             np.zeros(n_docs, np.int64),
             pre_ptr=(), elem_idx=None, post_ptr=(), top_level=True,
         )
     except _Fallback:
+        return None
+    if not _key_order_ok(em, texts_arr, has_backslash):
         return None
 
     leaves = em.leaves
@@ -433,11 +613,17 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
     def _cat(maker):
         return pa.concat_arrays([maker(r) for r in leaves])
 
-    key_arr = _cat(
-        lambda r: pa.array(r["key_lookup"], pa.string()).take(
-            pa.array(r["key_idx"])
-        )
-    )
+    doc_take = pa.array(all_doc)
+    key_cols, run = [], 0
+    for kind, part in key_parts:
+        if kind == "doc":
+            key_cols.append(doc_cols[part].take(doc_take))
+            continue
+        key_cols.append(_cat(lambda r, j=run: pa.array(
+            r["key_lookup"][j], pa.string()).take(pa.array(r["key_idx"]))))
+        run += 1
+    key_arr = (key_cols[0] if len(key_cols) == 1
+               else pc.binary_join_element_wise(*key_cols, ""))
     ts_arr = pa.array(np.concatenate([r["ts"] for r in leaves]), pa.int64())
     src_arr = pa.array(np.concatenate([r["src"] for r in leaves]), pa.int8())
     num_arr = _cat(
@@ -478,7 +664,7 @@ def try_shred_batch(texts, plan, fallback_arr, default_now,
             "value_str": str_arr,
             "value_bool": bool_arr,
             "value_kind": kind_arr,
-            "doc_id": id_col.take(pa.array(all_doc)),
+            "doc_id": id_col.take(doc_take),
             "sample_ordinal": pa.array(ordinal, pa.int32()),
         },
         schema=sample_schema,

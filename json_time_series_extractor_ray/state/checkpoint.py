@@ -226,6 +226,24 @@ def _ray_tasks():
     return ray.remote(_map_task), ray.remote(_shard_task)
 
 
+def data_context():
+    """Ray Data's current ``DataContext``.  Ray 2.49's ``DataContext()``
+    assigns its own defaults for the deprecated ``use_push_based_shuffle``
+    and ``use_polars`` through the setter that warns about them, so the
+    call that builds a process's context would emit two
+    ``DeprecationWarning``s about settings nobody made: they are silenced
+    here, and only here."""
+    import warnings
+
+    from ray.data.context import DataContext
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"`use_(push_based_shuffle|polars)` is deprecated",
+            DeprecationWarning)
+        return DataContext.get_current()
+
+
 def _from_arrow_refs(tables, metas):
     """``ray.data.from_arrow_refs(tables)`` given the tables' block
     metadata: Ray's would start one more task per table to compute it."""
@@ -233,12 +251,11 @@ def _from_arrow_refs(tables, metas):
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
     from ray.data._internal.stats import DatasetStats
-    from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": metas}, parent=None),
-        DataContext.get_current().copy())
+        data_context().copy())
     return MaterializedDataset(
         plan, LogicalPlan(FromArrow(tables, metas), plan._context))
 

@@ -4,7 +4,9 @@ Each test mirrors one ``[Fact]`` from
 ``/root/reference/test/JsonTimeSeriesExtractor.Tests/JsonTimeSeriesExtractorTests.cs``
 (line anchors in each docstring): same input JSON, same options, same
 expected sample count / keys / values / timestamps / timestamp sources.
-Pure-Python kernel only — no Ray needed here.
+Pure-Python kernel only — no Ray needed here.  Every case whose options
+the shredded kernel covers also runs through ``ExtractSamplesStage`` with
+``shred=True`` and ``shred=False``, which must emit equal samples.
 """
 
 import json
@@ -17,7 +19,11 @@ from json_time_series_extractor_ray import (
     extract_samples,
     make_pointer_filter,
 )
+from json_time_series_extractor_ray.corpus import texts_to_corpus_table
+from json_time_series_extractor_ray.extractor import ExtractionPlan
 from json_time_series_extractor_ray.functions.timestamps import parse_iso_timestamp_ns
+from json_time_series_extractor_ray.stages.extract import ExtractSamplesStage
+from json_time_series_extractor_ray.stages.shred import plan_is_shreddable
 
 TS = "2021-05-28T17:41:09.7031076+03:00"
 TS_NS = parse_iso_timestamp_ns(TS)
@@ -58,7 +64,16 @@ NESTED_DEVICE_SAMPLE = {
 
 
 def samples_of(doc, opts, fallback_now_ns=1_700_000_000_000_000_000):
-    return list(extract_samples(json.dumps(doc), opts, fallback_now_ns=fallback_now_ns))
+    text = json.dumps(doc)
+    if plan_is_shreddable(ExtractionPlan(opts)):
+        corpus = texts_to_corpus_table(["d0"], [text], ["conformance"])
+        shredded, traversed = (
+            ExtractSamplesStage(opts, fallback_now_ns=fallback_now_ns,
+                                shred=shred)(corpus).sort_by("sample_ordinal")
+            for shred in (True, False)
+        )
+        assert shredded.equals(traversed)
+    return list(extract_samples(text, opts, fallback_now_ns=fallback_now_ns))
 
 
 def test_should_extract_samples_for_all_non_timestamp_fields():

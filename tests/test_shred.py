@@ -5,26 +5,49 @@ mis-emit) on the semantic hazards it cannot prove."""
 import json
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from json_time_series_extractor_ray.corpus import (
+    iot_corpus_table,
     render_iot_block,
     texts_to_corpus_table,
 )
-from json_time_series_extractor_ray.stages.extract import ExtractSamplesStage
+from json_time_series_extractor_ray.stages.extract import (
+    SAMPLE_SCHEMA,
+    ExtractSamplesStage,
+)
+from json_time_series_extractor_ray.stages.rollup import rollup_oracle
+from json_time_series_extractor_ray.stages.shred import try_shred_batch
+from json_time_series_extractor_ray.tokenizer import _tokens_to_numpy
 
 
 def _canon(tbl: pa.Table) -> pa.Table:
     """Physical row order is not semantic (the shred path emits
     leaf-major); compare on (doc_id, sample_ordinal) order."""
-    import pyarrow.compute as pc
-
     idx = pc.sort_indices(
         tbl, sort_keys=[("doc_id", "ascending"),
                         ("sample_ordinal", "ascending")]
     )
     return tbl.take(idx).combine_chunks()
+
+
+def _shreds(texts, opts=None) -> bool:
+    """Whether the shredded kernel accepts the batch (no fallback), fed
+    the way the stage feeds it: the utf8 token bytes."""
+    opts = opts or dict(recursive=True, allow_nested_timestamps=True)
+    tbl = texts_to_corpus_table(
+        [f"d{i:04d}" for i in range(len(texts))], texts, ["t"] * len(texts)
+    )
+    stage = ExtractSamplesStage(dict(opts), fallback_now_ns=7)
+    return stage.shred and try_shred_batch(
+        None, stage.plan, None, 7, tbl.column("doc_id"), SAMPLE_SCHEMA,
+        raw_utf8=_tokens_to_numpy(tbl.column("tokens")),
+    ) is not None
 
 
 def _both(texts, opts=None, **kw):
@@ -166,14 +189,24 @@ class TestShredFallback:
             dict(recursive=True, include=["/v"]), fallback_now_ns=0
         )
         assert not stage.shred
-        stage2 = ExtractSamplesStage(
-            dict(recursive=True, template="{type}/{$prop}"), fallback_now_ns=0
-        )
-        assert not stage2.shred
         stage3 = ExtractSamplesStage(
             dict(recursive=False), fallback_now_ns=0
         )
         assert not stage3.shred
+
+    def test_document_property_template_shreds(self):
+        texts = [
+            '{"time":"2024-01-01T00:00:01.000000Z","type":"a","v":1.5}',
+            '{"time":"2024-01-01T00:00:02.000000Z","type":"b","v":2.5,'
+            '"o":{"w":1}}',
+        ]
+        opts = dict(recursive=True, template="{type}/{$prop}")
+        a, b, stage = _both(texts, opts)
+        assert stage.shred
+        assert _shreds(texts, opts)
+        assert a.equals(b)
+        assert a.column("series_key").to_pylist() == [
+            "a/type", "a/v", "b/type", "b/v", "b/o/w"]
 
     def test_unix_ms_integer_timestamps(self):
         a, b, _ = _both(
@@ -243,3 +276,261 @@ class TestWhitespaceBeforeColon:
         ]
         slow, fast, _ = _both(texts)
         assert slow.equals(fast)
+
+
+def _dumps(docs):
+    return [json.dumps(d, separators=(",", ":")) for d in docs]
+
+
+class TestShredTemplates:
+    """Key templates of literals, ``$prop`` forms and top-level string
+    placeholders run on the shredded kernel with the traversal's keys."""
+
+    IOT = dict(recursive=True, allow_nested_timestamps=True)
+
+    @pytest.mark.parametrize("template", [
+        "{device}/{$prop}",
+        "{$prop-local}",
+        "{$prop-path}",
+        "site/{device}/{$prop-path}:{$prop-local}",
+        "constant-key",
+        "{device}",
+    ])
+    def test_iot_templates(self, template):
+        _, texts, _ = render_iot_block(3, cfg={"n_devices": 1000})
+        opts = dict(self.IOT, template=template)
+        a, b, stage = _both(texts[:1024], opts)
+        assert stage.shred
+        assert _shreds(texts[:1024], opts)
+        assert a.equals(b)
+
+    def test_custom_path_separator_in_templates(self):
+        texts = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z", "dev": "d1",
+             "o": {"p": 1.5, "l": [{"q": 2}, {"q": 3}]}},
+        ])
+        opts = dict(recursive=True, path_separator=".",
+                    template="{dev}|{$prop-path}|{$prop}")
+        a, b, _ = _both(texts, opts)
+        assert _shreds(texts, opts)
+        assert a.equals(b)
+        assert a.column("series_key").to_pylist() == [
+            "d1||dev", "d1|o|o.p", "d1|o.l.0|o.l.0.q", "d1|o.l.1|o.l.1.q"]
+
+    def test_conformance_device_sample_recursive(self):
+        from tests.test_extractor_conformance import DEVICE_SAMPLE
+
+        texts = _dumps([DEVICE_SAMPLE, dict(DEVICE_SAMPLE, MacAddress="x")])
+        opts = dict(recursive=True, timestamp_property="/Timestamp",
+                    template="tc/{MacAddress}/{$prop}")
+        a, b, _ = _both(texts, opts)
+        assert _shreds(texts, opts)
+        assert a.equals(b)
+        assert a.column("series_key")[0].as_py() == (
+            "tc/AB:CD:EF:01:23:45/SignalStrength")
+
+    def test_placeholder_also_named_below_the_root_falls_back(self):
+        # every element carries a nested 'time', so the traversal joins
+        # the root's and the element's values; no level has two sample
+        # fields here, so only the placeholder proof can refuse the batch
+        texts = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z",
+             "data": [{"time": "2024-01-01T00:00:01.500000Z", "v": 1.0}]},
+        ])
+        opts = dict(recursive=True, allow_nested_timestamps=True,
+                    template="{time}/{$prop}")
+        assert not _shreds(texts, opts)
+        a, b, _ = _both(texts, opts)
+        assert a.equals(b)
+        assert a.column("series_key").to_pylist() == [
+            "2024-01-01T00:00:01.000000Z/2024-01-01T00:00:01.500000Z/"
+            "data/0/v"]
+
+    def test_placeholder_named_like_the_timestamp(self):
+        texts = _dumps([{"time": "2024-01-01T00:00:01.000000Z", "v": 1},
+                        {"time": "2024-01-01T00:00:02.000000Z", "v": 2}])
+        opts = dict(recursive=True, template="{time}/{$prop}")
+        a, b, _ = _both(texts, opts)
+        assert _shreds(texts, opts)
+        assert a.equals(b)
+        assert a.column("series_key").to_pylist() == [
+            "2024-01-01T00:00:01.000000Z/v", "2024-01-01T00:00:02.000000Z/v"]
+
+
+#: A placeholder value the gather may not stand in for: each makes the
+#: traversal render raw JSON text, drop or replace the sample, or join
+#: values from two depths.
+_PLACEHOLDER_VALUES = st.one_of(
+    st.text(alphabet="abcxyz-01", min_size=0, max_size=4),
+    st.sampled_from(["<missing>", None, 7, -1.5, True, False, {"k": "v"},
+                     [1, "a"]]),
+)
+
+
+class TestPlaceholderProof:
+    @settings(max_examples=100, deadline=None)
+    @example(["ab", "<missing>"], [None] * 4, True)  # missing
+    @example(["ab", "<missing>"], [None] * 4, False)
+    @example(["ab", None], [None] * 4, True)  # null
+    @example(["ab", 7], [None] * 4, True)  # numeric
+    @example([True, False], [None] * 4, True)  # bool
+    @example(["ab", "cd"], ["alone"] * 4, True)  # nested below the root
+    @example(["ab", "cd"], ["obj", None, None, None], True)  # two depths
+    @example(["ab", "cd"], [None] * 4, True)  # proven
+    @given(
+        values=st.lists(_PLACEHOLDER_VALUES, min_size=1, max_size=4),
+        nested=st.lists(st.sampled_from([None, "obj", "list", "alone"]),
+                        min_size=4, max_size=4),
+        allow_unresolved=st.booleans(),
+    )
+    def test_gather_only_under_the_proof(self, values, nested,
+                                         allow_unresolved):
+        docs = []
+        for i, (value, where) in enumerate(zip(values, nested)):
+            doc = {"time": f"2024-01-01T00:00:0{i}.000000Z", "v": float(i),
+                   "o": {"w": 1.0}, "l": [{"w": 2.0}]}
+            if value != "<missing>":
+                doc["dev"] = value
+            if where == "obj":
+                doc["o"]["dev"] = "inner"
+            elif where == "list":
+                doc["l"][0]["dev"] = "inner"
+            elif where == "alone":  # the only key of its object
+                doc["o"] = {"dev": "inner"}
+            docs.append(doc)
+        texts = _dumps(docs)
+        opts = dict(recursive=True, template="{dev}/{$prop}",
+                    allow_unresolved_template_replacements=allow_unresolved)
+        proven = (all(isinstance(d.get("dev"), str) for d in docs)
+                  and all(w is None for w in nested[:len(docs)]))
+        a, b, _ = _both(texts, opts)
+        assert a.equals(b)
+        assert _shreds(texts, opts) == proven
+
+
+class TestKeyOrder:
+    """Samples are numbered in the batch schema's key order, so a
+    document with another key order must take the traversal."""
+
+    def test_swapped_top_level_keys(self):
+        texts = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z", "a": 1, "b": "x"},
+            {"time": "2024-01-01T00:00:02.000000Z", "b": "y", "a": 2},
+        ])
+        assert not _shreds(texts)
+        a, b, _ = _both(texts)
+        assert a.equals(b)
+        assert a.column("series_key").to_pylist() == ["a", "b", "b", "a"]
+
+    def test_swapped_keys_inside_list_elements(self):
+        texts = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z",
+             "data": [{"x": 1, "y": 2}, {"x": 3, "y": 4}]},
+            {"time": "2024-01-01T00:00:02.000000Z",
+             "data": [{"x": 5, "y": 6}, {"y": 7, "x": 8}]},
+        ])
+        assert not _shreds(texts)
+        a, b, _ = _both(texts)
+        assert a.equals(b)
+        assert a.column("series_key").to_pylist()[-2:] == [
+            "data/1/y", "data/1/x"]
+
+    def test_key_text_inside_a_string_value(self):
+        # the value spells '"a":' (escaped quotes); only real keys count
+        swapped = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z", "a": "p", "b": "q"},
+            {"time": "2024-01-01T00:00:02.000000Z", "b": 'say "a": hi', "a": "r"},
+        ])
+        assert not _shreds(swapped)
+        a, b, _ = _both(swapped)
+        assert a.equals(b)
+        in_order = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z", "a": 'x "b":', "b": "q"},
+            {"time": "2024-01-01T00:00:02.000000Z", "a": '"b":"a":', "b": "r"},
+        ])
+        assert _shreds(in_order)
+        a, b, _ = _both(in_order)
+        assert a.equals(b)
+
+    def test_escaped_or_spaced_keys_fall_back(self):
+        for texts in (
+            ['{"time":"2024-01-01T00:00:01.000000Z","a":1,"b":2}',
+             '{"time":"2024-01-01T00:00:02.000000Z","\\u0062":3,"a":4}'],
+            ['{"time":"2024-01-01T00:00:01.000000Z","a":1,"b":2}',
+             '{"time":"2024-01-01T00:00:02.000000Z","b" :3,"a":4}'],
+        ):
+            assert not _shreds(texts)
+            a, b, _ = _both(texts)
+            assert a.equals(b)
+
+    def test_name_at_two_depths_falls_back(self):
+        # 'time' is the root timestamp and, with nested timestamps off, a
+        # sample key inside each element: its occurrences cannot be told
+        # apart, so the element order is unproven
+        _, texts, _ = render_iot_block(2)
+        opts = dict(recursive=True, allow_nested_timestamps=False)
+        assert not _shreds(texts[:256], opts)
+        a, b, _ = _both(texts[:256], opts)
+        assert a.equals(b)
+
+    @pytest.mark.parametrize("template", [None, "{device}/{$prop}"])
+    def test_iot_corpora_shred_every_batch(self, template):
+        opts = dict(recursive=True, allow_nested_timestamps=True)
+        if template:
+            opts["template"] = template
+        for seed, cfg in ((3, {"n_devices": 256}), (3, {"n_devices": 16}),
+                          (42, None)):
+            _, texts, _ = render_iot_block(0, seed=seed, cfg=cfg)
+            for off in range(0, 2048, 320):
+                assert _shreds(texts[off: off + 320], opts)
+
+    def test_text_column_input(self):
+        texts = _dumps([
+            {"time": "2024-01-01T00:00:01.000000Z", "a": 1, "b": 2},
+            {"time": "2024-01-01T00:00:02.000000Z", "b": 3, "a": 4},
+        ])
+        tbl = pa.table({"doc_id": ["d0", "d1"], "text": texts})
+        kw = dict(text_column="text", fallback_now_ns=7)
+        opts = dict(recursive=True)
+        slow = ExtractSamplesStage(opts, shred=False, **kw)(tbl)
+        fast = ExtractSamplesStage(opts, **kw)(tbl)
+        assert _canon(slow).equals(_canon(fast))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.permutations(["a", "b", "c"]),
+                              st.permutations(["x", "y"]),
+                              st.integers(0, 2)),
+                    min_size=1, max_size=5))
+    def test_random_key_orders_match_the_traversal(self, shapes):
+        docs = []
+        for i, (top, elem, n_elems) in enumerate(shapes):
+            doc = {"time": f"2024-01-01T00:00:0{i}.000000Z"}
+            for k in top:
+                doc[k] = ([{e: float(j) for e in elem}
+                           for j in range(n_elems)] if k == "c" else k * 2)
+            docs.append(doc)
+        a, b, _ = _both(_dumps(docs))
+        assert a.equals(b)
+
+
+class TestHighCardinality:
+    def test_hundred_thousand_device_keys(self):
+        """8,192 docs over 100,000 devices: ~12k distinct series keys.
+        Shredded and traversal samples, and the rollup oracle over each,
+        are identical."""
+        corpus = iot_corpus_table(8192, seed=3, cfg={"n_devices": 100_000})
+        opts = dict(recursive=True, allow_nested_timestamps=True,
+                    template="{device}/{$prop}")
+        fast = ExtractSamplesStage(opts, fallback_now_ns=0)
+        assert try_shred_batch(
+            None, fast.plan, None, 0, corpus.column("doc_id"),
+            SAMPLE_SCHEMA, raw_utf8=_tokens_to_numpy(corpus.column("tokens")),
+        ) is not None
+        shredded = _canon(fast(corpus))
+        traversed = _canon(
+            ExtractSamplesStage(opts, fallback_now_ns=0, shred=False)(corpus))
+        assert shredded.equals(traversed)
+        assert len(pc.unique(shredded.column("series_key"))) > 10_000
+        rolled = rollup_oracle(shredded)
+        assert len(rolled) > 0
+        pd.testing.assert_frame_equal(rolled, rollup_oracle(traversed))
