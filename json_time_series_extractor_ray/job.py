@@ -8,7 +8,12 @@ reference has to a "config -> pipeline -> writer" flow,
     ray job submit -- python -m json_time_series_extractor_ray.job \\
         --config job.json
 
-Config schema (all paths may be any URI pyarrow's filesystems resolve)::
+Config schema.  Every path may be a URI that pyarrow's filesystems
+resolve: ``input`` and ``update_input`` are read through them, the shard
+commits of ``rollups/`` and ``chunks/`` (and the compaction of
+``chunks/``) write through them, and ``rollups_updated``,
+``rollups_current`` and ``token_chunks`` are Ray Data ``write_parquet``
+outputs, which resolve the same URIs::
 
     {
       "input": "/data/corpus/",            # Parquet (doc_id, tokens, n_tok, source):
@@ -36,30 +41,22 @@ Config schema (all paths may be any URI pyarrow's filesystems resolve)::
     }
 
 The job extracts the corpus once and shuffles its samples once, by shard,
-with no Ray Data plan: the driver reads the corpus footers
-(``sources/parquet.plan_row_groups``, hive partitioning, names starting
-with ``_`` or ``.`` ignored) and cuts the row groups into a few groups
-per CPU; one plain Ray task per group streams ``doc_id``/``tokens`` in
-tables of a tenth of the block target (the cut of Ray's Parquet
-reader), runs the extraction stage (built once in the driver and shipped
-once) on each and splits the group's samples by shard (the exchange of
-``state/checkpoint.run_sharded_rollup``).  Each shard task writes
-``rollups/shard=NNNNN/``, ``chunks/shard=NNNNN/`` (the Gorilla raw tier)
-and then its manifest record.  The job builds no Ray Data ``Dataset`` and
-none of its tasks imports ``ray.data``; the driver reads only the block
-target from Ray Data's ``DataContext``.  So a cold job (this module run
-in a fresh process) starts no Ray Data stats actor and pays no
-``ray.data`` import in its workers.  The removed options
-``extract_concurrency`` and ``batch_size`` are refused: no actor pool
-runs, and the samples do not depend on how the corpus is cut.
+with no Ray Data plan: the driver plans the corpus row groups
+(``sources/parquet.plan_row_groups``), and one plain Ray task per group
+of them streams ``doc_id``/``tokens`` in tables of a tenth of the block
+target, runs the extraction stage (built once, shipped once) and splits
+its samples by shard (``state/checkpoint.run_sharded_rollup``).  Each
+shard task commits ``chunks/shard=NNNNN/`` (the Gorilla raw tier), then
+``rollups/shard=NNNNN/``: files first, then the record naming them.  None
+of the job's tasks imports ``ray.data``, so a cold job starts no Ray Data
+stats actor.  The removed options ``extract_concurrency`` and
+``batch_size`` are refused: the samples do not depend on the cut.
 
 Rerunning with the same config skips shards recorded in
 ``<output_dir>/rollups/_manifest`` (see state/checkpoint.py).  A map task
-holds one table of its group's rows at a time and the group's samples (a
-group is about one block target of footer bytes, or one row group when a
-row group is larger), a shard task one shard's samples: ``num_shards``,
-not ``chunk_bucket_ns``, bounds its memory.  Exit output is one JSON
-line of manifest metrics.
+holds one table of its group's rows at a time and the group's samples, a
+shard task one shard's samples: ``num_shards``, not ``chunk_bucket_ns``,
+bounds its memory.  Exit output is one JSON line of manifest metrics.
 """
 
 from __future__ import annotations
@@ -67,31 +64,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-
-def _replace_store(store: str, tmp_new: str, trash: str, write_fn) -> None:
-    """Crash-safe replacement of the existing chunk store (compaction).
-
-    Protocol (every step idempotent, so ANY crash point recovers on the
-    next run): (1) the caller, before reading the store, restores it if a
-    previous run died mid-swap — store missing but its old contents
-    parked at ``trash``; (2) clear a stale partial ``tmp_new`` (Ray's
-    write_parquet appends into an existing dir, which would double the
-    data); (3) write the new store into ``tmp_new``; (4) clear a stale
-    completed-swap ``trash``; (5) park the old store at ``trash``, promote
-    ``tmp_new``, drop ``trash``.
-    """
-    import os
-    import shutil
-
-    if os.path.isdir(tmp_new):
-        shutil.rmtree(tmp_new)  # stale partial write from a dead run
-    write_fn(tmp_new)
-    if os.path.isdir(trash):
-        shutil.rmtree(trash)  # leftover of a swap that DID complete
-    os.rename(store, trash)
-    os.rename(tmp_new, store)
-    shutil.rmtree(trash)
 
 
 def _extract_group(stage, group: list, batch_bytes):
@@ -125,10 +97,8 @@ def run_job(config: dict) -> dict:
 
     if not ray.is_initialized():  # standalone runs; the driver/tests own Ray otherwise
         ray.init(address="local", include_dashboard=False)
-        # Standalone sessions only (never mutate a caller-owned session):
-        # 8 MB blocks keep the extraction kernel's per-batch sort + gather
-        # working set in cache — measured 2-3x less extract CPU than the
-        # default target on the 6M-doc headline (see bench.py).
+        # Standalone sessions only: 8 MB blocks keep the extraction
+        # kernel's working set in cache (2-3x less CPU, see bench.py).
         data_context().target_max_block_size = 8 * 1024 * 1024
 
     from .sources.parquet import plan_row_groups, read_parquet
@@ -145,11 +115,10 @@ def run_job(config: dict) -> dict:
         # Incremental update (nightly-append shape): roll up ONLY the new
         # corpus fragments and merge them into the stored tiers with
         # merge_tier_rollups — the historical corpus is never re-read.
-        # Stored tiers must come from this engine (they carry the
-        # last_doc/last_ord tie-break triple that makes the merge exact);
-        # the merge skips their gap-fill rows and re-applies gap_fill.
-        # Output goes to <out>/rollups_updated; promoting it over
-        # rollups/ is the operator's explicit (atomic rename) action.
+        # The stored tiers carry the last_doc/last_ord tie-break that
+        # makes the merge exact; their gap-fill rows are skipped and
+        # gap_fill re-applied.  Promoting <out>/rollups_updated over
+        # rollups/ is the operator's explicit action.
         from .pipelines.timeseries import extract_pipeline
         from .stages.rollup import merge_tier_rollups, rollup_ladder
 
@@ -162,11 +131,8 @@ def run_job(config: dict) -> dict:
                                     gap_fill=config.get("gap_fill"))
         merged = merged.materialize()  # small rollup rows; consumed twice
         merged.write_parquet(f"{out_dir}/rollups_updated")
-        return {
-            "updated_rows": merged.count(),
-            "update_input": update_input,
-            "output": f"{out_dir}/rollups_updated",
-        }
+        return {"updated_rows": merged.count(), "update_input": update_input,
+                "output": f"{out_dir}/rollups_updated"}
 
     # built (and its options validated) here, shipped once to every task
     stage = ray.put(ExtractSamplesStage(**extract_args))
@@ -195,11 +161,8 @@ def run_job(config: dict) -> dict:
 
     retention = config.get("retention")
     if retention:
-        # Retention pass over the STORED tiers (the shape a 100 TB ladder
-        # needs: expire what is on disk, pruning whole shards via manifest
-        # watermarks first in principle, then row-filtering the rest).
-        # Watermark comes from the manifest (max committed window_start) —
-        # no recompute of the pipeline.
+        # Retention pass over the STORED tiers, with the manifest's
+        # watermark (max committed window_start): no recompute.
         from .pipelines.downsample import DEFAULT_TTL_NS, retention_expire
 
         ttl_ns = (
@@ -208,21 +171,20 @@ def run_job(config: dict) -> dict:
             else {tier: int(v) for tier, v in retention.items()}
         )
         wm = result["rollups"]["watermark_max"]
-        rollups_ds = read_parquet(f"{out_dir}/rollups")
-        current = retention_expire(rollups_ds, ttl_ns=ttl_ns, watermark_ns=int(wm))
-        current.write_parquet(f"{out_dir}/rollups_current")
+        if wm is not None:  # else no rollup row is stored: nothing expires
+            rollups_ds = read_parquet(f"{out_dir}/rollups")
+            current = retention_expire(rollups_ds, ttl_ns=ttl_ns,
+                                       watermark_ns=int(wm))
+            current.write_parquet(f"{out_dir}/rollups_current")
         result["retention"] = {
-            "watermark_ns": int(wm),
+            "watermark_ns": wm,
             "ttl_ns": ttl_ns,
             "rows_before": result["rollups"]["rows"],
         }
 
     if config.get("token_chunks", False):
-        # Archive the INPUT corpus as compressed varint token chunks
-        # (state/tokenstore.py): ~4x smaller than raw int32 token
-        # columns for ASCII-heavy corpora, checksum-verified, doc-range
-        # prunable on read — the storage leg of the tokens invariant
-        # (read_token_chunks(out) == the corpus, bit-for-bit).
+        # Archive the INPUT corpus as checksummed varint token chunks
+        # (state/tokenstore.py): read_token_chunks(out) == the corpus.
         from .state.tokenstore import compress_corpus_dataset
 
         tchunks = compress_corpus_dataset(read_parquet(config["input"]))
@@ -230,29 +192,14 @@ def run_job(config: dict) -> dict:
         result["token_chunks_written"] = True
 
     if config.get("compact_chunks", False):
-        # Maintenance pass, after every shard has committed: merge the
-        # chunk store's small chunks (one per series x bucket) into few
-        # large ones — bit-exact (state/gorilla.compact_chunks), published
-        # via a crash-safe whole-store replace that drops the shard layout.
-        import os
+        # Maintenance pass, after every shard has committed: merge each
+        # shard's small chunks (one per series x bucket) into few large
+        # ones, bit-exact, as one chunk commit per shard.
+        from .state.gorilla import compact_table
 
-        from .state.gorilla import compact_chunks
-
-        store = f"{out_dir}/chunks"
-        trash = f"{out_dir}/chunks_precompact"
-        # recovery must run BEFORE the read so a half-swapped store is
-        # restored and then compacted, not skipped
-        if not os.path.isdir(store) and os.path.isdir(trash):
-            os.rename(trash, store)
-        if os.path.isdir(store):
-            compacted = compact_chunks(
-                read_parquet(store),
-                target_points=int(config.get("compact_target_points",
-                                             1_000_000)),
-            )
-            _replace_store(store, f"{out_dir}/chunks_compacting", trash,
-                           compacted.write_parquet)
-            result["chunks_compacted"] = True
+        target = int(config.get("compact_target_points", 1_000_000))
+        manifest.chunks.rewrite(lambda t: compact_table(t, target))
+        result["chunks_compacted"] = True
 
     return result
 

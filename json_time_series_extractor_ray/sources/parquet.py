@@ -1,31 +1,22 @@
 """Parquet reads whose footers are read in the calling process: Ray
 Data's ``read_parquet`` for the maintenance passes' inputs, and the
 row-group planner (``plan_row_groups``) behind the direct reads: the
-job's map side and ``read_decoded``, the read of both chunk stores.
+job's map side and ``read_decoded``, the read of both chunk stores.  A
+store with a manifest is read as the files its records name.
 
 ``ray.data.read_parquet`` reads the footers of more than 24 files in
-remote tasks of 0.5 CPU each (38 files: 7 tasks), so it runs up to twice
-as many tasks as CPUs at once.  Ray keeps one idle worker process per CPU
-and kills the others after a second idle, so such a read starts worker
-processes again whenever the last one was more than a second ago: on a
-4-CPU host the read took 0.04 s or 0.4-0.9 s depending on that gap, and a
-job's wall time followed it.  Reading the footers here costs about 1 ms a
-file on local storage and starts no process.
+remote tasks, so it restarts idle worker processes: on a 4-CPU host the
+read took 0.04 s or 0.4-0.9 s depending on when the last task ran.
+Reading the footers here costs about 1 ms a file on local storage.  The
+direct reads run no Ray Data plan at all: Ray Data's streaming executor
+costs 70-85 ms per plan on a 4-CPU host, where eight plain Ray tasks take
+6 ms.
 
-The direct reads run no Ray Data plan at all.  Ray Data's streaming
-executor costs 70-85 ms per plan on a 4-CPU host, where eight plain Ray
-tasks take 6 ms, so a chunk read-back spent more time starting its plan
-than decoding, and a job more time around its exchange than in it.  The
-calling process reads every footer, keeps the row groups a filter does
-not rule out, and cuts them into a bounded number of contiguous groups,
-one plain Ray task each.
-
-Importing this module does not import ``ray.data`` (about 0.6 s in a
-fresh process), and neither does ``iter_row_groups``, which the job's
-map tasks run: Ray Data is imported only by ``read_parquet`` and by
-``read_decoded``, whose output is a ``Dataset``.  The first ``Dataset``
-of a Ray session starts Ray Data's stats actor, so the first read-back
-after a job pays that start.
+Importing this module does not import ``ray.data``, and neither does
+``iter_row_groups``, which the job's map tasks run: only ``read_parquet``
+and ``read_decoded`` (whose output is a ``Dataset``) import it.  The
+first ``Dataset`` of a Ray session starts Ray Data's stats actor, so the
+first read-back after a job pays that start.
 """
 
 from __future__ import annotations
@@ -38,6 +29,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+
+from ..state.checkpoint import (
+    CheckpointManifest,
+    _from_arrow_refs,
+    data_context,
+)
 
 
 @functools.cache
@@ -71,8 +68,14 @@ def _in_process_footers():
 def read_parquet(paths, **kwargs):
     """``ray.data.read_parquet(paths, **kwargs)`` with the footers read in
     the calling process (module docstring): the same plan, read tasks and
-    blocks."""
+    blocks.  A store with a manifest reads the files its records name."""
     import ray
+    from ray.data.datasource import Partitioning
+
+    if isinstance(paths, str):
+        paths, fs, base = CheckpointManifest(paths).source()
+        kwargs = {"filesystem": fs, "partitioning": Partitioning(
+            "hive", base_dir=base, filesystem=fs), **kwargs}
 
     with warnings.catch_warnings():
         # Ray 2.49 marks ``meta_provider`` deprecated; it is the only way
@@ -88,9 +91,10 @@ def plan_row_groups(paths, keep=None):
 
     ``paths`` (one path or a list) resolve as Ray's ``read_parquet``
     resolves them: hive partitioning, names starting with ``_`` or ``.``
-    ignored.  Every footer is read here; with ``keep`` (a
-    ``pyarrow.dataset`` filter expression) only the row groups whose
-    statistics do not rule it out stay.  The kept row groups, in file
+    ignored; a store with a manifest is the files its records name
+    (``CheckpointManifest.source``).  Every footer is read here; with
+    ``keep`` (a ``pyarrow.dataset`` filter expression) only the row groups
+    whose statistics do not rule it out stay.  The kept row groups, in file
     order, are cut into ``min(#row groups, max(2 x cluster CPUs,
     ceil(bytes / the block target)))`` contiguous groups of about equal
     footer ``total_byte_size``, so a read runs a few tasks per CPU.  A
@@ -100,10 +104,11 @@ def plan_row_groups(paths, keep=None):
     """
     import ray
 
-    from ..state.checkpoint import data_context
-
-    datasets = [pads.dataset(p, format="parquet", partitioning="hive")
-                for p in ([paths] if isinstance(paths, str) else paths)]
+    datasets = [
+        pads.dataset(src, filesystem=fs, format="parquet", partitioning="hive",
+                     partition_base_dir=base)
+        for src, fs, base in (CheckpointManifest(p).source() for p in (
+            [paths] if isinstance(paths, str) else paths))]
     pieces = []
     for dataset in datasets:
         for frag in dataset.get_fragments():
@@ -196,14 +201,11 @@ def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
 
     Runs when called, not lazily: it returns once every task has
     finished (raising the error of a failed one), and the decoded rows
-    stay in the object store for the life of the ``Dataset``.  A caller
-    that reads a large store whole holds all of it there, so read a large
+    stay in the object store while the ``Dataset`` lives: read a large
     store by range.
     """
     import ray
     from ray.data._internal.util import get_table_block_metadata_schema
-
-    from ..state.checkpoint import _from_arrow_refs
 
     first, last = bounds
     keep = None

@@ -2,50 +2,48 @@
 
 Requirement (BASELINE.json north_rule): a killed job resumes without
 recomputing or double-counting rollups, with per-partition lineage +
-metrics.  Design:
+metrics.  The design is the Delta Lake log (Armbrust et al., VLDB 2020):
 
-* Output is partitioned: shard ``s`` of a stage writes to
-  ``<out_dir>/shard=<s>/`` via **write-to-temp + atomic rename** — a
-  partition directory either exists completely or not at all.  The job
-  publishes each shard's Gorilla chunks to ``<chunks_dir>/shard=<s>/`` first.
-* Each completed shard appends a lineage record to
-  ``<out_dir>/_manifest/<shard>.json`` (one file per shard, so concurrent
-  writers never contend): input fragments, row count, min/max event
-  timestamp (the shard watermark), value checksum, commit and compute
-  time, chunk rows and checksum.  Written last: a record implies its files.
-* Resume = read the manifest directory, skip shards whose record exists
-  AND whose partition directory exists; recompute the rest.  A shard task
-  sums its whole shard in one sorted pass, so with deterministic
+* Shard ``s`` of a store writes its files under fresh names,
+  ``<store>/shard=<s>/part-<uuid>.parquet``, through the ``pyarrow.fs``
+  filesystem of the store's path or URI, and renames nothing.  Its record
+  ``<store>/_manifest/shard-<s>.json``, written last, is the commit: it
+  names the files (path and size) and holds the shard's lineage (input
+  fragments, rows, min/max event timestamp, value checksum, commit and
+  compute time).  The job commits a shard's Gorilla chunks first, with
+  their own record; the rollup record is its commit point.
+* A shard is completed when its record exists and every file the record
+  names exists.  Package reads of a store with a manifest take its files
+  from the records (``CheckpointManifest.source``), so a dead attempt's
+  file is never read, and the run that commits the shard deletes it.
+* Resume = skip the completed shards and recompute the rest.  A shard
+  task sums its whole shard in one sorted pass, so with deterministic
   extraction (no wall-clock fallback) a re-run of an incomplete shard is
   value-identical to the fresh run: no double counting.
 
-The shard axis is ``hash(series_key) % num_shards`` and it is the key of
-the one wide operation in the pipeline: samples shuffle by shard, so
-restart granularity is the unit of work (SURVEY.md §4).  ``_exchange``
-is that shuffle.  The job (``run_sharded_rollup``) calls it directly, and
-every other per-series path (ladder, tier merge, chunking, compaction,
-hopping windows, the pipelines' sharded aggregates) through
-``shard_apply``, its ``Dataset`` form: one task call per non-empty shard,
-never one per series.  It is a direct exchange of plain Ray tasks, not a
-Ray Data ``groupby``: the map side (a Ray Data plan's blocks, or plain
-map tasks such as the job's read + extract) splits its rows by shard id,
-and each shard task reads only its own slices.
+The shard axis is ``hash(series_key) % num_shards``, the key of the one
+wide operation in the pipeline (SURVEY.md §4): ``_exchange``, a direct
+exchange of plain Ray tasks, not a Ray Data ``groupby``.  The job
+(``run_sharded_rollup``) calls it directly, and every other per-series
+path (ladder, tier merge, chunking, compaction, hopping windows, the
+pipelines' sharded aggregates) through ``shard_apply``, its ``Dataset``
+form: one task call per non-empty shard, never one per series.
 """
 
 from __future__ import annotations
 
 import functools
-import glob
 import hashlib
 import json
 import os
-import shutil
+import re
 import time
 import uuid
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 
@@ -64,8 +62,7 @@ def add_shard_column(batch: pa.Table, num_shards: int,
                      key_column: str = "series_key") -> pa.Table:
     """Vectorized shard assignment: dictionary-encode the key column and
     md5-hash only the UNIQUE keys (series-key cardinality is tiny next to
-    row count), then gather by index — round 1 hashed every row in Python
-    on the resumable-job hot path.  Same ``shard_of`` md5, so existing
+    row count), then gather by index.  Same ``shard_of`` md5, so existing
     manifests stay valid.  A non-string key (an integer id, a day number)
     hashes through its string form, and every null key goes to shard 0."""
     col = batch.column(key_column)
@@ -227,12 +224,10 @@ def _ray_tasks():
 
 
 def data_context():
-    """Ray Data's current ``DataContext``.  Ray 2.49's ``DataContext()``
-    assigns its own defaults for the deprecated ``use_push_based_shuffle``
-    and ``use_polars`` through the setter that warns about them, so the
-    call that builds a process's context would emit two
-    ``DeprecationWarning``s about settings nobody made: they are silenced
-    here, and only here."""
+    """Ray Data's current ``DataContext``, with the two
+    ``DeprecationWarning``s silenced that Ray 2.49's ``DataContext()``
+    emits about its own defaults for ``use_push_based_shuffle`` and
+    ``use_polars``."""
     import warnings
 
     from ray.data.context import DataContext
@@ -302,27 +297,20 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
 
     The exchange (``_exchange``) is direct, since every row's shard is
     known map-side.  ``ds`` is the map side: a list of map inputs
-    ``(f, *args)``, or a ``ray.data.Dataset``, whose plan runs at full
-    cluster width (a materialized one runs none) and streams its blocks
-    to the calling process as object refs, each block one map input that
-    its map task makes an Arrow table (``_to_arrow``).  One plain Ray task
-    per map input (``_map_task``) calls ``f(*args)`` (Ray resolves
-    object-ref arguments), tags its rows with their shard and sorts them
-    by it (``_tag``), and returns its row count per shard and one slice
-    per shard (``_split_block``).  The caller fetches only the counts,
-    then starts one ``_shard_task`` per non-empty shard on that shard's
+    ``(f, *args)``, or a ``ray.data.Dataset`` whose blocks stream to the
+    caller as object refs, each one map input (``_to_arrow``).  One plain
+    Ray task per map input (``_map_task``) calls ``f(*args)``, tags and
+    sorts its rows by shard (``_tag``) and returns its row count and one
+    slice per shard (``_split_block``).  The caller fetches only the
+    counts, then starts one ``_shard_task`` per non-empty shard on its
     slices.  No row reaches the caller, and no Ray Data plan holds an
-    all-to-all operator: Ray's sort-based ``groupby`` would add a
-    sampling pass, a sort, a merge and tasks for empty key ranges.
+    all-to-all operator (a sort-based ``groupby`` would add a sampling
+    pass, a sort, a merge and tasks for empty key ranges).
 
-    This wrapper is the exchange's ``Dataset`` form: each shard task also
-    computes its output's block metadata (``_as_block``), and the outputs
-    become a materialized ``Dataset`` in shard order.  Apart from a
-    ``Dataset`` map side, building it is the only Ray Data step, and the
-    first ``Dataset`` of a Ray session starts Ray Data's stats actor (a
-    worker process, about a second on a 4-CPU host).  The job
-    (``run_sharded_rollup``) calls the exchange directly and builds no
-    ``Dataset``.
+    The outputs become a materialized ``Dataset`` in shard order (each
+    shard task also computes its block metadata, ``_as_block``); the first
+    ``Dataset`` of a Ray session starts Ray Data's stats actor (about a
+    second on a 4-CPU host).
 
     Runs when called, not lazily: it returns once every shard task has
     finished (raising the error of a failed map or shard task).  A shard
@@ -337,17 +325,9 @@ def shard_apply(ds, fn, num_shards: int = NUM_SHARDS, *, skip_shards=(),
     return _from_arrow_refs([table for _, table in out], metas)
 
 
-def _fsync_path(path: str) -> None:
+def _fsync(path: str) -> None:
+    """Make a file's data, or a directory's entries, durable."""
     fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(path: str) -> None:
-    """Durably record a directory entry (rename target / new file)."""
-    fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
     try:
         os.fsync(fd)
     finally:
@@ -372,149 +352,221 @@ def _checksum_table(table: pa.Table) -> str:
     return f"{acc:016x}-{len(h)}"
 
 
-def _publish_partition(final_dir: str, table: pa.Table) -> None:
-    """Atomically publish one partition dir: tmp write -> fsync -> rename.
-    An empty table (a shard of string-only series rolls up nothing) gives
-    an empty dir: a 0-row file would type its strings as null and break
-    readers that take the schema from the first file."""
-    # per-attempt tmp name: a retried task racing a presumed-dead
-    # worker must never rmtree the other attempt's in-progress dir
-    # and publish a partial shard — whichever attempt renames last
-    # wins atomically
-    tmp_dir = f"{final_dir}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-    os.makedirs(tmp_dir)
-    if table.num_rows:
-        part_path = os.path.join(tmp_dir, "part-0.parquet")
-        # no min/max statistics on binary blobs (Gorilla chunks): nothing
-        # filters on them, and each page and footer would copy two blobs
-        pq.write_table(table, part_path, write_statistics=[
-            f.name for f in table.schema if not pa.types.is_binary(f.type)])
-        _fsync_path(part_path)
-    _fsync_dir(tmp_dir)
-    if os.path.exists(final_dir):
-        shutil.rmtree(final_dir)
-    os.rename(tmp_dir, final_dir)
-    _fsync_dir(os.path.dirname(final_dir))
-    # best-effort sweep of stale tmp dirs left by dead attempts
-    for stale in glob.glob(f"{final_dir}.tmp.*"):
-        shutil.rmtree(stale, ignore_errors=True)
+_RECORD = re.compile(r"_manifest/shard-(\d+)\.json")
 
 
 class CheckpointManifest:
-    """Per-(stage-output) manifest directory with one record per shard."""
+    """The table of contents of one store (module docstring); with
+    ``chunks_dir``, ``chunks`` is the chunk store's.  A path resolves to
+    its ``pyarrow.fs`` filesystem unless ``filesystem`` is given.  Only
+    the writers create directories."""
 
-    def __init__(self, out_dir: str, chunks_dir: str | None = None):
-        self.out_dir = out_dir
-        self.chunks_dir = chunks_dir
+    def __init__(self, out_dir: str, chunks_dir: str | None = None, *,
+                 filesystem=None):
+        self.out_dir, self.chunks_dir = out_dir, chunks_dir
         self.manifest_dir = os.path.join(out_dir, "_manifest")
-        os.makedirs(self.manifest_dir, exist_ok=True)
+        fs, root = ((filesystem, out_dir) if filesystem is not None
+                    else pafs.FileSystem.from_uri(out_dir) if "://" in out_dir
+                    else (pafs.LocalFileSystem(), os.path.abspath(out_dir)))
+        self.fs, self.root = fs, root.rstrip("/")
+        self.local = isinstance(fs, pafs.LocalFileSystem)
+        self.chunks = None if chunks_dir is None else CheckpointManifest(
+            chunks_dir, filesystem=filesystem)
+
+    def _path(self, rel: str) -> str:
+        return f"{self.root}/{rel}"
+
+    def _read(self, rel: str) -> bytes:
+        with self.fs.open_input_stream(self._path(rel)) as f:
+            return f.read()
+
+    def _put(self, rel: str, data: bytes) -> None:
+        """Write a small file whole, replacing any: locally a tmp file
+        (one name per attempt), fsync, ``os.replace`` and a dir fsync;
+        elsewhere one output stream, i.e. one object put."""
+        path = self._path(rel)
+        self.fs.create_dir(path.rsplit("/", 1)[0])
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp" if self.local else path
+        with self.fs.open_output_stream(tmp) as f:
+            f.write(data)
+        if self.local:
+            _fsync(tmp)
+            os.replace(tmp, path)
+            _fsync(os.path.dirname(path))
 
     def record_path(self, shard: int) -> str:
         return os.path.join(self.manifest_dir, f"shard-{shard:05d}.json")
 
+    def load_record(self, shard: int) -> dict:
+        return json.loads(self._read(f"_manifest/shard-{shard:05d}.json"))
+
     def ensure_sharding(self, num_shards: int) -> None:
         """Pin the shard count on first run; REFUSE a resume under a
-        different one.  Shard ids from a 64-way run are meaningless to a
-        32-way rerun — silently mixing them drops some series from
-        recompute while their data never lands (the exact missing/
-        double-counted outcome resume exists to prevent)."""
-        meta_path = os.path.join(self.manifest_dir, "_meta.json")
-        if os.path.exists(meta_path):
-            with open(meta_path) as f:
-                stored = json.load(f).get("num_shards")
-            if stored != num_shards:
-                raise ValueError(
-                    f"manifest at {self.manifest_dir} was written with "
-                    f"num_shards={stored}; resuming with {num_shards} would "
-                    "mix incompatible shardings — rerun with the original "
-                    "value or start a fresh output_dir"
-                )
+        different one: mixing shardings drops some series from recompute
+        while their data never lands."""
+        try:
+            stored = json.loads(self._read("_manifest/_meta.json"))
+        except FileNotFoundError:
+            self._put("_manifest/_meta.json",
+                      json.dumps({"num_shards": num_shards}).encode())
             return
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump({"num_shards": num_shards}, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, meta_path)
-        _fsync_dir(self.manifest_dir)
+        if stored["num_shards"] != num_shards:
+            raise ValueError(
+                f"manifest at {self.manifest_dir} was written with "
+                f"num_shards={stored['num_shards']}; resuming with "
+                f"{num_shards} would mix incompatible shardings — rerun "
+                "with the original value or start a fresh output_dir"
+            )
 
     def shard_dir(self, shard: int) -> str:
         return os.path.join(self.out_dir, f"shard={shard:05d}")
 
-    def chunk_dir(self, shard: int) -> str:
-        return os.path.join(self.chunks_dir, f"shard={shard:05d}")
+    def _listing(self) -> dict:
+        """``{path in the store: size}`` of every file in it."""
+        infos = self.fs.get_file_info(
+            pafs.FileSelector(self.root, allow_not_found=True, recursive=True))
+        return {i.path[len(self.root) + 1:]: i.size for i in infos
+                if i.type == pafs.FileType.File}
 
-    def completed_shards(self) -> set:
-        done = set()
-        for name in os.listdir(self.manifest_dir):
-            if not name.startswith("shard-") or not name.endswith(".json"):
-                continue
-            shard = int(name[len("shard-"):-len(".json")])
-            if os.path.isdir(self.shard_dir(shard)):
-                done.add(shard)
+    def _committed(self):
+        """``{shard: record}`` of the shards whose named files all exist
+        with their sizes; ``None`` for a path with no manifest."""
+        if self.fs.get_file_info(self._path("_manifest")).type != \
+                pafs.FileType.Directory:
+            return None
+        listing = self._listing()
+        recs = {int(m[1]): json.loads(self._read(rel)) for rel in listing
+                if (m := _RECORD.fullmatch(rel))}
+        if not recs and "_manifest/_meta.json" not in listing:
+            return None
+        return {s: r for s, r in recs.items() if "files" in r and all(
+            listing.get(f["path"]) == f["size"] for f in r["files"])}
+
+    def _completed(self) -> dict:
+        done = self._committed()
+        if done is None:
+            raise FileNotFoundError(
+                f"no checkpoint manifest at {self.out_dir}")
         return done
 
-    def load_record(self, shard: int) -> dict:
-        with open(self.record_path(shard)) as f:
-            return json.load(f)
+    def completed_shards(self) -> set:
+        return set(self._completed())
+
+    def source(self) -> tuple:
+        """What readers read: ``(the files the committed records name, in
+        shard order, the filesystem, the store root)``, or ``(the path,
+        None, None)`` for a path with no manifest, read by discovery (a
+        flat ``write_parquet`` store, a corpus)."""
+        recs = self._committed()
+        if recs is None:
+            return self.out_dir, None, None
+        return [self._path(f["path"]) for _, r in sorted(recs.items())
+                for f in r["files"]], self.fs, self.root
+
+    def read_shard(self, shard: int) -> pa.Table:
+        """The rows of the files shard ``shard``'s record names."""
+        files = self.load_record(shard)["files"]
+        return pa.concat_tables(
+            [pq.read_table(self._path(f["path"]), filesystem=self.fs)
+             for f in files]) if files else pa.table({})
+
+    def _write(self, shard: int, table: pa.Table) -> list:
+        """Write ``table`` as a new file of shard ``shard`` -> the record's
+        file list; none for an empty table (a 0-row file would type its
+        strings as null)."""
+        shard_dir = self._path(f"shard={shard:05d}")
+        self.fs.create_dir(shard_dir)
+        files = []
+        if table.num_rows:
+            rel = f"shard={shard:05d}/part-{uuid.uuid4().hex}.parquet"
+            with self.fs.open_output_stream(self._path(rel)) as out:
+                # no min/max statistics on binary blobs (Gorilla chunks):
+                # nothing filters on them, and each page and footer would
+                # copy two blobs
+                pq.write_table(table, out, write_statistics=[
+                    f.name for f in table.schema
+                    if not pa.types.is_binary(f.type)])
+                files.append({"path": rel, "size": out.tell()})
+        if self.local:
+            for path in [self._path(f["path"]) for f in files] + [
+                    shard_dir, self.root]:
+                _fsync(path)
+        return files
 
     def commit_shard(self, shard: int, table: pa.Table, *,
                      chunks: pa.Table | None = None,
                      input_fragments=(), extra: dict | None = None) -> dict:
-        """Atomically publish one shard: its chunk file (when ``chunks`` is
-        given), then its rollup file, each by tmp write -> fsync -> rename,
-        then the lineage record (record last => record implies data)."""
+        """Commit one shard: with ``chunks``, first its chunk commit; then
+        its file under a new name and, last, its record, the commit point.
+        It never touches another attempt's files (``sweep`` deletes them).
+        ``wall_s`` times the writes before the record."""
         t0 = time.perf_counter()
         if chunks is not None:
-            _publish_partition(self.chunk_dir(shard), chunks)
-        _publish_partition(self.shard_dir(shard), table)
-
-        ts_col = None
-        for cand in ("ts", "window_start", "last_ts"):
-            if cand in table.column_names:
-                ts_col = cand
-                break
+            chunk_record = self.chunks.commit_shard(shard, chunks)
+        files = self._write(shard, table)
+        wall_s = round(time.perf_counter() - t0, 4)
+        wm = None, None
+        ts_col = next((c for c in ("ts", "window_start", "last_ts")
+                       if c in table.column_names), None)
+        if ts_col is not None and table.num_rows:
+            col = table.column(ts_col)
+            if pa.types.is_timestamp(col.type):
+                col = col.cast(pa.int64())
+            wm = pc.min(col).as_py(), pc.max(col).as_py()
         record = {
             "shard": shard,
             "rows": table.num_rows,
             "input_fragments": list(input_fragments),
             "checksum": _checksum_table(table),
-            "watermark_min": None,
-            "watermark_max": None,
-            "wall_s": round(time.perf_counter() - t0, 4),
+            "watermark_min": wm[0],
+            "watermark_max": wm[1],
+            "wall_s": wall_s,
             "completed_at": time.time(),
+            "files": files,
         }
-        if ts_col is not None and table.num_rows:
-            col = table.column(ts_col)
-            if pa.types.is_timestamp(col.type):
-                col = col.cast(pa.int64())
-            record["watermark_min"] = pc.min(col).as_py()
-            record["watermark_max"] = pc.max(col).as_py()
         if chunks is not None:
-            record["chunk_rows"] = chunks.num_rows
-            record["chunk_checksum"] = _checksum_table(chunks)
-        if extra:
-            record.update(extra)
-        tmp_rec = self.record_path(shard) + ".tmp"
-        with open(tmp_rec, "w") as f:
-            json.dump(record, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp_rec, self.record_path(shard))
-        _fsync_dir(self.manifest_dir)
+            record.update(chunk_rows=chunk_record["rows"],
+                          chunk_checksum=chunk_record["checksum"])
+        record.update(extra or {})
+        self._put(f"_manifest/shard-{shard:05d}.json",
+                  json.dumps(record).encode())
         return record
+
+    def sweep(self, shards) -> None:
+        """Delete, in the dirs of ``shards`` (of the chunk store too), the
+        files their records do not name and their records' tmp files.
+        Call it only once every attempt that could write them has ended."""
+        if self.chunks is not None:
+            self.chunks.sweep(shards)
+        keep = {f["path"] for s in shards
+                for f in self.load_record(s)["files"]}
+        heads = tuple(p for s in shards for p in (
+            f"shard={s:05d}/", f"_manifest/shard-{s:05d}.json."))
+        for rel in self._listing() if shards else ():
+            if rel.startswith(heads) and rel not in keep:
+                self.fs.delete_file(self._path(rel))
+
+    def rewrite(self, fn) -> None:
+        """Rewrite the store shard by shard (the chunk compaction): one Ray
+        task per committed shard commits ``fn`` of its rows; then the
+        sweep."""
+        import ray
+
+        shards = sorted(self._committed() or ())
+        task = ray.remote(
+            lambda s: self.commit_shard(s, fn(self.read_shard(s))))
+        ray.get([task.remote(s) for s in shards])
+        self.sweep(shards)
 
     def metrics(self) -> dict:
         """Aggregate per-partition metrics across completed shards."""
-        shards = sorted(self.completed_shards())
-        recs = [self.load_record(s) for s in shards]
+        recs = [r for _, r in sorted(self._completed().items())]
         return {
             "shards_completed": len(recs),
             "rows": sum(r["rows"] for r in recs),
-            "watermark_max": max(
-                (r["watermark_max"] for r in recs if r["watermark_max"] is not None),
-                default=None,
-            ),
+            "watermark_max": max((r["watermark_max"] for r in recs
+                                  if r["watermark_max"] is not None),
+                                 default=None),
             "wall_s_total": round(sum(r["wall_s"] for r in recs), 4),
             "compute_s_total": round(
                 sum(r.get("compute_s", 0.0) for r in recs), 4),
@@ -524,7 +576,7 @@ class CheckpointManifest:
 def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
                        tiers=("1m", "1h", "1d"), gap_fill=None,
                        chunks_dir: str | None = None,
-                       chunk_bucket_ns: int | None = None):
+                       chunk_bucket_ns: int | None = None, filesystem=None):
     """Resumable rollup: shuffle samples once by shard, then roll up and
     commit every shard missing from the checkpoint manifest inside its
     group task; with ``chunks_dir``, also its Gorilla chunks (per series,
@@ -533,27 +585,25 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     ``samples`` is either form of ``shard_apply``'s map side: a samples
     ``Dataset`` (only ``ShardSamples.COLUMNS`` are exchanged), or a list
     of map inputs whose outputs hold those columns (``job.run_job``'s
-    read + extract tasks, which select them themselves).  It calls the
-    exchange (``_exchange``) directly and waits on each shard's id, so it
-    builds no ``Dataset``, and on a list no task of it imports
-    ``ray.data``: a job in a fresh Ray session starts no Ray Data stats
-    actor.
+    read + extract tasks).  It calls ``_exchange`` directly, so it builds
+    no ``Dataset``, and on a list no task of it imports ``ray.data``.
 
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
     take the same path: samples of completed shards are dropped before the
-    shuffle (none on a fresh run) and only shards with samples get a task,
-    so finished work is neither recomputed nor double-counted.  A retried
-    task republishes its shard whole (``commit_shard``).
+    shuffle and only shards with samples get a task, so finished work is
+    neither recomputed nor double-counted.  A retried task commits its
+    shard again under fresh file names; once every shard task has
+    returned, this process sweeps the shards run
+    (``CheckpointManifest.sweep``).  ``filesystem`` overrides the one the
+    paths resolve to.
 
     A shard task rank-codes and sorts its samples once (``ShardSamples``);
-    that one sort yields the first tier's partials and the chunk rows, the
+    that sort yields the first tier's partials and the chunk rows, and the
     coarser tiers are integer merges (``stages/rollup.rollup_shard``), each
-    followed by the segmented gap-fill when ``gap_fill`` is set, and both
-    committed tables are built as Arrow, with no pandas round trip.  An
-    unknown ``gap_fill`` is refused here, before any sample is read.  Each
-    record's ``wall_s`` is the commit time, ``rollup_s`` the partials,
-    cascade and gap-fill, ``encode_s`` the chunk rows, and ``compute_s``
-    their total.  No shard output is read back: a shard task returns only
+    gap-filled when ``gap_fill`` is set (an unknown one is refused before
+    any sample is read).  Each record's ``wall_s`` is the commit time,
+    ``rollup_s`` the partials, cascade and gap-fill, ``encode_s`` the
+    chunk rows, and ``compute_s`` their total.  A shard task returns only
     its shard id, once its record is written.
     """
     import ray
@@ -563,17 +613,14 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     from .gorilla import GorillaChunkWriter
 
     check_gap_fill(gap_fill)
-    manifest = CheckpointManifest(out_dir, chunks_dir)
+    manifest = CheckpointManifest(out_dir, chunks_dir, filesystem=filesystem)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
     done = sorted(manifest.completed_shards())
     writer = None if chunks_dir is None else GorillaChunkWriter(
         chunk_bucket_ns)
 
-    # Commit each shard INSIDE its group task (atomic tmp+rename + manifest
-    # record written by the worker) — the driver only collects the shard
-    # ids, never the data.  Requires the output dirs to be on storage all
-    # workers share (true single-node and for any cluster writing to
-    # shared/object storage).
+    # Each shard commits INSIDE its task: the driver only collects shard
+    # ids.  The stores must be on storage all workers share.
     def _rollup_and_commit(samples: pa.Table) -> int:
         shard = samples.column("shard")[0].as_py()
         t0 = time.perf_counter()
@@ -585,7 +632,7 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
         t1 = time.perf_counter()
         chunks = None if writer is None else writer.chunks(shard_samples)
         t2 = time.perf_counter()
-        CheckpointManifest(out_dir, chunks_dir).commit_shard(
+        manifest.commit_shard(
             shard, rolled, chunks=chunks,
             extra={"compute_s": round(t2 - t0, 4),
                    "rollup_s": round(t1 - t0, 4),
@@ -594,10 +641,11 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
 
     if not isinstance(samples, list):
         samples = samples.select_columns(ShardSamples.COLUMNS)
-    # returns once every shard task has committed (raising the error of a
-    # failed one)
-    run = ray.get(_exchange(samples, _rollup_and_commit, num_shards, done))
-    return manifest, sorted(run), done
+    # waits for every shard task (raising the error of a failed one)
+    run = sorted(ray.get(_exchange(samples, _rollup_and_commit, num_shards,
+                                   done)))
+    manifest.sweep(run)
+    return manifest, run, done
 
 
 def manifest_report(out_dir: str) -> pa.Table:
@@ -605,11 +653,11 @@ def manifest_report(out_dir: str) -> pa.Table:
     table — the per-partition metrics surface (rows, watermarks, commit
     time, compute time and its rollup and chunk-encoding parts, checksum)
     the north rule's "lineage + metrics" contract exposes to operators.
-    One row per committed shard, read in the calling process by design
-    (the manifest is #shards rows, not data)."""
-    mgr = CheckpointManifest(out_dir)
-    shards = sorted(mgr.completed_shards())
-    recs = [mgr.load_record(s) for s in shards]
+    One row per committed shard, read in the calling process (#shards
+    rows, not data).  A path with no manifest raises
+    ``FileNotFoundError``."""
+    recs = [r for _, r in sorted(CheckpointManifest(out_dir)._completed()
+                                 .items())]
     return pa.table({
         "shard": pa.array([r["shard"] for r in recs], pa.int32()),
         "rows": pa.array([r["rows"] for r in recs], pa.int64()),

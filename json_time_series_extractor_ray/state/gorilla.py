@@ -36,6 +36,7 @@ corrupt chunk raises ``ValueError("gorilla: ...")``.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -439,25 +440,27 @@ def compact_chunks(chunks_ds, *, target_points: int = 1_000_000):
     TOTAL history exceeds one task's memory, compact per coarse epoch
     (filter on ``t_min`` ranges).
     """
+    return shard_apply(chunks_ds, functools.partial(
+        compact_table, target_points=target_points))
 
-    def _compact(t: pa.Table) -> pa.Table:
-        series, keys = lex_ranks(t.column("series_key"))
-        order = np.lexsort((t.column("t_max").to_numpy(),
-                            t.column("t_min").to_numpy(), series))
-        series = series[order]
-        ts, vals, counts = decompress_chunks(
-            t.column("chunk").take(order).to_pylist())
-        starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
-        total = np.add.reduceat(counts, starts)
-        # a series with no points keeps one 0-point row (the writer's own
-        # behavior for string-only series), so compaction never makes a
-        # series vanish from the store
-        pieces = np.maximum(-(-total // target_points), 1)
-        first = np.cumsum(pieces) - pieces
-        k = np.arange(int(pieces.sum())) - np.repeat(first, pieces)
-        sizes = np.minimum(np.repeat(total, pieces) - k * target_points,
-                           target_points)
-        return _chunk_rows(keys.take(np.repeat(series[starts], pieces)),
-                           ts, vals, sizes)
 
-    return shard_apply(chunks_ds, _compact)
+def compact_table(t: pa.Table, target_points: int) -> pa.Table:
+    """``compact_chunks`` of one shard's chunk rows."""
+    series, keys = lex_ranks(t.column("series_key"))
+    order = np.lexsort((t.column("t_max").to_numpy(),
+                        t.column("t_min").to_numpy(), series))
+    series = series[order]
+    ts, vals, counts = decompress_chunks(
+        t.column("chunk").take(order).to_pylist())
+    starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
+    total = np.add.reduceat(counts, starts)
+    # a series with no points keeps one 0-point row (the writer's own
+    # behavior for string-only series), so compaction never makes a
+    # series vanish from the store
+    pieces = np.maximum(-(-total // target_points), 1)
+    first = np.cumsum(pieces) - pieces
+    k = np.arange(int(pieces.sum())) - np.repeat(first, pieces)
+    sizes = np.minimum(np.repeat(total, pieces) - k * target_points,
+                       target_points)
+    return _chunk_rows(keys.take(np.repeat(series[starts], pieces)),
+                       ts, vals, sizes)

@@ -1,22 +1,32 @@
 """Adversarial kill/resume (round-3 verdict item 7): crash INSIDE
-``commit_shard`` at each fault point — after the tmp write but before
-the rename, and after the rename but before the manifest record lands —
-then resume, asserting no double-count and no missing shard.  The job's
-two-file commit (chunk file, rollup file, then record) is crashed between
-its renames and before its record the same way.
+``commit_shard`` at each fault point of the rename-free commit, then
+resume, asserting no double count, no missing shard and no leftover
+file.  The fault points:
+
+* the shard's data file is written, its record is not;
+* the record's tmp file is written, not yet replaced;
+* in the job's two-store commit, the chunk record is written and the
+  rollup record (the commit point) is not.
 
 The faults are injected into the REAL ``commit_shard`` path (a raising
-``os.rename`` / ``os.replace``), so the on-disk crash states are exactly
-what the code would leave behind, not hand-crafted approximations.  The
-existing tests in ``test_checkpoint_resume.py`` cover only the clean
-interrupt (whole shards wiped)."""
+record put, or a raising ``os.replace``), so the on-disk crash states are
+exactly what the code would leave behind, not hand-crafted
+approximations.  Files that no record names are planted too (a dead
+attempt's tmp dir, an unnamed part file), and the store is written
+through a filesystem that refuses rename.  The existing tests in
+``test_checkpoint_resume.py`` cover only the clean interrupt (whole
+shards wiped)."""
 
 import glob
 import hashlib
 import os
+import re
+import shutil
+import uuid
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import pytest
 
@@ -31,17 +41,54 @@ NUM_SHARDS = 4
 
 
 def _all_rows(out_dir: str) -> pd.DataFrame:
-    """Union of every committed partition, canonically sorted — the
-    ground truth for double-count / missing-row assertions."""
+    """Union of every partition file on disk, canonically sorted — the
+    ground truth for double-count / missing-row assertions (a file no
+    record names would add its rows)."""
     parts = sorted(glob.glob(os.path.join(out_dir, "shard=*", "*.parquet")))
     df = pd.concat([pq.read_table(p).to_pandas() for p in parts],
                    ignore_index=True)
     return df.sort_values(list(df.columns), ignore_index=True)
 
 
-def _shard_table(manifest: CheckpointManifest, shard: int) -> pa.Table:
-    return pq.read_table(os.path.join(manifest.shard_dir(shard),
-                                      "part-0.parquet"))
+def _leftovers(store: str) -> list:
+    """Files in ``store`` that are neither a record (or ``_meta.json``) nor
+    named by a committed record."""
+    named = set(CheckpointManifest(store).source()[0])
+    record = re.compile(r"_manifest/(shard-\d+|_meta)\.json")
+    return sorted(
+        p for d, _, names in os.walk(store) for p in
+        (os.path.join(d, n) for n in names)
+        if p not in named and not record.fullmatch(os.path.relpath(p, store)))
+
+
+def _die_at_record_put(monkeypatch, store: str, victim: int) -> None:
+    """Kill the commit of ``victim`` in ``store`` at its record put, before
+    the record's tmp file is written."""
+    real = CheckpointManifest._put
+    root = os.path.abspath(store)
+
+    def _dying(self, rel, data):
+        if self.root == root and rel == f"_manifest/shard-{victim:05d}.json":
+            raise OSError("injected kill: files written, no record")
+        return real(self, rel, data)
+
+    monkeypatch.setattr(CheckpointManifest, "_put", _dying)
+
+
+def _die_at_record_replace(monkeypatch, manifest, victim: int) -> list:
+    """Kill the commit of ``victim`` at the ``os.replace`` of its record:
+    the tmp file is written and fsynced.  Returns the tmp paths seen."""
+    real = os.replace
+    seen = []
+
+    def _dying(src, dst):
+        if dst == manifest.record_path(victim):
+            seen.append(src)
+            raise OSError("injected kill: record tmp written, not live")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", _dying)
+    return seen
 
 
 @pytest.fixture()
@@ -59,6 +106,9 @@ def reference(ray_session, tmp_path):
 
 
 class TestCrashBeforeRename:
+    """The shard's data file is written, its record is not (the rename
+    protocol's tmp dir left behind has become an unnamed file)."""
+
     def test_tmp_left_behind_then_resume(self, reference, tmp_path,
                                          monkeypatch, ray_session):
         import ray
@@ -71,34 +121,26 @@ class TestCrashBeforeRename:
         # simulate partial progress: all but the victim shard committed
         victim = ref_shards[0]
         for s in ref_shards[1:]:
-            m.commit_shard(s, _shard_table(ref, s))
+            m.commit_shard(s, ref.read_shard(s))
 
-        # victim crashes AFTER the tmp write, BEFORE the rename
-        real_rename = os.rename
-
-        def _dying_rename(src, dst):
-            if dst == m.shard_dir(victim):
-                raise OSError("injected kill: power loss before rename")
-            return real_rename(src, dst)
-
-        monkeypatch.setattr(os, "rename", _dying_rename)
+        _die_at_record_put(monkeypatch, out, victim)
         with pytest.raises(OSError, match="injected kill"):
-            m.commit_shard(victim, _shard_table(ref, victim))
+            m.commit_shard(victim, ref.read_shard(victim))
         monkeypatch.undo()
 
-        # crash state: tmp dir present, final dir absent, record absent
-        stale = glob.glob(m.shard_dir(victim) + ".tmp.*")
-        assert stale, "tmp dir should survive the simulated kill"
-        assert not os.path.isdir(m.shard_dir(victim))
+        # crash state: an unnamed data file, no record, and no read sees it
+        orphans = glob.glob(os.path.join(m.shard_dir(victim), "*.parquet"))
+        assert len(orphans) == 1
         assert not os.path.exists(m.record_path(victim))
         assert victim not in m.completed_shards()
+        assert _leftovers(out) == orphans
 
         m2, run2, skipped2 = run_sharded_rollup(
             ray.data.from_arrow(table), out, NUM_SHARDS)
         assert run2 == [victim]                      # only the victim reran
         assert sorted(skipped2) == sorted(ref_shards[1:])
-        # stale tmp swept by the successful commit
-        assert not glob.glob(m.shard_dir(victim) + ".tmp.*")
+        # the unnamed file swept once the run returned
+        assert not os.path.exists(orphans[0]) and _leftovers(out) == []
         for s in ref_shards:
             assert m2.load_record(s)["checksum"] == \
                 ref.load_record(s)["checksum"]
@@ -106,6 +148,9 @@ class TestCrashBeforeRename:
 
 
 class TestCrashAfterRename:
+    """The record's tmp file is written, not yet replaced: the data is
+    complete, the record is not live."""
+
     def test_data_without_record_recomputed_not_double_counted(
             self, reference, tmp_path, monkeypatch, ray_session):
         import ray
@@ -117,25 +162,17 @@ class TestCrashAfterRename:
 
         victim = ref_shards[-1]
         for s in ref_shards[:-1]:
-            m.commit_shard(s, _shard_table(ref, s))
+            m.commit_shard(s, ref.read_shard(s))
 
-        # victim crashes AFTER the rename, BEFORE the record publishes
-        real_replace = os.replace
-
-        def _dying_replace(src, dst):
-            if dst == m.record_path(victim):
-                raise OSError("injected kill: died before manifest record")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", _dying_replace)
+        _die_at_record_replace(monkeypatch, m, victim)
         with pytest.raises(OSError, match="injected kill"):
-            m.commit_shard(victim, _shard_table(ref, victim))
+            m.commit_shard(victim, ref.read_shard(victim))
         monkeypatch.undo()
 
-        # crash state: data dir EXISTS (complete), record absent -> the
-        # shard must NOT count as completed (record implies data, not
-        # the reverse)
-        assert os.path.isdir(m.shard_dir(victim))
+        # crash state: the data file EXISTS (complete), the record is
+        # absent -> the shard must NOT count as completed (record implies
+        # data, not the reverse)
+        assert glob.glob(os.path.join(m.shard_dir(victim), "*.parquet"))
         assert not os.path.exists(m.record_path(victim))
         assert victim not in m.completed_shards()
 
@@ -143,10 +180,11 @@ class TestCrashAfterRename:
             ray.data.from_arrow(table), out, NUM_SHARDS)
         assert run2 == [victim]
         assert sorted(skipped2) == sorted(ref_shards[:-1])
-        # the recommit REPLACED the orphaned dir atomically: exactly one
-        # part file, rows identical to the reference, nothing doubled
+        # the recommit's file is the only one left: exactly one part file,
+        # rows identical to the reference, nothing doubled
         parts = glob.glob(os.path.join(m.shard_dir(victim), "*.parquet"))
         assert len(parts) == 1
+        assert _leftovers(out) == []
         for s in ref_shards:
             rec2, rec_ref = m2.load_record(s), ref.load_record(s)
             assert rec2["checksum"] == rec_ref["checksum"]
@@ -155,9 +193,8 @@ class TestCrashAfterRename:
 
     def test_record_tmp_leftover_is_harmless(self, reference, tmp_path,
                                              monkeypatch, ray_session):
-        """Third fault point: died between writing the record's .tmp and
-        publishing it — the orphaned .json.tmp must not fake completion
-        and is overwritten by the recommit."""
+        """The orphaned record tmp must not fake completion, and the sweep
+        after the recommit deletes it."""
         import ray
 
         table, ref, ref_shards = reference
@@ -166,23 +203,14 @@ class TestCrashAfterRename:
         m.ensure_sharding(NUM_SHARDS)
         victim = ref_shards[0]
         for s in ref_shards[1:]:
-            m.commit_shard(s, _shard_table(ref, s))
+            m.commit_shard(s, ref.read_shard(s))
 
-        real_replace = os.replace
-        wrote_tmp = []
-
-        def _dying_replace(src, dst):
-            if dst == m.record_path(victim):
-                wrote_tmp.append(src)
-                raise OSError("injected kill: record tmp written, not live")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", _dying_replace)
+        wrote_tmp = _die_at_record_replace(monkeypatch, m, victim)
         with pytest.raises(OSError, match="injected kill"):
-            m.commit_shard(victim, _shard_table(ref, victim))
+            m.commit_shard(victim, ref.read_shard(victim))
         monkeypatch.undo()
 
-        assert wrote_tmp and os.path.exists(wrote_tmp[0])  # .json.tmp orphan
+        assert wrote_tmp and os.path.exists(wrote_tmp[0])  # tmp orphan
         assert victim not in m.completed_shards()
 
         m2, _, _ = run_sharded_rollup(
@@ -190,6 +218,7 @@ class TestCrashAfterRename:
         assert m2.completed_shards() == set(ref_shards)
         assert m2.load_record(victim)["checksum"] == \
             ref.load_record(victim)["checksum"]
+        assert not os.path.exists(wrote_tmp[0]) and _leftovers(out) == []
         pd.testing.assert_frame_equal(_all_rows(out), _all_rows(ref.out_dir))
 
 
@@ -205,11 +234,11 @@ def _chunk_pairs(chunks_dir: str) -> list:
 
 
 class TestTwoFileCommitCrash:
-    """Kill the job's shard commit after the chunk dir is renamed but
-    before the rollup dir, and after both renames but before the record;
-    the resume must reproduce the uninterrupted store exactly."""
+    """Kill the job's shard commit after the chunk record is written but
+    before the rollup record (at its put, or with its tmp written); the
+    resume must reproduce the uninterrupted store exactly."""
 
-    @pytest.mark.parametrize("fault", ["rollup_rename", "record_replace"])
+    @pytest.mark.parametrize("fault", ["chunk_record", "record_replace"])
     def test_crash_then_resume(self, fault, tmp_path, monkeypatch,
                                ray_session):
         import ray
@@ -227,35 +256,24 @@ class TestTwoFileCommitCrash:
         m.ensure_sharding(NUM_SHARDS)
 
         def _commit(s):
-            chunks = pq.read_table(os.path.join(ref.chunk_dir(s),
-                                                "part-0.parquet"))
-            return m.commit_shard(s, _shard_table(ref, s), chunks=chunks)
+            return m.commit_shard(s, ref.read_shard(s),
+                                  chunks=ref.chunks.read_shard(s))
 
         victim = ref_shards[0]
         for s in ref_shards[1:]:
             _commit(s)
 
-        if fault == "rollup_rename":
-            real = os.rename
-            name, target = "rename", m.shard_dir(victim)
+        if fault == "chunk_record":
+            _die_at_record_put(monkeypatch, m.out_dir, victim)
         else:
-            real = os.replace
-            name, target = "replace", m.record_path(victim)
-
-        def _dying(src, dst):
-            if dst == target:
-                raise OSError(f"injected kill at {fault}")
-            return real(src, dst)
-
-        monkeypatch.setattr(os, name, _dying)
+            _die_at_record_replace(monkeypatch, m, victim)
         with pytest.raises(OSError, match="injected kill"):
             _commit(victim)
         monkeypatch.undo()
 
-        # crash state: the chunk dir is live, the record is not
-        assert os.path.isdir(m.chunk_dir(victim))
-        assert os.path.isdir(m.shard_dir(victim)) == (
-            fault == "record_replace")
+        # crash state: the chunk record is live, the rollup record is not
+        assert os.path.exists(m.chunks.record_path(victim))
+        assert glob.glob(os.path.join(m.shard_dir(victim), "*.parquet"))
         assert not os.path.exists(m.record_path(victim))
         assert victim not in m.completed_shards()
 
@@ -270,11 +288,206 @@ class TestTwoFileCommitCrash:
         assert pairs == _chunk_pairs(ref.chunks_dir)
         assert len({k for k, _ in pairs}) == len(pairs)  # no duplicate row
         for store in (m.out_dir, m.chunks_dir):
-            assert not glob.glob(os.path.join(store, "*.tmp.*"))
+            assert _leftovers(store) == []
         for s in ref_shards:
             rec2, rec_ref = m2.load_record(s), ref.load_record(s)
             for key in ("checksum", "rows", "chunk_rows", "chunk_checksum"):
                 assert rec2[key] == rec_ref[key]
+
+
+def _points(ds) -> list:
+    df = ds.to_pandas()
+    return sorted(zip(df["series_key"], df["ts_ns"].astype("int64"),
+                      df["value_num"]))
+
+
+class TestOrphans:
+    def test_planted_orphans_are_never_read(self, tmp_path, ray_session):
+        """A dead attempt's tmp dir (``shard=N.tmp.<pid>.<hex>``) and an
+        unnamed part file inside a committed shard dir, in both stores:
+        the chunk reads (whole and by range), ``manifest_report`` and the
+        rollup read see none of them, before and after a resume; the
+        resume sweeps the unnamed file of the shard it recommits."""
+        import ray
+
+        from json_time_series_extractor_ray.sources.gorilla_chunks import (
+            read_gorilla_chunks,
+        )
+        from json_time_series_extractor_ray.sources.parquet import (
+            read_parquet,
+        )
+        from json_time_series_extractor_ray.state.checkpoint import (
+            manifest_report,
+        )
+
+        table = _samples_table()
+        m = CheckpointManifest(str(tmp_path / "rollups"),
+                               str(tmp_path / "chunks"))
+        bucket = 300 * 10**9  # five chunks per series
+
+        def job():
+            return run_sharded_rollup(
+                ray.data.from_arrow(table), m.out_dir, NUM_SHARDS,
+                chunks_dir=m.chunks_dir, chunk_bucket_ns=bucket)
+
+        _, run, _ = job()
+        assert len(run) > 2
+        lo = table.column("ts").cast(pa.int64())[0].as_py()
+        hi = lo + bucket // 5
+
+        def reads():
+            rep = manifest_report(m.out_dir).drop_columns(
+                ["wall_s", "compute_s", "rollup_s", "encode_s"])
+            rows = read_parquet(m.out_dir).to_pandas()
+            return (_points(read_gorilla_chunks(m.chunks_dir)),
+                    _points(read_gorilla_chunks(m.chunks_dir, min_ts_ns=lo,
+                                                max_ts_ns=hi)),
+                    rep, rows.sort_values(list(rows.columns),
+                                          ignore_index=True))
+
+        def same(a, b):
+            assert a[:2] == b[:2] and a[2].equals(b[2])
+            pd.testing.assert_frame_equal(a[3], b[3])
+
+        before = reads()
+        assert before[1] and len(before[1]) < len(before[0])
+        rerun, kept = run[0], run[1]
+        planted = []
+        for shard_dir in (m.shard_dir, m.chunks.shard_dir):
+            shutil.copytree(shard_dir(rerun),
+                            f"{shard_dir(rerun)}.tmp.12345.deadbeef")
+            for s in (rerun, kept):
+                (named,) = glob.glob(os.path.join(shard_dir(s), "*.parquet"))
+                orphan = os.path.join(shard_dir(s),
+                                      f"part-{uuid.uuid4().hex}.parquet")
+                shutil.copy(named, orphan)
+                planted.append((s, orphan))
+        same(reads(), before)
+
+        os.remove(m.record_path(rerun))
+        _, run2, _ = job()
+        assert run2 == [rerun]
+        same(reads(), before)
+        for s, orphan in planted:
+            assert os.path.exists(orphan) == (s == kept)
+
+
+def _no_rename_fs(base: str) -> pafs.PyFileSystem:
+    """A local directory as a filesystem that refuses ``move``, as an
+    object store has no atomic rename.  The handler class is local, so
+    Ray ships it to its workers by value."""
+
+    class _NoRename(pafs.FileSystemHandler):
+        def __init__(self, base: str):
+            self.base = base
+            self.fs = pafs.SubTreeFileSystem(base, pafs.LocalFileSystem())
+
+        def __eq__(self, other):
+            return isinstance(other, _NoRename) and other.base == self.base
+
+        def __ne__(self, other):
+            return not self == other
+
+        def get_type_name(self):
+            return "norename"
+
+        def normalize_path(self, path):
+            return path
+
+        def get_file_info(self, paths):
+            return self.fs.get_file_info(paths)
+
+        def get_file_info_selector(self, selector):
+            return self.fs.get_file_info(selector)
+
+        def create_dir(self, path, recursive):
+            self.fs.create_dir(path, recursive=recursive)
+
+        def delete_dir(self, path):
+            self.fs.delete_dir(path)
+
+        def delete_dir_contents(self, path, missing_dir_ok=False):
+            self.fs.delete_dir_contents(path, missing_dir_ok=missing_dir_ok)
+
+        def delete_root_dir_contents(self):
+            self.fs.delete_dir_contents("", accept_root_dir=True)
+
+        def delete_file(self, path):
+            self.fs.delete_file(path)
+
+        def move(self, src, dest):
+            raise OSError(f"rename refused: {src} -> {dest}")
+
+        def copy_file(self, src, dest):
+            self.fs.copy_file(src, dest)
+
+        def open_input_stream(self, path):
+            return self.fs.open_input_stream(path)
+
+        def open_input_file(self, path):
+            return self.fs.open_input_file(path)
+
+        def open_output_stream(self, path, metadata):
+            return self.fs.open_output_stream(path, metadata=metadata)
+
+        def open_append_stream(self, path, metadata):
+            return self.fs.open_append_stream(path, metadata=metadata)
+
+    return pafs.PyFileSystem(_NoRename(base))
+
+
+class TestRenameFreeFilesystem:
+    def test_commit_through_a_filesystem_without_rename(self, tmp_path,
+                                                        ray_session):
+        """The job's commit through a ``PyFileSystem`` whose ``move``
+        raises: fresh, and after losing half its records, the files read
+        through the records and the records' counts and checksums equal a
+        local run's."""
+        import ray
+
+        table = _samples_table()
+        local = CheckpointManifest(str(tmp_path / "local" / "rollups"),
+                                   str(tmp_path / "local" / "chunks"))
+        _, want_run, _ = run_sharded_rollup(
+            ray.data.from_arrow(table), local.out_dir, NUM_SHARDS,
+            chunks_dir=local.chunks_dir)
+        (tmp_path / "remote").mkdir()
+        fs = _no_rename_fs(str(tmp_path / "remote"))
+
+        def outputs(m):
+            keys = ("rows", "checksum", "chunk_rows", "chunk_checksum")
+            return {s: ({k: m.load_record(s)[k] for k in keys},
+                        m.read_shard(s), m.chunks.read_shard(s))
+                    for s in sorted(m.completed_shards())}
+
+        def run():
+            return run_sharded_rollup(
+                ray.data.from_arrow(table), "out/rollups", NUM_SHARDS,
+                chunks_dir="out/chunks", filesystem=fs)
+
+        want = outputs(local)
+        m, got_run, _ = run()
+        assert got_run == want_run
+        assert outputs(m).keys() == want.keys()
+        for s, (rec, rows, chunks) in outputs(m).items():
+            assert rec == want[s][0]
+            assert rows.equals(want[s][1]) and chunks.equals(want[s][2])
+
+        lost = got_run[::2]
+        for s in lost:
+            fs.delete_file(m.record_path(s))
+        m2, run2, skipped = run()
+        assert run2 == lost and skipped == got_run[1::2]
+        for s, (rec, rows, chunks) in outputs(m2).items():
+            assert rec == want[s][0]
+            assert rows.equals(want[s][1]) and chunks.equals(want[s][2])
+        # one file per shard dir: the one its record names
+        for store in ("out/rollups", "out/chunks"):
+            files = [i.path for i in fs.get_file_info(
+                pafs.FileSelector(store, recursive=True))
+                if i.type == pafs.FileType.File and "/shard=" in i.path]
+            assert sorted(f.split("/")[2] for f in files) == [
+                f"shard={s:05d}" for s in got_run]
 
 
 class TestZorderCrashStates:

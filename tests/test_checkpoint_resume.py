@@ -95,6 +95,31 @@ class TestManifest:
         shutil.rmtree(m.shard_dir(0))
         assert m.completed_shards() == set()
 
+    def test_reading_a_path_with_no_manifest_raises_and_creates_nothing(
+            self, tmp_path):
+        from json_time_series_extractor_ray.state.checkpoint import (
+            manifest_report,
+        )
+
+        missing = str(tmp_path / "no" / "such" / "store")
+        with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+            manifest_report(missing)
+        with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+            CheckpointManifest(missing).completed_shards()
+        assert not os.path.exists(tmp_path / "no")
+
+    def test_uri_store_commits_through_its_filesystem(self, tmp_path,
+                                                      monkeypatch):
+        """A ``file://`` store is written through pyarrow's local
+        filesystem: no relative ``file:`` directory appears."""
+        monkeypatch.chdir(tmp_path)
+        m = CheckpointManifest(f"file://{tmp_path}/out")
+        m.ensure_sharding(4)
+        m.commit_shard(1, pa.table({"x": [1, 2]}))
+        assert m.completed_shards() == {1}
+        assert m.read_shard(1).column("x").to_pylist() == [1, 2]
+        assert os.listdir(tmp_path) == ["out"]
+
     def test_recommit_overwrites(self, tmp_path):
         m = CheckpointManifest(str(tmp_path / "out"))
         m.commit_shard(1, pa.table({"x": [1, 2]}))
@@ -202,7 +227,6 @@ class TestResume:
         (a 0-row file would type its strings as null), and a resume skips
         it."""
         import pyarrow.dataset as pads
-        import pyarrow.parquet as pq
         import ray
 
         table = _samples_table()
@@ -221,7 +245,7 @@ class TestResume:
         assert s in run and os.listdir(m.shard_dir(s)) == []
         rec = m.load_record(s)
         assert (rec["rows"], rec["chunk_rows"]) == (0, 1)
-        chunk = pq.read_table(os.path.join(m.chunk_dir(s), "part-0.parquet"))
+        chunk = m.chunks.read_shard(s)
         assert chunk.column("n_points").to_pylist() == [0]
         assert pads.dataset(out).to_table().num_rows == m.metrics()["rows"]
 

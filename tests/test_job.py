@@ -1,5 +1,6 @@
 """End-to-end job entry point: config -> resumable run -> resume no-op."""
 
+import glob
 import json
 import logging
 import os
@@ -119,12 +120,30 @@ def test_job_retention_pass(ray_session, corpus_dir, tmp_path):
     assert len(kept_1m) < len(expect_1m)  # something actually expired
 
 
+def test_job_retention_over_no_numeric_rows(ray_session, tmp_path):
+    """Retention over a store with no rollup row (every value is a
+    string) expires nothing: ``rows_before`` 0 and a null watermark."""
+    from json_time_series_extractor_ray.corpus import texts_to_corpus_table
+
+    texts = [json.dumps({"device": f"d{i}", "time": f"2024-01-01T00:00:0{i}Z",
+                         "status": "ok"}) for i in range(5)]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(texts_to_corpus_table([f"doc-{i}" for i in range(5)],
+                                         texts, ["test"] * 5, "utf8"),
+                   str(corpus / "part-0.parquet"))
+    r = run_job(dict(_config(str(corpus), str(tmp_path / "out")),
+                     retention=True))
+    assert r["rollups"]["shards_completed"] > 0
+    assert r["rollups"]["rows"] == 0
+    assert r["retention"]["rows_before"] == 0
+    assert r["retention"]["watermark_ns"] is None
+
+
 def test_job_unknown_gap_fill_fails_before_any_shard(ray_session, corpus_dir,
                                                      tmp_path):
     """An unknown ``gap_fill`` is refused on the driver, before the corpus
     is read: no task fails, no manifest is made, no shard is committed."""
-    import glob
-
     import ray
 
     out_dir = str(tmp_path / "out_cubic")
@@ -254,7 +273,16 @@ def test_job_compaction_pass(ray_session, corpus_dir, tmp_path):
     assert r2.get("chunks_compacted")
     after = pq.read_table(f"{out}/chunks")
     assert after.num_rows < before.num_rows  # fewer, larger chunks
-    assert not os.path.isdir(f"{out}/chunks_precompact")  # swap completed
+    # one chunk commit per shard: the shard layout stays, and each shard
+    # dir holds only the file its new chunk record names
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    named = CheckpointManifest(f"{out}/chunks").source()[0]
+    assert sorted(glob.glob(f"{out}/chunks/shard=*/*")) == sorted(named)
+    assert sorted({os.path.basename(os.path.dirname(p)) for p in named}) == [
+        f"shard={s:05d}" for s in sorted(r1["shards_run"])]
     samples_after = read_gorilla_chunks(f"{out}/chunks").to_pandas() \
         .sort_values(["series_key", "ts_ns"], ignore_index=True)
     pd.testing.assert_frame_equal(samples_before, samples_after)
@@ -547,8 +575,9 @@ def test_job_crash_resume_keeps_chunk_store(ray_session, corpus_dir,
 
 
 def _shard_outputs(out_dir):
-    """Every committed shard's rollup and chunk file bytes and its
-    manifest ``rows``/``checksum``/``chunk_rows``/``chunk_checksum``."""
+    """Every committed shard's rollup and chunk file bytes, by shard dir
+    (file names are unique per commit), and its manifest
+    ``rows``/``checksum``/``chunk_rows``/``chunk_checksum``."""
     from json_time_series_extractor_ray.state.checkpoint import (
         CheckpointManifest,
     )
@@ -558,11 +587,12 @@ def _shard_outputs(out_dir):
     for s in sorted(m.completed_shards()):
         rec = m.load_record(s)
         files = {}
-        for d in (m.shard_dir(s), m.chunk_dir(s)):
-            for name in sorted(os.listdir(d)):
+        for d in (m.shard_dir(s), m.chunks.shard_dir(s)):
+            contents = []
+            for name in os.listdir(d):
                 with open(os.path.join(d, name), "rb") as f:
-                    files[os.path.relpath(os.path.join(d, name), out_dir)] = (
-                        f.read())
+                    contents.append(f.read())
+            files[os.path.relpath(d, out_dir)] = sorted(contents)
         out[s] = ({k: rec[k] for k in ("rows", "checksum", "chunk_rows",
                                        "chunk_checksum")}, files)
     return out
