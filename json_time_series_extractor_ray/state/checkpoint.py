@@ -11,7 +11,15 @@ metrics.  The design is the Delta Lake log (Armbrust et al., VLDB 2020):
   names the files (path and size) and holds the shard's lineage (input
   fragments, rows, min/max event timestamp, value checksum, commit and
   compute time).  The job commits a shard's Gorilla chunks first, with
-  their own record; the rollup record is its commit point.
+  their own record, the only record of their lineage; the rollup record
+  is its commit point.
+* The value checksum (``_checksum_table``) is ``"<16 hex>-<rows>"``: a
+  64-bit hash per row, summed mod 2^64, so it ignores row order but sees
+  a duplicated row.  A row hashes its columns in name order, each coded
+  from its own bits (a number) or its rank among the table's distinct
+  strings plus a blake2b digest of them (a string or binary value), and
+  mixed with splitmix64's finalizer.  It is computed with Arrow and
+  numpy alone and is stable across library versions.
 * A shard is completed when its record exists and every file the record
   names exists.  Package reads of a store with a manifest take its files
   from the records (``CheckpointManifest.source``), so a dead attempt's
@@ -86,7 +94,8 @@ def add_shard_column(batch: pa.Table, num_shards: int,
 
 
 def lex_ranks(col):
-    """String column -> (int64 rank per row, distinct values in rank
+    """String or binary column (an Array, or a ChunkedArray, whose chunks
+    are not combined) -> (int64 rank per row, distinct values in rank
     order followed by one null).
 
     Ranks are lexicographic: Arrow compares UTF-8 bytes, and UTF-8 byte
@@ -95,17 +104,22 @@ def lex_ranks(col):
     is the count of distinct strings), so ``uniques.take(ranks)`` gathers
     the strings back, nulls included.
     """
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
     enc = col.dictionary_encode()
-    order = pc.sort_indices(enc.dictionary).to_numpy()
+    if isinstance(enc, pa.ChunkedArray):
+        # the chunks index one dictionary, which the last one holds whole
+        dictionary = enc.chunk(enc.num_chunks - 1).dictionary \
+            if enc.num_chunks else pa.array([], col.type)
+        idx = pa.chunked_array([c.indices for c in enc.chunks], pa.int32())
+    else:
+        dictionary, idx = enc.dictionary, enc.indices
+    order = pc.sort_indices(dictionary).to_numpy()
     rank = np.empty(len(order) + 1, np.int64)
     rank[order] = np.arange(len(order))
     rank[-1] = len(order)
-    # a null index would turn into a NaN float in to_numpy
-    idx = pc.fill_null(enc.indices, len(order)).to_numpy()
-    return rank[idx], pa.concat_arrays(
-        [enc.dictionary.take(order), pa.nulls(1, enc.dictionary.type)])
+    if idx.null_count:  # a null index would be a NaN float in to_numpy
+        idx = pc.fill_null(idx, len(order))
+    return rank[idx.to_numpy()], pa.concat_arrays(
+        [dictionary.take(order), pa.nulls(1, dictionary.type)])
 
 
 class ShardSamples:
@@ -334,22 +348,119 @@ def _fsync(path: str) -> None:
         os.close(fd)
 
 
-def _checksum_table(table: pa.Table) -> str:
-    """Order-insensitive value checksum: per-row hashes SUM-folded mod
-    2^64 (with the row count appended).  Sum, not xor: an xor fold is
-    blind to rows duplicated an even number of times — exactly the
-    double-counting corruption the lineage record exists to detect.
-    Vectorized (pandas' stable row hash), not a per-row Python loop —
-    the commit path runs this on every shard."""
-    if table.num_rows == 0:
-        return "0" * 16 + "-0"
-    import pandas as pd
+#: splitmix64's finalizer (Steele, Lea and Flood, OOPSLA 2014)
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
+#: a null's code, whatever the column's type
+_NULL = np.uint64(0x6E756C6C6E756C6C)
+#: the weight of column ``i`` (in name order) is ``(2i + 1) * _GOLDEN``:
+#: odd, so each is a bijection, and distinct, so the columns' order counts
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+#: Arrow type ids by how ``_checksum_table`` codes them
+_TEXT = {t.id for t in (pa.string(), pa.binary())}
+_WIDE_TEXT = {t.id for t in (pa.large_string(), pa.large_binary())}
+_FLOAT = {t.id for t in (pa.float16(), pa.float32(), pa.float64())}
+_INT = {t.id for t in (pa.bool_(), pa.int8(), pa.int16(), pa.int32(),
+                       pa.int64(), pa.uint8(), pa.uint16(), pa.uint32(),
+                       pa.uint64())}
+_TIMESTAMP = pa.timestamp("ns").id
 
-    df = table.select(sorted(table.column_names)).to_pandas()
-    h = pd.util.hash_pandas_object(df, index=False).to_numpy()
-    with np.errstate(over="ignore"):
-        acc = int(np.sum(h, dtype=np.uint64))
-    return f"{acc:016x}-{len(h)}"
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array, in place: a bijection
+    whose every output bit depends on every input bit."""
+    tmp = np.empty_like(x)
+    for shift, mul in zip(_SHIFTS, _MIX):
+        x ^= np.right_shift(x, shift, out=tmp)
+        x *= mul
+    x ^= np.right_shift(x, _SHIFTS[2], out=tmp)
+    return x
+
+
+def _digest(values: pa.Array) -> np.uint64:
+    """blake2b (8 bytes) of a binary array: its value lengths as
+    little-endian int64, then its value bytes."""
+    h = hashlib.blake2b(digest_size=8)
+    if len(values):
+        _, offsets, data = values.buffers()
+        off = np.frombuffer(offsets, np.int32, len(values) + 1,
+                            4 * values.offset)
+        h.update(np.diff(off).astype("<i8"))
+        if off[-1] > off[0]:
+            h.update(memoryview(data)[off[0]:off[-1]])
+    return np.uint64(int.from_bytes(h.digest(), "little"))
+
+
+def _number_codes(name: str, col: pa.Array, tid: int) -> np.ndarray:
+    """A number, bool or timestamp column's codes (``tid`` is its type's
+    id): the bits of its float64 or int64 value (a timestamp's int64 in
+    its own unit, a uint64's own bits), read from its data buffer.  A
+    null's slot holds any value."""
+    if tid not in _FLOAT and tid not in _INT and tid != _TIMESTAMP:
+        raise TypeError(f"lineage checksum: column {name!r} has unsupported "
+                        f"type {col.type}")
+    if col.type.bit_width != 64:
+        col = col.cast(pa.float64() if tid in _FLOAT else pa.int64())
+    return np.frombuffer(col.buffers()[1], np.uint64, len(col),
+                         8 * col.offset)
+
+
+def _text_codes(cols: list) -> np.ndarray:
+    """The codes of a table's string and binary columns, one row each: a
+    value's ``lex_ranks`` rank among the distinct values of all of them,
+    plus the ``_digest`` of those values in rank order, which pins what
+    the ranks stand for; a null's is ``_NULL``.  One ``lex_ranks`` serves
+    every column: here a compute call costs more than its rows."""
+    ranks, uniques = lex_ranks(pa.chunked_array(
+        [c.view(pa.binary()) if c.type.id in _TEXT else c.cast(pa.binary())
+         for c in cols]))
+    lut = np.arange(len(uniques), dtype=np.uint64) + _digest(uniques[:-1])
+    lut[-1] = _NULL
+    return lut[ranks].reshape(len(cols), -1)
+
+
+def _checksum_table(table: pa.Table) -> str:
+    """Order-insensitive value checksum, ``"<16 hex>-<rows>"``: per-row
+    64-bit hashes SUM-folded mod 2^64, and the row count.  Sum, not xor:
+    an xor fold is blind to rows duplicated an even number of times,
+    exactly the double-counting corruption the lineage record exists to
+    detect.
+
+    A row's hash is ``mix(sum_i (2i + 1) * GOLDEN * mix(code_i))`` over its
+    columns in name order, ``mix`` being splitmix64's finalizer: the outer
+    ``mix`` keeps the row association, so a value moved between two rows
+    of one column changes the sum.  A number, bool or timestamp codes as
+    the bits of its float64 or int64 value (``_number_codes``), a string
+    or binary value as its rank among the table's distinct strings plus
+    one blake2b digest of them (``_text_codes``), a null as a constant of
+    its own.  All columns are stacked and mixed in one numpy pass, with no
+    Python loop per row or per distinct value.  The hash uses only
+    Arrow's byte order of strings and its widening casts of numbers,
+    blake2b and numpy's uint64 arithmetic, so it does not change with the
+    pyarrow, numpy or pandas version.  A chunked or sliced table hashes as its combined rows.  A
+    column of another type raises ``TypeError`` naming it."""
+    n = table.num_rows
+    if n == 0:
+        return "0" * 16 + "-0"
+    names = table.schema.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    codes = np.empty((len(order), n), np.uint64)
+    texts = {}
+    for i, j in enumerate(order):
+        col = table.column(j)
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+        tid = col.type.id
+        if tid in _TEXT or tid in _WIDE_TEXT:
+            texts[i] = col
+            continue
+        codes[i] = _number_codes(names[j], col, tid)
+        if col.null_count:
+            codes[i, col.is_null().to_numpy(zero_copy_only=False)] = _NULL
+    if texts:
+        codes[list(texts)] = _text_codes(list(texts.values()))
+    weights = np.arange(1, 2 * len(order), 2, dtype=np.uint64) * _GOLDEN
+    rows = _mix(weights @ _mix(codes))  # uint64: exact mod 2^64
+    return f"{int(rows.sum(dtype=np.uint64)):016x}-{n}"
 
 
 _RECORD = re.compile(r"_manifest/shard-(\d+)\.json")
@@ -359,7 +470,9 @@ class CheckpointManifest:
     """The table of contents of one store (module docstring); with
     ``chunks_dir``, ``chunks`` is the chunk store's.  A path resolves to
     its ``pyarrow.fs`` filesystem unless ``filesystem`` is given.  Only
-    the writers create directories."""
+    the writers create directories.  ``records`` is ``None``, or after
+    ``run_sharded_rollup`` the ``{shard: record}`` of every shard it left
+    completed, as committed or loaded, never read back."""
 
     def __init__(self, out_dir: str, chunks_dir: str | None = None, *,
                  filesystem=None):
@@ -372,6 +485,7 @@ class CheckpointManifest:
         self.local = isinstance(fs, pafs.LocalFileSystem)
         self.chunks = None if chunks_dir is None else CheckpointManifest(
             chunks_dir, filesystem=filesystem)
+        self.records = None
 
     def _path(self, rel: str) -> str:
         return f"{self.root}/{rel}"
@@ -473,7 +587,9 @@ class CheckpointManifest:
     def _write(self, shard: int, table: pa.Table) -> list:
         """Write ``table`` as a new file of shard ``shard`` -> the record's
         file list; none for an empty table (a 0-row file would type its
-        strings as null)."""
+        strings as null).  Locally it fsyncs the file, the shard dir and
+        the store root, on every commit: a shard dir that already exists
+        may be one a dead attempt created and never made durable."""
         shard_dir = self._path(f"shard={shard:05d}")
         self.fs.create_dir(shard_dir)
         files = []
@@ -494,17 +610,18 @@ class CheckpointManifest:
         return files
 
     def commit_shard(self, shard: int, table: pa.Table, *,
-                     chunks: pa.Table | None = None,
-                     input_fragments=(), extra: dict | None = None) -> dict:
-        """Commit one shard: with ``chunks``, first its chunk commit; then
-        its file under a new name and, last, its record, the commit point.
-        It never touches another attempt's files (``sweep`` deletes them).
-        ``wall_s`` times the writes before the record."""
-        t0 = time.perf_counter()
-        if chunks is not None:
-            chunk_record = self.chunks.commit_shard(shard, chunks)
+                     input_fragments=(), extra: dict | None = None,
+                     started: float | None = None) -> dict:
+        """Commit one shard: its file under a new name and, last, its
+        record, the commit point -> the record.  It never touches another
+        attempt's files (``sweep`` deletes them).  ``wall_s`` times the
+        whole commit up to the record's write, the checksum and the
+        watermarks included, from ``started`` (a ``time.perf_counter()``:
+        the job's shard task passes the start of its chunk commit, which
+        comes first) or from the call."""
+        t0 = time.perf_counter() if started is None else started
         files = self._write(shard, table)
-        wall_s = round(time.perf_counter() - t0, 4)
+        checksum = _checksum_table(table)
         wm = None, None
         ts_col = next((c for c in ("ts", "window_start", "last_ts")
                        if c in table.column_names), None)
@@ -517,32 +634,27 @@ class CheckpointManifest:
             "shard": shard,
             "rows": table.num_rows,
             "input_fragments": list(input_fragments),
-            "checksum": _checksum_table(table),
+            "checksum": checksum,
             "watermark_min": wm[0],
             "watermark_max": wm[1],
-            "wall_s": wall_s,
+            "wall_s": round(time.perf_counter() - t0, 4),
             "completed_at": time.time(),
             "files": files,
         }
-        if chunks is not None:
-            record.update(chunk_rows=chunk_record["rows"],
-                          chunk_checksum=chunk_record["checksum"])
         record.update(extra or {})
         self._put(f"_manifest/shard-{shard:05d}.json",
                   json.dumps(record).encode())
         return record
 
-    def sweep(self, shards) -> None:
-        """Delete, in the dirs of ``shards`` (of the chunk store too), the
-        files their records do not name and their records' tmp files.
-        Call it only once every attempt that could write them has ended."""
-        if self.chunks is not None:
-            self.chunks.sweep(shards)
-        keep = {f["path"] for s in shards
-                for f in self.load_record(s)["files"]}
-        heads = tuple(p for s in shards for p in (
+    def sweep(self, records: dict) -> None:
+        """Delete, in the dirs of the shards of ``records`` (``{shard:
+        record}``, as their commits returned them), the files those
+        records do not name and the records' tmp files.  Call it only once
+        every attempt that could write them has ended."""
+        keep = {f["path"] for r in records.values() for f in r["files"]}
+        heads = tuple(p for s in records for p in (
             f"shard={s:05d}/", f"_manifest/shard-{s:05d}.json."))
-        for rel in self._listing() if shards else ():
+        for rel in self._listing() if records else ():
             if rel.startswith(heads) and rel not in keep:
                 self.fs.delete_file(self._path(rel))
 
@@ -555,12 +667,15 @@ class CheckpointManifest:
         shards = sorted(self._committed() or ())
         task = ray.remote(
             lambda s: self.commit_shard(s, fn(self.read_shard(s))))
-        ray.get([task.remote(s) for s in shards])
-        self.sweep(shards)
+        self.sweep({r["shard"]: r for r in ray.get(
+            [task.remote(s) for s in shards])})
 
-    def metrics(self) -> dict:
-        """Aggregate per-partition metrics across completed shards."""
-        recs = [r for _, r in sorted(self._completed().items())]
+    def metrics(self, records: dict | None = None) -> dict:
+        """Aggregate per-partition metrics across completed shards: those
+        of ``records`` (``{shard: record}``, e.g. the ``records`` that
+        ``run_sharded_rollup`` leaves), else the store's."""
+        recs = [r for _, r in sorted(
+            (self._completed() if records is None else records).items())]
         return {
             "shards_completed": len(recs),
             "rows": sum(r["rows"] for r in recs),
@@ -594,8 +709,10 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     neither recomputed nor double-counted.  A retried task commits its
     shard again under fresh file names; once every shard task has
     returned, this process sweeps the shards run
-    (``CheckpointManifest.sweep``).  ``filesystem`` overrides the one the
-    paths resolve to.
+    (``CheckpointManifest.sweep``) with the records the tasks returned.
+    Those and the skipped shards' records, loaded to find them, become
+    ``manifest.records``: the driver reads back nothing the tasks wrote.
+    ``filesystem`` overrides the one the paths resolve to.
 
     A shard task rank-codes and sorts its samples once (``ShardSamples``);
     that sort yields the first tier's partials and the chunk rows, and the
@@ -603,8 +720,9 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     gap-filled when ``gap_fill`` is set (an unknown one is refused before
     any sample is read).  Each record's ``wall_s`` is the commit time,
     ``rollup_s`` the partials, cascade and gap-fill, ``encode_s`` the
-    chunk rows, and ``compute_s`` their total.  A shard task returns only
-    its shard id, once its record is written.
+    chunk rows, and ``compute_s`` their total.  A shard task returns its
+    record and its chunk record (``None`` without ``chunks_dir``), once
+    both are written.
     """
     import ray
 
@@ -615,13 +733,13 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     check_gap_fill(gap_fill)
     manifest = CheckpointManifest(out_dir, chunks_dir, filesystem=filesystem)
     manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
-    done = sorted(manifest.completed_shards())
+    done = manifest._completed()
     writer = None if chunks_dir is None else GorillaChunkWriter(
         chunk_bucket_ns)
 
-    # Each shard commits INSIDE its task: the driver only collects shard
-    # ids.  The stores must be on storage all workers share.
-    def _rollup_and_commit(samples: pa.Table) -> int:
+    # Each shard commits INSIDE its task: the driver only collects the
+    # records.  The stores must be on storage all workers share.
+    def _rollup_and_commit(samples: pa.Table) -> tuple:
         shard = samples.column("shard")[0].as_py()
         t0 = time.perf_counter()
         # one rank coding and one sorted pass over the whole shard serve
@@ -632,20 +750,24 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
         t1 = time.perf_counter()
         chunks = None if writer is None else writer.chunks(shard_samples)
         t2 = time.perf_counter()
-        manifest.commit_shard(
-            shard, rolled, chunks=chunks,
+        chunk_record = None if chunks is None else \
+            manifest.chunks.commit_shard(shard, chunks)
+        return manifest.commit_shard(
+            shard, rolled, started=t2,
             extra={"compute_s": round(t2 - t0, 4),
                    "rollup_s": round(t1 - t0, 4),
-                   "encode_s": round(t2 - t1, 4)})
-        return shard
+                   "encode_s": round(t2 - t1, 4)}), chunk_record
 
     if not isinstance(samples, list):
         samples = samples.select_columns(ShardSamples.COLUMNS)
     # waits for every shard task (raising the error of a failed one)
-    run = sorted(ray.get(_exchange(samples, _rollup_and_commit, num_shards,
-                                   done)))
+    out = ray.get(_exchange(samples, _rollup_and_commit, num_shards, done))
+    if manifest.chunks is not None:
+        manifest.chunks.sweep({c["shard"]: c for _, c in out})
+    run = {r["shard"]: r for r, _ in out}
     manifest.sweep(run)
-    return manifest, run, done
+    manifest.records = {**done, **run}
+    return manifest, sorted(run), sorted(done)
 
 
 def manifest_report(out_dir: str) -> pa.Table:
@@ -653,6 +775,10 @@ def manifest_report(out_dir: str) -> pa.Table:
     table — the per-partition metrics surface (rows, watermarks, commit
     time, compute time and its rollup and chunk-encoding parts, checksum)
     the north rule's "lineage + metrics" contract exposes to operators.
+    ``wall_s`` is a shard's whole commit (``commit_shard``): for a job's
+    rollup store, its chunk commit, data file, checksum and watermarks.
+    The chunk store's report (``<out>/chunks``) is its chunks' lineage,
+    after a compaction too.
     One row per committed shard, read in the calling process (#shards
     rows, not data).  A path with no manifest raises
     ``FileNotFoundError``."""

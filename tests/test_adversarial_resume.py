@@ -256,8 +256,8 @@ class TestTwoFileCommitCrash:
         m.ensure_sharding(NUM_SHARDS)
 
         def _commit(s):
-            return m.commit_shard(s, ref.read_shard(s),
-                                  chunks=ref.chunks.read_shard(s))
+            m.chunks.commit_shard(s, ref.chunks.read_shard(s))
+            return m.commit_shard(s, ref.read_shard(s))
 
         victim = ref_shards[0]
         for s in ref_shards[1:]:
@@ -290,9 +290,10 @@ class TestTwoFileCommitCrash:
         for store in (m.out_dir, m.chunks_dir):
             assert _leftovers(store) == []
         for s in ref_shards:
-            rec2, rec_ref = m2.load_record(s), ref.load_record(s)
-            for key in ("checksum", "rows", "chunk_rows", "chunk_checksum"):
-                assert rec2[key] == rec_ref[key]
+            for got, want in ((m2, ref), (m2.chunks, ref.chunks)):
+                rec2, rec_ref = got.load_record(s), want.load_record(s)
+                for key in ("checksum", "rows"):
+                    assert rec2[key] == rec_ref[key]
 
 
 def _points(ds) -> list:
@@ -454,10 +455,14 @@ class TestRenameFreeFilesystem:
         (tmp_path / "remote").mkdir()
         fs = _no_rename_fs(str(tmp_path / "remote"))
 
+        def lineage(m, s):
+            rec, chunk_rec = m.load_record(s), m.chunks.load_record(s)
+            return {"rows": rec["rows"], "checksum": rec["checksum"],
+                    "chunk_rows": chunk_rec["rows"],
+                    "chunk_checksum": chunk_rec["checksum"]}
+
         def outputs(m):
-            keys = ("rows", "checksum", "chunk_rows", "chunk_checksum")
-            return {s: ({k: m.load_record(s)[k] for k in keys},
-                        m.read_shard(s), m.chunks.read_shard(s))
+            return {s: (lineage(m, s), m.read_shard(s), m.chunks.read_shard(s))
                     for s in sorted(m.completed_shards())}
 
         def run():

@@ -120,6 +120,17 @@ class TestManifest:
         assert m.read_shard(1).column("x").to_pylist() == [1, 2]
         assert os.listdir(tmp_path) == ["out"]
 
+    def test_root_is_fsynced_for_a_dir_a_dead_attempt_left(self, tmp_path,
+                                                            monkeypatch):
+        from json_time_series_extractor_ray.state import checkpoint
+
+        synced = []
+        monkeypatch.setattr(checkpoint, "_fsync", synced.append)
+        m = CheckpointManifest(str(tmp_path / "out"))
+        os.makedirs(m.shard_dir(2))  # no record: it may not be durable
+        m.commit_shard(2, pa.table({"x": [3]}))
+        assert m.root in synced and m._path("shard=00002") in synced
+
     def test_recommit_overwrites(self, tmp_path):
         m = CheckpointManifest(str(tmp_path / "out"))
         m.commit_shard(1, pa.table({"x": [1, 2]}))
@@ -243,8 +254,8 @@ class TestResume:
         m, run, _ = run_sharded_rollup(ds, out, 64, chunks_dir=chunks)
         s = shard_of(key, 64)
         assert s in run and os.listdir(m.shard_dir(s)) == []
-        rec = m.load_record(s)
-        assert (rec["rows"], rec["chunk_rows"]) == (0, 1)
+        assert (m.load_record(s)["rows"],
+                m.chunks.load_record(s)["rows"]) == (0, 1)
         chunk = m.chunks.read_shard(s)
         assert chunk.column("n_points").to_pylist() == [0]
         assert pads.dataset(out).to_table().num_rows == m.metrics()["rows"]
@@ -430,3 +441,121 @@ class TestShardingGuards:
         # order-insensitive: permuted rows hash identically
         perm = pa.table({"a": [2, 1], "b": ["y", "x"]})
         assert _checksum_table(t) == _checksum_table(perm)
+
+
+_NS = pa.timestamp("ns")
+
+
+def _rollup_golden():
+    """A rollup-store table: nulls, an empty string, NaN, -0.0."""
+    return pa.table({
+        "tier": ["1m", "1m", "1h", "1d"],
+        "series_key": ["dev-1/temp", "", "dev-1/temp", "é/ü"],
+        "window_start": pa.array([0, 60, 3600, 86400], pa.int64()).cast(_NS),
+        "min": [-0.0, 1.5, float("nan"), None],
+        "max": [0.0, 2.5, float("nan"), None],
+        "mean": [0.0, 2.0, float("nan"), None],
+        "sum": [0.0, 4.0, float("nan"), None],
+        "count": pa.array([1, 2, 3, 0], pa.int64()),
+        "last": [0.0, 2.5, float("inf"), None],
+        "last_ts": pa.array([5, 61, None, 86401], pa.int64()).cast(_NS),
+        "last_doc": ["doc-1", None, "", "doc-2"],
+        "last_ord": pa.array([0, 7, -1, None], pa.int64()),
+    })
+
+
+def _chunk_golden():
+    """A chunk-store table: a chunk over 64 KiB, an empty one, nulls."""
+    return pa.table({
+        "series_key": ["dev-1/temp", "dev-2/hum", "", None],
+        "n_points": pa.array([4096, 0, 1, 2], pa.int64()),
+        "t_min": pa.array([0, 0, 10, None], pa.int64()),
+        "t_max": pa.array([4095, 0, 10, 20], pa.int64()),
+        "raw_bytes": pa.array([65536, 0, 16, 32], pa.int64()),
+        "chunk": pa.array([bytes(range(256)) * 300, b"", None, b"\x00\x01"],
+                          pa.binary()),
+    })
+
+
+class TestChecksumContract:
+    """``_checksum_table``'s contract: the lineage records of every store
+    hold its values, so they must not change with a library version."""
+
+    @staticmethod
+    def _checksum(table):
+        from json_time_series_extractor_ray.state.checkpoint import (
+            _checksum_table,
+        )
+
+        return _checksum_table(table)
+
+    def test_golden_values(self):
+        assert self._checksum(_rollup_golden()) == "ac6b3497f0c9f16a-4"
+        assert self._checksum(_chunk_golden()) == "9ee8553ab1deb5d0-4"
+
+    def test_row_order_and_column_order_do_not_count(self):
+        for t in (_rollup_golden(), _chunk_golden()):
+            perm = t.take([3, 1, 0, 2]).select(t.column_names[::-1])
+            assert self._checksum(perm) == self._checksum(t)
+
+    def test_chunked_and_sliced_inputs_hash_as_their_rows(self):
+        for t in (_rollup_golden(), _chunk_golden()):
+            chunked = pa.concat_tables([t.slice(0, 1), t.slice(1, 2),
+                                        t.slice(3)])
+            assert chunked.column(0).num_chunks == 3
+            padded = pa.concat_tables([t, t, t]).combine_chunks()
+            assert self._checksum(chunked) == self._checksum(t)
+            assert self._checksum(padded.slice(4, 4)) == self._checksum(t)
+            assert self._checksum(padded.slice(3, 2)) == self._checksum(
+                pa.concat_tables([t.slice(3), t.slice(0, 1)]))
+
+    def test_a_value_moved_between_rows_changes_it(self):
+        t = pa.table({"a": [1, 2], "b": ["x", "y"], "c": [0.5, 0.25]})
+        for col, moved in (("a", [2, 1]), ("b", ["y", "x"]),
+                           ("c", [0.25, 0.5])):
+            swapped = t.set_column(t.column_names.index(col), col,
+                                   pa.array(moved, t.schema.field(col).type))
+            assert self._checksum(swapped) != self._checksum(t)
+        # columns are mixed before they are weighted and summed: with
+        # weights w and 3w, (+3, -1) would cancel in a linear sum
+        assert self._checksum(pa.table({"a": [0], "b": [1]})) != \
+            self._checksum(pa.table({"a": [3], "b": [0]}))
+
+    def test_null_differs_from_empty_string_and_zero(self):
+        text = [self._checksum(pa.table({"s": pa.array(v, pa.string())}))
+                for v in ([None], [""])]
+        ints = [self._checksum(pa.table({"i": pa.array(v, pa.int64())}))
+                for v in ([None], [0])]
+        floats = [self._checksum(pa.table({"f": pa.array(v, pa.float64())}))
+                  for v in ([None], [0.0], [float("nan")])]
+        for codes in (text, ints, floats):
+            assert len(set(codes)) == len(codes)
+
+    def test_strings_are_pinned_by_their_bytes(self):
+        # a string codes as its rank among the table's distinct strings:
+        # the digest of those strings must tell tables of equal ranks apart
+        for a, b in ((["a"], ["b"]), (["ab", "c"], ["a", "bc"]),
+                     ([b"\x00"], [b"\x00\x00"])):
+            assert self._checksum(pa.table({"s": a})) != \
+                self._checksum(pa.table({"s": b}))
+
+    def test_unsupported_type_names_the_column(self):
+        t = pa.table({"ok": [1], "tags": pa.array([["a"]],
+                                                   pa.list_(pa.string()))})
+        with pytest.raises(TypeError, match="'tags'"):
+            self._checksum(t)
+
+    def test_no_pandas(self, monkeypatch):
+        import pyarrow.pandas_compat
+
+        def _refuse(*args, **kwargs):
+            raise AssertionError("pandas called")
+
+        # Table.to_pandas is immutable: its conversion is what it calls
+        monkeypatch.setattr(pyarrow.pandas_compat, "table_to_dataframe",
+                            _refuse)
+        monkeypatch.setattr(pd.util, "hash_pandas_object", _refuse)
+        with pytest.raises(AssertionError, match="pandas called"):
+            _rollup_golden().to_pandas()
+        assert self._checksum(_rollup_golden()) == "ac6b3497f0c9f16a-4"
+        assert self._checksum(_chunk_golden()) == "9ee8553ab1deb5d0-4"

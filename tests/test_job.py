@@ -288,6 +288,70 @@ def test_job_compaction_pass(ray_session, corpus_dir, tmp_path):
     pd.testing.assert_frame_equal(samples_before, samples_after)
 
 
+def test_job_compaction_lineage_is_the_chunk_stores(ray_session, corpus_dir,
+                                                    tmp_path):
+    """After ``compact_chunks`` the chunk store's own records, which
+    ``manifest_report`` shows, describe the compacted chunk files; the
+    rollup records carry no copy of the chunks' lineage."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+        _checksum_table,
+        manifest_report,
+    )
+
+    out = str(tmp_path / "out")
+    cfg = _config(corpus_dir, out)
+    cfg["chunk_bucket_ns"] = 60_000_000_000  # one chunk per series x minute
+    run_job(cfg)
+    written = sum(manifest_report(f"{out}/chunks").column("rows").to_pylist())
+    cfg["compact_chunks"] = True
+    run_job(cfg)
+    rep = manifest_report(f"{out}/chunks").to_pydict()
+    m = CheckpointManifest(f"{out}/rollups", f"{out}/chunks")
+    for s, rows, checksum in zip(rep["shard"], rep["rows"], rep["checksum"]):
+        chunks = m.chunks.read_shard(s)
+        assert (rows, checksum) == (chunks.num_rows, _checksum_table(chunks))
+        assert not {"chunk_rows", "chunk_checksum"} & set(m.load_record(s))
+    assert sum(rep["rows"]) == pq.read_table(f"{out}/chunks").num_rows
+    assert sum(rep["rows"]) < written
+
+
+def test_job_driver_reads_back_no_record(ray_session, corpus_dir, tmp_path,
+                                         monkeypatch):
+    """The driver sweeps and reports a job from the records its shard
+    tasks return: a fresh job reads no shard record, a resumed one only
+    the records of the shards it skips, once each; the metrics equal the
+    store's."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    reads = []
+    read = CheckpointManifest._read
+
+    def _read(self, rel):
+        reads.append(f"{os.path.basename(self.root)}/{rel}")
+        return read(self, rel)
+
+    monkeypatch.setattr(CheckpointManifest, "_read", _read)
+    out = str(tmp_path / "out")
+    cfg = _config(corpus_dir, out)
+    r1 = run_job(cfg)
+    assert [r for r in reads if "shard-" in r] == []
+    m = CheckpointManifest(f"{out}/rollups")
+    assert r1["rollups"] == m.metrics()
+    for s in r1["shards_run"][1::2]:
+        os.remove(m.record_path(s))
+    reads.clear()
+    r2 = run_job(cfg)
+    assert sorted(r for r in reads if "shard-" in r) == [
+        f"rollups/_manifest/shard-{s:05d}.json" for s in r2["shards_skipped"]]
+    assert r2["shards_run"] == r1["shards_run"][1::2]
+    assert r2["rollups"] == m.metrics()
+    for k in ("shards_completed", "rows", "watermark_max"):
+        assert r2["rollups"][k] == r1["rollups"][k]
+
+
 def test_manifest_report(ray_session, corpus_dir, tmp_path):
     from json_time_series_extractor_ray.state.checkpoint import (
         manifest_report,
@@ -576,8 +640,8 @@ def test_job_crash_resume_keeps_chunk_store(ray_session, corpus_dir,
 
 def _shard_outputs(out_dir):
     """Every committed shard's rollup and chunk file bytes, by shard dir
-    (file names are unique per commit), and its manifest
-    ``rows``/``checksum``/``chunk_rows``/``chunk_checksum``."""
+    (file names are unique per commit), and its rollup and chunk
+    records' ``rows`` and ``checksum``."""
     from json_time_series_extractor_ray.state.checkpoint import (
         CheckpointManifest,
     )
@@ -585,7 +649,7 @@ def _shard_outputs(out_dir):
     m = CheckpointManifest(f"{out_dir}/rollups", f"{out_dir}/chunks")
     out = {}
     for s in sorted(m.completed_shards()):
-        rec = m.load_record(s)
+        rec, chunk_rec = m.load_record(s), m.chunks.load_record(s)
         files = {}
         for d in (m.shard_dir(s), m.chunks.shard_dir(s)):
             contents = []
@@ -593,8 +657,9 @@ def _shard_outputs(out_dir):
                 with open(os.path.join(d, name), "rb") as f:
                     contents.append(f.read())
             files[os.path.relpath(d, out_dir)] = sorted(contents)
-        out[s] = ({k: rec[k] for k in ("rows", "checksum", "chunk_rows",
-                                       "chunk_checksum")}, files)
+        out[s] = ({"rows": rec["rows"], "checksum": rec["checksum"],
+                   "chunk_rows": chunk_rec["rows"],
+                   "chunk_checksum": chunk_rec["checksum"]}, files)
     return out
 
 

@@ -358,7 +358,7 @@ def test_no_pandas_sort_in_shard_kernels(ray_session, monkeypatch, tmp_path):
             gap_fill=gap_fill, chunks_dir=str(tmp_path / f"chunks-{gap_fill}"),
             chunk_bucket_ns=5 * MIN)
         assert len(run) == 4
-        assert sum(manifest.load_record(s)["chunk_rows"] for s in run) > 200
+        assert sum(manifest.chunks.load_record(s)["rows"] for s in run) > 200
     compacted = gorilla.compact_chunks(_Samples(chunks), target_points=7)
     assert compacted.num_rows > 200
     assert sum(compacted.column("n_points").to_pylist()) == sum(
