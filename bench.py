@@ -175,14 +175,15 @@ def run_bench(sf_dir: str, num_cpus: int, *, headline_only: bool = False,
             log_to_driver=False,
         )
         # 8 MB block target (bench-owned sessions ONLY — never mutate a
-        # caller-owned session's global context, same rule as job.py):
-        # the shredded extraction kernel is superlinear in batch size
-        # (per-batch lexsort + hash kernels fall out of cache), so
-        # smaller blocks cut extract CPU ~2-3x.  Interleaved A/B at 32
-        # CPUs on the 6M-doc headline (same output, 381,824 points):
-        # default blocks 26-46 s / 336-549 extract-CPU-s vs 8 MB
-        # 16-19 s / 117-173 CPU-s; 4/2 MB keep shrinking CPU but
-        # scheduling overhead grows wall time, 16 MB is ~25% slower.
+        # caller-owned session's global context, same rule as job.py).
+        # Interleaved A/B at 32 CPUs on the 6M-doc headline of an older
+        # Ray Data map side (same output, 381,824 points): default
+        # blocks 26-46 s / 336-549 extract-CPU-s vs 8 MB 16-19 s /
+        # 117-173 CPU-s; 16 MB was ~25% slower.  Within one call the
+        # shredded kernel is NOT superlinear: it costs about 2 ms fixed
+        # per call, so per doc it gets cheaper up to a few MB (4-CPU
+        # host, in process: 10.3 us/doc at 320 docs, 5.9 at 1,600 and
+        # 3,200), and the job's map tasks feed it half-block tables.
         # Per-task state stays tiny, so this holds per-node on a
         # multi-node cluster (the knob is per-driver).
         ray.data.DataContext.get_current().target_max_block_size = (

@@ -43,9 +43,10 @@ outputs, which resolve the same URIs::
 The job extracts the corpus once and shuffles its samples once, by shard,
 with no Ray Data plan: the driver plans the corpus row groups
 (``sources/parquet.plan_row_groups``), and one plain Ray task per group
-of them streams ``doc_id``/``tokens`` in tables of a tenth of the block
-target, runs the extraction stage (built once, shipped once) and splits
-its samples by shard (``state/checkpoint.run_sharded_rollup``).  Each
+of them streams ``doc_id``/``tokens`` across the group's files in tables
+of half the block target, runs the extraction stage (built once, shipped
+once) and splits its samples by shard
+(``state/checkpoint.run_sharded_rollup``).  Each
 shard task commits ``chunks/shard=NNNNN/`` (the Gorilla raw tier), then
 ``rollups/shard=NNNNN/``: files first, then the record naming them.  None
 of the job's tasks imports ``ray.data``, so a cold job starts no Ray Data
@@ -97,8 +98,8 @@ def run_job(config: dict) -> dict:
 
     if not ray.is_initialized():  # standalone runs; the driver/tests own Ray otherwise
         ray.init(address="local", include_dashboard=False)
-        # Standalone sessions only: 8 MB blocks keep the extraction
-        # kernel's working set in cache (2-3x less CPU, see bench.py).
+        # Standalone sessions only: the 8 MB block target of bench.py,
+        # which also sets the map tasks' table cut below.
         data_context().target_max_block_size = 8 * 1024 * 1024
 
     from .sources.parquet import plan_row_groups, read_parquet
@@ -137,11 +138,11 @@ def run_job(config: dict) -> dict:
     # built (and its options validated) here, shipped once to every task
     stage = ray.put(ExtractSamplesStage(**extract_args))
     _, groups = plan_row_groups(config["input"])
-    # a map task holds one table of rows at a time, cut as Ray's Parquet
-    # reader cuts its blocks (the batches the 8 MiB target was tuned on),
-    # so a row group larger than a block is never read whole
+    # a map task holds one table of rows at a time, so a row group larger
+    # than a block is never read whole; the shredded kernel costs about
+    # 2 ms a call, so the tables are as large as half a block
     target = data_context().target_max_block_size
-    batch_bytes = target // 10 if target else None
+    batch_bytes = target // 2 if target else None
     manifest, shards_run, shards_skipped = run_sharded_rollup(
         [(_extract_group, stage, g, batch_bytes) for g in groups],
         f"{out_dir}/rollups",

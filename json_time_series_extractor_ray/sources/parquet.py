@@ -142,29 +142,38 @@ READ_ROWS = 256
 
 
 def iter_row_groups(group: list, columns: list, batch_bytes=None):
-    """One group of ``plan_row_groups``, only ``columns``, as tables:
-    one per file, or with ``batch_bytes`` each file's rows streamed in
-    tables of about that many bytes of Arrow memory (Ray's Parquet reader
-    cuts its blocks the same way, at a tenth of the block target), so a
-    task never holds a whole large row group.  Yields at least one table
-    per file, empty for a file of no rows."""
+    """One group of ``plan_row_groups``, only ``columns``, as tables.
+
+    Without ``batch_bytes``, one table per file.  With it, the group's
+    rows stream across its files in tables of about ``batch_bytes`` of
+    Arrow memory, so a task never holds a whole large row group and a
+    group of small files still reaches its consumer in few large tables.
+    A table is also cut where a file's Arrow schema differs from the
+    previous file's, so every table has one schema.  Yields at least one
+    table, empty (the last file's ``columns``) for a group of no rows."""
+    if batch_bytes is None:
+        for fs, file, row_groups in group:
+            yield pq.ParquetFile(file, filesystem=fs).read_row_groups(
+                row_groups, columns=columns)
+        return
+    acc, size, schema = [], 0, None
     for fs, file, row_groups in group:
         f = pq.ParquetFile(file, filesystem=fs)
-        if batch_bytes is None:
-            yield f.read_row_groups(row_groups, columns=columns)
-            continue
-        acc, size, cut = [], 0, False
+        # a map task has one CPU: no reader thread pool
         for batch in f.iter_batches(batch_size=READ_ROWS,
-                                    row_groups=row_groups, columns=columns):
+                                    row_groups=row_groups, columns=columns,
+                                    use_threads=False):
+            if acc and (size >= batch_bytes
+                        or not batch.schema.equals(acc[0].schema)):
+                yield pa.Table.from_batches(acc).combine_chunks()
+                acc, size = [], 0
             acc.append(batch)
             size += batch.nbytes
-            if size >= batch_bytes:
-                yield pa.Table.from_batches(acc).combine_chunks()
-                acc, size, cut = [], 0, True
-        if acc:
-            yield pa.Table.from_batches(acc).combine_chunks()
-        elif not cut:
-            yield f.schema_arrow.empty_table().select(columns)
+        schema = f.schema_arrow
+    if acc:
+        yield pa.Table.from_batches(acc).combine_chunks()
+    elif schema is not None:
+        yield schema.empty_table().select(columns)
 
 
 def _read_group(group: list, columns: list, keep, decode):

@@ -144,8 +144,9 @@ class ExtractSamplesStage:
                 self.tokenizer, Utf8Tokenizer
             ):
                 # Zero-decode path: utf8 token bytes ARE the JSON text
-                # (int32 values narrow during the shred scatter — no
-                # intermediate uint8 copy).
+                # (the int32 ids narrow to bytes in one cast in the
+                # shred, which leaves a batch with an id outside 0..255
+                # to the tokenizer's decode).
                 values, offsets = _tokens_to_numpy(
                     batch.column(self.tokens_column)
                 )

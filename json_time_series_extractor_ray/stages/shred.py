@@ -430,37 +430,44 @@ def _key_order_ok(em, get_texts, has_backslash) -> bool:
     return True
 
 
+def _ndjson(data: np.ndarray, offsets: np.ndarray):
+    """utf8 token ids and list offsets -> the NDJSON buffer: each doc's
+    ids as bytes, then ``'\n'``; ``None`` when an id is outside 0..255.
+    One cast and one insert: no per-byte index array."""
+    base = int(offsets[0])
+    data = data[base: int(offsets[-1])]
+    # one pass: a negative id is above 255 as unsigned
+    if len(data) and data.view(f"u{data.itemsize}").max() > 255:
+        return None
+    return np.insert(data.astype(np.uint8), offsets[1:] - base,
+                     np.uint8(0x0A))
+
+
 def try_shred_batch(texts, plan, fallback_arr, default_now,
                     id_col: pa.Array, sample_schema: pa.Schema,
                     raw_utf8=None):
     """Vectorized batch extraction.  Returns a SAMPLE_SCHEMA table, or
     ``None`` when the batch is outside the proven envelope.
 
-    ``raw_utf8``: optional ``(data_u8, offsets)`` numpy pair straight from
+    ``raw_utf8``: optional ``(data, offsets)`` numpy pair straight from
     the utf8 tokenizer's list<int32> column — the token bytes ARE the JSON
-    text, so the NDJSON buffer is one numpy scatter (newline separators
-    inserted) and the per-doc string array (needed only for the top-level
-    presence proof) is a ZERO-COPY StringArray over the same buffers; no
-    per-doc bytes.decode / join / re-encode round trip.  ``texts`` may be
-    None in that case.
+    text, so the NDJSON buffer is one int32 -> uint8 cast with the newline
+    separators inserted at the doc ends, and the per-doc string array
+    (needed only for the top-level presence proof) is a ZERO-COPY
+    StringArray over the same buffer; no per-doc bytes.decode / join /
+    re-encode round trip.  ``texts`` may be None in that case.  A batch
+    with a token outside 0..255 is not UTF-8 bytes: it falls back, and the
+    tokenizer's decode raises or skips its docs.
     """
     if raw_utf8 is not None:
         data, offsets = raw_utf8
         n_docs = len(offsets) - 1
         if n_docs == 0:
             return None
+        buf_arr = _ndjson(data, offsets)
+        if buf_arr is None:
+            return None
         base = int(offsets[0])
-        lens = np.diff(offsets).astype(np.int64)
-        total = int(offsets[-1]) - base
-        buf_arr = np.full(total + n_docs, 0x0A, np.uint8)  # '\n'
-        pos = (
-            np.arange(total, dtype=np.int64)
-            + np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-        )
-        # single fused scatter+narrow (int32 -> uint8 assignment casts in
-        # place): this stage is memory-bandwidth-bound at full node
-        # concurrency, so every avoided intermediate pass counts
-        buf_arr[pos] = data[base: base + total]
         source = pa.BufferReader(pa.py_buffer(buf_arr))
         buf_len = len(buf_arr)
 

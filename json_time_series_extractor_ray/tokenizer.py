@@ -55,9 +55,21 @@ class Utf8Tokenizer:
         return bytes(bytearray(int(t) for t in tokens)).decode("utf-8")
 
     def decode_batch(self, list_array, on_error: str = "raise") -> list:
-        """Decode a whole tokens column.  ``on_error='skip'`` yields ``None``
-        for rows whose bytes are not valid UTF-8 instead of raising."""
+        """Decode a whole tokens column.  A row holding a token id outside
+        0..255 (not a byte, as in ``decode``) or bytes that are not valid
+        UTF-8 raises ``ValueError``; ``on_error='skip'`` yields ``None`` for
+        it instead."""
         values, offsets = _tokens_to_numpy(list_array)
+        ids = values[offsets[0]: offsets[-1]]
+        ids = ids.view(f"u{ids.itemsize}")  # a negative id is above 255
+        bad = set()
+        if len(ids) and ids.max() > 255:
+            over = np.concatenate([[0], np.cumsum(ids > 255)])
+            ends = offsets - offsets[0]
+            bad = set(np.flatnonzero(over[ends[1:]] > over[ends[:-1]]).tolist())
+            if on_error == "raise":
+                raise ValueError(
+                    f"row {min(bad)} holds a token id outside 0..255")
         data = values.astype(np.uint8).tobytes()
         if on_error == "raise":
             return [
@@ -67,7 +79,8 @@ class Utf8Tokenizer:
         out = []
         for i in range(len(offsets) - 1):
             try:
-                out.append(data[offsets[i]: offsets[i + 1]].decode("utf-8"))
+                out.append(None if i in bad else
+                           data[offsets[i]: offsets[i + 1]].decode("utf-8"))
             except UnicodeDecodeError:
                 out.append(None)
         return out

@@ -750,7 +750,7 @@ def test_job_map_side_is_few_tasks_each_doc_once(ray_session, tmp_path,
 def test_job_streams_a_large_row_group_in_bounded_batches(
         ray_session, tmp_path, monkeypatch):
     """Under a small block target, a corpus file of one row group larger
-    than the target reaches extraction in tables of about a tenth of the
+    than the target reaches extraction in tables of about half the
     target, every doc once, and the job commits what it commits under the
     default target."""
     import json as _json
@@ -805,10 +805,64 @@ def test_job_streams_a_large_row_group_in_bounded_batches(
         sizes.append(nbytes)
     # a read batch of the two columns is under READ_ROWS x 2 KB here
     assert len(sizes) > 4
-    assert max(sizes) < target // 10 + READ_ROWS * 2048
+    assert max(sizes) < target // 2 + READ_ROWS * 2048
     assert sorted(docs) == sorted(table.column("doc_id").to_pylist())
     assert (_shard_outputs(str(tmp_path / "small"))
             == _shard_outputs(str(tmp_path / "ref")))
+
+
+def test_map_group_of_files_with_different_doc_id_types(ray_session,
+                                                        tmp_path):
+    """A map group whose files store ``doc_id`` as ``string`` and
+    ``large_string`` is cut where the type changes: every doc is
+    extracted once, with the samples of per-file extraction, and the job
+    commits what it commits when every file stores ``string``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from json_time_series_extractor_ray.job import _extract_group
+    from json_time_series_extractor_ray.sources.parquet import (
+        iter_row_groups,
+        plan_row_groups,
+    )
+    from json_time_series_extractor_ray.stages.extract import (
+        ExtractSamplesStage,
+    )
+    from json_time_series_extractor_ray.state.checkpoint import ShardSamples
+
+    table = iot_corpus_table(300, seed=23)
+    mixed, plain = tmp_path / "mixed", tmp_path / "plain"
+    mixed.mkdir()
+    plain.mkdir()
+    for i in range(3):
+        part = table.slice(100 * i, 100)
+        pq.write_table(part, str(plain / f"part-{i}.parquet"))
+        if i == 1:
+            part = part.set_column(0, "doc_id",
+                                   part.column("doc_id").cast(pa.large_string()))
+        pq.write_table(part, str(mixed / f"part-{i}.parquet"))
+    _, groups = plan_row_groups(str(mixed))
+    group = [piece for g in groups for piece in g]
+    columns = ["doc_id", "tokens"]
+    assert len(list(iter_row_groups(group, columns, 1 << 30))) == 3
+
+    stage = ExtractSamplesStage({"recursive": True}, fallback_now_ns=0)
+    got = _extract_group(stage, group, 1 << 30)
+    want = pa.concat_tables(
+        [stage(t).select(ShardSamples.COLUMNS)
+         for t in iter_row_groups(group, columns)],
+        promote_options="permissive")
+    keys = [(c, "ascending") for c in ("doc_id", "sample_ordinal")]
+    got, want = (t.cast(got.schema).take(pc.sort_indices(t, sort_keys=keys))
+                 for t in (got, want))
+    assert got.equals(want)
+    assert set(got.column("doc_id").to_pylist()) == set(
+        table.column("doc_id").to_pylist())
+
+    run_job(_config(str(plain), str(tmp_path / "ref")))
+    run_job(_config(str(mixed), str(tmp_path / "out")))
+    want = _shard_outputs(str(tmp_path / "ref"))
+    assert want and _shard_outputs(str(tmp_path / "out")) == want
 
 
 def test_job_input_may_be_a_list(ray_session, tmp_path):

@@ -22,7 +22,7 @@ from json_time_series_extractor_ray.stages.extract import (
     ExtractSamplesStage,
 )
 from json_time_series_extractor_ray.stages.rollup import rollup_oracle
-from json_time_series_extractor_ray.stages.shred import try_shred_batch
+from json_time_series_extractor_ray.stages.shred import _ndjson, try_shred_batch
 from json_time_series_extractor_ray.tokenizer import _tokens_to_numpy
 
 
@@ -534,3 +534,86 @@ class TestHighCardinality:
         rolled = rollup_oracle(shredded)
         assert len(rolled) > 0
         pd.testing.assert_frame_equal(rolled, rollup_oracle(traversed))
+
+
+def _scatter_ndjson(data, offsets):
+    """The NDJSON buffer as an index scatter: each doc's bytes at its
+    offset plus its index, newlines in the gaps."""
+    n_docs, base = len(offsets) - 1, int(offsets[0])
+    lens = np.diff(offsets).astype(np.int64)
+    total = int(offsets[-1]) - base
+    buf = np.full(total + n_docs, 0x0A, np.uint8)
+    pos = (np.arange(total, dtype=np.int64)
+           + np.repeat(np.arange(n_docs, dtype=np.int64), lens))
+    buf[pos] = data[base: base + total]
+    return buf
+
+
+class TestNdjsonBuffer:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 255), max_size=8), max_size=12),
+           st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    def test_equals_the_scatter(self, docs, head, tail, n_chunks):
+        """Empty docs, a sliced column (first offset not 0) and a chunked
+        one (``n_chunks`` > 0): the buffer is the scatter's bytes, each
+        doc then a newline."""
+        col = pa.array(docs, pa.list_(pa.int32()))
+        col = col.slice(min(head, len(docs)),
+                        max(0, len(docs) - head - tail))
+        if n_chunks:
+            cuts = np.linspace(0, len(col), n_chunks + 1).astype(int)
+            col = pa.chunked_array(
+                [col.slice(a, b - a) for a, b in zip(cuts, cuts[1:])],
+                pa.list_(pa.int32()))
+        data, offsets = _tokens_to_numpy(col)
+        if not n_chunks and head and len(col) and any(docs[:head]):
+            assert offsets[0] > 0
+        buf = _ndjson(data, offsets)
+        assert buf.dtype == np.uint8
+        assert buf.tobytes() == _scatter_ndjson(data, offsets).tobytes()
+        assert buf.tobytes() == b"".join(
+            bytes(d) + b"\n" for d in col.to_pylist())
+
+    @pytest.mark.parametrize("bad", [256, 305, -1, -256])
+    def test_a_token_outside_a_byte_is_refused(self, bad):
+        offsets = np.array([0, 2, 3], np.int32)
+        assert _ndjson(np.array([49, 50, 51], np.int32), offsets) is not None
+        assert _ndjson(np.array([49, bad, 51], np.int32), offsets) is None
+
+
+class TestTokenOutsideAByte:
+    """A utf8 token id outside 0..255 is not a byte: 305 must not read as
+    '1' (305 mod 256).  The doc is handled like invalid UTF-8 by both
+    kernels: ``on_error="raise"`` raises, ``"skip"`` skips that doc."""
+
+    def _corpus(self):
+        texts = _dumps([{"time": f"2024-01-01T00:00:0{i}.000000Z",
+                         "v": 10 + i} for i in range(3)])
+        tbl = texts_to_corpus_table(["d0", "d1", "d2"], texts, ["t"] * 3)
+        tokens = tbl.column("tokens").to_pylist()
+        assert ord("1") in tokens[1]
+        tokens[1] = [305 if t == ord("1") else t for t in tokens[1]]
+        return tbl.set_column(1, "tokens",
+                              pa.array(tokens, pa.list_(pa.int32())))
+
+    @pytest.mark.parametrize("shred", [True, False])
+    def test_raise(self, shred):
+        stage = ExtractSamplesStage(
+            dict(recursive=True), fallback_now_ns=0, shred=shred)
+        assert stage.shred == shred
+        with pytest.raises(ValueError):
+            stage(self._corpus())
+
+    @pytest.mark.parametrize("shred", [True, False])
+    def test_skip(self, shred):
+        corpus = self._corpus()
+        stage = ExtractSamplesStage(
+            dict(recursive=True), fallback_now_ns=0, shred=shred,
+            on_error="skip")
+        out = stage(corpus)
+        assert stage.skipped_docs == 1
+        assert sorted(set(out.column("doc_id").to_pylist())) == ["d0", "d2"]
+        clean = ExtractSamplesStage(dict(recursive=True), fallback_now_ns=0,
+                                    shred=shred)(corpus.filter(
+                                        pc.field("doc_id") != "d1"))
+        assert _canon(out).equals(_canon(clean))

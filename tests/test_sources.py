@@ -311,10 +311,11 @@ def test_plan_row_groups_cuts_contiguous_balanced_groups(
 
 
 def test_iter_row_groups_streams_bounded_tables(tmp_path):
-    """With ``batch_bytes``, a file of one large row group streams as
+    """With ``batch_bytes``, a group's rows stream across its files in
     tables of at most ``batch_bytes`` plus one read batch, together every
-    row once in order; without, one table per file.  A file of no rows
-    yields one empty table with the asked columns."""
+    row once in order: a table may hold rows of two files.  A group of
+    only empty files yields one empty table with the asked columns.
+    Without ``batch_bytes``, one table per file."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -328,23 +329,33 @@ def test_iter_row_groups_streams_bounded_tables(tmp_path):
     n = 10 * READ_ROWS
     big = pa.table({"i": np.arange(n), "x": np.arange(n, dtype=np.float64),
                     "s": [f"row-{i}" for i in range(n)]})
-    pq.write_table(big, str(tmp_path / "big.parquet"), row_group_size=n)
-    pq.write_table(big.slice(0, 0), str(tmp_path / "empty.parquet"))
+    small = big.slice(0, READ_ROWS // 2)
+    pq.write_table(big, str(tmp_path / "a-big.parquet"), row_group_size=n)
+    pq.write_table(big.slice(0, 0), str(tmp_path / "b-empty.parquet"))
+    pq.write_table(small, str(tmp_path / "c-small.parquet"))
     _, groups = plan_row_groups(str(tmp_path))
     group = [piece for g in groups for piece in g]
-    assert [len(rgs) for _, _, rgs in group] == [1, 1]
+    assert [len(rgs) for _, _, rgs in group] == [1, 1, 1]
+    want = pa.concat_tables([big, small]).select(["i", "x"])
     batch_bytes = big.slice(0, 3 * READ_ROWS).select(["i", "x"]).nbytes
     step = big.slice(0, READ_ROWS).select(["i", "x"]).nbytes
 
     tables = list(iter_row_groups(group, ["i", "x"], batch_bytes))
     assert len(tables) > 2
     assert all(t.nbytes < batch_bytes + step for t in tables)
-    assert tables[-1].num_rows == 0 and tables[-1].schema.names == ["i", "x"]
-    assert pa.concat_tables(tables).equals(big.select(["i", "x"]))
+    assert all(t.num_rows and t.schema.names == ["i", "x"] for t in tables)
+    assert pa.concat_tables(tables).equals(want)
+    # one table crosses from the big file into the small one
+    whole = list(iter_row_groups(group, ["i", "x"], want.nbytes))
+    assert len(whole) == 1 and whole[0].equals(want)
 
-    whole = list(iter_row_groups(group, ["s"]))
-    assert [t.num_rows for t in whole] == [n, 0]
-    assert whole[0].equals(big.select(["s"]))
+    empty = list(iter_row_groups(group[1:2], ["i", "x"], batch_bytes))
+    assert [t.num_rows for t in empty] == [0]
+    assert empty[0].schema.names == ["i", "x"]
+
+    per_file = list(iter_row_groups(group, ["s"]))
+    assert [t.num_rows for t in per_file] == [n, 0, len(small)]
+    assert per_file[0].equals(big.select(["s"]))
 
 
 def test_range_read_starts_tasks_only_for_overlapping_files(
