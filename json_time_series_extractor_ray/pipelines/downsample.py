@@ -256,6 +256,21 @@ DEFAULT_TTL_NS = {
 }
 
 
+def expire_rows(rollups: pa.Table, ttl_ns: dict,
+                watermark_ns: int | None) -> pa.Table:
+    """Rollup rows -> the rows with ``window_start >= watermark -
+    ttl[tier]`` (a tier without a TTL keeps every row).  With no
+    watermark, or no rows (an empty shard), the rows are returned as they
+    are."""
+    if watermark_ns is None or not rollups.num_rows:
+        return rollups
+    cutoffs = {tier: watermark_ns - ttl for tier, ttl in ttl_ns.items()}
+    tiers = rollups.column("tier").to_numpy(zero_copy_only=False)
+    starts = rollups.column("window_start").cast(pa.int64()).to_numpy()
+    cut = np.array([cutoffs.get(t, -(1 << 62)) for t in tiers])
+    return rollups.filter(pa.array(starts >= cut))
+
+
 def retention_expire(rollup_ds, ttl_ns: dict[str, int] | None = None,
                      watermark_ns: int | None = None):
     """Apply per-tier TTLs to rollup-ladder output: keep a window iff
@@ -264,9 +279,8 @@ def retention_expire(rollup_ds, ttl_ns: dict[str, int] | None = None,
     The watermark (max ``last_ts`` across the ladder) is computed with a
     tiny ``Dataset.max`` aggregate and broadcast into the filter closure —
     a scalar, never a shuffle.  Expiry itself is an embarrassingly parallel
-    ``map_batches`` filter, which at 100 TB is how retention must run:
-    prune whole partitions by their manifest watermark first (see
-    state/checkpoint.py), then row-filter the boundary partitions.
+    ``map_batches`` filter (``expire_rows``, which the job's retention pass
+    runs per committed shard with the manifest's watermark).
     """
     ttl_ns = dict(DEFAULT_TTL_NS if ttl_ns is None else ttl_ns)
     if watermark_ns is None:
@@ -276,17 +290,9 @@ def retention_expire(rollup_ds, ttl_ns: dict[str, int] | None = None,
         rollup_ds = rollup_ds.materialize()
         wm = rollup_ds.max("last_ts")
         watermark_ns = int(pd.Timestamp(wm).value)
-    cutoffs = {tier: watermark_ns - ttl for tier, ttl in ttl_ns.items()}
-
-    def _expire(batch: pa.Table) -> pa.Table:
-        tiers = batch.column("tier").to_numpy(zero_copy_only=False)
-        starts = batch.column("window_start").cast(pa.int64()).to_numpy()
-        cut = np.array([cutoffs.get(t, -(1 << 62)) for t in tiers])
-        return batch.filter(pa.array(starts >= cut))
-
     return rollup_ds.map_batches(
-        _expire, batch_format="pyarrow", zero_copy_batch=True
-    )
+        expire_rows, fn_args=(ttl_ns, watermark_ns), batch_format="pyarrow",
+        zero_copy_batch=True)
 
 
 def ladder_for_compare(rollup_ds, *, round_digits: int = 6):

@@ -1,8 +1,8 @@
-"""Parquet reads whose footers are read in the calling process: Ray
-Data's ``read_parquet`` for the maintenance passes' inputs, and the
-row-group planner (``plan_row_groups``) behind the direct reads: the
-job's map side and ``read_decoded``, the read of both chunk stores.  A
-store with a manifest is read as the files its records name.
+"""Parquet reads whose footers are read in the calling process: the
+row-group planner (``plan_row_groups``) and the direct reads built on
+it, the job's map side, its token archive and its update pass, and
+``read_decoded``, the read of both chunk stores.  A store with a
+manifest is read as the files its records name.
 
 ``ray.data.read_parquet`` reads the footers of more than 24 files in
 remote tasks, so it restarts idle worker processes: on a 4-CPU host the
@@ -13,17 +13,17 @@ costs 70-85 ms per plan on a 4-CPU host, where eight plain Ray tasks take
 6 ms.
 
 Importing this module does not import ``ray.data``, and neither does
-``iter_row_groups``, which the job's map tasks run: only ``read_parquet``
-and ``read_decoded`` (whose output is a ``Dataset``) import it.  The
-first ``Dataset`` of a Ray session starts Ray Data's stats actor, so the
-first read-back after a job pays that start.
+``iter_row_groups``, which the job's tasks run: only ``read_decoded``
+(whose output is a ``Dataset``) and its tasks (``_read_group``) import
+it.  The first ``Dataset`` of a
+Ray session starts Ray Data's stats actor, so the first read-back after a
+job pays that start.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 
 import numpy as np
 import pyarrow as pa
@@ -35,54 +35,6 @@ from ..state.checkpoint import (
     _from_arrow_refs,
     data_context,
 )
-
-
-@functools.cache
-def _in_process_footers():
-    """``_InProcessFooters``: Ray's metadata provider, with every batch of
-    footers read in the calling process (the same metadata, in the same
-    order).  The class is built on first use, so importing this module
-    does not import ``ray.data``."""
-    from ray.data.datasource.parquet_meta_provider import (
-        PARALLELIZE_META_FETCH_THRESHOLD,
-        ParquetMetadataProvider,
-    )
-
-    class _InProcessFooters(ParquetMetadataProvider):
-        def prefetch_file_metadata(self, fragments, **ray_remote_args):
-            # Ray reads at most this many footers in process
-            step = PARALLELIZE_META_FETCH_THRESHOLD
-            out = []
-            for i in range(0, len(fragments), step):
-                part = fragments[i:i + step]
-                meta = super().prefetch_file_metadata(part) or []
-                out += meta
-                if len(meta) < len(part):
-                    # as Ray: metadata ends at the first fragment without it
-                    break
-            return out
-
-    return _InProcessFooters
-
-
-def read_parquet(paths, **kwargs):
-    """``ray.data.read_parquet(paths, **kwargs)`` with the footers read in
-    the calling process (module docstring): the same plan, read tasks and
-    blocks.  A store with a manifest reads the files its records name."""
-    import ray
-    from ray.data.datasource import Partitioning
-
-    if isinstance(paths, str):
-        paths, fs, base = CheckpointManifest(paths).source()
-        kwargs = {"filesystem": fs, "partitioning": Partitioning(
-            "hive", base_dir=base, filesystem=fs), **kwargs}
-
-    with warnings.catch_warnings():
-        # Ray 2.49 marks ``meta_provider`` deprecated; it is the only way
-        # to keep the footer reads out of remote tasks.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return ray.data.read_parquet(
-            paths, meta_provider=_in_process_footers()(), **kwargs)
 
 
 def plan_row_groups(paths, keep=None):

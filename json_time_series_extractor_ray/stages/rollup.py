@@ -55,9 +55,12 @@ engine's rollup value domain (SURVEY.md §1.3).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..state.checkpoint import ShardSamples, lex_ranks, shard_apply
 from .gapfill import FILL_NONE, check_gap_fill, fill_gaps
@@ -288,6 +291,18 @@ def rollup_ladder(samples_ds, tiers=TIER_ORDER, *, batch_size: int = 65536,
         t, tiers, gap_fill=gap_fill, gap_fill_round=gap_fill_round))
 
 
+def tier_partials(rollups: pa.Table, tier: str) -> pa.Table:
+    """Stored rollup rows -> the partials (``PARTIAL_COLUMNS``, windows and
+    ``last_ts`` as int64 ns) of their ``tier`` rows with ``count > 0``:
+    gap-fill rows are not observations.  The rows of the finest tier carry
+    sum and count and the whole ``last`` tie-break triple, so a cascade
+    over them reproduces the tiers of their samples."""
+    t = rollups.filter((pc.field("tier") == tier) & (pc.field("count") > 0))
+    return pa.table({c: t.column(c).cast(pa.int64())
+                     if c in ("window_start", "last_ts") else t.column(c)
+                     for c in PARTIAL_COLUMNS})
+
+
 def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER, *,
                        gap_fill: str | None = None):
     """Incremental continuous-aggregate maintenance: merge ladder outputs
@@ -307,36 +322,14 @@ def merge_tier_rollups(rollup_dss, tiers=TIER_ORDER, *,
     merge with today's increment in one shard-keyed shuffle over tiny
     rollup rows — the historical corpus is never re-read.
     """
-    import pyarrow.compute as pc
-
     check_gap_fill(gap_fill)
     # the finest tier of THIS ladder, not a hardcoded '1m': a job with
     # tiers=("1h","1d") stores no 1m rows, and filtering on '1m' would
     # silently merge nothing (an empty rollups_updated overwriting the
     # real ladder)
-    finest = tiers[0]
-
-    def _to_partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.and_(pc.equal(batch.column("tier"), finest),
-                                 pc.greater(batch.column("count"), 0)))
-        return pa.table(
-            {
-                "series_key": t.column("series_key"),
-                "window_start": t.column("window_start").cast(pa.int64()),
-                "sum": t.column("sum"),
-                "count": t.column("count"),
-                "min": t.column("min"),
-                "max": t.column("max"),
-                "last": t.column("last"),
-                "last_ts": t.column("last_ts").cast(pa.int64()),
-                "last_doc": t.column("last_doc"),
-                "last_ord": t.column("last_ord"),
-            }
-        )
-
     parts = [
-        ds.map_batches(_to_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
+        ds.map_batches(functools.partial(tier_partials, tier=tiers[0]),
+                       batch_format="pyarrow", zero_copy_batch=True)
         for ds in rollup_dss
     ]
     unioned = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]

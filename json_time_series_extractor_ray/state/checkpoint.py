@@ -27,7 +27,12 @@ metrics.  The design is the Delta Lake log (Armbrust et al., VLDB 2020):
 * Resume = skip the completed shards and recompute the rest.  A shard
   task sums its whole shard in one sorted pass, so with deterministic
   extraction (no wall-clock fallback) a re-run of an incomplete shard is
-  value-identical to the fresh run: no double counting.
+  value-identical to the fresh run: no double counting.  ``_meta.json``
+  pins the job's identity, so a resume under another one is refused.
+* A store recomputed whole on every run (the job's side passes:
+  ``commit_all``, ``rewrite``, ``commit_exchange(whole=True)``) is swept
+  once its tasks return of every record and file they did not name: a
+  rerun replaces it, never appends to it.
 
 The shard axis is ``hash(series_key) % num_shards``, the key of the one
 wide operation in the pipeline (SURVEY.md §4): ``_exchange``, a direct
@@ -364,6 +369,7 @@ _INT = {t.id for t in (pa.bool_(), pa.int8(), pa.int16(), pa.int32(),
                        pa.int64(), pa.uint8(), pa.uint16(), pa.uint32(),
                        pa.uint64())}
 _TIMESTAMP = pa.timestamp("ns").id
+_LIST = {pa.list_(pa.int8()).id, pa.large_list(pa.int8()).id}
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -419,6 +425,46 @@ def _text_codes(cols: list) -> np.ndarray:
     return lut[ranks].reshape(len(cols), -1)
 
 
+def _list_codes(name: str, col: pa.Array) -> np.ndarray:
+    """A list column's codes: per row, its length plus the sum mod 2^64
+    of its elements' ``_row_hashes``, each element hashed with its
+    position in the list (a column named ``""``, which sorts first, so
+    that an unsupported element type names the list's column)."""
+    off = col.offsets.to_numpy().astype(np.int64)
+    values = col.values.slice(off[0], off[-1] - off[0])
+    off -= off[0]
+    lengths = np.diff(off)
+    cum = np.zeros(len(values) + 1, np.uint64)
+    if len(values):
+        pos = np.arange(len(values)) - np.repeat(off[:-1], lengths)
+        np.cumsum(_row_hashes(pa.table([pos, values], names=["", name])),
+                  out=cum[1:])
+    return cum[off[1:]] - cum[off[:-1]] + lengths.astype(np.uint64)
+
+
+def _row_hashes(table: pa.Table) -> np.ndarray:
+    """``_checksum_table``'s per-row hashes, one uint64 per row."""
+    names = table.schema.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    codes = np.empty((len(order), table.num_rows), np.uint64)
+    texts = {}
+    for i, j in enumerate(order):
+        col = table.column(j)
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+        tid = col.type.id
+        if tid in _TEXT or tid in _WIDE_TEXT:
+            texts[i] = col
+            continue
+        codes[i] = (_list_codes(names[j], col) if tid in _LIST
+                    else _number_codes(names[j], col, tid))
+        if col.null_count:
+            codes[i, col.is_null().to_numpy(zero_copy_only=False)] = _NULL
+    if texts:
+        codes[list(texts)] = _text_codes(list(texts.values()))
+    weights = np.arange(1, 2 * len(order), 2, dtype=np.uint64) * _GOLDEN
+    return _mix(weights @ _mix(codes))  # uint64: exact mod 2^64
+
+
 def _checksum_table(table: pa.Table) -> str:
     """Order-insensitive value checksum, ``"<16 hex>-<rows>"``: per-row
     64-bit hashes SUM-folded mod 2^64, and the row count.  Sum, not xor:
@@ -432,35 +478,19 @@ def _checksum_table(table: pa.Table) -> str:
     of one column changes the sum.  A number, bool or timestamp codes as
     the bits of its float64 or int64 value (``_number_codes``), a string
     or binary value as its rank among the table's distinct strings plus
-    one blake2b digest of them (``_text_codes``), a null as a constant of
-    its own.  All columns are stacked and mixed in one numpy pass, with no
-    Python loop per row or per distinct value.  The hash uses only
-    Arrow's byte order of strings and its widening casts of numbers,
-    blake2b and numpy's uint64 arithmetic, so it does not change with the
-    pyarrow, numpy or pandas version.  A chunked or sliced table hashes as its combined rows.  A
-    column of another type raises ``TypeError`` naming it."""
+    one blake2b digest of them (``_text_codes``), a list as its length
+    plus the hashes of its elements and their positions (``_list_codes``),
+    a null as a constant of its own.  All columns are stacked and mixed in
+    one numpy pass, with no Python loop per row or per distinct value.
+    The hash uses only Arrow's byte order of strings and its widening
+    casts of numbers, blake2b and numpy's uint64 arithmetic, so it does
+    not change with the pyarrow, numpy or pandas version.  A chunked or
+    sliced table hashes as its combined rows.  A column of another type
+    raises ``TypeError`` naming it."""
     n = table.num_rows
     if n == 0:
         return "0" * 16 + "-0"
-    names = table.schema.names
-    order = sorted(range(len(names)), key=names.__getitem__)
-    codes = np.empty((len(order), n), np.uint64)
-    texts = {}
-    for i, j in enumerate(order):
-        col = table.column(j)
-        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-        tid = col.type.id
-        if tid in _TEXT or tid in _WIDE_TEXT:
-            texts[i] = col
-            continue
-        codes[i] = _number_codes(names[j], col, tid)
-        if col.null_count:
-            codes[i, col.is_null().to_numpy(zero_copy_only=False)] = _NULL
-    if texts:
-        codes[list(texts)] = _text_codes(list(texts.values()))
-    weights = np.arange(1, 2 * len(order), 2, dtype=np.uint64) * _GOLDEN
-    rows = _mix(weights @ _mix(codes))  # uint64: exact mod 2^64
-    return f"{int(rows.sum(dtype=np.uint64)):016x}-{n}"
+    return f"{int(_row_hashes(table).sum(dtype=np.uint64)):016x}-{n}"
 
 
 _RECORD = re.compile(r"_manifest/shard-(\d+)\.json")
@@ -514,23 +544,33 @@ class CheckpointManifest:
     def load_record(self, shard: int) -> dict:
         return json.loads(self._read(f"_manifest/shard-{shard:05d}.json"))
 
-    def ensure_sharding(self, num_shards: int) -> None:
-        """Pin the shard count on first run; REFUSE a resume under a
-        different one: mixing shardings drops some series from recompute
-        while their data never lands."""
+    def check_identity(self, **fields) -> dict | None:
+        """Refuse ``fields`` that differ from the ones ``_meta.json`` pins
+        -> the pinned fields, or ``None`` if the store pins none.  A field
+        the file lacks (a store written before it was pinned) is not
+        checked."""
         try:
             stored = json.loads(self._read("_manifest/_meta.json"))
         except FileNotFoundError:
-            self._put("_manifest/_meta.json",
-                      json.dumps({"num_shards": num_shards}).encode())
-            return
-        if stored["num_shards"] != num_shards:
-            raise ValueError(
-                f"manifest at {self.manifest_dir} was written with "
-                f"num_shards={stored['num_shards']}; resuming with "
-                f"{num_shards} would mix incompatible shardings — rerun "
-                "with the original value or start a fresh output_dir"
-            )
+            return None
+        for field, value in fields.items():
+            if field in stored and stored[field] != value:
+                raise ValueError(
+                    f"manifest at {self.manifest_dir} was written with "
+                    f"{field}={stored[field]!r}; resuming with {value!r} "
+                    "would mix two jobs in one store — rerun with the "
+                    "original value or start a fresh output_dir")
+        return stored
+
+    def ensure_sharding(self, num_shards: int, **identity) -> None:
+        """Pin the job's identity, ``num_shards`` and the ``identity``
+        fields (JSON values), on first run; REFUSE a resume under a
+        different one (``check_identity``): mixing shardings drops some
+        series from recompute while their data never lands, and mixing
+        tiers or gap-fill leaves two jobs' rows in one store."""
+        meta = {"num_shards": num_shards, **identity}
+        if self.check_identity(**meta) is None:
+            self._put("_manifest/_meta.json", json.dumps(meta).encode())
 
     def shard_dir(self, shard: int) -> str:
         return os.path.join(self.out_dir, f"shard={shard:05d}")
@@ -646,29 +686,54 @@ class CheckpointManifest:
                   json.dumps(record).encode())
         return record
 
-    def sweep(self, records: dict) -> None:
-        """Delete, in the dirs of the shards of ``records`` (``{shard:
-        record}``, as their commits returned them), the files those
-        records do not name and the records' tmp files.  Call it only once
-        every attempt that could write them has ended."""
+    def sweep(self, records: dict, *, whole: bool = False) -> None:
+        """Delete what ``records`` (``{shard: record}``, as their commits
+        returned them) do not name: in the dirs of their shards, the other
+        files and the records' tmp files; with ``whole`` (a store
+        recomputed whole), every other file and dir of the store but
+        ``_manifest/_meta.json``.  Call it only once every attempt that
+        could write them has ended."""
         keep = {f["path"] for r in records.values() for f in r["files"]}
         heads = tuple(p for s in records for p in (
             f"shard={s:05d}/", f"_manifest/shard-{s:05d}.json."))
-        for rel in self._listing() if records else ():
+        if whole:
+            keep |= {"_manifest/_meta.json",
+                     *(f"_manifest/shard-{s:05d}.json" for s in records)}
+            heads = ("",)
+            dirs = {"_manifest", *(f"shard={s:05d}" for s in records)}
+            for info in self.fs.get_file_info(
+                    pafs.FileSelector(self.root, allow_not_found=True)):
+                if info.type == pafs.FileType.Directory and \
+                        info.base_name not in dirs:
+                    self.fs.delete_dir(info.path)
+        for rel in self._listing() if heads else ():
             if rel.startswith(heads) and rel not in keep:
                 self.fs.delete_file(self._path(rel))
 
-    def rewrite(self, fn) -> None:
-        """Rewrite the store shard by shard (the chunk compaction): one Ray
-        task per committed shard commits ``fn`` of its rows; then the
-        sweep."""
+    def commit_all(self, inputs) -> dict:
+        """Recompute the store whole: one Ray task per ``(shard, f,
+        *args)`` of ``inputs`` commits ``f(*args)`` as that shard; then
+        what they did not name is deleted (``sweep(whole=True)``), so a
+        rerun replaces the store -> their ``{shard: record}``."""
         import ray
 
-        shards = sorted(self._committed() or ())
-        task = ray.remote(
-            lambda s: self.commit_shard(s, fn(self.read_shard(s))))
-        self.sweep({r["shard"]: r for r in ray.get(
-            [task.remote(s) for s in shards])})
+        task = ray.remote(lambda s, f, *args: self.commit_shard(s, f(*args)))
+        records = {r["shard"]: r for r in ray.get(
+            [task.remote(*inp) for inp in inputs])}
+        self.sweep(records, whole=True)
+        return records
+
+    def rewrite(self, fn, into: CheckpointManifest | None = None) -> dict:
+        """Recompute ``into`` (default: this store, e.g. the chunk
+        compaction) shard by shard from this store: one Ray task per
+        committed shard commits ``fn`` of its rows as the same shard of
+        ``into`` (``commit_all``) -> the records."""
+
+        def _shard(s: int) -> pa.Table:
+            return fn(self.read_shard(s))
+
+        return (self if into is None else into).commit_all(
+            [(s, _shard, s) for s in sorted(self._committed() or ())])
 
     def metrics(self, records: dict | None = None) -> dict:
         """Aggregate per-partition metrics across completed shards: those
@@ -688,6 +753,23 @@ class CheckpointManifest:
         }
 
 
+def commit_exchange(inputs, commit, num_shards: int, stores: list, *,
+                    skip_shards=(), whole: bool = False) -> list:
+    """``_exchange`` whose shard body ``commit`` commits its shard to each
+    store of ``stores`` and returns their records in that order; once
+    every shard task has returned (raising the error of a failed one),
+    each store is swept (``CheckpointManifest.sweep``, with ``whole``) ->
+    one ``{shard: record}`` per store, as the tasks returned them."""
+    import ray
+
+    out = ray.get(_exchange(inputs, commit, num_shards, skip_shards))
+    runs = [{recs[i]["shard"]: recs[i] for recs in out}
+            for i in range(len(stores))]
+    for store, run in zip(stores, runs):
+        store.sweep(run, whole=whole)
+    return runs
+
+
 def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
                        tiers=("1m", "1h", "1d"), gap_fill=None,
                        chunks_dir: str | None = None,
@@ -700,19 +782,22 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     ``samples`` is either form of ``shard_apply``'s map side: a samples
     ``Dataset`` (only ``ShardSamples.COLUMNS`` are exchanged), or a list
     of map inputs whose outputs hold those columns (``job.run_job``'s
-    read + extract tasks).  It calls ``_exchange`` directly, so it builds
-    no ``Dataset``, and on a list no task of it imports ``ray.data``.
+    read + extract tasks).  It calls ``_exchange`` directly
+    (``commit_exchange``), so it builds no ``Dataset``, and on a list no
+    task of it imports ``ray.data``.
 
     Returns (manifest, shards_run, shards_skipped).  Fresh and resumed runs
     take the same path: samples of completed shards are dropped before the
     shuffle and only shards with samples get a task, so finished work is
-    neither recomputed nor double-counted.  A retried task commits its
+    neither recomputed nor double-counted.  ``_meta.json`` pins
+    ``num_shards``, ``tiers``, ``gap_fill`` and ``chunk_bucket_ns``: a
+    resume that changes one is refused before any sample is read
+    (``CheckpointManifest.ensure_sharding``).  A retried task commits its
     shard again under fresh file names; once every shard task has
-    returned, this process sweeps the shards run
-    (``CheckpointManifest.sweep``) with the records the tasks returned.
-    Those and the skipped shards' records, loaded to find them, become
-    ``manifest.records``: the driver reads back nothing the tasks wrote.
-    ``filesystem`` overrides the one the paths resolve to.
+    returned, this process sweeps the shards run with the records the
+    tasks returned.  Those and the skipped shards' records, loaded to find
+    them, become ``manifest.records``.  ``filesystem`` overrides the one
+    the paths resolve to.
 
     A shard task rank-codes and sorts its samples once (``ShardSamples``);
     that sort yields the first tier's partials and the chunk rows, and the
@@ -721,21 +806,22 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     any sample is read).  Each record's ``wall_s`` is the commit time,
     ``rollup_s`` the partials, cascade and gap-fill, ``encode_s`` the
     chunk rows, and ``compute_s`` their total.  A shard task returns its
-    record and its chunk record (``None`` without ``chunks_dir``), once
-    both are written.
+    chunk record (with ``chunks_dir``) and its record, once both are
+    written.
     """
-    import ray
-
     from ..stages.gapfill import check_gap_fill
     from ..stages.rollup import rollup_shard
     from .gorilla import GorillaChunkWriter
 
     check_gap_fill(gap_fill)
     manifest = CheckpointManifest(out_dir, chunks_dir, filesystem=filesystem)
-    manifest.ensure_sharding(num_shards)  # refuse mismatched resumes
+    # refuse mismatched resumes
+    manifest.ensure_sharding(num_shards, tiers=list(tiers), gap_fill=gap_fill,
+                             chunk_bucket_ns=chunk_bucket_ns)
     done = manifest._completed()
     writer = None if chunks_dir is None else GorillaChunkWriter(
         chunk_bucket_ns)
+    stores = [manifest] if writer is None else [manifest.chunks, manifest]
 
     # Each shard commits INSIDE its task: the driver only collects the
     # records.  The stores must be on storage all workers share.
@@ -750,22 +836,18 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
         t1 = time.perf_counter()
         chunks = None if writer is None else writer.chunks(shard_samples)
         t2 = time.perf_counter()
-        chunk_record = None if chunks is None else \
-            manifest.chunks.commit_shard(shard, chunks)
-        return manifest.commit_shard(
+        chunk_record = () if chunks is None else (
+            manifest.chunks.commit_shard(shard, chunks),)
+        return *chunk_record, manifest.commit_shard(
             shard, rolled, started=t2,
             extra={"compute_s": round(t2 - t0, 4),
                    "rollup_s": round(t1 - t0, 4),
-                   "encode_s": round(t2 - t1, 4)}), chunk_record
+                   "encode_s": round(t2 - t1, 4)})
 
     if not isinstance(samples, list):
         samples = samples.select_columns(ShardSamples.COLUMNS)
-    # waits for every shard task (raising the error of a failed one)
-    out = ray.get(_exchange(samples, _rollup_and_commit, num_shards, done))
-    if manifest.chunks is not None:
-        manifest.chunks.sweep({c["shard"]: c for _, c in out})
-    run = {r["shard"]: r for r, _ in out}
-    manifest.sweep(run)
+    *_, run = commit_exchange(samples, _rollup_and_commit, num_shards, stores,
+                              skip_shards=done)
     manifest.records = {**done, **run}
     return manifest, sorted(run), sorted(done)
 

@@ -155,13 +155,14 @@ def decode_token_chunk(row: dict) -> pa.Table:
 
 
 def compress_corpus_batch(batch: pa.Table) -> pa.Table:
-    """``map_batches`` body: one corpus batch -> one chunk row."""
+    """``map_batches`` body: one corpus batch -> one chunk row, none for
+    a batch with no rows."""
     row = encode_token_chunk(
         batch.column("doc_id").to_pylist(),
         batch.column("tokens"),
         batch.column("source").to_pylist(),
     )
-    return pa.table({
+    out = pa.table({
         "n_docs": pa.array([row["n_docs"]], pa.int32()),
         "min_doc_id": pa.array([row["min_doc_id"]], pa.string()),
         "max_doc_id": pa.array([row["max_doc_id"]], pa.string()),
@@ -174,6 +175,7 @@ def compress_corpus_batch(batch: pa.Table) -> pa.Table:
         "sources": pa.array([row["sources"]], pa.list_(pa.string())),
         "payload": pa.array([row["payload"]], pa.binary()),
     })
+    return out if batch.num_rows else out.slice(0, 0)
 
 
 def compress_corpus_dataset(corpus_ds):

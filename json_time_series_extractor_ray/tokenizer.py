@@ -167,19 +167,25 @@ class BpeTokenizer:
         return seq
 
     def decode(self, tokens) -> str:
-        table = self._id_to_bytes
-        return b"".join(table[int(t)] for t in tokens).decode("utf-8")
+        return self.decode_batch(pa.array([list(tokens)],
+                                          pa.list_(pa.int32())))[0]
 
     def decode_batch(self, list_array, on_error: str = "raise") -> list:
+        """Decode a whole tokens column.  A row holding an id outside the
+        vocabulary (``0..vocab_size - 1``; a negative id would index from
+        the end) or bytes that are not valid UTF-8 raises ``ValueError``;
+        ``on_error='skip'`` yields ``None`` for it instead."""
         values, offsets = _tokens_to_numpy(list_array)
         table = self._id_to_bytes
-        nvocab = len(table)
         out = []
         for i in range(len(offsets) - 1):
             row = values[offsets[i]: offsets[i + 1]]
             try:
+                if len(row) and not 0 <= row.min() <= row.max() < len(table):
+                    raise ValueError(f"row {i} holds a token id outside "
+                                     f"0..{len(table) - 1}")
                 out.append(b"".join(table[t] for t in row).decode("utf-8"))
-            except (IndexError, UnicodeDecodeError):
+            except ValueError:  # UnicodeDecodeError is one
                 if on_error == "raise":
                     raise
                 out.append(None)

@@ -314,9 +314,6 @@ class TestOrphans:
         from json_time_series_extractor_ray.sources.gorilla_chunks import (
             read_gorilla_chunks,
         )
-        from json_time_series_extractor_ray.sources.parquet import (
-            read_parquet,
-        )
         from json_time_series_extractor_ray.state.checkpoint import (
             manifest_report,
         )
@@ -339,7 +336,9 @@ class TestOrphans:
         def reads():
             rep = manifest_report(m.out_dir).drop_columns(
                 ["wall_s", "compute_s", "rollup_s", "encode_s"])
-            rows = read_parquet(m.out_dir).to_pandas()
+            rows = pa.concat_tables(
+                [pq.read_table(f) for f in CheckpointManifest(
+                    m.out_dir).source()[0]]).to_pandas()
             return (_points(read_gorilla_chunks(m.chunks_dir)),
                     _points(read_gorilla_chunks(m.chunks_dir, min_ts_ns=lo,
                                                 max_ts_ns=hi)),

@@ -477,6 +477,18 @@ def _chunk_golden():
     })
 
 
+def _token_golden():
+    """A token-chunk-store table: list columns with an empty and a null
+    list, a null element and a repeated one."""
+    return pa.table({
+        "n_docs": pa.array([2, 0, 1, 3], pa.int32()),
+        "doc_ids": pa.array([["d1", "d2"], [], None, ["d3", None, "d3"]],
+                            pa.list_(pa.string())),
+        "n_tok": pa.array([[3, 4], [], [7], None], pa.list_(pa.int32())),
+        "payload": pa.array([b"\x01\x02", b"", b"\x07", b"\x00"]),
+    })
+
+
 class TestChecksumContract:
     """``_checksum_table``'s contract: the lineage records of every store
     hold its values, so they must not change with a library version."""
@@ -492,14 +504,15 @@ class TestChecksumContract:
     def test_golden_values(self):
         assert self._checksum(_rollup_golden()) == "ac6b3497f0c9f16a-4"
         assert self._checksum(_chunk_golden()) == "9ee8553ab1deb5d0-4"
+        assert self._checksum(_token_golden()) == "4c03d0c03ba4753c-4"
 
     def test_row_order_and_column_order_do_not_count(self):
-        for t in (_rollup_golden(), _chunk_golden()):
+        for t in (_rollup_golden(), _chunk_golden(), _token_golden()):
             perm = t.take([3, 1, 0, 2]).select(t.column_names[::-1])
             assert self._checksum(perm) == self._checksum(t)
 
     def test_chunked_and_sliced_inputs_hash_as_their_rows(self):
-        for t in (_rollup_golden(), _chunk_golden()):
+        for t in (_rollup_golden(), _chunk_golden(), _token_golden()):
             chunked = pa.concat_tables([t.slice(0, 1), t.slice(1, 2),
                                         t.slice(3)])
             assert chunked.column(0).num_chunks == 3
@@ -508,6 +521,18 @@ class TestChecksumContract:
             assert self._checksum(padded.slice(4, 4)) == self._checksum(t)
             assert self._checksum(padded.slice(3, 2)) == self._checksum(
                 pa.concat_tables([t.slice(3), t.slice(0, 1)]))
+
+    def test_a_list_element_moved_changes_it(self):
+        """Within a list, between lists, or an empty list made null."""
+        t = _token_golden()
+        i = t.column_names.index("doc_ids")
+        for moved in ([["d2", "d1"], [], None, ["d3", None, "d3"]],
+                      [["d1"], ["d2"], None, ["d3", None, "d3"]],
+                      [["d1", "d2"], None, None, ["d3", None, "d3"]],
+                      [["d1", "d2"], [], None, ["d3", "d3", None]]):
+            changed = t.set_column(i, "doc_ids", pa.array(
+                moved, t.schema.field("doc_ids").type))
+            assert self._checksum(changed) != self._checksum(t)
 
     def test_a_value_moved_between_rows_changes_it(self):
         t = pa.table({"a": [1, 2], "b": ["x", "y"], "c": [0.5, 0.25]})
@@ -540,8 +565,7 @@ class TestChecksumContract:
                 self._checksum(pa.table({"s": b}))
 
     def test_unsupported_type_names_the_column(self):
-        t = pa.table({"ok": [1], "tags": pa.array([["a"]],
-                                                   pa.list_(pa.string()))})
+        t = pa.table({"ok": [1], "tags": pa.array([[{"a": 1}]])})
         with pytest.raises(TypeError, match="'tags'"):
             self._checksum(t)
 

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import uuid
 
+import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
@@ -118,6 +119,10 @@ def test_job_retention_pass(ray_session, corpus_dir, tmp_path):
     expect_1m = full[full["tier"] == "1m"]["window_start"].astype("int64")
     assert len(kept_1m) == (expect_1m >= wm - five_min).sum()
     assert len(kept_1m) < len(expect_1m)  # something actually expired
+    # the rows' schema is rollups', with no hive ``shard`` column
+    schemas = {pq.read_schema(f) for store in ("rollups", "rollups_current")
+               for f in _named_files(f"{out_dir}/{store}")}
+    assert len(schemas) == 1 and "shard" not in schemas.pop().names
 
 
 def test_job_retention_over_no_numeric_rows(ray_session, tmp_path):
@@ -383,13 +388,16 @@ def _chunk_frame(df):
 
 def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
     """One shard exchange per job, fresh or resumed, and no Ray Data plan
-    at all: the map side is plain tasks."""
+    at all: the map side is plain tasks, and the retention and
+    token-archive passes add none.  An update is one exchange and no
+    plan too."""
     from json_time_series_extractor_ray.state.checkpoint import (
         CheckpointManifest,
     )
     from tests.test_checkpoint_resume import _ExchangeCounter, _PlanCounter
 
-    cfg = _config(corpus_dir, str(tmp_path / "out"))
+    cfg = dict(_config(corpus_dir, str(tmp_path / "out")), retention=True,
+               token_chunks=True)
     with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
         r1 = run_job(cfg)
     assert exchanges.calls == 1
@@ -403,6 +411,9 @@ def test_job_shuffles_once(ray_session, corpus_dir, tmp_path):
     assert r2["shards_run"] == lost
     assert exchanges.calls == 1
     assert plans.plans == 0
+    with _ExchangeCounter() as exchanges, _PlanCounter() as plans:
+        assert run_job(dict(cfg, update_input=corpus_dir))["updated_rows"]
+    assert (exchanges.calls, plans.plans) == (1, 0)
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -434,16 +445,21 @@ def test_job_modules_do_not_import_ray_data():
 
 
 def test_job_starts_no_ray_data_stats_actor(corpus_dir, tmp_path):
-    """A job in a fresh Ray session builds no ``Dataset``, so Ray Data's
+    """A job in a fresh Ray session, with its retention and token-archive
+    passes and then an update pass, builds no ``Dataset``, so Ray Data's
     stats actor (a worker process of its own) never starts."""
     cfg = _config(corpus_dir, str(tmp_path / "out"))
+    side = dict(cfg, retention=True, token_chunks=True)
+    update = dict(cfg, update_input=corpus_dir)
     proc = _python("-c", textwrap.dedent(f"""
         import json
         import ray
         from json_time_series_extractor_ray.job import run_job
         ray.init(address="local", num_cpus=2, include_dashboard=False)
-        result = run_job({cfg!r})
+        result = run_job({side!r})
         assert result["shards_run"], result
+        assert result["token_chunks_written"], result
+        assert run_job({update!r})["updated_rows"] > 0
         print(json.dumps(sorted(
             a["name"] for a in ray.util.list_named_actors(
                 all_namespaces=True))))
@@ -945,3 +961,174 @@ def test_job_refuses_removed_extraction_knobs(tmp_path, knob, value):
     with pytest.raises(ValueError, match=knob):
         run_job(cfg)
     assert not os.path.exists(tmp_path / "out")
+
+
+def _named_files(store):
+    """The files of a store's committed records, in shard order."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    return CheckpointManifest(store).source()[0]
+
+
+def _rows(store):
+    """A derived rollup store's rows, as its records name them, sorted."""
+    import pyarrow as pa
+
+    df = pa.concat_tables(
+        [pq.read_table(f) for f in _named_files(store)]).to_pandas()
+    return df.sort_values(["tier", "series_key", "window_start"],
+                          ignore_index=True)
+
+
+def _docs(out_dir):
+    """The token archive read back: ``(doc_id, tokens)`` by ``doc_id``."""
+    from json_time_series_extractor_ray.sources.token_chunks import (
+        read_token_chunks,
+    )
+
+    df = read_token_chunks(f"{out_dir}/token_chunks").to_pandas()
+    return sorted((d, tuple(t)) for d, t in zip(df["doc_id"], df["tokens"]))
+
+
+def _assert_only_records_and_their_files(store):
+    """Every file left in a store is a committed record or a file one
+    names: a rerun left nothing of an earlier run behind."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    m = CheckpointManifest(store)
+    left = sorted(os.path.relpath(p, store) for p in glob.glob(
+        f"{store}/**", recursive=True) if os.path.isfile(p))
+    assert left == sorted(
+        [os.path.relpath(f, store) for f in _named_files(store)]
+        + [f"_manifest/shard-{s:05d}.json" for s in m.completed_shards()])
+
+
+def _plant_a_dead_run(store):
+    """What a crashed earlier run can leave in a store: the record of a
+    shard this run does not commit, naming a copy of a committed file, and
+    an unnamed copy of that file in its committed shard's dir."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
+    m = CheckpointManifest(store)
+    named = _named_files(store)[0]
+    shutil.copy(named, os.path.join(os.path.dirname(named),
+                                    f"part-{uuid.uuid4().hex}.parquet"))
+    stale = f"shard=00099/part-{uuid.uuid4().hex}.parquet"
+    os.makedirs(f"{store}/shard=00099")
+    shutil.copy(named, f"{store}/{stale}")
+    record = m.load_record(m.completed_shards().pop())
+    record.update(shard=99, files=[{"path": stale,
+                                    "size": os.path.getsize(named)}])
+    with open(m.record_path(99), "w") as f:
+        json.dump(record, f)
+
+
+def test_job_side_passes_replace_their_stores(ray_session, corpus_dir,
+                                              tmp_path):
+    """A rerun of one config recomputes ``rollups_current`` and
+    ``token_chunks`` whole: each holds one run's rows, the archive reads
+    every doc once, and a rerun over a dead run's planted record and
+    unnamed file equals a clean run, with nothing of either left."""
+    from json_time_series_extractor_ray.stages.rollup import WINDOW_NS
+
+    out = str(tmp_path / "out")
+    cfg = dict(_config(corpus_dir, out), token_chunks=True, retention={
+        "1m": 5 * WINDOW_NS["1m"], "1h": 365 * WINDOW_NS["1d"]})
+    run_job(cfg)
+    current, docs = _rows(f"{out}/rollups_current"), _docs(out)
+    corpus = pq.read_table(corpus_dir)
+    assert docs == sorted(
+        (d, tuple(t)) for d, t in zip(corpus.column("doc_id").to_pylist(),
+                                      corpus.column("tokens").to_pylist()))
+    assert 0 < len(current) < len(_rows(f"{out}/rollups"))
+
+    for rerun in range(2):
+        if rerun:
+            for store in ("rollups_current", "token_chunks"):
+                _plant_a_dead_run(f"{out}/{store}")
+            assert len(_rows(f"{out}/rollups_current")) > len(current)
+            assert len(_docs(out)) > len(docs)
+        run_job(cfg)
+        pd.testing.assert_frame_equal(_rows(f"{out}/rollups_current"),
+                                      current)
+        assert _docs(out) == docs
+        for store in ("rollups_current", "token_chunks"):
+            _assert_only_records_and_their_files(f"{out}/{store}")
+
+
+def test_job_update_replaces_rollups_updated(ray_session, tmp_path):
+    """A second update run, and one over a dead run's planted record and
+    unnamed file, leave the rows of one update in ``rollups_updated``."""
+    full = iot_corpus_table(1000, seed=9)
+    d_a, d_b = tmp_path / "a", tmp_path / "b"
+    for d, part in ((d_a, full.slice(0, 500)), (d_b, full.slice(500))):
+        d.mkdir()
+        pq.write_table(part, str(d / "part-0.parquet"))
+    out = str(tmp_path / "out")
+    cfg = _config(str(d_a), out)
+    run_job(cfg)
+    update = dict(cfg, update_input=str(d_b))
+    first = run_job(update)
+    rows = _rows(f"{out}/rollups_updated")
+    assert first["updated_rows"] == len(rows) > 0
+    for rerun in range(2):
+        if rerun:
+            _plant_a_dead_run(f"{out}/rollups_updated")
+            assert len(_rows(f"{out}/rollups_updated")) > len(rows)
+        assert run_job(update) == first
+        pd.testing.assert_frame_equal(_rows(f"{out}/rollups_updated"), rows)
+        _assert_only_records_and_their_files(f"{out}/rollups_updated")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tiers", ["1m"]), ("gap_fill", "locf"),
+    ("chunk_bucket_ns", 60_000_000_000)])
+def test_job_resume_refuses_a_changed_identity(ray_session, corpus_dir,
+                                               tmp_path, field, value):
+    """A resume that changes ``tiers``, ``gap_fill`` or
+    ``chunk_bucket_ns`` raises naming the field before any sample is read
+    (no exchange runs); a ``_meta.json`` written before the field was
+    pinned does not check it."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+    from tests.test_checkpoint_resume import _ExchangeCounter
+
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
+    r1 = run_job(cfg)
+    m = CheckpointManifest(f"{cfg['output_dir']}/rollups")
+    lost = r1["shards_run"][::2]
+    for s in lost:
+        os.remove(m.record_path(s))
+    with _ExchangeCounter() as exchanges, \
+            pytest.raises(ValueError, match=f"{field}=") as err:
+        run_job({**cfg, field: value})
+    assert exchanges.calls == 0
+    assert repr(value) in str(err.value)
+    assert sorted(m.completed_shards()) == r1["shards_run"][1::2]
+
+    meta = os.path.join(m.manifest_dir, "_meta.json")
+    with open(meta) as f:
+        pinned = json.load(f)
+    with open(meta, "w") as f:
+        json.dump({k: v for k, v in pinned.items() if k != field}, f)
+    assert run_job({**cfg, field: value})["shards_run"] == lost
+
+
+@pytest.mark.parametrize("field,value", [("tiers", ["1m", "1h", "1d"]),
+                                         ("gap_fill", "linear")])
+def test_job_update_refuses_a_changed_identity(ray_session, corpus_dir,
+                                               tmp_path, field, value):
+    """An update whose ``tiers`` or ``gap_fill`` differs from the stored
+    store's raises naming the field, and writes nothing."""
+    cfg = _config(corpus_dir, str(tmp_path / "out"))
+    run_job(cfg)
+    with pytest.raises(ValueError, match=f"{field}="):
+        run_job({**cfg, field: value, "update_input": corpus_dir})
+    assert not os.path.exists(f"{cfg['output_dir']}/rollups_updated")

@@ -59,20 +59,6 @@ def test_sources_are_deterministic(ray_session, json_tree):
     assert a["n_tok"].tolist() == b["n_tok"].tolist()
 
 
-@pytest.fixture(scope="module")
-def many_files(tmp_path_factory):
-    """30 Parquet files: more than the 24 whose footers Ray reads in the
-    calling process on its own."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    d = tmp_path_factory.mktemp("many_files")
-    for i in range(30):
-        pq.write_table(pa.table({"i": list(range(i * 10, i * 10 + 10))}),
-                       str(d / f"part-{i:02d}.parquet"))
-    return str(d)
-
-
 def _no_remote_footers(monkeypatch):
     import ray.data.datasource.parquet_meta_provider as pmp
 
@@ -80,24 +66,6 @@ def _no_remote_footers(monkeypatch):
         raise AssertionError("footers read in remote tasks")
 
     monkeypatch.setattr(pmp, "_fetch_metadata_parallel", refuse)
-
-
-def test_read_parquet_reads_footers_in_process(ray_session, many_files,
-                                               monkeypatch):
-    """Past 24 files Ray reads the footers in remote tasks, which start
-    worker processes beyond Ray's idle pool; ``sources.parquet`` reads
-    them in the calling process and yields the same rows."""
-    import ray
-
-    from json_time_series_extractor_ray.sources.parquet import read_parquet
-
-    expected = sorted(r["i"] for r in ray.data.read_parquet(many_files)
-                      .take_all())
-    _no_remote_footers(monkeypatch)
-    with pytest.raises(AssertionError, match="remote tasks"):
-        ray.data.read_parquet(many_files)  # the path the helper avoids
-    got = sorted(r["i"] for r in read_parquet(many_files).take_all())
-    assert got == expected == list(range(300))
 
 
 def test_chunk_stores_read_footers_in_process(ray_session, tmp_path,
@@ -149,27 +117,6 @@ def test_chunk_stores_read_footers_in_process(ray_session, tmp_path,
         zip(ts.tolist(), (np.arange(n) / 4.0).tolist()))
     docs = read_token_chunks(str(tmp_path / "tokens")).to_pandas()
     assert sorted(docs["doc_id"]) == sorted(corpus.column("doc_id").to_pylist())
-
-
-def test_in_process_footers_equal_rays(ray_session, many_files):
-    """The in-process metadata is Ray's, footer for footer, in order."""
-    import pyarrow.parquet as pq
-    from ray.data.datasource.parquet_meta_provider import (
-        ParquetMetadataProvider,
-    )
-
-    from json_time_series_extractor_ray.sources.parquet import (
-        _in_process_footers,
-    )
-
-    fragments = pq.ParquetDataset(many_files).fragments
-    fields = ("num_rows", "num_row_groups", "total_byte_size",
-              "schema_pickled")
-    rays = ParquetMetadataProvider().prefetch_file_metadata(fragments)
-    ours = _in_process_footers()().prefetch_file_metadata(fragments)
-    assert len(ours) == len(rays) == 30
-    assert ([[getattr(m, f) for f in fields] for m in ours]
-            == [[getattr(m, f) for f in fields] for m in rays])
 
 
 SEC = 10**9
