@@ -5,10 +5,11 @@ bounded shuffle" discipline.
 Ray Data has no native join; the engine's broadcast / semi / as-of /
 range joins all assume one side is small or time-ordered.  This module
 adds the missing general case: both sides large, co-partitioned by a
-deterministic hash of the key into ``num_shards`` groups via ONE tagged
-union + ONE groupby (the same co-partition trick as ``asof.py`` /
-``rangejoin.py``), then a vectorized pandas hash-merge inside each shard
-task.
+deterministic hash of the key into ``num_shards`` groups.  Each side's
+rows are tagged with their group (``__shard``), the two tagged sides are
+unioned, and ONE exchange on the tag (``state/checkpoint.shard_apply``)
+brings every group into one shard task, which runs a vectorized pandas
+hash-merge.
 
 Scale shape: shard count is the parallelism knob — each shard task holds
 ~``(|L| + |R|) / num_shards`` rows, so memory per task is bounded and
@@ -17,8 +18,8 @@ rows (the output explosion of a many-to-many hot key is inherent to join
 semantics, not to this layout).  Carried columns are projected BEFORE
 the shuffle, so only the join's output columns ever move.  Shard frames
 convert int columns to pandas NULLABLE ints (never float64 transit — an
-unmatched row must not round co-resident ints > 2^53) and the final
-``asof._make_recast`` restores the declared Arrow types.
+unmatched row must not round co-resident ints > 2^53), and each shard
+task casts its output to the declared schema.
 """
 
 from __future__ import annotations
@@ -27,15 +28,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .asof import _make_recast
+from ..state.checkpoint import shard_apply
+from ._util import as_table, hash_shards, shard_to_pandas
 from .registry import register
 
 DEFAULT_SHARDS = 64
-
-from ._util import shard_to_pandas as _shard_to_pandas  # shared conversion
-
-
-from ._util import hash_shards as _hash_shards  # shared shard-hash rule
 
 
 def parquet_schema(path: str, columns: list[str]) -> pa.Schema:
@@ -75,15 +72,24 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
     filters, SQL ``WHERE [NOT] EXISTS``), shuffling just the right's
     KEY column (its payload never moves).
 
+    Every row is tagged with ``__shard``, the pandas-hash group of its
+    key (null keys: the extra group ``num_shards``), and the exchange is
+    keyed on that tag, which has at most ``num_shards + 1`` distinct values
+    per block.  Runs when called, like ``shard_apply``: the output is a
+    materialized ``Dataset`` whose blocks have exactly the declared schema
+    (``join_output_schema``); a join with no output rows is one empty
+    block of it.
+
     Schema note: when ``left_schema``/``right_schema`` are omitted they
-    come from ``ds.schema()``, which on a lazy input containing a
-    shuffle (e.g. a previous ``shuffle_join``) EXECUTES that upstream
-    shuffle before this join's plan even exists — chained joins then run
-    serially with no inter-stage pipelining.  Multi-join pipelines
-    should pass both schemas explicitly (parquet reads:
-    ``pq.read_schema`` metadata; prior joins: ``join_output_schema``)
-    so plan construction stays pure metadata.
+    come from ``ds.schema()``.  On a materialized input (a previous
+    ``shuffle_join`` or ``sharded_aggregate``) that is free, but on a lazy
+    one it runs part of the input's plan just to learn its types, and the
+    join then runs the plan again.  Callers with a lazy input should pass
+    the schemas (parquet reads: ``parquet_schema``; prior joins:
+    ``join_output_schema``).
     """
+    import ray
+
     if how not in ("inner", "left", "semi", "anti", "outer"):
         raise ValueError(
             f"how must be 'inner', 'left', 'semi', 'anti' or 'outer', "
@@ -106,6 +112,7 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
     }
     key_type = decl[on]
     all_cols = lcols + rcols  # union is positional: fix one column order
+    out_schema = pa.schema([(n, decl[n]) for n in all_cols])
 
     def _canon_key(key):
         """Dtype-stable view for shard hashing: a nullable-int batch
@@ -129,30 +136,21 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
         def _prep(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
-            if side == 1:
-                if how == "outer":
-                    # FULL OUTER keeps unmatched null-keyed right rows:
-                    # route them to the dedicated null shard (they must
-                    # not NaN==NaN-match pandas-side).
-                    pass
-                else:
-                    # Null right keys never match any other join mode —
-                    # drop them BEFORE the shuffle (less exchange, no
-                    # NaN decay in downstream pandas frames).
-                    batch = batch.filter(
-                        pc.is_valid(batch.column(right_key)))
+            if side == 1 and how != "outer":
+                # Null right keys never match outside FULL OUTER (which
+                # keeps them unmatched) — drop them BEFORE the shuffle
+                # (less exchange, no NaN decay in downstream pandas frames).
+                batch = batch.filter(pc.is_valid(batch.column(right_key)))
             key = (batch.column(on) if side == 0
                    else batch.column(right_key).cast(key_type))
-            shard = _hash_shards(_canon_key(key), num_shards)
+            shard = hash_shards(_canon_key(key), num_shards)
             if side == 0 or how == "outer":
                 # Null LEFT keys must survive left/anti/outer joins (and
                 # null RIGHT keys survive outer), but a null inside a
                 # shard frame decays its int64 __key to float64 in
                 # pandas (corrupting co-resident keys > 2^53): route
                 # them to a dedicated null-only shard instead.
-                kcol = batch.column(on) if side == 0 \
-                    else batch.column(right_key)
-                null_mask = pc.is_null(kcol).to_numpy(zero_copy_only=False)
+                null_mask = pc.is_null(key).to_numpy(zero_copy_only=False)
                 shard = np.where(null_mask, num_shards, shard) \
                     .astype(np.int32)
             cols = {"__key": key}
@@ -169,8 +167,6 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
             return pa.table(cols)
         return _prep
 
-    import ray.data  # noqa: F401  (Dataset.union)
-
     tagged = left_ds.map_batches(
         _tag(0), batch_format="pyarrow", zero_copy_batch=True
     ).union(right_ds.map_batches(
@@ -179,24 +175,9 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
 
     lval = [c for c in lcols if c != on]
 
-    def _typed(df: pd.DataFrame):
-        # A region-pruned or semi-filtered shard can come out EMPTY, and
-        # a zero-row object-dtype pandas block trips Ray's size
-        # estimator ("cannot call `vectorize` on size 0 inputs") on
-        # every downstream stage — emit a typed empty Arrow table
-        # instead (declared schema, so the recast is a no-op).
-        if len(df):
-            return df
-        return pa.table({n: pa.array([], decl[n]) for n in df.columns})
-
-    def _join_shard(tbl: pa.Table):
-        # Integer columns cross into pandas as NULLABLE ints: the tagged
-        # union nulls the other side's columns in every row, so a default
-        # to_pandas() would upcast EVERY int column to float64 and
-        # silently round co-resident values > 2^53 — the same corruption
-        # class the __key null-shard routing exists to prevent.  Nullable
-        # dtypes make unmatched rows <NA> with no float64 transit.
-        df = _shard_to_pandas(tbl)
+    def _join(df: pd.DataFrame) -> pd.DataFrame:
+        # a shard task may hold several __shard groups: a key lives in
+        # one group, so merging them together equals merging each alone
         left = df[df["__side"] == 0][["__key"] + lval]
         # SQL equi-join semantics: NULL keys never match (pandas merge
         # would happily join NaN to NaN), so drop null keys from the
@@ -208,8 +189,7 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
             # Existence filter: a null left key matches nothing, so it
             # falls out of semi and survives anti — SQL [NOT] EXISTS.
             mask = left["__key"].isin(right["__key"].unique())
-            picked = left[mask if how == "semi" else ~mask]
-            return _typed(picked.rename(columns={"__key": on})[all_cols])
+            return left[mask if how == "semi" else ~mask]
         if how == "inner":
             left = left[left["__key"].notna()]
         if how == "outer":
@@ -220,18 +200,23 @@ def shuffle_join(left_ds, right_ds, *, on, right_on: str | None = None,
             rnull = rnull_rows[rnull_rows["__key"].isna()][["__key"] + rcols]
             merged = left[left["__key"].notna()].merge(
                 right, on="__key", how="outer", sort=False)
-            merged = pd.concat([merged, lnull, rnull], ignore_index=True)
-            # int columns are already nullable (types_mapper above), so
-            # unmatched rows are <NA> — no float64 repair needed
-            return _typed(merged.rename(columns={"__key": on})[all_cols])
-        merged = left.merge(right, on="__key", how=how, sort=False)
-        return _typed(merged.rename(columns={"__key": on})[all_cols])
+            # int columns are nullable (shard_to_pandas), so unmatched
+            # rows are <NA> — no float64 repair needed
+            return pd.concat([merged, lnull, rnull], ignore_index=True)
+        return left.merge(right, on="__key", how=how, sort=False)
 
-    joined = tagged.groupby("__shard").map_groups(
-        _join_shard, batch_format="pyarrow"
-    )
-    return joined.map_batches(_make_recast(decl), batch_format="pyarrow",
-                              zero_copy_batch=True)
+    def _join_shard(tbl: pa.Table) -> pa.Table:
+        # Integer columns cross into pandas as NULLABLE ints: the tagged
+        # union nulls the other side's columns in every row, so a default
+        # to_pandas() would upcast EVERY int column to float64 and
+        # silently round co-resident values > 2^53 — the same corruption
+        # class the __key null-shard routing exists to prevent.
+        out = _join(shard_to_pandas(tbl.drop_columns(["shard", "__shard"])))
+        return as_table(out.rename(columns={"__key": on}), out_schema)
+
+    joined = shard_apply(tagged, _join_shard, num_shards, key="__shard")
+    return joined if joined.num_blocks() else ray.data.from_arrow(
+        out_schema.empty_table())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,16 @@ The reference library has no relational layer at all (it is a
 per-document flat-map, SURVEY.md §2.6); these are the engine-side
 operators a warehouse-shaped workload needs around the extraction core.
 Every operator keeps the repo's one-shuffle discipline: a vectorized
-per-block combiner bounds what moves, then ONE small groupby finishes —
-never a driver-side loop over the big side.
+per-block combiner bounds what moves, then ONE shard exchange
+(``_util.sharded_aggregate`` on ``state/checkpoint.shard_apply``) brings
+every partial row of one key into one task, which finishes many keys at
+once — never a driver-side loop over the big side, and no Ray Data
+``groupby``.  A key shards on its natural column, string or integer; a
+composite key on its leading column; a global reduce (a top-n, a tercile
+or ABC classification, a skyline merge) gathers into one task
+(``key=None``).  Joins of two large sides run on the same exchange
+(``joins.shuffle_join``).  The test-data reads go through
+``_util.read_parquet_file``.
 
 Scale shapes
 ------------
@@ -37,29 +45,53 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import round_half_away, value_ordered_shards
+from ._util import (
+    as_table,
+    read_parquet_file,
+    round_half_away,
+    sharded_aggregate,
+    value_ordered_shards,
+)
 from .registry import register
 
 DAY_NS = 86_400_000_000_000
+
+_I, _F, _S = pa.int64(), pa.float64(), pa.string()
+
+
+def _schema(**types) -> pa.Schema:
+    return pa.schema(list(types.items()))
+
+
+def _agg(df: pd.DataFrame, keys, schema: pa.Schema, **aggs) -> pa.Table:
+    """``df`` grouped by ``keys`` with the named aggregates, as one table
+    of ``schema`` (a partial's, so every partial block has one schema)."""
+    return as_table(df.groupby(keys, sort=False).agg(**aggs).reset_index(),
+                    schema)
 
 
 # ---------------------------------------------------------------------------
 # Grouping sets / rollup-from-finest
 # ---------------------------------------------------------------------------
 
+#: grouping-level sentinels (SQL ``GROUPING() = 1``), then the sentinels
+#: of a null key and a null timestamp's window
+ALL_KEY, ALL_WINDOW, NULL_KEY, NULL_WINDOW = "<all>", -1, "<null>", -2
+
+_GSETS = _schema(key=_S, window_ns=_I, n=_I, vsum=_F)
+
+
 def grouping_sets_stats(ds, *, key: str, ts: str, value: str,
-                        window_ns: int = DAY_NS,
-                        all_key: str = "<all>", all_window: int = -1,
-                        null_key: str = "<null>", null_window: int = -2):
+                        window_ns: int = DAY_NS):
     """count + round-6 value sum at three grouping levels —
     ``(key, window)``, ``(key)``, ``()`` — in ONE pass / ONE shuffle.
 
     Per-block combiner reduces each block to its local finest-level
-    partials; one multi-column groupby merges them; the two coarser
+    partials; one exchange on ``key`` merges them; the two coarser
     levels are re-aggregated from the merged finest rows (exact for
     counts, round-6-normalized for float sums, the repo-standard sum
-    rule).  NULL grouping values get their OWN sentinels (``null_key`` /
-    ``null_window``, distinct from the ``all_*`` grouping-level
+    rule).  NULL grouping values get their OWN sentinels (``NULL_KEY`` /
+    ``NULL_WINDOW``, distinct from the ``ALL_*`` grouping-level
     sentinels — SQL's ``GROUPING()`` distinction) so null-key rows form
     a real group and the grand total counts every row; all sentinels keep
     the output cleanly typed (driver-hash lesson: nullable BIGINT
@@ -75,44 +107,30 @@ def grouping_sets_stats(ds, *, key: str, ts: str, value: str,
         # fill Arrow-side so the int64 ns path never decays to float64
         t = pc.fill_null(tcol, 0).to_numpy(zero_copy_only=False)
         w = t - (t % window_ns)
-        w[ts_null] = null_window
+        w[ts_null] = NULL_WINDOW
         df = pd.DataFrame({
             "key": pc.fill_null(batch.column(key).cast(pa.string()),
-                                null_key).to_pandas().to_numpy(),
+                                NULL_KEY).to_pandas().to_numpy(),
             "window_ns": w,
             "v": batch.column(value).to_numpy(zero_copy_only=False),
         })
-        g = df.groupby(["key", "window_ns"], sort=False).agg(
-            n=("v", "size"), vsum=("v", "sum")).reset_index()
-        return pa.table({
-            "key": pa.array(g["key"], pa.string()),
-            "window_ns": pa.array(g["window_ns"].to_numpy(), pa.int64()),
-            "n": pa.array(g["n"].to_numpy(), pa.int64()),
-            "vsum": pa.array(g["vsum"].to_numpy(), pa.float64()),
-        })
+        return _agg(df, ["key", "window_ns"], _GSETS, n=("v", "size"),
+                    vsum=("v", "sum"))
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": [df["key"].iloc[0]],
-            "window_ns": pd.Series([df["window_ns"].iloc[0]], dtype="int64"),
-            "n": pd.Series([int(df["n"].sum())], dtype="int64"),
-            "vsum": [float(df["vsum"].sum())],
-        })
+        return df.groupby(["key", "window_ns"], sort=False).agg(
+            n=("n", "sum"), vsum=("vsum", "sum")).reset_index()
 
-    finest = ds.map_batches(_partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby(["key", "window_ns"]) \
-        .map_groups(_merge, batch_format="pandas") \
-        .to_pandas()  # bounded by group cardinality, not row count
+    # bounded by group cardinality, not row count
+    finest = sharded_aggregate(ds, _partial, _merge, _GSETS, key="key") \
+        .to_pandas().sort_values(["key", "window_ns"], ignore_index=True)
 
     by_key = finest.groupby("key", sort=False).agg(
         n=("n", "sum"), vsum=("vsum", "sum")).reset_index()
     levels = [
-        pd.DataFrame({"key": finest["key"], "window_ns": finest["window_ns"],
-                      "n": finest["n"], "vsum": finest["vsum"]}),
-        pd.DataFrame({"key": by_key["key"], "window_ns": all_window,
-                      "n": by_key["n"], "vsum": by_key["vsum"]}),
-        pd.DataFrame({"key": [all_key], "window_ns": [all_window],
+        finest,
+        by_key.assign(window_ns=ALL_WINDOW),
+        pd.DataFrame({"key": [ALL_KEY], "window_ns": [ALL_WINDOW],
                       "n": [int(finest["n"].sum())],
                       "vsum": [float(finest["vsum"].sum())]}),
     ]
@@ -137,8 +155,8 @@ def funnel_conversions(ds, *, member: str, ts: str, step_col: str,
     (optionally within each tumbling window): the two-step conversion
     funnel.  Per-block partials carry one (member[, window]) row with the
     block-local min-A / max-B timestamps (int64 sentinels, not nulls —
-    nullable int partials decay to float); one groupby merges and
-    filters.  Output: member[, window_ns], first_a_ns, last_b_ns.
+    nullable int partials decay to float); one exchange on ``member``
+    merges and filters.  Output: member[, window_ns], first_a_ns, last_b_ns.
 
     Rows with a NULL timestamp or NULL member are dropped Arrow-side
     BEFORE the numpy conversion — SQL min/max ignore null timestamps
@@ -153,6 +171,8 @@ def funnel_conversions(ds, *, member: str, ts: str, step_col: str,
     # int64-max would round up to 2^63 and overflow the cast back.
     I64_MAX = 1 << 62
     I64_MIN = -(1 << 62)
+    gkeys = ["member"] + (["window_ns"] if window_ns is not None else [])
+    partials = _schema(**dict.fromkeys(gkeys + ["a", "b"], _I))
 
     def _partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch.column(ts)),
@@ -172,51 +192,28 @@ def funnel_conversions(ds, *, member: str, ts: str, step_col: str,
             "ta": np.where(is_a[keep], t[keep], I64_MAX),
             "tb": np.where(is_b[keep], t[keep], I64_MIN),
         })
-        gcols = ["member"]
         if window_ns is not None:
             w = t[keep]
             df["window_ns"] = w - (w % window_ns)
-            gcols.append("window_ns")
-        j = df.groupby(gcols, sort=False).agg(
-            a=("ta", "min"), b=("tb", "max")).reset_index()
-        cols = {
-            "member": pa.array(j["member"].to_numpy(np.int64), pa.int64()),
-            "a": pa.array(j["a"].to_numpy(np.int64), pa.int64()),
-            "b": pa.array(j["b"].to_numpy(np.int64), pa.int64()),
-        }
-        if window_ns is not None:
-            cols["window_ns"] = pa.array(j["window_ns"].to_numpy(np.int64),
-                                         pa.int64())
-        return pa.table(cols)
+        return _agg(df, gkeys, partials, a=("ta", "min"), b=("tb", "max"))
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        a = int(df["a"].min())
-        b = int(df["b"].max())
-        if a == I64_MAX or b == I64_MIN or not a < b:
-            return pd.DataFrame({"member": pd.Series([], dtype="int64"),
-                                 **({"window_ns": pd.Series([], dtype="int64")}
-                                    if window_ns is not None else {}),
-                                 "first_a_ns": pd.Series([], dtype="int64"),
-                                 "last_b_ns": pd.Series([], dtype="int64")})
-        row = {"member": pd.Series([df["member"].iloc[0]], dtype="int64"),
-               "first_a_ns": pd.Series([a], dtype="int64"),
-               "last_b_ns": pd.Series([b], dtype="int64")}
-        if window_ns is not None:
-            row["window_ns"] = pd.Series([df["window_ns"].iloc[0]],
-                                         dtype="int64")
-        cols = (["member", "window_ns"] if window_ns is not None
-                else ["member"]) + ["first_a_ns", "last_b_ns"]
-        return pd.DataFrame(row)[cols]
+        g = df.groupby(gkeys, sort=False).agg(
+            first_a_ns=("a", "min"), last_b_ns=("b", "max")).reset_index()
+        a, b = g["first_a_ns"], g["last_b_ns"]
+        return g[(a != I64_MAX) & (b != I64_MIN) & (a < b)]
 
-    gkeys = ["member"] + (["window_ns"] if window_ns is not None else [])
-    return ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby(gkeys).map_groups(_merge, batch_format="pandas")
+    return sharded_aggregate(ds, _partial, _merge, _schema(
+        **dict.fromkeys(gkeys + ["first_a_ns", "last_b_ns"], _I)),
+        key="member")
 
 
 # ---------------------------------------------------------------------------
 # Distinct-member set operations (INTERSECT / EXCEPT)
 # ---------------------------------------------------------------------------
+
+_SEEN = _schema(member=_I, a=pa.bool_(), b=pa.bool_())
+
 
 def member_set_op(ds, *, member: str, slice_col: str, pred_a, pred_b,
                   op: str):
@@ -226,8 +223,8 @@ def member_set_op(ds, *, member: str, slice_col: str, pred_a, pred_b,
     ``pred_a`` / ``pred_b`` take the slice column as a pyarrow ChunkedArray
     and return a boolean mask (pyarrow or numpy).  Per-block combiner
     reduces to one (member, seen_a, seen_b) row per block-distinct member
-    — presence bits OR-merge in the final groupby, so the shuffle carries
-    member cardinality, not rows.
+    — presence bits OR-merge after one exchange on the member, so the
+    shuffle carries member cardinality, not rows.
 
     NULL members are excluded (dropped Arrow-side, before the int64 view
     could decay to float64).  This is a documented divergence from SQL
@@ -245,27 +242,16 @@ def member_set_op(ds, *, member: str, slice_col: str, pred_a, pred_b,
         ma = np.asarray(pred_a(col), dtype=bool)
         mb = np.asarray(pred_b(col), dtype=bool)
         keep = ma | mb
-        df = pd.DataFrame({"m": m[keep], "a": ma[keep], "b": mb[keep]})
-        g = df.groupby("m", sort=False).agg(a=("a", "max"),
-                                            b=("b", "max")).reset_index()
-        return pa.table({
-            "member": pa.array(g["m"].to_numpy(np.int64), pa.int64()),
-            "a": pa.array(g["a"].to_numpy(bool), pa.bool_()),
-            "b": pa.array(g["b"].to_numpy(bool), pa.bool_()),
-        })
+        df = pd.DataFrame({"member": m[keep], "a": ma[keep], "b": mb[keep]})
+        return _agg(df, "member", _SEEN, a=("a", "max"), b=("b", "max"))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        in_a = bool(df["a"].any())
-        in_b = bool(df["b"].any())
-        keep = (in_a and in_b) if op == "intersect" else (in_a and not in_b)
-        if not keep:
-            return pd.DataFrame({"member": pd.Series([], dtype="int64")})
-        return pd.DataFrame(
-            {"member": pd.Series([df["member"].iloc[0]], dtype="int64")})
+    def _merge(df: pd.DataFrame) -> dict:
+        g = df.groupby("member", sort=False)[["a", "b"]].any()
+        keep = g["a"] & (g["b"] if op == "intersect" else ~g["b"])
+        return {"member": g.index.to_numpy()[keep.to_numpy()]}
 
-    return ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("member").map_groups(_merge, batch_format="pandas")
+    return sharded_aggregate(ds, _partial, _merge, _schema(member=_I),
+                             key="member")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +264,7 @@ def table_profile(ds, columns: list[str]):
 
     One stream carries two row kinds — per-block stats partials (one row
     per column per block) and block-DISTINCT value strings — through ONE
-    groupby(col).  Exact distinct via value strings: integer columns keep
+    exchange on the column name.  Exact distinct via value strings: integer columns keep
     exact int64 reprs (a float round-trip would collide ints > 2^53),
     float columns normalize signed zero (``+ 0.0``) so -0.0/0.0 count as
     ONE value across blocks and emit a single ``'nan'`` entry for genuine
@@ -345,22 +331,18 @@ def table_profile(ds, columns: list[str]):
         })
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        stats = df[df["kind"] == 0]
-        vals = df.loc[df["kind"] == 1, "val"]
-        mn = stats["mn"].min()  # pandas min skips NaN
-        mx = np.nan if stats["has_nan"].any() else stats["mx"].max()
-        return pd.DataFrame({
-            "col": [df["col"].iloc[0]],
-            "n_rows": pd.Series([int(stats["n"].sum())], dtype="int64"),
-            "n_null": pd.Series([int(stats["n_null"].sum())], dtype="int64"),
-            "n_distinct": pd.Series([int(vals.nunique())], dtype="int64"),
-            "min_num": [float(mn) if pd.notna(mn) else np.nan],
-            "max_num": [float(mx) if pd.notna(mx) else np.nan],
-        })
+        stats = df[df["kind"] == 0].groupby("col", sort=False).agg(
+            n_rows=("n", "sum"), n_null=("n_null", "sum"),
+            min_num=("mn", "min"),  # pandas min skips NaN
+            max_num=("mx", "max"), has_nan=("has_nan", "any"))
+        distinct = df[df["kind"] == 1].groupby("col")["val"].nunique()
+        stats["n_distinct"] = distinct.reindex(stats.index, fill_value=0)
+        stats.loc[stats["has_nan"], "max_num"] = np.nan
+        return stats.reset_index()
 
-    return ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("col").map_groups(_merge, batch_format="pandas")
+    return sharded_aggregate(ds, _partial, _merge, _schema(
+        col=_S, n_rows=_I, n_null=_I, n_distinct=_I, min_num=_F,
+        max_num=_F), key="col")
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +350,8 @@ def table_profile(ds, columns: list[str]):
 # ---------------------------------------------------------------------------
 
 def _q_grouping_sets(sf_dir: str):
-    import ray
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
     return grouping_sets_stats(ds, key="event_type", ts="ts", value="value")
@@ -399,9 +380,8 @@ register(
 
 
 def _q_funnel(sf_dir: str):
-    import ray
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     )
     out = funnel_conversions(ds, member="user_id", ts="ts",
@@ -463,9 +443,8 @@ def _month_preds():
 
 def _q_set_op(op: str):
     def q(sf_dir: str):
-        import ray
-
-        ds = ray.data.read_parquet(
+    
+        ds = read_parquet_file(
             f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_shipdate"]
         )
         pred_a, pred_b = _month_preds()
@@ -498,9 +477,8 @@ _PROFILE_COLS = ["l_quantity", "l_extendedprice", "l_returnflag",
 
 
 def _q_table_profile(sf_dir: str):
-    import ray
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/lineitem.parquet", columns=_PROFILE_COLS
     )
     return table_profile(ds, _PROFILE_COLS)
@@ -526,10 +504,13 @@ register(
 )
 
 
+_REV_PARTIALS = _schema(n_name=_S, n=_I, s=_F)
+
+
 def _nation_rev_merge(joined_ds):
     """Final (n_name, count, sum(rev)) aggregate in the shard-merge
     shape: a per-block pandas combiner collapses each block to at most
-    |nations| partial rows, then one tiny ``groupby(n_name)`` merges the
+    |nations| partial rows, then one exchange on ``n_name`` merges the
     partials.  Ray's native multi-aggregate groupby sorts every
     post-join block into ~256 partitions — at small scale that barrier
     alone cost 18 s on 80 surviving rows (measured); the combiner moves
@@ -541,25 +522,16 @@ def _nation_rev_merge(joined_ds):
             "n_name": batch.column("n_name").to_pandas(),
             "rev": batch.column("rev").to_numpy(zero_copy_only=False),
         })
-        g = df.groupby("n_name", sort=False).agg(
-            n=("rev", "size"), s=("rev", "sum")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "n_name", _REV_PARTIALS, n=("rev", "size"),
+                    s=("rev", "sum"))
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "n_name": [df["n_name"].iloc[0]],
-            "n_items": pd.Series([int(df["n"].sum())], dtype="int64"),
-            "revenue": round_half_away(
-                np.array([df["s"].sum()]), 2),
-        })
+        g = df.groupby("n_name", sort=False).agg(
+            n_items=("n", "sum"), s=("s", "sum")).reset_index()
+        return g.assign(revenue=round_half_away(g["s"].to_numpy(), 2))
 
-    return (
-        joined_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("n_name")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(joined_ds, _partial, _merge, _schema(
+        n_name=_S, n_items=_I, revenue=_F), key="n_name")
 
 
 def _q_revenue_by_nation(sf_dir: str):
@@ -572,12 +544,11 @@ def _q_revenue_by_nation(sf_dir: str):
     sf0.1.  ``_dim_map``'s MAX_BROADCAST_DIM_ROWS guard names the
     shuffle_join fallback if customer ever outgrows a broadcast."""
     import pyarrow.compute as pc
-    import ray
 
     from .enrich import broadcast_join
     from .joins import parquet_schema, shuffle_join
 
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
@@ -601,7 +572,7 @@ def _q_revenue_by_nation(sf_dir: str):
     ])
     orders_schema = parquet_schema(
         f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey"])
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
     j1 = shuffle_join(li, orders, on="l_orderkey", right_on="o_orderkey",
@@ -642,8 +613,6 @@ def _q_bloom_join(sf_dir: str):
     their keys become one broadcast bitmap that prunes lineitem BEFORE
     the join shuffle.  FPs pass into the exact join and fall out there,
     so the result is value-identical to the plain join."""
-    import pyarrow.compute as pc
-    import ray
 
     from .joins import shuffle_join
     from .sketches import bloom_build, bloom_filter_out
@@ -651,14 +620,14 @@ def _q_bloom_join(sf_dir: str):
     def _orders():
         # project o_orderstatus away right after the filter consumes it —
         # it must not ride through the join exchange just to be dropped
-        return ray.data.read_parquet(
+        return read_parquet_file(
             f"{sf_dir}/orders.parquet",
             columns=["o_orderkey", "o_custkey", "o_orderstatus"],
         ).filter(expr="o_orderstatus == 'F'") \
             .select_columns(["o_orderkey", "o_custkey"])
 
     bloom = bloom_build(_orders(), column="o_orderkey")
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_quantity"],
     )
@@ -698,14 +667,19 @@ def pricing_summary(li_ds):
     the row count, over rows shipped on or before ``Q1_CUTOFF``.
 
     Scale shape: the classic combiner aggregate — each block reduces to at
-    most 6 partial rows (|returnflag| x |linestatus|), ONE tiny groupby
-    merges them, means derive from the merged (sum, count) pairs.  The
+    most 6 partial rows (|returnflag| x |linestatus|), ONE exchange on the
+    leading key merges them, means derive from the merged (sum, count)
+    pairs.  The
     shuffle moves O(blocks x 6) rows regardless of corpus size.  Float
     sums are round-2 (cents; summation-order noise margin ~1e-2 vs values
     ~1e9, same rule as ``revenue_by_nation``); means are round-6 over the
     round-2 sums so both engines derive them from identical inputs.
     """
     cutoff = np.datetime64(Q1_CUTOFF, "ns")
+    keys = ["l_returnflag", "l_linestatus"]
+    partials = _schema(l_returnflag=_S, l_linestatus=_S, s_qty=_F,
+                       s_price=_F, s_disc_price=_F, s_charge=_F, s_disc=_F,
+                       n=_I)
 
     def _partial(batch: pa.Table) -> pa.Table:
         ship = batch.column("l_shipdate").cast(pa.timestamp("ns")).to_numpy(
@@ -724,54 +698,36 @@ def pricing_summary(li_ds):
         })
         df["disc_price"] = df["price"] * (1.0 - df["disc"])
         df["charge"] = df["disc_price"] * (1.0 + df["tax"])
-        g = df.groupby(["l_returnflag", "l_linestatus"], sort=False).agg(
-            s_qty=("qty", "sum"), s_price=("price", "sum"),
-            s_disc_price=("disc_price", "sum"), s_charge=("charge", "sum"),
-            s_disc=("disc", "sum"), n=("qty", "size"),
-        ).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, keys, partials, s_qty=("qty", "sum"),
+                    s_price=("price", "sum"),
+                    s_disc_price=("disc_price", "sum"),
+                    s_charge=("charge", "sum"), s_disc=("disc", "sum"),
+                    n=("qty", "size"))
 
-    merged = (
-        li_ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .sum(["s_qty", "s_price", "s_disc_price", "s_charge", "s_disc", "n"])
-    )
+    def _finish(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(keys, sort=False).sum().reset_index()
+        n = g["n"].to_numpy()
+        s_qty, s_price, s_disc_price, s_charge = (
+            round_half_away(g[c].to_numpy(), 2)
+            for c in ("s_qty", "s_price", "s_disc_price", "s_charge"))
+        return g.assign(
+            sum_qty=s_qty, sum_base_price=s_price,
+            sum_disc_price=s_disc_price, sum_charge=s_charge,
+            avg_qty=round_half_away(s_qty / n, 6),
+            avg_price=round_half_away(s_price / n, 6),
+            avg_disc=round_half_away(
+                round_half_away(g["s_disc"].to_numpy(), 6) / n, 6),
+            count_order=n)
 
-    def _finish(batch: pa.Table) -> pa.Table:
-        def col(name):
-            return batch.column(f"sum({name})").to_numpy(zero_copy_only=False)
-
-        n = col("n").astype(np.int64)
-        s_qty = round_half_away(col("s_qty"), 2)
-        s_price = round_half_away(col("s_price"), 2)
-        s_disc_price = round_half_away(col("s_disc_price"), 2)
-        s_charge = round_half_away(col("s_charge"), 2)
-        return pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "sum_qty": pa.array(s_qty, pa.float64()),
-            "sum_base_price": pa.array(s_price, pa.float64()),
-            "sum_disc_price": pa.array(s_disc_price, pa.float64()),
-            "sum_charge": pa.array(s_charge, pa.float64()),
-            "avg_qty": pa.array(round_half_away(s_qty / n, 6), pa.float64()),
-            "avg_price": pa.array(round_half_away(s_price / n, 6),
-                                  pa.float64()),
-            "avg_disc": pa.array(
-                round_half_away(round_half_away(col("s_disc"), 6) / n, 6),
-                pa.float64()),
-            "count_order": pa.array(n, pa.int64()),
-        })
-
-    return merged.map_batches(_finish, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return sharded_aggregate(li_ds, _partial, _finish, _schema(
+        l_returnflag=_S, l_linestatus=_S, sum_qty=_F, sum_base_price=_F,
+        sum_disc_price=_F, sum_charge=_F, avg_qty=_F, avg_price=_F,
+        avg_disc=_F, count_order=_I), key="l_returnflag")
 
 
 def _q_pricing_summary(sf_dir: str):
-    import ray
 
-    return pricing_summary(ray.data.read_parquet(
+    return pricing_summary(read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"],
@@ -811,22 +767,20 @@ register(
 # Customer lifetime-value summary (single-table combiner aggregate)
 # ---------------------------------------------------------------------------
 
+_LTV_PARTIALS = _schema(custkey=_I, n=_I, s=_F, mn=_I, mx=_I)
+
+
 def customer_ltv(orders_ds):
     """Per customer: order count, total spend, first/last order, tenure —
     the relational "customer card" aggregate.
 
     Scale shape: per-block combiner collapses to one partial row per
-    customer in the block, then ONE customer-sharded groupby merges the
-    partials inside vectorized pandas tasks (sum/min/max are all
+    customer in the block, then ONE exchange on the customer key merges
+    the partials inside vectorized pandas tasks (sum/min/max are all
     mergeable) — the repo-standard high-cardinality merge shape (the
-    novelty lesson: Ray's native aggregates degrade as key counts grow;
-    at sf0.1's 15k keys both run at the ~6 s per-barrier floor, but the
-    shard merge holds flat where the native aggregate grew 10x by 167k
-    input rows).  Spend is round-2 (cents, the ``revenue_by_nation``
+    novelty lesson: Ray's native aggregates degrade as key counts grow).  Spend is round-2 (cents, the ``revenue_by_nation``
     rule); dates stay exact int64 ns.
     """
-    from ._util import hash_shards
-
     def _partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
             "custkey": batch.column("o_custkey").to_numpy(
@@ -837,43 +791,33 @@ def customer_ltv(orders_ds):
                 pa.timestamp("ns")).cast(pa.int64()).to_numpy(
                 zero_copy_only=False),
         })
-        g = df.groupby("custkey", sort=False).agg(
-            n=("spend", "size"), s=("spend", "sum"),
-            mn=("ts", "min"), mx=("ts", "max"),
-        ).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        g["shard"] = hash_shards(g["custkey"].to_numpy(), 64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "custkey", _LTV_PARTIALS, n=("spend", "size"),
+                    s=("spend", "sum"), mn=("ts", "min"), mx=("ts", "max"))
 
-    def _merge_shard(df: pd.DataFrame) -> pd.DataFrame:
+    def _merge_shard(df: pd.DataFrame) -> dict:
         g = df.groupby("custkey", sort=False).agg(
             n=("n", "sum"), s=("s", "sum"), mn=("mn", "min"),
             mx=("mx", "max"),
         ).reset_index()
         first = g["mn"].to_numpy()
         last = g["mx"].to_numpy()
-        return pd.DataFrame({
-            "custkey": g["custkey"].astype(np.int64),
-            "n_orders": g["n"].astype(np.int64),
+        return {
+            "custkey": g["custkey"],
+            "n_orders": g["n"],
             "total_spend": round_half_away(g["s"].to_numpy(), 2),
-            "first_order_ns": first.astype(np.int64),
-            "last_order_ns": last.astype(np.int64),
-            "tenure_days": ((last - first) // 86_400_000_000_000
-                            ).astype(np.int64),
-        })
+            "first_order_ns": first,
+            "last_order_ns": last,
+            "tenure_days": (last - first) // DAY_NS,
+        }
 
-    return (
-        orders_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(_merge_shard, batch_format="pandas")
-    )
+    return sharded_aggregate(orders_ds, _partial, _merge_shard, _schema(
+        custkey=_I, n_orders=_I, total_spend=_F, first_order_ns=_I,
+        last_order_ns=_I, tenure_days=_I), key="custkey")
 
 
 def _q_customer_ltv(sf_dir: str):
-    import ray
 
-    return customer_ltv(ray.data.read_parquet(
+    return customer_ltv(read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_totalprice", "o_orderdate"],
     ))
@@ -907,7 +851,7 @@ def supplier_region_stats(supplier_ds, nation_lookup: dict,
     Scale shape: both dimension tables are tiny by definition (25
     nations, 5 regions), so they broadcast as dicts (``ray.put`` inside
     ``broadcast_join``) and the fact scan stays a single streaming pass;
-    the final groupby has |regions| keys.
+    the final exchange has |regions| keys.
     """
     from .enrich import broadcast_join
 
@@ -916,26 +860,15 @@ def supplier_region_stats(supplier_ds, nation_lookup: dict,
             "r_name": batch.column("r_name").to_pandas(),
             "bal": batch.column("s_acctbal").to_numpy(zero_copy_only=False),
         })
-        g = df.groupby("r_name", sort=False)["bal"].agg(["size", "sum"]) \
-            .reset_index()
-        return pa.table({
-            "r_name": pa.array(g["r_name"], pa.string()),
-            "n": pa.array(g["size"].to_numpy().astype(np.int64), pa.int64()),
-            "s": pa.array(g["sum"].to_numpy(), pa.float64()),
-        })
+        return _agg(df, "r_name", _schema(r_name=_S, n=_I, s=_F),
+                    n=("bal", "size"), s=("bal", "sum"))
 
-    def _finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("sum(n)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        bal = batch.column("sum(s)").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "r_name": batch.column("r_name"),
-            "n_suppliers": pa.array(n, pa.int64()),
-            "total_acctbal": pa.array(round_half_away(bal, 2), pa.float64()),
-            "mean_acctbal": pa.array(
-                round_half_away(round_half_away(bal, 2) / n, 6),
-                pa.float64()),
-        })
+    def _finish(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("r_name", sort=False).sum().reset_index()
+        n = g["n"].to_numpy()
+        total = round_half_away(g["s"].to_numpy(), 2)
+        return g.assign(n_suppliers=n, total_acctbal=total,
+                        mean_acctbal=round_half_away(total / n, 6))
 
     with_nation = broadcast_join(
         supplier_ds, nation_lookup, key="s_nationkey",
@@ -943,18 +876,13 @@ def supplier_region_stats(supplier_ds, nation_lookup: dict,
     with_region = broadcast_join(
         with_nation, region_lookup, key="n_regionkey",
         value_name="r_name", value_type=pa.string())
-    return (
-        with_region.map_batches(_partial, batch_format="pyarrow",
-                                zero_copy_batch=True)
-        .groupby("r_name")
-        .sum(["n", "s"])
-        .map_batches(_finish, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return sharded_aggregate(with_region, _partial, _finish, _schema(
+        r_name=_S, n_suppliers=_I, total_acctbal=_F, mean_acctbal=_F),
+        key="r_name")
 
 
 def _q_supplier_region(sf_dir: str):
     import pyarrow.parquet as pq
-    import ray
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_regionkey"])
@@ -964,7 +892,7 @@ def _q_supplier_region(sf_dir: str):
                              nation.column("n_regionkey").to_pylist()))
     region_lookup = dict(zip(region.column("r_regionkey").to_pylist(),
                              region.column("r_name").to_pylist()))
-    suppliers = ray.data.read_parquet(
+    suppliers = read_parquet_file(
         f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"])
     return supplier_region_stats(suppliers, nation_lookup, region_lookup)
 
@@ -989,25 +917,26 @@ register(
 # Shipping-priority top-n (TPC-H Q3 shape)
 # ---------------------------------------------------------------------------
 
-def shipping_priority(li_ds, orders_ds, *, top_n: int = 10,
-                      num_shards: int = 64):
-    """Top-n undelivered orders by revenue — the TPC-H Q3 plan expressed
-    Ray-native.
+_Q3_TOP_N = 10
+
+
+def shipping_priority(li_ds, orders_ds):
+    """Top-``_Q3_TOP_N`` undelivered orders by revenue — the TPC-H Q3 plan
+    expressed Ray-native.
 
     Scale shape: lineitem collapses to one revenue partial per
     ``l_orderkey`` per block BEFORE any exchange, so the one shuffle
     join moves partials + the pre-filtered orders, never raw lineitem
-    rows; the joined partials merge in orderkey-sharded pandas tasks
-    (the ``customer_ltv`` high-cardinality shape), each shard emits only
-    its LOCAL top-n, and the final sort+limit runs over the tiny
-    ``num_shards x top_n`` candidate set.  Revenue is round-2 at the
-    very end (after the exact global per-order sum) and ordering is
-    (rounded revenue desc, orderkey asc) on both engines, so the top-n
-    boundary is deterministic cross-engine.
+    rows; the joined partials merge in tasks of one exchange on the
+    orderkey (the ``customer_ltv`` high-cardinality shape), each shard
+    emits only its LOCAL top-n, and the driver sorts the tiny candidate
+    set.  Revenue is round-2 at the very end (after the exact global
+    per-order sum) and ordering is (rounded revenue desc, orderkey asc)
+    on both engines, so the top-n boundary is deterministic
+    cross-engine.
     """
     import pyarrow.compute as pc
 
-    from ._util import hash_shards
     from .joins import shuffle_join
 
     def _rev_partial(batch: pa.Table) -> pa.Table:
@@ -1016,43 +945,29 @@ def shipping_priority(li_ds, orders_ds, *, top_n: int = 10,
             batch.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
         ).to_numpy(zero_copy_only=False)
-        g = pd.DataFrame({"l_orderkey": key, "rev_part": rev}) \
-            .groupby("l_orderkey", sort=False)["rev_part"].sum() \
-            .reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(pd.DataFrame({"l_orderkey": key, "rev": rev}),
+                    "l_orderkey", _schema(l_orderkey=_I, rev_part=_F),
+                    rev_part=("rev", "sum"))
 
     li_parts = li_ds.map_batches(_rev_partial, batch_format="pyarrow",
                                  zero_copy_batch=True)
     j = shuffle_join(li_parts, orders_ds, on="l_orderkey",
-                     right_on="o_orderkey", num_shards=num_shards)
-
-    def _shard(batch: pa.Table) -> pa.Table:
-        keys = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array(hash_shards(keys, num_shards), pa.int32()))
+                     right_on="o_orderkey")
 
     def _merge_shard(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(
             ["l_orderkey", "o_orderdate_ns", "o_orderpriority"], sort=False
         )["rev_part"].sum().reset_index()
         g["revenue"] = round_half_away(g["rev_part"].to_numpy(), 2)
-        g = g.sort_values(["revenue", "l_orderkey"],
-                          ascending=[False, True]).head(top_n)
-        return pd.DataFrame({
-            "l_orderkey": g["l_orderkey"].astype(np.int64),
-            "revenue": g["revenue"].astype(np.float64),
-            "o_orderdate_ns": g["o_orderdate_ns"].astype(np.int64),
-            "o_orderpriority": g["o_orderpriority"].astype(str),
-        })
+        return g.sort_values(["revenue", "l_orderkey"],
+                             ascending=[False, True]).head(_Q3_TOP_N)
 
-    cand = (
-        j.map_batches(_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(_merge_shard, batch_format="pandas")
-    )
-    # num_shards x top_n candidates: the sort is tiny by construction
-    return cand.sort(["revenue", "l_orderkey"],
-                     descending=[True, False]).limit(top_n)
+    cand = sharded_aggregate(j, lambda t: t, _merge_shard, _schema(
+        l_orderkey=_I, revenue=_F, o_orderdate_ns=_I, o_orderpriority=_S),
+        key="l_orderkey").to_pandas()
+    return cand.sort_values(["revenue", "l_orderkey"],
+                            ascending=[False, True],
+                            ignore_index=True).head(_Q3_TOP_N)
 
 
 _Q3_SEGMENT = "BUILDING"
@@ -1069,7 +984,6 @@ def _q_shipping_priority(sf_dir: str):
 
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
     from .enrich import broadcast_semi_join
 
@@ -1079,7 +993,7 @@ def _q_shipping_priority(sf_dir: str):
         columns=["c_custkey", "c_mktsegment"],
         filters=[("c_mktsegment", "=", _Q3_SEGMENT)],
     )
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate",
                  "o_orderpriority"],
@@ -1098,9 +1012,12 @@ def _q_shipping_priority(sf_dir: str):
 
     orders = orders.map_batches(_ord, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    li = ray.data.read_parquet(
+    # a read filter's column must be read: the read schema is the
+    # projected one (read_parquet_file)
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
+        columns=["l_orderkey", "l_extendedprice", "l_discount",
+                 "l_shipdate"],
         filter=pads.field("l_shipdate") > cutoff,
     )
     return shipping_priority(li, orders)
@@ -1122,7 +1039,7 @@ register(
       AND l.l_shipdate > TIMESTAMP '{_Q3_CUTOFF}'
     GROUP BY l.l_orderkey, o.o_orderdate, o.o_orderpriority
     ORDER BY revenue DESC, l_orderkey
-    LIMIT 10
+    LIMIT {_Q3_TOP_N}
     """,
 )
 
@@ -1131,8 +1048,18 @@ register(
 # Calendar-month order volumes per nation
 # ---------------------------------------------------------------------------
 
-def nation_monthly_orders(orders_ds, nation_lut: dict, *,
-                          num_shards: int = 32):
+_MONTH_PARTIALS = _schema(nk=_I, month_ns=_I, n=_I, s=_F)
+
+
+def _month_ns(batch: pa.Table) -> np.ndarray:
+    """``o_orderdate`` truncated to its calendar month, as int64 ns."""
+    t = batch.column("o_orderdate").cast(pa.timestamp("ns")) \
+        .to_numpy(zero_copy_only=False)
+    return t.astype("datetime64[M]").astype("datetime64[ns]") \
+        .astype(np.int64)
+
+
+def nation_monthly_orders(orders_ds, nation_lut: dict):
     """Orders per (nation, calendar month): count + round-2 total price.
 
     Calendar months are NOT fixed-width windows, so the epoch-floor
@@ -1140,60 +1067,46 @@ def nation_monthly_orders(orders_ds, nation_lut: dict, *,
     numpy ``datetime64[M]`` cast inside the per-block combiner (exact
     calendar arithmetic, no Python date loop).  The combiner collapses
     each block to one partial row per (nationkey, month); partials merge
-    in hash-sharded pandas tasks (nation x month cardinality is small
-    but the shape stays the repo-standard shard merge so a 1000x month
-    range cannot regress it); the 25-row nation lookup broadcasts in the
-    task closure."""
-    from ._util import hash_shards
+    after one exchange on the nation key; the 25-row nation lookup
+    broadcasts in the task closure."""
 
     def _partial(batch: pa.Table) -> pa.Table:
-        nk = batch.column("o_custkey_nation").to_numpy(zero_copy_only=False)
-        t = batch.column("o_orderdate").cast(pa.timestamp("ns")) \
-            .to_numpy(zero_copy_only=False)
-        month_ns = t.astype("datetime64[M]").astype("datetime64[ns]") \
-            .astype(np.int64)
-        g = pd.DataFrame({
-            "nk": nk, "month_ns": month_ns,
+        df = pd.DataFrame({
+            "nk": batch.column("o_custkey_nation")
+            .to_numpy(zero_copy_only=False),
+            "month_ns": _month_ns(batch),
             "price": batch.column("o_totalprice").to_numpy(
                 zero_copy_only=False),
-        }).groupby(["nk", "month_ns"], sort=False).agg(
-            n=("price", "size"), s=("price", "sum")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        g["shard"] = hash_shards(g["nk"].to_numpy(), num_shards,
-                                 mix=g["month_ns"].to_numpy())
-        return pa.Table.from_pandas(g, preserve_index=False)
+        })
+        return _agg(df, ["nk", "month_ns"], _MONTH_PARTIALS,
+                    n=("price", "size"), s=("price", "sum"))
 
-    def _merge_shard(df: pd.DataFrame) -> pd.DataFrame:
+    def _merge_shard(df: pd.DataFrame) -> dict:
         g = df.groupby(["nk", "month_ns"], sort=False).agg(
             n=("n", "sum"), s=("s", "sum")).reset_index()
-        return pd.DataFrame({
-            "n_name": g["nk"].map(nation_lut).astype(str),
-            "month_ns": g["month_ns"].astype(np.int64),
-            "n_orders": g["n"].astype(np.int64),
+        return {
+            "n_name": g["nk"].map(nation_lut),
+            "month_ns": g["month_ns"],
+            "n_orders": g["n"],
             "total_price": round_half_away(g["s"].to_numpy(), 2),
-        })
+        }
 
-    return (
-        orders_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(_merge_shard, batch_format="pandas")
-    )
+    return sharded_aggregate(orders_ds, _partial, _merge_shard, _schema(
+        n_name=_S, month_ns=_I, n_orders=_I, total_price=_F), key="nk")
 
 
 def _q_nation_monthly_orders(sf_dir: str):
     """customer's nationkey reaches orders through the one bounded
     shuffle join; nation names broadcast as a 25-entry lookup."""
     import pyarrow.parquet as pq
-    import ray
 
     from .joins import shuffle_join
 
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_totalprice", "o_orderdate"],
     )
-    cust = ray.data.read_parquet(
+    cust = read_parquet_file(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"],
     )
 
@@ -1296,7 +1209,6 @@ def _q_local_supplier_volume(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
     from .enrich import broadcast_join
     from .joins import parquet_schema, shuffle_join
@@ -1317,8 +1229,10 @@ def _q_local_supplier_volume(sf_dir: str):
     lo = _dt.datetime.fromisoformat(Q5_DATE_LO)
     hi = _dt.datetime.fromisoformat(Q5_DATE_HI)
     def _orders():
-        return ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
+        # the filter's column is read too, and dropped by the join
+        return read_parquet_file(
+            f"{sf_dir}/orders.parquet",
+            columns=["o_orderkey", "o_custkey", "o_orderdate"],
             filter=(pads.field("o_orderdate") >= lo)
             & (pads.field("o_orderdate") < hi),
         )
@@ -1331,7 +1245,7 @@ def _q_local_supplier_volume(sf_dir: str):
 
     orders = _orders().map_batches(_ord_prune, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
@@ -1427,17 +1341,16 @@ def customer_spend_gini(orders_ds, cust_ds, *, value_shards: int = 64):
     shape); ONE shuffle join attaches the nation key.  The rank-weighted
     sum is then DISTRIBUTED: rows go to value-ORDERED shards derived
     from the spend's own IEEE bit pattern (no bounds pass — see
-    ``_vshard``), each shard task ranks only its slice and emits
-    per-nation partials (cnt, sum x, sum j*x), and the driver folds the
-    tiny partial table with cumulative offsets —
-    ``sum(i*x) = sum_shards(offset*sx + sjx)``, exact because ranks of
-    tied values are interchangeable in the formula.  No task ever holds
-    a whole nation's customers (the r2 version did: nation cardinality
-    is fixed, so per-nation tasks grew linearly with the customer
-    table).  Spends are round-2 (cents); the rank sum's reassociation
+    ``_vshard``), exchanged on that integer id; each task ranks only its
+    vshards' rows and emits per-(nation, vshard) partials (cnt, sum x,
+    sum j*x), and the driver folds the tiny partial table with
+    cumulative offsets — ``sum(i*x) = sum_shards(offset*sx + sjx)``,
+    exact because ranks of tied values are interchangeable in the
+    formula.  No task ever holds a whole nation's customers (the r2
+    version did: nation cardinality is fixed, so per-nation tasks grew
+    linearly with the customer table).  Spends are round-2 (cents); the rank sum's reassociation
     noise is ~1e-14 relative, absorbed by the round-6 output.
     """
-    from ._util import hash_shards
     from .joins import shuffle_join
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -1447,28 +1360,17 @@ def customer_spend_gini(orders_ds, cust_ds, *, value_shards: int = 64):
             "s": batch.column("o_totalprice").to_numpy(
                 zero_copy_only=False),
         })
-        g = df.groupby("custkey", sort=False)["s"].sum().reset_index()
-        g["shard"] = hash_shards(g["custkey"].to_numpy(), 64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "custkey", _schema(custkey=_I, s=_F), s=("s", "sum"))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("custkey", sort=False)["s"].sum().reset_index()
-        return pd.DataFrame({
-            "custkey": g["custkey"].astype(np.int64),
-            "spend": round_half_away(g["s"].to_numpy(), 2),
-        })
+    def _merge(df: pd.DataFrame) -> dict:
+        g = df.groupby("custkey", sort=False)["s"].sum()
+        return {"custkey": g.index.to_numpy(),
+                "spend": round_half_away(g.to_numpy(), 2)}
 
-    spend = (
-        orders_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard").map_groups(_merge, batch_format="pandas")
-    )
-    # spend holds a shuffle: declare its schema so plan construction
-    # doesn't execute the shard-merge just to learn the column types.
-    joined = shuffle_join(
-        spend, cust_ds, on="custkey", right_on="c_custkey",
-        left_schema=pa.schema([("custkey", pa.int64()),
-                               ("spend", pa.float64())]))
+    spend = sharded_aggregate(orders_ds, _partial, _merge,
+                              _schema(custkey=_I, spend=_F), key="custkey")
+    joined = shuffle_join(spend, cust_ds, on="custkey", right_on="c_custkey")
+
     def _vshard(batch: pa.Table) -> pa.Table:
         # value-ordered shard WITHOUT a bounds pass — shard ids order
         # exactly like spends, so offsets accumulate correctly (see
@@ -1477,26 +1379,24 @@ def customer_spend_gini(orders_ds, cust_ds, *, value_shards: int = 64):
         return batch.append_column("vshard", pa.array(vs, pa.int64()))
 
     def _rank_partials(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["c_nationkey", "spend"], kind="stable")
+        # a task may hold several vshards: rank within (nation, vshard)
+        keys = ["c_nationkey", "vshard"]
+        df = df.sort_values(keys + ["spend"], kind="stable")
         x = df["spend"].to_numpy(np.float64)
-        j = (df.groupby("c_nationkey", sort=False).cumcount()
-             .to_numpy(np.float64) + 1.0)
-        t = pd.DataFrame({
+        j = df.groupby(keys, sort=False).cumcount().to_numpy(np.float64) \
+            + 1.0
+        return pd.DataFrame({
             "nationkey": df["c_nationkey"].to_numpy(np.int64),
+            "vshard": df["vshard"].to_numpy(np.int64),
             "cnt": np.ones(len(df), np.int64),
             "sx": x,
             "sjx": j * x,
-        })
-        g = t.groupby("nationkey", sort=True).sum().reset_index()
-        g["vshard"] = np.int64(df["vshard"].iloc[0])
-        return g
+        }).groupby(["nationkey", "vshard"], sort=True).sum().reset_index()
 
-    parts = (
-        joined.map_batches(_vshard, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("vshard").map_groups(_rank_partials,
-                                      batch_format="pandas")
-    ).to_pandas()  # ≤ value_shards x |nations| partial rows
+    # ≤ value_shards x |nations| partial rows
+    parts = sharded_aggregate(joined, _vshard, _rank_partials, _schema(
+        nationkey=_I, vshard=_I, cnt=_I, sx=_F, sjx=_F),
+        key="vshard").to_pandas()
     parts = parts.sort_values(["nationkey", "vshard"], ignore_index=True)
     rows = {"nationkey": [], "n_customers": [], "total_spend": [],
             "gini": []}
@@ -1523,11 +1423,10 @@ def customer_spend_gini(orders_ds, cust_ds, *, value_shards: int = 64):
 
 
 def _q_spend_gini(sf_dir: str):
-    import ray
 
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-    cust = ray.data.read_parquet(
+    cust = read_parquet_file(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
     return customer_spend_gini(orders, cust)
 
@@ -1571,11 +1470,26 @@ Q18_TOP_N = 100
 Q18_MAX_QUALIFYING = 2_000_000  # broadcast guard (rows)
 
 
-def large_volume_orders(sf_dir: str, *, threshold: float = Q18_QTY_THRESHOLD,
-                        top_n: int = Q18_TOP_N):
-    """TPC-H Q18: the ``top_n`` orders whose total lineitem quantity
-    exceeds ``threshold``, with customer name attached — ordered by
-    (o_totalprice desc, o_orderkey asc).
+def _top_n(ds, schema: pa.Schema, n: int, by: str, tie: str):
+    """The ``n`` rows of ``ds`` (``schema``'s columns) with the largest
+    ``by``, ties by the smallest ``tie``: each block keeps its own top
+    ``n``, and one task (``key=None``) picks from those candidates — no
+    global sort."""
+    order = [(by, "descending"), (tie, "ascending")]
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        return batch.select(schema.names).sort_by(order).slice(0, n)
+
+    def _final(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values([by, tie], ascending=[False, True]).head(n)
+
+    return sharded_aggregate(ds, _partial, _final, schema, key=None)
+
+
+def large_volume_orders(sf_dir: str):
+    """TPC-H Q18: the ``Q18_TOP_N`` orders whose total lineitem quantity
+    exceeds ``Q18_QTY_THRESHOLD``, with customer name attached — ordered
+    by (o_totalprice desc, o_orderkey asc).
 
     Scale shape: lineitem collapses to per-block (orderkey, qty)
     partials BEFORE any exchange, one orderkey shard-merge makes the
@@ -1587,42 +1501,31 @@ def large_volume_orders(sf_dir: str, *, threshold: float = Q18_QTY_THRESHOLD,
     orders never co-shuffle.  Customer names attach through ONE bounded
     shuffle join (customer is large; the qualifying orders are the tiny
     side of that exchange).  The final top-n is a per-block partial
-    top-k + single tiny merge — no global sort.  Quantity sums are
-    integer-valued doubles (exact), o_totalprice is data (no
+    top-k + single tiny merge (``_top_n``) — no global sort.  Quantity
+    sums are integer-valued doubles (exact), o_totalprice is data (no
     arithmetic), so every output column hashes exactly.
     """
-    import pyarrow.compute as pc
-    import ray
-
-    from ._util import hash_shards
     from .joins import join_output_schema, parquet_schema, shuffle_join
 
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"])
 
     def _qty_partial(batch: pa.Table) -> pa.Table:
-        g = pd.DataFrame({
+        df = pd.DataFrame({
             "l_orderkey": batch.column("l_orderkey")
             .to_numpy(zero_copy_only=False),
             "q": batch.column("l_quantity").to_numpy(zero_copy_only=False),
-        }).groupby("l_orderkey", sort=False)["q"].sum().reset_index()
-        g["shard"] = hash_shards(g["l_orderkey"].to_numpy(), 64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        })
+        return _agg(df, "l_orderkey", _schema(l_orderkey=_I, q=_F),
+                    q=("q", "sum"))
 
     def _qty_merge(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("l_orderkey", sort=False)["q"].sum().reset_index()
-        g = g[g["q"] > threshold]
-        return pd.DataFrame({
-            "l_orderkey": g["l_orderkey"].astype(np.int64),
-            "total_qty": g["q"].astype(np.float64),
-        })
+        return g[g["q"] > Q18_QTY_THRESHOLD].rename(columns={"q": "total_qty"})
 
-    qualifying = (
-        li.map_batches(_qty_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("shard").map_groups(_qty_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    qualifying = sharded_aggregate(
+        li, _qty_partial, _qty_merge, _schema(l_orderkey=_I, total_qty=_F),
+        key="l_orderkey").to_pandas()
     if len(qualifying) > Q18_MAX_QUALIFYING:
         raise ValueError(
             f"Q18 qualifying set {len(qualifying)} rows exceeds the "
@@ -1632,9 +1535,8 @@ def large_volume_orders(sf_dir: str, *, threshold: float = Q18_QTY_THRESHOLD,
     qqty = qualifying.set_index("l_orderkey")["total_qty"] \
         .loc[qkeys].to_numpy(np.float64)
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
+    ord_cols = ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
+    orders = read_parquet_file(f"{sf_dir}/orders.parquet", columns=ord_cols)
 
     def _attach_qty(batch: pa.Table) -> pa.Table:
         keys = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
@@ -1652,37 +1554,19 @@ def large_volume_orders(sf_dir: str, *, threshold: float = Q18_QTY_THRESHOLD,
 
     qualified = orders.map_batches(_attach_qty, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    ord_schema = parquet_schema(
-        f"{sf_dir}/orders.parquet",
-        ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]) \
+    ord_schema = parquet_schema(f"{sf_dir}/orders.parquet", ord_cols) \
         .append(pa.field("total_qty", pa.float64()))
     cust_schema = parquet_schema(
         f"{sf_dir}/customer.parquet", ["c_custkey", "c_name"])
-    cust = ray.data.read_parquet(
+    cust = read_parquet_file(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
     j = shuffle_join(qualified, cust, on="o_custkey", right_on="c_custkey",
                      left_schema=ord_schema, right_schema=cust_schema)
-
-    out_cols = ["c_name", "o_custkey", "o_orderkey", "o_orderdate",
-                "o_totalprice", "total_qty"]
-
-    def _partial_topn(batch: pa.Table) -> pa.Table:
-        df = batch.select(out_cols).to_pandas()
-        df = df.sort_values(["o_totalprice", "o_orderkey"],
-                            ascending=[False, True]).head(top_n)
-        df["one"] = np.zeros(len(df), np.int32)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def _merge_topn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_totalprice", "o_orderkey"],
-                            ascending=[False, True]).head(top_n)
-        return df[out_cols].reset_index(drop=True)
-
-    return (
-        j.map_batches(_partial_topn, batch_format="pyarrow",
-                      zero_copy_batch=True)
-        .groupby("one").map_groups(_merge_topn, batch_format="pandas")
-    )
+    out = join_output_schema(ord_schema, cust_schema, on="o_custkey",
+                             right_on="c_custkey")
+    return _top_n(j, pa.schema([out.field(c) for c in (
+        "c_name", "o_custkey", "o_orderkey", "o_orderdate", "o_totalprice",
+        "total_qty")]), Q18_TOP_N, "o_totalprice", "o_orderkey")
 
 
 register(
@@ -1709,66 +1593,57 @@ register(
 # Ratio-to-report: each nation's share of monthly revenue
 # ---------------------------------------------------------------------------
 
-def nation_monthly_share(orders_ds, *, num_shards: int = 32):
+def nation_monthly_share(orders_ds):
     """Per (nation, calendar month): order revenue and its share of the
     month's total — the ratio-to-report window class (the one window
     family the engine didn't cover: lag, rank, ntile, cumsum, moving
     aggregates all exist).
 
     Scale shape: the per-block combiner collapses orders to
-    (nationkey, month) partials; the ONE shuffle shards by MONTH so
-    each group task holds one month's <= |nations| rows and computes
+    (nationkey, month) partials; the ONE exchange is on the MONTH, so
+    each task holds whole months of <= |nations| rows each and computes
     the share locally — no second pass, no broadcast.  Share divides
     the round-2 per-nation sum by the month total formed from those
     same round-2 sums (exact cents additions), so both engines evaluate
     the identical expression tree.
     """
-    from ._util import hash_shards
 
     def _partial(batch: pa.Table) -> pa.Table:
-        t = batch.column("o_orderdate").cast(pa.timestamp("ns")) \
-            .to_numpy(zero_copy_only=False)
-        month_ns = t.astype("datetime64[M]").astype("datetime64[ns]") \
-            .astype(np.int64)
-        g = pd.DataFrame({
+        df = pd.DataFrame({
             "nk": batch.column("o_custkey_nation")
             .to_numpy(zero_copy_only=False),
-            "month_ns": month_ns,
+            "month_ns": _month_ns(batch),
             "s": batch.column("o_totalprice")
             .to_numpy(zero_copy_only=False),
-        }).groupby(["nk", "month_ns"], sort=False)["s"].sum().reset_index()
-        g["shard"] = hash_shards(g["month_ns"].to_numpy(), num_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        })
+        return _agg(df, ["nk", "month_ns"],
+                    _schema(nk=_I, month_ns=_I, s=_F), s=("s", "sum"))
 
-    def _share(df: pd.DataFrame) -> pd.DataFrame:
+    def _share(df: pd.DataFrame) -> dict:
         g = df.groupby(["nk", "month_ns"], sort=False)["s"].sum() \
             .reset_index()
         g["revenue"] = round_half_away(g["s"].to_numpy(), 2)
         totals = g.groupby("month_ns")["revenue"].transform("sum")
-        return pd.DataFrame({
-            "nationkey": g["nk"].astype(np.int64),
-            "month_ns": g["month_ns"].astype(np.int64),
+        return {
+            "nationkey": g["nk"],
+            "month_ns": g["month_ns"],
             "revenue": g["revenue"],
             "share": round_half_away(
                 (g["revenue"] / totals).to_numpy(), 6),
-        })
+        }
 
-    return (
-        orders_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard").map_groups(_share, batch_format="pandas")
-    )
+    return sharded_aggregate(orders_ds, _partial, _share, _schema(
+        nationkey=_I, month_ns=_I, revenue=_F, share=_F), key="month_ns")
 
 
 def _q_nation_monthly_share(sf_dir: str):
-    import ray
 
     from .joins import parquet_schema, shuffle_join
 
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_totalprice", "o_orderdate"])
-    cust = ray.data.read_parquet(
+    cust = read_parquet_file(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
     def _nk(batch: pa.Table) -> pa.Table:
@@ -1824,8 +1699,8 @@ Q10_DATE_HI = "1996-01-01"
 Q10_TOP_N = 20
 
 
-def returned_item_revenue(sf_dir: str, *, top_n: int = Q10_TOP_N):
-    """TPC-H Q10: the ``top_n`` customers by revenue lost to returned
+def returned_item_revenue(sf_dir: str):
+    """TPC-H Q10: the ``Q10_TOP_N`` customers by revenue lost to returned
     lineitems (``l_returnflag = 'R'``) over a one-quarter order window,
     with account balance and nation name attached — ordered by
     (revenue desc, c_custkey asc; the rounded revenue is the sort key in
@@ -1841,13 +1716,11 @@ def returned_item_revenue(sf_dir: str, *, top_n: int = Q10_TOP_N):
     combiner + one custkey shard-merge collapse that to one row per
     customer BEFORE the customer-attribute join; nation names attach
     via a 25-row broadcast; the final top-n is a per-block partial
-    top-k + single tiny merge — no global sort anywhere.
+    top-k + single tiny merge (``_top_n``) — no global sort anywhere.
     """
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import ray
 
-    from ._util import hash_shards
     from .enrich import broadcast_join
     from .joins import parquet_schema, shuffle_join
 
@@ -1856,16 +1729,19 @@ def returned_item_revenue(sf_dir: str, *, top_n: int = Q10_TOP_N):
     hi = _dt.datetime.fromisoformat(Q10_DATE_HI)
 
     def _orders():
-        return ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
+        # the filter's column is read too, and dropped by the join
+        return read_parquet_file(
+            f"{sf_dir}/orders.parquet",
+            columns=["o_orderkey", "o_custkey", "o_orderdate"],
             filter=(pads.field("o_orderdate") >= lo)
             & (pads.field("o_orderdate") < hi),
         )
 
     orders = _orders()
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
+        columns=["l_orderkey", "l_extendedprice", "l_discount",
+                 "l_returnflag"],
         filter=pads.field("l_returnflag") == "R",
     )
 
@@ -1894,34 +1770,26 @@ def returned_item_revenue(sf_dir: str, *, top_n: int = Q10_TOP_N):
                       left_schema=li_schema, right_schema=orders_schema)
 
     def _cust_partial(batch: pa.Table) -> pa.Table:
-        g = pd.DataFrame({
+        df = pd.DataFrame({
             "custkey": batch.column("o_custkey")
             .to_numpy(zero_copy_only=False),
             "rev": batch.column("rev").to_numpy(zero_copy_only=False),
-        }).groupby("custkey", sort=False)["rev"].sum().reset_index()
-        g["shard"] = hash_shards(g["custkey"].to_numpy(), 64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _cust_merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("custkey", sort=False)["rev"].sum().reset_index()
-        return pd.DataFrame({
-            "c_custkey": g["custkey"].astype(np.int64),
-            "revenue": round_half_away(g["rev"].to_numpy(), 2),
         })
+        return _agg(df, "custkey", _schema(custkey=_I, rev=_F),
+                    rev=("rev", "sum"))
 
-    per_cust = (
-        j1.map_batches(_cust_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("shard").map_groups(_cust_merge, batch_format="pandas")
-    )
-    per_cust_schema = pa.schema([
-        ("c_custkey", pa.int64()), ("revenue", pa.float64())])
+    def _cust_merge(df: pd.DataFrame) -> dict:
+        g = df.groupby("custkey", sort=False)["rev"].sum()
+        return {"c_custkey": g.index.to_numpy(),
+                "revenue": round_half_away(g.to_numpy(), 2)}
+
+    per_cust = sharded_aggregate(j1, _cust_partial, _cust_merge, _schema(
+        c_custkey=_I, revenue=_F), key="custkey")
     cust_cols = ["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=cust_cols)
+    cust = read_parquet_file(f"{sf_dir}/customer.parquet", columns=cust_cols)
     cust_schema = parquet_schema(f"{sf_dir}/customer.parquet", cust_cols)
     j2 = shuffle_join(per_cust, cust, on="c_custkey",
-                      left_schema=per_cust_schema, right_schema=cust_schema)
+                      right_schema=cust_schema)
 
     import pyarrow.parquet as pq
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
@@ -1929,26 +1797,9 @@ def returned_item_revenue(sf_dir: str, *, top_n: int = Q10_TOP_N):
     names = dict(zip(nation.column("n_nationkey").to_pylist(),
                      nation.column("n_name").to_pylist()))
     j3 = broadcast_join(j2, names, key="c_nationkey", value_name="n_name")
-
-    out_cols = ["c_custkey", "c_name", "revenue", "c_acctbal", "n_name"]
-
-    def _partial_topn(batch: pa.Table) -> pa.Table:
-        df = batch.select(out_cols).to_pandas()
-        df = df.sort_values(["revenue", "c_custkey"],
-                            ascending=[False, True]).head(top_n)
-        df["one"] = np.zeros(len(df), np.int32)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def _merge_topn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["revenue", "c_custkey"],
-                            ascending=[False, True]).head(top_n)
-        return df[out_cols].reset_index(drop=True)
-
-    return (
-        j3.map_batches(_partial_topn, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("one").map_groups(_merge_topn, batch_format="pandas")
-    )
+    return _top_n(j3, _schema(c_custkey=_I, c_name=_S, revenue=_F,
+                              c_acctbal=_F, n_name=_S),
+                  Q10_TOP_N, "revenue", "c_custkey")
 
 
 register(
@@ -1983,8 +1834,7 @@ register(
 PARETO_MAX_CANDIDATES = 5_000_000
 
 
-def customer_pareto_frontier(orders_ds, *,
-                             max_candidates: int = PARETO_MAX_CANDIDATES):
+def customer_pareto_frontier(orders_ds):
     """The skyline of customers over (max single-order price, order
     count): keep a customer iff NO other customer is >= on both metrics
     and > on at least one (exact ties on both metrics all stay,
@@ -1998,25 +1848,23 @@ def customer_pareto_frontier(orders_ds, *,
     ``skyline(union) = skyline(union of per-part skylines)`` — so each
     block reduces to its LOCAL frontier with a vectorized
     sort + group-prefix-max scan (no Python per row), and one final
-    task merges the survivors.  On correlated metrics (spend and order
-    count rise together) local frontiers are tiny; the anti-correlated
-    worst case where the skyline IS the population is guarded by
-    ``max_candidates`` with a loud error.  Both metrics are exact (a max
-    of stored values and an integer count), so dominance can never flip
-    on float noise.
+    task (``key=None``) merges the survivors.  On correlated metrics
+    (spend and order count rise together) local frontiers are tiny; the
+    anti-correlated worst case where the skyline IS the population is
+    guarded by ``PARETO_MAX_CANDIDATES`` with a loud error.  Both metrics
+    are exact (a max of stored values and an integer count), so dominance
+    can never flip on float noise.
     """
-    from ._util import hash_shards
 
     def _partial(batch: pa.Table) -> pa.Table:
-        g = pd.DataFrame({
+        df = pd.DataFrame({
             "custkey": batch.column("o_custkey")
             .to_numpy(zero_copy_only=False),
             "s": batch.column("o_totalprice")
             .to_numpy(zero_copy_only=False),
-        }).groupby("custkey", sort=False).agg(
-            s=("s", "max"), n=("s", "size")).reset_index()
-        g["shard"] = hash_shards(g["custkey"].to_numpy(), 64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        })
+        return _agg(df, "custkey", _schema(custkey=_I, s=_F, n=_I),
+                    s=("s", "max"), n=("s", "size"))
 
     def _skyline(spend: np.ndarray, n_orders: np.ndarray) -> np.ndarray:
         """Boolean keep-mask: 2-D skyline via sort + strictly-higher-
@@ -2039,45 +1887,39 @@ def customer_pareto_frontier(orders_ds, *,
         keep[order] = keep_sorted
         return keep
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
+    def _merge(df: pd.DataFrame) -> dict:
         g = df.groupby("custkey", sort=False).agg(
             s=("s", "max"), n=("n", "sum")).reset_index()
         max_price = g["s"].to_numpy(np.float64)  # data value: exact
         n_orders = g["n"].to_numpy(np.int64)
         keep = _skyline(max_price, n_orders)
-        out = pd.DataFrame({
+        return {
             "c_custkey": g["custkey"].to_numpy(np.int64)[keep],
             "max_price": max_price[keep],
             "n_orders": n_orders[keep],
-        })
-        out["one"] = np.zeros(len(out), np.int32)
-        return out
+        }
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) > max_candidates:
+        if len(df) > PARETO_MAX_CANDIDATES:
             raise ValueError(
                 f"{len(df)} local-frontier candidates exceed "
-                f"max_candidates={max_candidates}; the metrics are "
-                "anti-correlated enough that the skyline is a large "
-                "fraction of the population — this operator's output "
+                f"PARETO_MAX_CANDIDATES={PARETO_MAX_CANDIDATES}; the "
+                "metrics are anti-correlated enough that the skyline is a "
+                "large fraction of the population — this operator's output "
                 "contract (small frontier) does not hold for this data")
         keep = _skyline(df["max_price"].to_numpy(),
                         df["n_orders"].to_numpy(np.int64))
-        out = df.loc[keep, ["c_custkey", "max_price", "n_orders"]]
-        return out.sort_values("c_custkey").reset_index(drop=True)
+        return df[keep].sort_values("c_custkey")
 
-    return (
-        orders_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("shard").map_groups(_merge, batch_format="pandas")
-        .groupby("one").map_groups(_final, batch_format="pandas")
-    )
+    schema = _schema(c_custkey=_I, max_price=_F, n_orders=_I)
+    local = sharded_aggregate(orders_ds, _partial, _merge, schema,
+                              key="custkey")
+    return sharded_aggregate(local, lambda t: t, _final, schema, key=None)
 
 
 def _q_pareto(sf_dir: str):
-    import ray
 
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
     return customer_pareto_frontier(orders)
 
@@ -2125,17 +1967,15 @@ def volume_shipping(sf_dir: str):
     out-of-nation rows never reach the later exchanges.  The
     cross-pair constraint (supp != cust nation) is a vectorized
     post-join filter, names attach via a 2-row broadcast, and the
-    final aggregate is a per-block (pair, year) combiner + one tiny
-    shard merge — at most 2 pairs x |years| rows move.
+    final aggregate is a per-block (pair, year) combiner + one exchange
+    on the supplier nation — at most 2 pairs x |years| rows move.
     """
     import datetime as _dt
 
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
-    from ._util import hash_shards
     from .joins import join_output_schema, parquet_schema, shuffle_join
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
@@ -2145,24 +1985,24 @@ def volume_shipping(sf_dir: str):
     nk = {v: k for k, v in names.items()}
     keys = sorted((nk[Q7_NATION_A], nk[Q7_NATION_B]))
 
-    cust = ray.data.read_parquet(
+    cust = read_parquet_file(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"],
         filter=pads.field("c_nationkey").isin(keys),
     )
-    supp = ray.data.read_parquet(
+    supp = read_parquet_file(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"],
         filter=pads.field("s_nationkey").isin(keys),
     )
     lo = _dt.datetime.fromisoformat(Q7_DATE_LO)
     hi = _dt.datetime.fromisoformat(Q7_DATE_HI)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                  "l_discount", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
         & (pads.field("l_shipdate") < hi),
     )
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
 
     def _vol(batch: pa.Table) -> pa.Table:
@@ -2207,36 +2047,28 @@ def volume_shipping(sf_dir: str):
     j3 = shuffle_join(j2, supp, on="l_suppkey", right_on="s_suppkey",
                       left_schema=j2_schema, right_schema=supp_schema)
 
+    keys = ["supp_nation", "cust_nation", "l_year"]
+
     def _cross(batch: pa.Table) -> pa.Table:
         keep = pc.not_equal(batch.column("c_nationkey"),
                             batch.column("s_nationkey"))
         t = batch.filter(keep)
-        sup = t.column("s_nationkey").to_pandas().map(names)
-        cus = t.column("c_nationkey").to_pandas().map(names)
-        g = pd.DataFrame({
-            "supp_nation": sup,
-            "cust_nation": cus,
+        df = pd.DataFrame({
+            "supp_nation": t.column("s_nationkey").to_pandas().map(names),
+            "cust_nation": t.column("c_nationkey").to_pandas().map(names),
             "l_year": t.column("l_year").to_numpy(zero_copy_only=False),
             "vol": t.column("vol").to_numpy(zero_copy_only=False),
-        }).groupby(["supp_nation", "cust_nation", "l_year"],
-                   sort=False)["vol"].sum().reset_index()
-        g["shard"] = hash_shards(g["l_year"].to_numpy(), 8)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        })
+        return _agg(df, keys, _schema(supp_nation=_S, cust_nation=_S,
+                                      l_year=_I, vol=_F), vol=("vol", "sum"))
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["supp_nation", "cust_nation", "l_year"],
-                       sort=True)["vol"].sum().reset_index()
-        return pd.DataFrame({
-            "supp_nation": g["supp_nation"].astype(str),
-            "cust_nation": g["cust_nation"].astype(str),
-            "l_year": g["l_year"].astype(np.int64),
-            "revenue": round_half_away(g["vol"].to_numpy(), 2),
-        })
+        g = df.groupby(keys, sort=True)["vol"].sum().reset_index()
+        return g.assign(revenue=round_half_away(g["vol"].to_numpy(), 2))
 
-    return (
-        j3.map_batches(_cross, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard").map_groups(_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(j3, _cross, _merge, _schema(
+        supp_nation=_S, cust_nation=_S, l_year=_I, revenue=_F),
+        key="supp_nation")
 
 
 register(
@@ -2274,52 +2106,28 @@ def _q_customer_rfm(sf_dir: str):
     and the report counts customers per segment.
 
     Scale shape: per-block (custkey, last, n, spend) partials -> ONE
-    custkey shuffle; the tercile edges need each metric's distinct-value
-    counts in one place (customer-dimension bounded, the ranktests
-    guard); the bucket+count pass is vectorized and the output is <= 27
-    rows.
+    exchange into one task (``key=None``): the tercile edges need every
+    customer's metrics in one place (customer-dimension bounded, the
+    ranktests guard), so that task merges the partials per customer and
+    buckets them vectorized; the output is <= 27 rows.
     """
-    import ray
-
-    from ._util import round_half_away
     from .psidrift import _weighted_quantiles
-
-    day_ns = 86_400_000_000_000
 
     def _partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("o_orderdate").cast(pa.timestamp("ns")) \
             .cast(pa.int64()).to_numpy(zero_copy_only=False)
         df = pd.DataFrame({
             "ck": batch.column("o_custkey").to_numpy(zero_copy_only=False),
-            "d": ts // day_ns,
+            "d": ts // DAY_NS,
             "p": batch.column("o_totalprice")
             .to_numpy(zero_copy_only=False),
         })
-        g = df.groupby("ck", sort=False).agg(
-            last_d=("d", "max"), n=("d", "size"), spend=("p", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "ck": df["ck"].iloc[:1],
-            "last_d": pd.Series([int(df["last_d"].max())], dtype="int64"),
-            "n": pd.Series([int(df["n"].sum())], dtype="int64"),
-            "spend": pd.Series([float(df["spend"].sum())],
-                               dtype="float64"),
-        })
-
-    per_cust = (
-        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_custkey", "o_orderdate",
-                                       "o_totalprice"])
-        .map_batches(_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .groupby("ck").map_groups(_merge, batch_format="pandas")
-    )
+        return _agg(df, "ck", _schema(ck=_I, last_d=_I, n=_I, spend=_F),
+                    last_d=("d", "max"), n=("d", "size"), spend=("p", "sum"))
 
     def _segments(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__one")
+        df = df.groupby("ck", sort=False).agg(
+            last_d=("last_d", "max"), n=("n", "sum"), spend=("spend", "sum"))
         max_d = int(df["last_d"].max())
         r = (max_d - df["last_d"].to_numpy(np.int64)).astype(np.float64)
         f = df["n"].to_numpy(np.int64).astype(np.float64)
@@ -2332,24 +2140,17 @@ def _q_customer_rfm(sf_dir: str):
             b = ((metric > edges[0]).astype(np.int64)
                  + (metric > edges[1]).astype(np.int64))
             seg += w * b
-        out = pd.DataFrame({"segment": seg}).groupby("segment") \
+        return pd.DataFrame({"segment": seg}).groupby("segment") \
             .size().rename("n_customers").reset_index()
-        return pd.DataFrame({
-            "segment": out["segment"].astype(np.int64),
-            "n_customers": out["n_customers"].astype(np.int64),
-        })
 
-    withk = per_cust.map_batches(
-        lambda t: t.append_column("__one", pa.array([0] * t.num_rows,
-                                                    pa.int32())),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return withk.groupby("__one").map_groups(_segments,
-                                             batch_format="pandas")
+    return sharded_aggregate(
+        read_parquet_file(f"{sf_dir}/orders.parquet",
+                          columns=["o_custkey", "o_orderdate",
+                                   "o_totalprice"]),
+        _partial, _segments, _schema(segment=_I, n_customers=_I), key=None)
 
 
-from .registry import register as _register_rfm  # noqa: E402
-
-_register_rfm(
+register(
     "customer_rfm_segments",
     _q_customer_rfm,
     """
@@ -2406,14 +2207,11 @@ def _q_parts_abc(sf_dir: str):
     cumulative share divides rounded running sums of exact 1e-2
     multiples, so class boundaries are identical on both engines.
 
-    Scale shape: per-block (part, revenue) partials -> ONE part shuffle;
-    the classification needs the GLOBAL revenue ordering, which runs in
-    one part-dimension-bounded task (ranktests guard rationale); output
-    is 3 rows.
+    Scale shape: per-block (part, revenue) partials -> ONE exchange into
+    one task (``key=None``): the classification needs the GLOBAL revenue
+    ordering, which runs in one part-dimension-bounded task (ranktests
+    guard rationale); output is 3 rows.
     """
-    import ray
-
-    from ._util import round_half_away
 
     def _partial(batch: pa.Table) -> pa.Table:
         # EXACT integer revenue units (1e-4 dollars), the Q9 trick:
@@ -2431,11 +2229,10 @@ def _q_parts_abc(sf_dir: str):
             "pk": batch.column("l_partkey").to_numpy(zero_copy_only=False),
             "units": price_c * (100 - disc_c),
         })
-        g = df.groupby("pk", sort=False)["units"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "pk", _schema(pk=_I, units=_I),
+                    units=("units", "sum"))
 
-    def _classify(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__one")
+    def _classify(df: pd.DataFrame) -> dict:
         g = df.groupby("pk", sort=False)["units"].sum()
         units = g.to_numpy(np.int64)
         order = np.lexsort((g.index.to_numpy(np.int64), -units))
@@ -2448,29 +2245,22 @@ def _q_parts_abc(sf_dir: str):
         out = pd.DataFrame({"cls": cls, "units": units_o}).groupby("cls") \
             .agg(n_parts=("units", "size"), units=("units", "sum")) \
             .reset_index()
-        return pd.DataFrame({
-            "abc_class": out["cls"].to_numpy(dtype=object),
-            "n_parts": out["n_parts"].astype(np.int64),
+        return {
+            "abc_class": out["cls"],
+            "n_parts": out["n_parts"],
             "revenue": ((out["units"].to_numpy(np.int64) + 50) // 100)
             .astype(np.float64) / 100.0,
-        })
+        }
 
-    per_part = (
-        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_partkey", "l_extendedprice",
-                                       "l_discount"])
-        .map_batches(_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    )
-    withk = per_part.map_batches(
-        lambda t: t.append_column("__one", pa.array([0] * t.num_rows,
-                                                    pa.int32())),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return withk.groupby("__one").map_groups(_classify,
-                                             batch_format="pandas")
+    return sharded_aggregate(
+        read_parquet_file(f"{sf_dir}/lineitem.parquet",
+                          columns=["l_partkey", "l_extendedprice",
+                                   "l_discount"]),
+        _partial, _classify, _schema(abc_class=_S, n_parts=_I, revenue=_F),
+        key=None)
 
 
-_register_rfm(
+register(
     "parts_abc_classes",
     _q_parts_abc,
     f"""

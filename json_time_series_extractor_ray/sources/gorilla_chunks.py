@@ -32,11 +32,16 @@ from ..state.gorilla import decompress_chunks
 #: the columns ``decode_chunk_batch`` reads, and the range filter's
 _COLUMNS = ["series_key", "chunk", "t_min", "t_max"]
 
+_EMPTY = pa.schema([("series_key", pa.string()), ("ts_ns", pa.int64()),
+                    ("value_num", pa.float64())]).empty_table()
+
 
 def decode_chunk_batch(batch: pa.Table) -> pa.Table:
     """Chunk rows -> (series_key, ts_ns, value_num) sample rows, every chunk
     of the batch decoded in one call.  A corrupt chunk raises
     ``ValueError``."""
+    if batch.num_rows == 0:
+        return _EMPTY
     ts, vals, counts = decompress_chunks(batch.column("chunk").to_pylist())
     rows = np.repeat(np.arange(batch.num_rows), counts)
     return pa.table(

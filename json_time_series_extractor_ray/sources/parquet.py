@@ -158,7 +158,8 @@ def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
     the overlap out; one Ray task per group reads them (only
     ``columns``), drops the chunks outside the range and calls ``decode``
     once on the rest.  A pruned file starts no task; when every file is
-    pruned, the output is ``decode`` of no rows.
+    pruned, or the store has none, the output is ``decode`` of no rows,
+    which must not need ``columns``.
 
     Runs when called, not lazily: it returns once every task has
     finished (raising the error of a failed one), and the decoded rows
@@ -179,7 +180,9 @@ def read_decoded(path: str, decode, *, columns: list, bounds: tuple,
     task = _read_task()
     out = [task.remote(group, columns, keep, decode) for group in groups]
     if not out:
-        empty = decode(schema.empty_table().select(columns))
+        # a store of no files has no columns: ``decode`` gives its own
+        # empty output for no rows
+        empty = decode(schema.empty_table())
         return _from_arrow_refs([ray.put(empty)],
                                 [get_table_block_metadata_schema(empty)])
     # raises the error of a failed task

@@ -792,7 +792,9 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
     neither recomputed nor double-counted.  ``_meta.json`` pins
     ``num_shards``, ``tiers``, ``gap_fill`` and ``chunk_bucket_ns``: a
     resume that changes one is refused before any sample is read
-    (``CheckpointManifest.ensure_sharding``).  A retried task commits its
+    (``CheckpointManifest.ensure_sharding``).  The first run that succeeds
+    writes them to the chunk store too, so a run with no sample leaves
+    both stores readable, as empty.  A retried task commits its
     shard again under fresh file names; once every shard task has
     returned, this process sweeps the shards run with the records the
     tasks returned.  Those and the skipped shards' records, loaded to find
@@ -815,9 +817,10 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
 
     check_gap_fill(gap_fill)
     manifest = CheckpointManifest(out_dir, chunks_dir, filesystem=filesystem)
+    identity = dict(tiers=list(tiers), gap_fill=gap_fill,
+                    chunk_bucket_ns=chunk_bucket_ns)
     # refuse mismatched resumes
-    manifest.ensure_sharding(num_shards, tiers=list(tiers), gap_fill=gap_fill,
-                             chunk_bucket_ns=chunk_bucket_ns)
+    manifest.ensure_sharding(num_shards, **identity)
     done = manifest._completed()
     writer = None if chunks_dir is None else GorillaChunkWriter(
         chunk_bucket_ns)
@@ -848,6 +851,10 @@ def run_sharded_rollup(samples, out_dir: str, num_shards: int, *,
         samples = samples.select_columns(ShardSamples.COLUMNS)
     *_, run = commit_exchange(samples, _rollup_and_commit, num_shards, stores,
                               skip_shards=done)
+    if writer is not None and manifest.chunks.check_identity() is None:
+        # written once a run succeeds, so a run with no sample leaves a
+        # chunk store that reads as empty; the rollup store's is checked
+        manifest.chunks.ensure_sharding(num_shards, **identity)
     manifest.records = {**done, **run}
     return manifest, sorted(run), sorted(done)
 

@@ -251,6 +251,44 @@ def test_job_token_chunk_archive(ray_session, corpus_dir, tmp_path):
         assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
+def test_job_over_an_empty_corpus_leaves_readable_stores(ray_session,
+                                                        corpus_dir,
+                                                        tmp_path):
+    """A job over a corpus file of no rows leaves a chunk store and a
+    token archive that read as 0 rows with their decoded schemas; a path
+    that was never written still raises ``FileNotFoundError``."""
+    import pyarrow as pa
+
+    from json_time_series_extractor_ray.sources.gorilla_chunks import (
+        read_gorilla_chunks,
+    )
+    from json_time_series_extractor_ray.sources.token_chunks import (
+        read_token_chunks,
+    )
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(pq.read_table(corpus_dir).slice(0, 0),
+                   str(corpus / "part-0.parquet"))
+    out = str(tmp_path / "out")
+    r = run_job({**_config(str(corpus), out), "token_chunks": True})
+    assert r["chunks_written"] and r["token_chunks_written"]
+    assert r["rollups"]["rows"] == 0
+
+    for read, path, schema in (
+            (read_gorilla_chunks, f"{out}/chunks", pa.schema([
+                ("series_key", pa.string()), ("ts_ns", pa.int64()),
+                ("value_num", pa.float64())])),
+            (read_token_chunks, f"{out}/token_chunks", pa.schema([
+                ("doc_id", pa.string()), ("tokens", pa.list_(pa.int32())),
+                ("n_tok", pa.int32()), ("source", pa.string())]))):
+        ds = read(path)
+        assert ds.count() == 0
+        assert ds.schema().base_schema == schema
+        with pytest.raises(FileNotFoundError):
+            read(str(tmp_path / "never_written"))
+
+
 def test_job_compaction_pass(ray_session, corpus_dir, tmp_path):
     """Chunks with a small bucket -> many chunks; compact_chunks pass
     merges them; readback is identical either way."""
@@ -901,7 +939,11 @@ def test_job_input_may_be_a_list(ray_session, tmp_path):
 
 def test_job_empty_corpus_commits_nothing(ray_session, tmp_path):
     """A corpus with no rows commits no shard and raises nothing, fresh or
-    rerun."""
+    rerun; the chunk store holds its pinned identity and no record."""
+    from json_time_series_extractor_ray.state.checkpoint import (
+        CheckpointManifest,
+    )
+
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     pq.write_table(iot_corpus_table(10, seed=3).slice(0, 0),
@@ -912,7 +954,8 @@ def test_job_empty_corpus_commits_nothing(ray_session, tmp_path):
         assert r["shards_run"] == [] and r["shards_skipped"] == []
         assert r["rollups"]["shards_completed"] == 0
         assert r["rollups"]["rows"] == 0
-    assert not os.path.exists(f"{cfg['output_dir']}/chunks")
+    assert CheckpointManifest(
+        f"{cfg['output_dir']}/chunks").completed_shards() == set()
 
 
 def test_job_corrupt_doc_raises_extraction_error(ray_session, tmp_path):

@@ -68,13 +68,17 @@ SUBSET = [
     "events_acf_1m",
     "events_interarrival",
     # relational family (semi/anti join, grouping sets, funnel, set ops,
-    # profile, join trees)
+    # profile, join trees, bloom-pruned join, global terciles / classes)
     "customers_without_orders",
     "events_grouping_sets",
     "events_funnel_click_purchase",
     "parts_except_months",
+    "parts_intersect_months",
     "lineitem_profile",
     "revenue_by_nation",
+    "lineitem_orders_bloom_join",
+    "customer_rfm_segments",
+    "parts_abc_classes",
     # bands family (Bollinger envelope, lead-lag cross-correlation)
     "events_bollinger_1m",
     "events_leadlag_corr",

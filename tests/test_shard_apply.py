@@ -3,8 +3,9 @@
 per-series oracle bit for bit, each runs one direct shard exchange whose
 map side runs at full cluster width and whose Ray Data plans hold no
 all-to-all operator, ``stages/``/``state/`` hold no ``.groupby(`` call,
-and ``pipelines/diffstats.py`` and ``pipelines/analytics.py`` no
-hand-written shuffle.  The
+and ``pipelines/diffstats.py``, ``pipelines/analytics.py``,
+``pipelines/relational.py`` and ``joins.shuffle_join`` no hand-written
+shuffle.  The
 ``pipelines/_util`` helpers on the exchange (``sharded_aggregate``,
 ``window_means``) produce blocks of exactly their declared schema."""
 
@@ -283,12 +284,60 @@ def test_every_per_series_path_runs_one_exchange(ray_session):
     _assert_one_exchange(lambda: group_mode(events))
 
 
+def test_relational_and_shuffle_join_run_one_exchange(ray_session):
+    """``joins.shuffle_join`` under every ``how``, and a relational
+    operator on a string key, one on an integer key and one global reduce
+    (``key=None``), each run one shard exchange and no Ray Data
+    all-to-all operator."""
+    import ray
+
+    from json_time_series_extractor_ray.pipelines.joins import shuffle_join
+    from json_time_series_extractor_ray.pipelines.registry import (
+        extra_queries,
+    )
+    from json_time_series_extractor_ray.pipelines.relational import (
+        customer_ltv,
+        table_profile,
+    )
+
+    rng = np.random.default_rng(4)
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array(list(rng.integers(0, 40, 300)) + [None], pa.int64()),
+        "x": pa.array(np.arange(301), pa.int64()),
+    })).repartition(3).materialize()
+    right = ray.data.from_arrow(pa.table({
+        "k": pa.array(list(rng.integers(20, 60, 100)) + [None], pa.int64()),
+        "y": pa.array(np.arange(101) * 0.5),
+    })).repartition(2).materialize()
+    for how in ("inner", "left", "outer", "semi", "anti"):
+        _assert_one_exchange(lambda: shuffle_join(left, right, on="k",
+                                                  how=how, num_shards=8))
+    # a string key: the profiled column's name
+    _assert_one_exchange(lambda: table_profile(left, ["k", "x"]))
+    # an integer key: the customer
+    orders = ray.data.from_arrow(pa.table({
+        "o_custkey": pa.array(np.arange(600) % 37, pa.int64()),
+        "o_totalprice": pa.array(np.arange(600) * 1.25),
+        "o_orderdate": pa.array(BASE + np.arange(600) * H_NS,
+                                pa.int64()).cast(pa.timestamp("ns")),
+    })).repartition(4).materialize()
+    _assert_one_exchange(lambda: customer_ltv(orders))
+    # key=None: the ABC classification ranks every part in one task
+    _assert_one_exchange(lambda: extra_queries()["parts_abc_classes"](
+        "/root/testdata/sf0.001"))
+
+
 def test_stages_and_state_have_no_groupby():
     """No ``.groupby(`` at all: the shard exchange is the one shuffle, and
     a per-series shuffle (or a per-group pandas loop) cannot come back
-    unnoticed.  ``pipelines/diffstats.py`` and ``pipelines/analytics.py``
-    run every operator on the ``_util`` helpers: no ``map_groups(`` and
-    no ``hash_shards``."""
+    unnoticed.  ``pipelines/diffstats.py``, ``pipelines/analytics.py``
+    and ``pipelines/relational.py`` run every operator on the ``_util``
+    helpers: no ``map_groups(`` and no ``hash_shards``; and
+    ``joins.shuffle_join`` runs no Ray Data ``groupby``."""
+    import inspect
+
+    from json_time_series_extractor_ray.pipelines.joins import shuffle_join
+
     pkg = pathlib.Path(__file__).resolve().parents[1] / \
         "json_time_series_extractor_ray"
     hits = [
@@ -299,10 +348,11 @@ def test_stages_and_state_have_no_groupby():
         if ".groupby(" in line
     ]
     assert hits == []
-    for family in ("diffstats", "analytics"):
+    for family in ("diffstats", "analytics", "relational"):
         src = (pkg / "pipelines" / f"{family}.py").read_text()
         assert "map_groups(" not in src, family
         assert "hash_shards" not in src, family
+    assert "groupby(" not in inspect.getsource(shuffle_join)
 
 
 def _numeric(table: pa.Table) -> pa.Table:
