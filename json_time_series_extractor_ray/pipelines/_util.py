@@ -72,8 +72,10 @@ def round_half_away(x, digits: int = 6):
 def as_table(out, schema: pa.Schema) -> pa.Table:
     """Rows as one table of exactly ``schema``, with no pandas metadata
     (Ray cannot hash a schema that carries it): ``out`` is a pandas
-    frame, a dict of columns, or a list of row tuples in ``schema``
-    order.  No rows gives ``schema.empty_table()``."""
+    frame, a dict of columns, a list of row tuples in ``schema`` order,
+    or an Arrow table.  No rows gives ``schema.empty_table()``."""
+    if isinstance(out, pa.Table):
+        return out.select(schema.names).cast(schema)
     frame = pd.DataFrame(out, columns=schema.names) \
         if isinstance(out, list) else pd.DataFrame(out)
     if frame.empty:
@@ -93,8 +95,13 @@ def sharded_aggregate(ds, partial, final, schema: pa.Schema, *,
     ``key=None`` every partial row meets in one task (a global reduce
     such as a contingency table).  Each shard's output is cast once to
     ``schema``, and an input with no rows gives one empty block of it.
-    Runs when called, like ``shard_apply``."""
+    The small blocks of a materialized ``ds`` (such as the output of an
+    exchange: one block per shard) share one map task up to Ray Data's
+    minimum block size (``_block_groups``), so a chain of exchanges
+    starts a map task per 1 MiB, not per shard.  Runs when called, like
+    ``shard_apply``."""
     import ray
+    from ray.data.dataset import MaterializedDataset
 
     def _partial(batch: pa.Table) -> pa.Table:
         t = partial(batch)
@@ -105,11 +112,49 @@ def sharded_aggregate(ds, partial, final, schema: pa.Schema, *,
         t = t.drop_columns(["shard"] + (["group"] if key is None else []))
         return as_table(final(t.to_pandas()), schema)
 
-    out = shard_apply(ds.map_batches(_partial, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                      _reduce, key=key or "group")
+    inputs = _block_groups(ds, _partial) \
+        if isinstance(ds, MaterializedDataset) else ds.map_batches(
+            _partial, batch_format="pyarrow", zero_copy_batch=True)
+    out = shard_apply(inputs, _reduce, key=key or "group")
     return out if out.num_blocks() else ray.data.from_arrow(
         schema.empty_table())
+
+
+def _block_groups(ds, fn) -> list:
+    """A materialized ``ds``'s non-empty blocks as ``shard_apply`` map
+    inputs, each ``fn`` over a run of consecutive blocks that reaches Ray
+    Data's ``target_min_block_size`` (1 MiB) or ends the dataset."""
+    from ..state.checkpoint import data_context
+
+    target = data_context().target_min_block_size
+    groups, size = [[]], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                if size >= target:
+                    groups.append([])
+                    size = 0
+                groups[-1].append(ref)
+                size += meta.size_bytes
+    return [(_apply_each, fn, *refs) for refs in groups if refs]
+
+
+def _apply_each(fn, *blocks) -> pa.Table:
+    """``fn`` of each block (Arrow or pandas), concatenated."""
+    from ray.data.block import BlockAccessor
+
+    return pa.concat_tables(
+        [fn(BlockAccessor.for_block(b).to_arrow()) for b in blocks],
+        promote_options="permissive")
+
+
+def collect(ds) -> pd.DataFrame:
+    """The rows of a materialized ``ds`` (an exchange's output: one small
+    block per shard) as one pandas frame, its blocks fetched directly:
+    ``Dataset.to_pandas`` would run a Ray Data plan, a few ms a block."""
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas()
 
 
 def window_rows(batch: pa.Table, window_ns: int,
@@ -183,8 +228,9 @@ def hash_shards(values, num_shards: int, *, mix=None):
     """Deterministic cross-process shard ids for a column (never Python's
     salted ``hash()``): pandas' stable vectorized hash reduced mod
     ``num_shards``.  ``mix`` optionally XORs in a second column's hash
-    (composite keys).  Shared by every co-partitioning module so the
-    hashing discipline lives in one place."""
+    (composite keys).  On an int64 column this is the exchange's own
+    integer hash (``state/checkpoint.add_shard_column``: splitmix64 of
+    the value), so both put an int64 key in the same shard."""
     import pandas as pd
 
     h = pd.util.hash_array(

@@ -8,8 +8,9 @@ graph:
 
 * the expensive part is building the edge list from the fact tables —
   one lineitem ⋈ orders shuffle plus two broadcast dimension lookups and
-  a per-block (src, dst) count combiner, so the exchange carries
-  O(blocks x k²) partial rows, never lineitems;
+  a per-block (src, dst) count combiner, then one shard exchange
+  (``_util.sharded_aggregate``) that carries O(blocks x k²) partial
+  rows, never lineitems;
 * the aggregated graph is tiny (k = |nations|), so the fixed-iteration
   power method runs driver-side on the collected k x k matrix — the
   same "sketch partials -> driver merge" discipline as ``kmeans_fit`` /
@@ -30,7 +31,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import round_half_away
+from ._util import (
+    collect,
+    read_parquet_file,
+    round_half_away,
+    sharded_aggregate,
+)
 from .registry import register
 
 PR_DAMPING = 0.85
@@ -39,10 +45,11 @@ PR_ITERS = 10
 
 def nation_trade_edges(sf_dir: str):
     """(src_nation, dst_nation, weight) — customer nation -> supplier
-    nation, weight = number of lineitems shipped along that pair.  One
-    orderkey shuffle; both nation lookups are broadcast dimensions."""
-    import ray
+    nation, weight = number of lineitems shipped along that pair.
 
+    Scale shape: one orderkey shuffle join; both nation lookups are
+    broadcast dimensions; each joined block counts its (src, dst) pairs
+    and one exchange keyed on ``src_nation`` sums them."""
     from .enrich import broadcast_join
     from .joins import parquet_schema, shuffle_join
     from .relational import _dim_map
@@ -52,9 +59,9 @@ def nation_trade_edges(sf_dir: str):
     supp_map = _dim_map(f"{sf_dir}/supplier.parquet", "s_suppkey",
                         "s_nationkey", None)
 
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"])
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
     li_schema = parquet_schema(
         f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_suppkey"])
@@ -74,23 +81,15 @@ def nation_trade_edges(sf_dir: str):
             .rename_columns(["src_nation", "dst_nation", "w"])
 
     def _count_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "src_nation": df["src_nation"].iloc[:1],
-            "dst_nation": df["dst_nation"].iloc[:1],
-            "weight": [int(df["w"].sum())],
-        })
+        return df.groupby(["src_nation", "dst_nation"], sort=False)["w"] \
+            .sum().reset_index(name="weight")
 
-    return (
-        j.map_batches(_count_partial, batch_format="pyarrow",
-                      zero_copy_batch=True)
-        .groupby(["src_nation", "dst_nation"]).map_groups(
-            _count_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(j, _count_partial, _count_merge, pa.schema([
+        ("src_nation", pa.int64()), ("dst_nation", pa.int64()),
+        ("weight", pa.int64())]), key="src_nation")
 
 
-def pagerank_from_edges(edges_df: pd.DataFrame, *, damping: float = PR_DAMPING,
-                        n_iters: int = PR_ITERS,
-                        round_digits: int = 6) -> pd.DataFrame:
+def pagerank_from_edges(edges_df: pd.DataFrame) -> pd.DataFrame:
     """Fixed-iteration weighted PageRank on a collected edge list
     (columns src_nation / dst_nation / weight).  Deterministic: node
     order sorted, ranks rounded per iteration.  Every node is assumed to
@@ -107,10 +106,10 @@ def pagerank_from_edges(edges_df: pd.DataFrame, *, damping: float = PR_DAMPING,
     assert (out_w > 0).all(), "dangling node in trade graph"
     # column-stochastic transition: P[d, s] = W[s, d] / out_w[s]
     P = (W / out_w[:, None]).T
-    r = round_half_away(np.full(k, 1.0 / k), round_digits)
-    teleport = (1.0 - damping) / k
-    for _ in range(n_iters):
-        r = round_half_away(teleport + damping * (P @ r), round_digits)
+    r = round_half_away(np.full(k, 1.0 / k))
+    teleport = (1.0 - PR_DAMPING) / k
+    for _ in range(PR_ITERS):
+        r = round_half_away(teleport + PR_DAMPING * (P @ r))
     return pd.DataFrame({"n_nationkey": nodes.astype(np.int64),
                          "pagerank": r})
 
@@ -118,7 +117,7 @@ def pagerank_from_edges(edges_df: pd.DataFrame, *, damping: float = PR_DAMPING,
 def _q_trade_pagerank(sf_dir: str):
     import pyarrow.parquet as pq
 
-    edges = nation_trade_edges(sf_dir).to_pandas()  # k x k rows, tiny
+    edges = collect(nation_trade_edges(sf_dir))  # k x k rows, tiny
     pr = pagerank_from_edges(edges)
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"]).to_pandas()
@@ -127,19 +126,19 @@ def _q_trade_pagerank(sf_dir: str):
         .sort_values("n_nationkey").reset_index(drop=True)
 
 
-def _pagerank_sql(n_iters: int = PR_ITERS, damping: float = PR_DAMPING) -> str:
+def _pagerank_sql() -> str:
     """Power method unrolled as chained CTEs (one per iteration — SQL
     recursive CTEs forbid aggregating over the recursive reference), each
     applying the same round-6 as the engine so identical doubles feed
     every step.  The per-step expression mirrors
     ``pagerank_from_edges``: teleport + damping * Σ rank(src) * w / ow."""
     steps = []
-    for i in range(1, n_iters + 1):
+    for i in range(1, PR_ITERS + 1):
         steps.append(f"""
     r{i} AS (
         SELECT n.node,
-               round((1.0 - {damping}) / kk.k
-                     + {damping} * coalesce((
+               round((1.0 - {PR_DAMPING}) / kk.k
+                     + {PR_DAMPING} * coalesce((
                          SELECT sum(p.rank * e.w / outw.ow)
                          FROM e
                          JOIN outw ON outw.src = e.src
@@ -167,7 +166,7 @@ def _pagerank_sql(n_iters: int = PR_ITERS, damping: float = PR_DAMPING) -> str:
     r0 AS (SELECT node, round(1.0 / k, 6) AS rank FROM nodes, kk),
     {",".join(steps)}
     SELECT n_nationkey, n_name, rank AS pagerank
-    FROM r{n_iters} JOIN nation ON n_nationkey = node
+    FROM r{PR_ITERS} JOIN nation ON n_nationkey = node
     """
 
 
@@ -178,8 +177,7 @@ register("nation_trade_pagerank", _q_trade_pagerank, _pagerank_sql())
 # Triangle count / clustering coefficient on the trade graph
 # ---------------------------------------------------------------------------
 
-def triangles_from_edges(edges_df: pd.DataFrame,
-                         *, round_digits: int = 6) -> pd.DataFrame:
+def triangles_from_edges(edges_df: pd.DataFrame) -> pd.DataFrame:
     """Per-node triangle count, degree and local clustering coefficient
     on the UNDIRECTED simple graph induced by a directed edge list
     (self-loops dropped, direction and multiplicity collapsed).
@@ -206,7 +204,7 @@ def triangles_from_edges(edges_df: pd.DataFrame,
     denom = deg * (deg - 1)
     cc = np.where(denom > 0,
                   round_half_away(2.0 * tri / np.where(denom > 0, denom, 1)
-                                  .astype(np.float64), round_digits),
+                                  .astype(np.float64)),
                   0.0)
     return pd.DataFrame({
         "n_nationkey": nodes.astype(np.int64),
@@ -219,7 +217,7 @@ def triangles_from_edges(edges_df: pd.DataFrame,
 def _q_trade_triangles(sf_dir: str):
     import pyarrow.parquet as pq
 
-    edges = nation_trade_edges(sf_dir).to_pandas()  # <= k^2 rows, tiny
+    edges = collect(nation_trade_edges(sf_dir))  # <= k^2 rows, tiny
     out = triangles_from_edges(edges)
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"]).to_pandas()
@@ -276,8 +274,7 @@ register("nation_trade_triangles", _q_trade_triangles, _TRIANGLES_SQL)
 MC_ITERS = 20
 
 
-def markov_stationary(counts_df: pd.DataFrame, *, n_iters: int = MC_ITERS,
-                      round_digits: int = 6) -> pd.DataFrame:
+def markov_stationary(counts_df: pd.DataFrame) -> pd.DataFrame:
     """Fixed-iteration power method for the stationary distribution of
     the row-stochastic chain built from (prev_state, next_state, n)
     transition counts.  Complements ``events_transition_matrix`` (the
@@ -299,18 +296,16 @@ def markov_stationary(counts_df: pd.DataFrame, *, n_iters: int = MC_ITERS,
     ow = N.sum(axis=1)
     assert (ow > 0).all(), "state with no out-transitions"
     P = N / ow[:, None]          # row-stochastic: P[i, j] = n_ij / ow_i
-    r = round_half_away(np.full(k, 1.0 / k), round_digits)
-    for _ in range(n_iters):
-        r = round_half_away(P.T @ r, round_digits)
+    r = round_half_away(np.full(k, 1.0 / k))
+    for _ in range(MC_ITERS):
+        r = round_half_away(P.T @ r)
     return pd.DataFrame({"state": states, "stationary": r})
 
 
 def _q_type_stationary(sf_dir: str):
-    import ray
-
     from .windows import transition_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet_file(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_type", "event_id"])
     counts = transition_counts(ds, member="user_id", ts="ts",
@@ -320,13 +315,13 @@ def _q_type_stationary(sf_dir: str):
         .reset_index(drop=True)
 
 
-def _stationary_sql(n_iters: int = MC_ITERS) -> str:
+def _stationary_sql() -> str:
     """Unrolled power iteration (chained CTEs, round-6 per step) over
     the LEAD-derived transition counts — the SQL twin of
     ``markov_stationary`` with the identical per-term expression
     ``p * (n / ow)``."""
     steps = []
-    for i in range(1, n_iters + 1):
+    for i in range(1, MC_ITERS + 1):
         steps.append(f"""
     r{i} AS (
         SELECT st.s,
@@ -358,7 +353,7 @@ def _stationary_sql(n_iters: int = MC_ITERS) -> str:
     kk AS (SELECT CAST(count(*) AS DOUBLE) AS k FROM states),
     r0 AS (SELECT s, round(1.0 / k, 6) AS p FROM states, kk),
     {",".join(steps)}
-    SELECT s AS state, p AS stationary FROM r{n_iters}
+    SELECT s AS state, p AS stationary FROM r{MC_ITERS}
     """
 
 

@@ -3,23 +3,23 @@ number of distinct FK values and how many are ORPHANS (no matching
 primary key) — the cross-table data-quality check an ingest pipeline
 runs before anything joins.
 
-Scale shape, per relation:
-
-* the fact side reduces to DISTINCT key values first (per-block Arrow
-  dedup combiner + 64-way shard dedup — the ``tpch._sharded_distinct``
-  pattern), so the join input is key-cardinality-bounded, never
-  fact-row-bounded;
-* orphan detection is the existing ``joins.shuffle_join(how='anti')``
-  — one bounded co-partition shuffle per relation, shuffling only key
-  columns;
-* each relation folds to a single (relation, n_keys, n_orphans) row.
+Scale shape, per relation: every block keeps its DISTINCT non-null key
+values, the fact's FKs and the dimension's PKs tagged by side, and ONE
+shard exchange keyed on the key value (``_util.sharded_aggregate``)
+brings every copy of a key into one task, which counts its distinct FKs
+and the ones no PK matches — key-cardinality-bounded, never
+fact-row-bounded, and one shuffle where a distinct and an anti join ran
+two.  Each relation folds to a single (relation, n_keys, n_orphans) row.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ._util import collect, read_parquet_file, sharded_aggregate
 from .registry import register
 
 # (relation name, fact table, fk column, dim table, pk column)
@@ -35,37 +35,35 @@ RELATIONS = (
 
 def orphan_counts(fact_ds, fk: str, dim_ds, pk: str,
                   fk_type=pa.int64()) -> tuple:
-    """(n distinct FK values, n orphans) via distinct combiner + ONE
-    anti shuffle join."""
-    from .joins import shuffle_join
-    from .tpch import _sharded_distinct
+    """(n distinct FK values, n orphans) of ``fact_ds[fk]`` against
+    ``dim_ds[pk]`` on one exchange.  A null FK is neither counted nor an
+    orphan, as SQL's NOT EXISTS and COUNT(DISTINCT) have it."""
+    def _keys(ds, col: str, side: int):
+        def _distinct(batch: pa.Table) -> pa.Table:
+            k = batch.column(col).cast(fk_type)
+            return pa.table({
+                "k": k, "side": pa.array(np.full(len(k), side, np.int8)),
+            }).filter(pc.is_valid(k)).group_by(["k", "side"]).aggregate([])
 
-    keys = _sharded_distinct(fact_ds, [fk], fk)
-    # drop null FKs: SQL's NOT IN / NOT EXISTS never counts a null key
-    # as an orphan, and the distinct count below excludes them too
-    def _nonnull(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        return ds.map_batches(_distinct, batch_format="pyarrow",
+                              zero_copy_batch=True)
 
-        return batch.filter(pc.is_valid(batch.column(fk)))
+    def _count(df: pd.DataFrame) -> dict:
+        fks = df["k"][df["side"] == 0].unique()
+        orphans = ~np.isin(fks, df["k"][df["side"] == 1].to_numpy())
+        return {"n_keys": [len(fks)], "n_orphans": [int(orphans.sum())]}
 
-    keys = keys.map_batches(_nonnull, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    schema = pa.schema([(fk, fk_type)])
-    dim_schema = pa.schema([(pk, fk_type)])
-    orphans = shuffle_join(keys, dim_ds, on=fk, right_on=pk, how="anti",
-                           left_schema=schema, right_schema=dim_schema)
-    return keys.count(), orphans.count()
+    keys = _keys(fact_ds, fk, 0).union(_keys(dim_ds, pk, 1))
+    out = collect(sharded_aggregate(keys, lambda t: t, _count, pa.schema([
+        ("n_keys", pa.int64()), ("n_orphans", pa.int64())]), key="k"))
+    return int(out["n_keys"].sum()), int(out["n_orphans"].sum())
 
 
 def referential_integrity_report(sf_dir: str) -> pd.DataFrame:
-    import ray
-
     rows = []
     for name, fact, fk, dim, pk in RELATIONS:
-        fact_ds = ray.data.read_parquet(f"{sf_dir}/{fact}.parquet",
-                                        columns=[fk])
-        dim_ds = ray.data.read_parquet(f"{sf_dir}/{dim}.parquet",
-                                       columns=[pk])
+        fact_ds = read_parquet_file(f"{sf_dir}/{fact}.parquet", columns=[fk])
+        dim_ds = read_parquet_file(f"{sf_dir}/{dim}.parquet", columns=[pk])
         n_keys, n_orphans = orphan_counts(fact_ds, fk, dim_ds, pk)
         rows.append((name, n_keys, n_orphans))
     return pd.DataFrame({

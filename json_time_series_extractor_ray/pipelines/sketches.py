@@ -388,13 +388,13 @@ register(
 register("events_hll_distinct_users", _q_hll_users)  # approximate -> rows-only
 
 
-def _exact_distinct_count(ds, *, column: str) -> int:
-    """Exact distributed COUNT(DISTINCT column): per-block Arrow dedup
-    combiner -> ONE bounded hash-shard groupby -> count (the
-    ``_sharded_distinct`` discipline — never one Ray group per key)."""
+def _exact_distinct_count(ds, field: pa.Field) -> int:
+    """Exact distributed COUNT(DISTINCT field): per-block Arrow dedup
+    combiner -> ONE exchange keyed on the column -> count
+    (``tpch._sharded_distinct`` — never one task per key)."""
     from .tpch import _sharded_distinct
 
-    return _sharded_distinct(ds, [column], column).count()
+    return _sharded_distinct(ds, pa.schema([field]), field.name).count()
 
 
 #: HLL standard error at p=12 is 1.04/sqrt(4096) ≈ 1.625%; the structural
@@ -415,7 +415,7 @@ def _q_hll_vs_exact(sf_dir: str):
         return ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                      columns=["user_id"])
 
-    exact = _exact_distinct_count(_events(), column="user_id")
+    exact = _exact_distinct_count(_events(), pa.field("user_id", pa.int64()))
     est = hll_distinct(_events(), column="user_id")
     ok = bool(abs(est - exact) <= HLL_3SIGMA * exact)
     return pa.table({
@@ -1263,6 +1263,7 @@ def _q_hll_1d_vs_exact(sf_dir: str):
     register merge or the rank extraction flips a hashed flag."""
     import ray
 
+    from ._util import collect, sharded_aggregate
     from .tpch import _sharded_distinct
 
     casc = _q_hll_cascade(sf_dir).to_pandas()
@@ -1279,13 +1280,18 @@ def _q_hll_1d_vs_exact(sf_dir: str):
             "user_id": batch.column("user_id"),
         })
 
-    exact = (
-        _sharded_distinct(ds.map_batches(_day_user, batch_format="pyarrow",
-                                         zero_copy_batch=True),
-                          ["day_ns", "user_id"], "user_id")
-        .groupby("day_ns").count().to_pandas()
-        .rename(columns={"count()": "exact_distinct"})
-    )
+    pairs = _sharded_distinct(
+        ds.map_batches(_day_user, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        pa.schema([("day_ns", pa.int64()), ("user_id", pa.int64())]),
+        "user_id")
+    # the distinct users of each day, on one exchange keyed on the day
+    exact = collect(sharded_aggregate(
+        pairs, lambda t: t.group_by("day_ns").aggregate([("day_ns", "count")]),
+        lambda df: df.groupby("day_ns", sort=False)["day_ns_count"].sum()
+        .reset_index(name="exact_distinct"),
+        pa.schema([("day_ns", pa.int64()), ("exact_distinct", pa.int64())]),
+        key="day_ns"))
     m = casc.merge(exact, left_on="day_ns", right_on="day_ns", how="outer")
     ok = ((m["est_direct"] - m["exact_distinct"]).abs()
           <= HLL_TIER_3SIGMA * m["exact_distinct"])

@@ -3,26 +3,35 @@ and Q4/Q16/Q19 adapted to the fixture's columns — the tables lack
 ``l_commitdate`` / ``l_shipmode`` / ``l_container`` / ``partsupp``, so
 the adapted variants keep each query's SHAPE (correlated-EXISTS semi
 join, promo share, disjunctive predicate pushdown, count-distinct
-rollup) over the columns that exist).
+rollup) over the columns that exist), and Q8, Q9 and Q22.
+
+Every aggregate runs on the one shard exchange
+(``_util.sharded_aggregate``): a per-block combiner bounds what moves,
+and one exchange keyed on the natural column (an integer key such as
+``l_orderkey`` or ``o_year``, a string such as ``o_orderpriority``, a
+composite key on its leading column) finishes many keys per task — no
+Ray Data ``groupby``.  The test-data reads go through
+``_util.read_parquet_file``.
 
 Scale shapes, per query:
 
 * Q6 / Q19 / Q14 are pure combiner aggregates: every predicate is
   vectorized per block (Q19's part attributes and Q14's promo flag
   arrive via a broadcast dimension map, never a shuffle), each block
-  reduces to ONE partial row, and ``Dataset.sum`` folds the partials —
-  the shuffle moves O(blocks) rows at any corpus size.
+  reduces to ONE partial row, and one task (``key=None``) sums the
+  partials — the exchange moves O(blocks) rows at any corpus size.
 * Q4's correlated EXISTS (``l_shipdate > o_orderdate + 60 days``)
   rewrites as ``max(l_shipdate) per order > o_orderdate + 60 days``:
-  a per-block (orderkey, max) combiner, one bounded groupby-max, then
-  ONE fact-x-fact shuffle join against the date-pruned orders — the
-  join's right side is pre-deduped to one row per orderkey so no group
-  can explode.
-* Q16 runs distinct twice, each time AFTER a cardinality-reducing step:
-  distinct (partkey, suppkey) over the fact table, broadcast-attach the
-  part dims, distinct (brand, type, size, suppkey), then a tiny count
-  combiner.  The part dimension is driver-built with the same loud
-  ``MAX_BROADCAST_DIM_ROWS`` guard as TPC-H Q5 (`relational._dim_map`).
+  a per-block (orderkey, max) combiner, one exchange keyed on the
+  orderkey, then ONE fact-x-fact shuffle join against the date-pruned
+  orders — the join's right side is pre-deduped to one row per orderkey
+  so no group can explode.
+* Q16 attaches the part dims to every lineitem (a broadcast map), keeps
+  each block's distinct (brand, type, size, suppkey) rows, and ONE
+  exchange keyed on the brand dedups them and counts the suppliers of
+  every (brand, type, size) of that brand.  The part dimension is
+  driver-built with the same loud ``MAX_BROADCAST_DIM_ROWS`` guard as
+  TPC-H Q5 (`relational._dim_map`).
 
 Float discipline: revenue sums round to 2 (cents; the noise margin rule
 of ``revenue_by_nation``), derived ratios round to 6 over the already-
@@ -36,8 +45,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._util import round_half_away
+from ._util import (
+    collect,
+    read_parquet_file,
+    round_half_away,
+    sharded_aggregate,
+)
 from .registry import register
+from .relational import _F, _I, _S, _agg, _schema
 
 Q6_LO, Q6_HI = "1996-01-01", "1997-01-01"
 Q6_DISC_LO, Q6_DISC_HI = 0.02, 0.04
@@ -66,15 +81,17 @@ Q19_ARMS = (
 )
 
 
-def _global_fold(ds, cols: list[str]) -> dict:
-    """Fold per-block partial rows into one dict of sums (tiny: the
-    aggregate input is one row per block)."""
-    out = ds.sum(cols)
-    if out is None:  # empty dataset (e.g. the date filter pruned all rows)
-        return {c: 0 for c in cols}
-    if not isinstance(out, dict):  # single column returns a scalar
-        out = {f"sum({cols[0]})": out}
-    return {c: out[f"sum({c})"] or 0 for c in cols}
+def _global_fold(ds, partial, schema: pa.Schema) -> pd.Series:
+    """The column sums of ``partial``'s rows over every block of ``ds``
+    (``schema``'s columns; a block's partial is one row, so the input is
+    tiny), summed in one task (``key=None``); 0 for an input with no
+    rows."""
+    return collect(sharded_aggregate(
+        ds, partial, lambda df: {c: [df[c].sum()] for c in df}, schema,
+        key=None)).sum()
+
+
+_REV_N = _schema(rev=_F, n=_I)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +114,7 @@ def forecast_revenue_change(li_ds) -> pd.DataFrame:
             "n": pa.array([int(keep.sum())], pa.int64()),
         })
 
-    f = _global_fold(
-        li_ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["rev", "n"])
+    f = _global_fold(li_ds, _partial, _REV_N)
     return pd.DataFrame({
         "revenue": [round_half_away(np.float64(f["rev"]), 2)],
         "n_items": pd.array([int(f["n"])], dtype="int64"),
@@ -111,11 +125,11 @@ def _q_forecast_revenue(sf_dir: str) -> pd.DataFrame:
     import datetime as dt
 
     import pyarrow.dataset as pads
-    import ray
 
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_quantity", "l_extendedprice", "l_discount"],
+        columns=["l_quantity", "l_extendedprice", "l_discount",
+                 "l_shipdate"],
         filter=(pads.field("l_shipdate")
                 >= dt.datetime.fromisoformat(Q6_LO))
         & (pads.field("l_shipdate") < dt.datetime.fromisoformat(Q6_HI)),
@@ -164,10 +178,8 @@ def promo_revenue_effect(li_ds, promo_parts: frozenset) -> pd.DataFrame:
             "total_rev": pa.array([float(rev.sum())], pa.float64()),
         })
 
-    f = _global_fold(
-        li_ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["promo_rev", "total_rev"])
+    f = _global_fold(li_ds, _partial,
+                     _schema(promo_rev=_F, total_rev=_F))
     promo2 = round_half_away(np.float64(f["promo_rev"]), 2)
     total2 = round_half_away(np.float64(f["total_rev"]), 2)
     return pd.DataFrame({
@@ -182,7 +194,6 @@ def _q_promo_revenue(sf_dir: str) -> pd.DataFrame:
 
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
     from .relational import MAX_BROADCAST_DIM_ROWS
 
@@ -197,9 +208,10 @@ def _q_promo_revenue(sf_dir: str) -> pd.DataFrame:
         part.filter(pc.equal(part.column("p_type"),
                              pa.scalar(Q16_EXCL_TYPE)))
         .column("p_partkey").to_pylist())
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"],
+        columns=["l_partkey", "l_extendedprice", "l_discount",
+                 "l_shipdate"],
         filter=(pads.field("l_shipdate")
                 >= dt.datetime.fromisoformat(Q14_LO))
         & (pads.field("l_shipdate") < dt.datetime.fromisoformat(Q14_HI)),
@@ -233,32 +245,29 @@ register(
 # Q4 (adapted) — order priority checking via max-shipdate semi join
 # ---------------------------------------------------------------------------
 
-def order_priority_checking(orders_ds, li_maxship_ds, *,
-                            late_days: int = Q4_LATE_DAYS) -> pd.DataFrame:
+def order_priority_checking(orders_ds, li_maxship_ds) -> pd.DataFrame:
     """Orders per priority, placed in one quarter, where at least one
-    lineitem shipped more than ``late_days`` after the order date.
+    lineitem shipped more than ``Q4_LATE_DAYS`` after the order date.
 
     ``EXISTS(l_shipdate > o_orderdate + D)`` == ``max(l_shipdate) >
     o_orderdate + D``, so the right side arrives pre-reduced to one row
     per orderkey (see :func:`lineitem_max_shipdate`) and the shuffle
-    join cannot explode any group.
+    join cannot explode any group; each joined block counts its late
+    orders per priority, and one exchange keyed on the priority sums
+    them.
     """
     from .joins import shuffle_join
 
     orders_schema = pa.schema([
         ("o_orderkey", pa.int64()),
-        ("o_orderdate", pa.timestamp("ns")),
+        ("o_orderdate", pa.timestamp("us")),  # the fixture's read type
         ("o_orderpriority", pa.string()),
-    ])
-    max_schema = pa.schema([
-        ("l_orderkey", pa.int64()),
-        ("max_ship", pa.timestamp("ns")),
     ])
     joined = shuffle_join(orders_ds, li_maxship_ds,
                           on="o_orderkey", right_on="l_orderkey",
                           left_schema=orders_schema,
-                          right_schema=max_schema)
-    late_ns = np.int64(late_days) * 86_400_000_000_000
+                          right_schema=_MAX_SHIP)
+    late_ns = np.int64(Q4_LATE_DAYS) * 86_400_000_000_000
 
     def _late_counts(batch: pa.Table) -> pa.Table:
         od = batch.column("o_orderdate").cast(pa.timestamp("ns")) \
@@ -272,57 +281,53 @@ def order_priority_checking(orders_ds, li_maxship_ds, *,
             "n": pa.array(g.to_numpy(np.int64), pa.int64()),
         })
 
-    merged = (
-        joined.map_batches(_late_counts, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("o_orderpriority").sum("n")
-    ).to_pandas()
-    return pd.DataFrame({
-        "o_orderpriority": merged["o_orderpriority"],
-        "order_count": merged["sum(n)"].astype("int64"),
-    }).sort_values("o_orderpriority").reset_index(drop=True)
+    def _total(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("o_orderpriority", sort=False)["n"].sum() \
+            .reset_index(name="order_count")
+
+    return collect(sharded_aggregate(
+        joined, _late_counts, _total,
+        _schema(o_orderpriority=_S, order_count=_I), key="o_orderpriority",
+    )).sort_values("o_orderpriority", ignore_index=True)
+
+
+_MAX_SHIP = _schema(l_orderkey=_I, max_ship=pa.timestamp("ns"))
 
 
 def lineitem_max_shipdate(li_ds):
     """Per-orderkey max shipdate: per-block Arrow group-max combiner
-    (bounds every block to its distinct orderkeys), one groupby-max."""
+    (bounds every block to its distinct orderkeys), then one exchange
+    keyed on the orderkey takes the max of the partial maxima."""
 
     def _local(batch: pa.Table) -> pa.Table:
         g = batch.group_by("l_orderkey").aggregate([("l_shipdate", "max")])
         return pa.table({
             "l_orderkey": g.column("l_orderkey"),
-            "ms": g.column("l_shipdate_max").cast(pa.timestamp("ns")),
+            "max_ship": g.column("l_shipdate_max").cast(pa.timestamp("ns")),
         })
 
-    local = li_ds.map_batches(_local, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    merged = local.groupby("l_orderkey").max("ms")
+    def _max(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("l_orderkey", sort=False)["max_ship"].max() \
+            .reset_index()
 
-    def _shape(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_orderkey": batch.column("l_orderkey").cast(pa.int64()),
-            "max_ship": batch.column("max(ms)").cast(pa.timestamp("ns")),
-        })
-
-    return merged.map_batches(_shape, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return sharded_aggregate(li_ds, _local, _max, _MAX_SHIP,
+                             key="l_orderkey")
 
 
 def _q_order_priority(sf_dir: str) -> pd.DataFrame:
     import datetime as dt
 
     import pyarrow.dataset as pads
-    import ray
 
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
         filter=(pads.field("o_orderdate")
                 >= dt.datetime.fromisoformat(Q4_LO))
         & (pads.field("o_orderdate") < dt.datetime.fromisoformat(Q4_HI)),
     )
-    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_shipdate"])
+    li = read_parquet_file(f"{sf_dir}/lineitem.parquet",
+                           columns=["l_orderkey", "l_shipdate"])
     return order_priority_checking(orders, lineitem_max_shipdate(li))
 
 
@@ -349,41 +354,32 @@ register(
 # Q16 (adapted) — supplier counts per (brand, type, size)
 # ---------------------------------------------------------------------------
 
-def _sharded_distinct(ds, cols: list[str], key_col: str,
-                      num_shards: int = 64):
-    """Distinct over ``cols``: per-block Arrow dedup combiner, then ONE
-    groupby on a HASH SHARD of ``key_col`` (64 groups) with a pandas
-    drop_duplicates per shard — same result as ``enrich.distinct`` but
-    without the one-Ray-group-per-distinct-key overhead (60k tiny
-    groups cost ~68 s at sf0.01; 64 shard groups cost ~2 s)."""
-    from ._util import hash_shards
+def _sharded_distinct(ds, schema: pa.Schema, key: str):
+    """The distinct rows of ``ds`` over ``schema``'s columns: each block
+    keeps its own distinct rows (an Arrow group-by), and ONE exchange
+    keyed on ``key`` (``sharded_aggregate``) brings every copy of a row
+    into one task, which drops the rest — many keys per task, never one
+    Ray group per distinct key."""
+    cols = schema.names
 
     def _local(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols).group_by(cols).aggregate([])
-        return t.append_column(
-            "shard", pa.array(hash_shards(
-                pd.Series(t.column(key_col).to_numpy(
-                    zero_copy_only=False)).astype(str),
-                num_shards), pa.int32()))
+        return batch.select(cols).group_by(cols).aggregate([]).select(cols)
 
-    def _dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(cols)[cols]
-
-    return (
-        ds.map_batches(_local, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("shard").map_groups(_dedup, batch_format="pandas")
-    )
+    return sharded_aggregate(ds, _local, lambda df: df.drop_duplicates(),
+                             schema, key=key)
 
 
-def part_supplier_counts(li_ds, part_dims: dict) -> "object":
+_QUADS = _schema(p_brand=_S, p_type=_S, p_size=_I, l_suppkey=_I)
+
+
+def part_supplier_counts(li_ds, part_dims: dict) -> pd.DataFrame:
     """Distinct suppliers that shipped each (brand, type, size), via
-    lineitem as the part-supplier relation.  Two distincts, both after
-    a cardinality-reducing step; the part dims broadcast once."""
+    lineitem as the part-supplier relation: each block attaches the part
+    dims (broadcast once) and keeps its distinct (brand, type, size,
+    supplier) rows, and one exchange keyed on the brand dedups them and
+    counts each (brand, type, size)'s suppliers."""
     import ray
 
-    pairs = _sharded_distinct(li_ds, ["l_partkey", "l_suppkey"],
-                              "l_partkey")
     # split the dims into three column maps ONCE, broadcast one ref
     keys = list(part_dims)
     maps = {
@@ -394,7 +390,7 @@ def part_supplier_counts(li_ds, part_dims: dict) -> "object":
     }
     dims_ref = ray.put(maps)
 
-    def _attach(batch: pa.Table) -> pa.Table:
+    def _quads(batch: pa.Table) -> pa.Table:
         dims = ray.get(dims_ref)
         pk = pd.Series(batch.column("l_partkey").to_numpy(
             zero_copy_only=False))
@@ -407,34 +403,15 @@ def part_supplier_counts(li_ds, part_dims: dict) -> "object":
             "p_size": pa.array(
                 pk.map(dims["p_size"])[keep].to_numpy(np.int64), pa.int64()),
             "l_suppkey": pa.array(sk, pa.int64()),
-        })
+        }).group_by(_QUADS.names).aggregate([]).select(_QUADS.names)
 
-    quads = _sharded_distinct(
-        pairs.map_batches(_attach, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["p_brand", "p_type", "p_size", "l_suppkey"], "l_suppkey")
+    def _count(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates().groupby(
+            ["p_brand", "p_type", "p_size"], sort=False, dropna=False) \
+            .size().reset_index(name="supplier_cnt")
 
-    def _count(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["p_brand", "p_type", "p_size"]).aggregate(
-            [("l_suppkey", "count")])
-        return pa.table({
-            "p_brand": g.column("p_brand"),
-            "p_type": g.column("p_type"),
-            "p_size": g.column("p_size"),
-            "n": g.column("l_suppkey_count").cast(pa.int64()),
-        })
-
-    merged = (
-        quads.map_batches(_count, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby(["p_brand", "p_type", "p_size"]).sum("n")
-    ).to_pandas()
-    out = pd.DataFrame({
-        "p_brand": merged["p_brand"],
-        "p_type": merged["p_type"],
-        "p_size": merged["p_size"].astype("int64"),
-        "supplier_cnt": merged["sum(n)"].astype("int64"),
-    })
+    out = collect(sharded_aggregate(li_ds, _quads, _count, _schema(
+        p_brand=_S, p_type=_S, p_size=_I, supplier_cnt=_I), key="p_brand"))
     return out.sort_values(
         ["supplier_cnt", "p_brand", "p_type", "p_size"],
         ascending=[False, True, True, True]).reset_index(drop=True)
@@ -442,7 +419,6 @@ def part_supplier_counts(li_ds, part_dims: dict) -> "object":
 
 def _q_part_supplier(sf_dir: str):
     import pyarrow.parquet as pq
-    import ray
 
     from .relational import MAX_BROADCAST_DIM_ROWS
 
@@ -464,8 +440,8 @@ def _q_part_supplier(sf_dir: str):
             part.column("p_type").to_pylist(),
             part.column("p_size").to_pylist())
     }
-    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_partkey", "l_suppkey"])
+    li = read_parquet_file(f"{sf_dir}/lineitem.parquet",
+                           columns=["l_partkey", "l_suppkey"])
     return part_supplier_counts(li, dims)
 
 
@@ -500,7 +476,6 @@ def _q_part_supplier_excl(sf_dir: str):
     as a vectorized ``is_in``-invert inside ``map_batches`` BEFORE the
     distinct — the NOT IN never shuffles."""
     import pyarrow.parquet as pq
-    import ray
 
     from .relational import MAX_BROADCAST_DIM_ROWS
 
@@ -545,7 +520,7 @@ def _q_part_supplier_excl(sf_dir: str):
             value_set=excl_arr))
         return batch.filter(keep)
 
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey"],
     ).map_batches(_anti, batch_format="pyarrow", zero_copy_batch=True)
@@ -609,10 +584,7 @@ def brand_quantity_revenue(li_ds, part_dims: dict) -> pd.DataFrame:
             "n": pa.array([int(keep.sum())], pa.int64()),
         })
 
-    f = _global_fold(
-        li_ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["rev", "n"])
+    f = _global_fold(li_ds, _partial, _REV_N)
     return pd.DataFrame({
         "revenue": [round_half_away(np.float64(f["rev"]), 2)],
         "n_items": pd.array([int(f["n"])], dtype="int64"),
@@ -621,7 +593,6 @@ def brand_quantity_revenue(li_ds, part_dims: dict) -> pd.DataFrame:
 
 def _q_brand_quantity(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
-    import ray
 
     from .relational import MAX_BROADCAST_DIM_ROWS
 
@@ -640,7 +611,7 @@ def _q_brand_quantity(sf_dir: str) -> pd.DataFrame:
             part.column("p_brand").to_pylist(),
             part.column("p_size").to_pylist())
     }
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice",
                  "l_discount"])
@@ -674,8 +645,9 @@ register(
 def customer_order_distribution(orders_ds, n_customers: int):
     """TPC-H Q13: histogram of per-customer order counts, INCLUDING the
     zero bucket.  Shape: per-block custkey-count combiner -> ONE
-    custkey groupby (bounded by customer count) -> per-block histogram
-    combiner -> tiny c_count groupby; the zero bucket is
+    exchange keyed on the custkey, whose tasks count their customers'
+    orders and histogram them -> the driver sums the shard histograms
+    (at most shards x distinct counts rows); the zero bucket is
     ``n_customers - customers_with_orders`` (two scalars), never an
     anti-join over the fact table."""
 
@@ -686,28 +658,15 @@ def customer_order_distribution(orders_ds, n_customers: int):
             "n": g.column("o_custkey_count").cast(pa.int64()),
         })
 
-    per_cust = (
-        orders_ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("o_custkey").sum("n")
-    )
+    def _hist(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("o_custkey", sort=False)["n"].sum() \
+            .value_counts().rename_axis("c_count") \
+            .reset_index(name="custdist")
 
-    def _hist(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("sum(n)").aggregate([("sum(n)", "count")])
-        return pa.table({
-            "c_count": g.column("sum(n)").cast(pa.int64()),
-            "custdist": g.column("sum(n)_count").cast(pa.int64()),
-        })
-
-    hist = (
-        per_cust.map_batches(_hist, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("c_count").sum("custdist")
-    ).to_pandas()
-    out = pd.DataFrame({
-        "c_count": hist["c_count"].astype("int64"),
-        "custdist": hist["sum(custdist)"].astype("int64"),
-    })
+    out = collect(sharded_aggregate(
+        orders_ds, _partial, _hist, _schema(c_count=_I, custdist=_I),
+        key="o_custkey",
+    )).groupby("c_count", as_index=False)["custdist"].sum()
     zero = n_customers - int(out["custdist"].sum())
     if zero < 0:
         # More distinct o_custkey values than customer rows: orders holds
@@ -734,11 +693,10 @@ def customer_order_distribution(orders_ds, n_customers: int):
 
 def _q_order_distribution(sf_dir: str):
     import pyarrow.parquet as pq
-    import ray
 
     n_customers = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey"])
+    orders = read_parquet_file(f"{sf_dir}/orders.parquet",
+                               columns=["o_custkey"])
     return customer_order_distribution(orders, n_customers)
 
 
@@ -763,14 +721,15 @@ register(
 # ---------------------------------------------------------------------------
 
 Q15_LO, Q15_HI = "1996-01-01", "1996-04-01"
+_SUPP_REV = _schema(l_suppkey=_I, rev=_F)
 
 
 def top_supplier_revenue(li_ds, supp_names: dict):
     """TPC-H Q15: the supplier(s) achieving the maximum revenue over one
     quarter.  Revenue per supplier is ROUND-2 on both engines BEFORE the
-    max comparison so float ties cannot diverge; names attach via a
-    broadcast supplier map."""
-    import ray
+    max comparison so float ties cannot diverge; one exchange keyed on
+    the supplier sums each supplier's per-block revenue, and the names
+    attach from the driver-side supplier map."""
 
     def _partial(batch: pa.Table) -> pa.Table:
         rev = (batch.column("l_extendedprice").to_numpy(
@@ -782,21 +741,18 @@ def top_supplier_revenue(li_ds, supp_names: dict):
                 zero_copy_only=False),
             "rev": rev,
         })
-        g = df.groupby("l_suppkey", sort=False)["rev"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "l_suppkey", _SUPP_REV, rev=("rev", "sum"))
 
-    merged = (
-        li_ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("l_suppkey").sum("rev")
-    ).to_pandas()
-    rev2 = round_half_away(merged["sum(rev)"].to_numpy(), 2)
+    merged = collect(sharded_aggregate(
+        li_ds, _partial,
+        lambda df: df.groupby("l_suppkey", sort=False)["rev"].sum()
+        .reset_index(), _SUPP_REV, key="l_suppkey"))
+    rev2 = round_half_away(merged["rev"].to_numpy(), 2)
     best = rev2.max()
-    keep = merged[rev2 == best].copy()
-    names_ref = supp_names  # tiny, already driver-side
+    keep = merged[rev2 == best]
     out = pd.DataFrame({
         "s_suppkey": keep["l_suppkey"].astype("int64"),
-        "s_name": keep["l_suppkey"].map(names_ref),
+        "s_name": keep["l_suppkey"].map(supp_names),
         "total_revenue": rev2[rev2 == best],
     })
     return out.sort_values("s_suppkey", ignore_index=True)
@@ -806,12 +762,12 @@ def _q_top_supplier(sf_dir: str):
     import datetime as dt
 
     import pyarrow.dataset as pads
-    import ray
 
     supp_names = _q_top_supplier_names(sf_dir)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"],
+        columns=["l_suppkey", "l_extendedprice", "l_discount",
+                 "l_shipdate"],
         filter=(pads.field("l_shipdate")
                 >= dt.datetime.fromisoformat(Q15_LO))
         & (pads.field("l_shipdate") < dt.datetime.fromisoformat(Q15_HI)),
@@ -855,6 +811,7 @@ register(
 
 Q17_BRAND = "Brand#23"
 Q17_FRACTION = 0.2
+_PART_QTY = _schema(l_partkey=_I, s=_F, n=_I)
 
 
 def small_quantity_revenue(li_pass1, li_pass2_fn,
@@ -865,9 +822,9 @@ def small_quantity_revenue(li_pass1, li_pass2_fn,
 
     The correlated scalar subquery becomes: pass 1 computes each
     brand-part's (sum qty, n) via the usual combiner (bounded by the
-    brand's part count), the per-part threshold broadcasts as a map,
-    pass 2 filters rows against the broadcast threshold and folds one
-    (revenue, n) partial per block.  Avg uses the rounded-moments rule
+    brand's part count) and one exchange keyed on the part, the per-part
+    threshold broadcasts as a map, pass 2 filters rows against the
+    broadcast threshold and folds one (revenue, n) partial per block.  Avg uses the rounded-moments rule
     (round-6 sum / n) so both engines compare against the identical
     threshold."""
     import ray
@@ -880,19 +837,16 @@ def small_quantity_revenue(li_pass1, li_pass2_fn,
             "q": batch.column("l_quantity").to_numpy(
                 zero_copy_only=False)[keep],
         })
-        g = df.groupby("l_partkey", sort=False).agg(
-            s=("q", "sum"), n=("q", "size")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "l_partkey", _PART_QTY, s=("q", "sum"),
+                    n=("q", "size"))
 
-    stats = (
-        li_pass1.map_batches(_p1, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("l_partkey").sum(["s", "n"])
-    ).to_pandas()
+    stats = collect(sharded_aggregate(
+        li_pass1, _p1,
+        lambda df: df.groupby("l_partkey", sort=False)[["s", "n"]].sum()
+        .reset_index(), _PART_QTY, key="l_partkey"))
     thr = pd.Series(
-        Q17_FRACTION * (round_half_away(stats["sum(s)"].to_numpy(), 6)
-                        / stats["sum(n)"].to_numpy()),
+        Q17_FRACTION * (round_half_away(stats["s"].to_numpy(), 6)
+                        / stats["n"].to_numpy()),
         index=stats["l_partkey"].to_numpy())
     thr_ref = ray.put(thr)
 
@@ -910,10 +864,7 @@ def small_quantity_revenue(li_pass1, li_pass2_fn,
             "n": pa.array([int(keep.sum())], pa.int64()),
         })
 
-    f = _global_fold(
-        li_pass2_fn().map_batches(_p2, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-        ["rev", "n"])
+    f = _global_fold(li_pass2_fn(), _p2, _REV_N)
     rev2 = round_half_away(np.float64(f["rev"]), 2)
     return pd.DataFrame({
         "avg_yearly": [round_half_away(np.float64(rev2 / 7.0), 2)],
@@ -923,7 +874,6 @@ def small_quantity_revenue(li_pass1, li_pass2_fn,
 
 def _q_small_quantity(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
-    import ray
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -933,7 +883,7 @@ def _q_small_quantity(sf_dir: str) -> pd.DataFrame:
         .column("p_partkey").to_pylist())
 
     def _li():
-        return ray.data.read_parquet(
+        return read_parquet_file(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_quantity", "l_extendedprice"])
 
@@ -1002,8 +952,9 @@ def national_market_share(sf_dir: str):
     lineitem ⋈ date-pruned orders ⋈ region-pruned customers (semi) ⋈
     supplier — so only in-market, in-window rows reach each exchange.
     The final aggregate is a per-block (year, target/total) combiner +
-    one tiny merge; the share divides the two ALREADY-round-2 sums
-    (round-6), so both engines divide identical doubles.
+    one exchange keyed on the year; the share divides the two
+    ALREADY-round-2 sums (round-6), so both engines divide identical
+    doubles.
     """
     import datetime as _dt
 
@@ -1030,7 +981,7 @@ def national_market_share(sf_dir: str):
                           pads.field("p_type") == Q8_TYPE)
     lo = _dt.datetime.fromisoformat(Q8_LO)
     hi = _dt.datetime.fromisoformat(Q8_HI)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_partkey", "l_suppkey",
                  "l_extendedprice", "l_discount"],
@@ -1056,7 +1007,7 @@ def national_market_share(sf_dir: str):
          parquet_schema(lp, ["l_suppkey"]).field("l_suppkey").type),
         ("vol", pa.float64()),
     ])
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
         filter=(pads.field("o_orderdate") >= lo)
@@ -1068,8 +1019,8 @@ def national_market_share(sf_dir: str):
     # composition as lineitem_orders_bloom_join).
     from .sketches import bloom_build, bloom_filter_out
 
-    li_keys = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"],
+    li_keys = read_parquet_file(
+        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"],
         filter=pads.field("l_partkey").isin(sorted(type_parts)),
     )
     orders = bloom_filter_out(orders, bloom_build(li_keys,
@@ -1134,23 +1085,17 @@ def national_market_share(sf_dir: str):
             .to_numpy(zero_copy_only=False),
         })
         df["tvol"] = np.where(df["tgt"], df["vol"], 0.0)
-        g = df.groupby("o_year", sort=False).agg(
-            t=("tvol", "sum"), a=("vol", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "o_year", _schema(o_year=_I, t=_F, a=_F),
+                    t=("tvol", "sum"), a=("vol", "sum"))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        t = round_half_away(np.float64(df["t"].sum()), 2)
-        a = round_half_away(np.float64(df["a"].sum()), 2)
-        return pd.DataFrame({
-            "o_year": pd.array([int(df["o_year"].iloc[0])], dtype="int64"),
-            "mkt_share": [round_half_away(np.float64(t / a), 6)],
-        })
+    def _share(df: pd.DataFrame) -> dict:
+        g = df.groupby("o_year", sort=False)[["t", "a"]].sum()
+        t = round_half_away(g["t"].to_numpy(), 2)
+        a = round_half_away(g["a"].to_numpy(), 2)
+        return {"o_year": g.index, "mkt_share": round_half_away(t / a, 6)}
 
-    return (
-        j3.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("o_year").map_groups(_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(j3, _partial, _share,
+                             _schema(o_year=_I, mkt_share=_F), key="o_year")
 
 
 register(
@@ -1198,11 +1143,10 @@ def product_type_profit(sf_dir: str):
     Scale shape: the name predicate prunes parts driver-side into a
     loud-guarded broadcast key set filtering lineitem AT THE READ; the
     tree is lineitem ⋈ orders (year only) ⋈ supplier (nation), then a
-    per-block (nation, year) combiner + tiny merge — at most
-    |nations| x |years| rows move in the final exchange."""
+    per-block (nation, year) combiner + one exchange keyed on the nation
+    — at most |nations| x |years| rows per block move in it."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
     from .joins import join_output_schema, parquet_schema, shuffle_join
 
@@ -1213,10 +1157,10 @@ def product_type_profit(sf_dir: str):
     tok_parts = sorted(_key_set(
         f"{sf_dir}/part.parquet", "p_partkey",
         pc.match_substring(pads.field("p_name"), Q9_NAME_TOKEN)))
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"],
+                 "l_discount", "l_partkey"],
         filter=pads.field("l_partkey").isin(tok_parts),
     )
 
@@ -1228,9 +1172,11 @@ def product_type_profit(sf_dir: str):
         # integer sums round identically on both engines.  Headroom:
         # ~1e9 units/item, int64 overflows past ~9e9 items per group.
         price_c = np.rint(batch.column("l_extendedprice")
-                          .to_numpy(zero_copy_only=False) * 100.0)             .astype(np.int64)
+                          .to_numpy(zero_copy_only=False) * 100.0) \
+            .astype(np.int64)
         disc_c = 100 - np.rint(batch.column("l_discount")
-                               .to_numpy(zero_copy_only=False) * 100.0)             .astype(np.int64)
+                               .to_numpy(zero_copy_only=False) * 100.0) \
+            .astype(np.int64)
         return pa.table({
             "l_orderkey": batch.column("l_orderkey"),
             "l_suppkey": batch.column("l_suppkey"),
@@ -1247,7 +1193,7 @@ def product_type_profit(sf_dir: str):
         ("vol", pa.int64()),
     ])
 
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"])
 
     def _year(batch: pa.Table) -> pa.Table:
@@ -1267,7 +1213,7 @@ def product_type_profit(sf_dir: str):
          parquet_schema(op, ["o_orderkey"]).field("o_orderkey").type),
         ("o_year", pa.int64()),
     ])
-    supp = ray.data.read_parquet(
+    supp = read_parquet_file(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
     supp_schema = parquet_schema(f"{sf_dir}/supplier.parquet",
                                  ["s_suppkey", "s_nationkey"])
@@ -1287,9 +1233,8 @@ def product_type_profit(sf_dir: str):
                 zero_copy_only=False),
             "vol": batch.column("vol").to_numpy(zero_copy_only=False),
         })
-        g = df.groupby(["nk", "o_year"], sort=False)["vol"].sum() \
-            .reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, ["nk", "o_year"], _schema(nk=_I, o_year=_I, vol=_I),
+                    vol=("vol", "sum"))
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["nk", "o_year"], sort=True)["vol"].sum() \
@@ -1301,19 +1246,8 @@ def product_type_profit(sf_dir: str):
             "profit": cents.astype(np.float64) / 100.0,
         })
 
-    from ._util import hash_shards
-
-    def _shard(batch: pa.Table) -> pa.Table:
-        nk = batch.column("nk").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array(hash_shards(nk, 16), pa.int32()))
-
-    return (
-        j2.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .map_batches(_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard").map_groups(_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(j2, _partial, _merge, _schema(
+        n_name=_S, o_year=_I, profit=_F), key="nk")
 
 
 register(
@@ -1354,23 +1288,21 @@ def sales_opportunity(sf_dir: str):
 
     Scale shape: pass 1 is a per-block (sum, count) combiner over the
     nation-pruned positive balances (one scalar pair to the driver);
-    the order-count side is a per-block custkey combiner + one bounded
-    shard merge filtered to the low-engagement keys (keys only — no
-    payload ever shuffles); pass 2 re-reads customers with the
+    the order-count side is a per-block custkey combiner + one exchange
+    keyed on the custkey that keeps the low-engagement keys (keys only —
+    no payload ever shuffles); pass 2 re-reads customers with the
     threshold AS a read filter and semi-joins those keys; the final
-    per-nation aggregate is a block combiner + tiny merge."""
+    per-nation aggregate is a block combiner + one exchange keyed on the
+    nation."""
     import pyarrow.dataset as pads
-    import ray
 
-    from ._util import hash_shards
     from .joins import parquet_schema, shuffle_join
 
     nations = sorted(Q22_NATIONS)
-    base_filter = (pads.field("c_nationkey").isin(nations)
-                   & (pads.field("c_acctbal") > 0.0))
-    cust0 = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_acctbal"],
-        filter=base_filter,
+    cust0 = read_parquet_file(
+        f"{sf_dir}/customer.parquet", columns=["c_acctbal", "c_nationkey"],
+        filter=(pads.field("c_nationkey").isin(nations)
+                & (pads.field("c_acctbal") > 0.0)),
     )
 
     def _sumcount(batch: pa.Table) -> pa.Table:
@@ -1382,56 +1314,42 @@ def sales_opportunity(sf_dir: str):
                               zero_copy_batch=True).take_all()
     total = sum(p["s"] for p in parts)
     count = sum(p["n"] for p in parts)
-    if count == 0:
-        return pd.DataFrame({
-            "cntrycode": np.array([], np.int64),
-            "numcust": np.array([], np.int64),
-            "totacctbal": np.array([], np.float64),
-        })
     # both engines compare against the same round-6 threshold, so block
-    # summation-order noise cannot flip a membership decision
+    # summation-order noise cannot flip a membership decision; with no
+    # positive balance no customer qualifies
     avg_bal = float(round_half_away(
-        np.float64(round_half_away(np.float64(total), 2) / count), 6))
+        np.float64(round_half_away(np.float64(total), 2) / count), 6)) \
+        if count else np.inf
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+    orders = read_parquet_file(f"{sf_dir}/orders.parquet",
+                               columns=["o_custkey"])
+    cust_schema = parquet_schema(
+        f"{sf_dir}/customer.parquet",
+        ["c_custkey", "c_nationkey", "c_acctbal"])
+    keys = pa.schema([("ck", cust_schema.field("c_custkey").type)])
 
     def _count_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("o_custkey").aggregate([("o_custkey", "count")])
-        ck = g.column("o_custkey")
         return pa.table({
-            "ck": ck,
+            "ck": g.column("o_custkey"),
             "n": g.column("o_custkey_count").cast(pa.int64()),
-            "shard": pa.array(
-                hash_shards(ck.to_numpy(zero_copy_only=False), 64),
-                pa.int32()),
         })
 
-    def _low_keys(df: pd.DataFrame) -> pd.DataFrame:
+    def _low_keys(df: pd.DataFrame) -> dict:
         g = df.groupby("ck", sort=False)["n"].sum()
-        low = g[g <= Q22_MAX_ORDERS]
-        return pd.DataFrame({"ck": low.index.to_numpy()})
+        return {"ck": g.index[(g <= Q22_MAX_ORDERS).to_numpy()]}
 
-    low = (
-        orders.map_batches(_count_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("shard").map_groups(_low_keys, batch_format="pandas")
-    )
-
-    cust = ray.data.read_parquet(
+    low = sharded_aggregate(orders, _count_partial, _low_keys, keys,
+                            key="ck")
+    cust = read_parquet_file(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_nationkey", "c_acctbal"],
         filter=(pads.field("c_nationkey").isin(nations)
                 & (pads.field("c_acctbal") > avg_bal)),
     )
-    cust_schema = parquet_schema(
-        f"{sf_dir}/customer.parquet",
-        ["c_custkey", "c_nationkey", "c_acctbal"])
-    picked = shuffle_join(
-        cust, low, on="c_custkey", right_on="ck", how="semi",
-        left_schema=cust_schema,
-        right_schema=pa.schema([("ck", cust_schema.field("c_custkey")
-                                 .type)]))
+    picked = shuffle_join(cust, low, on="c_custkey", right_on="ck",
+                          how="semi", left_schema=cust_schema,
+                          right_schema=keys)
 
     def _partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -1440,32 +1358,16 @@ def sales_opportunity(sf_dir: str):
             "bal": batch.column("c_acctbal").to_numpy(
                 zero_copy_only=False),
         })
-        g = df.groupby("cntrycode", sort=False).agg(
-            n=("bal", "size"), s=("bal", "sum")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "cntrycode", _schema(cntrycode=_I, n=_I, s=_F),
+                    n=("bal", "size"), s=("bal", "sum"))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "cntrycode": pd.array([int(df["cntrycode"].iloc[0])],
-                                  dtype="int64"),
-            "numcust": pd.array([int(df["n"].sum())], dtype="int64"),
-            "totacctbal": round_half_away(
-                np.array([df["s"].sum()]), 2),
-        })
+    def _merge(df: pd.DataFrame) -> dict:
+        g = df.groupby("cntrycode", sort=False)[["n", "s"]].sum()
+        return {"cntrycode": g.index, "numcust": g["n"],
+                "totacctbal": round_half_away(g["s"].to_numpy(), 2)}
 
-    out = (
-        picked.map_batches(_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("cntrycode").map_groups(_merge, batch_format="pandas")
-    ).to_pandas()  # ≤ |Q22_NATIONS| rows
-    if out.empty:  # schema-stable empty (an empty Dataset has no schema)
-        return pd.DataFrame({
-            "cntrycode": np.array([], np.int64),
-            "numcust": np.array([], np.int64),
-            "totacctbal": np.array([], np.float64),
-        })
-    return out
+    return sharded_aggregate(picked, _partial, _merge, _schema(
+        cntrycode=_I, numcust=_I, totacctbal=_F), key="cntrycode")
 
 
 register(

@@ -24,12 +24,15 @@ that exist:
 Scale shapes: every dimension predicate prunes AT THE READ via
 loud-guarded broadcast key sets (`tpch._key_set` / `relational
 .MAX_BROADCAST_DIM_ROWS`); Q2/Q11/Q20 never shuffle the fact table at
-all — per-block combiners reduce to (key, partial) rows and ONE
-hash-shard groupby merges them; Q12/Q21 run ONE fact-x-fact shuffle
-join (lineitem x orders, both sides projected to 3 columns) and then
-combine.  Q21's per-order distinct logic is vectorized pandas inside
-hash-sharded groups (the `_sharded_distinct` discipline — never one Ray
-group per order key).
+all — per-block combiners reduce to (key, partial) rows and ONE shard
+exchange keyed on the part (``_util.sharded_aggregate``) merges them;
+Q12/Q21 run ONE fact-x-fact shuffle join (lineitem x orders, both sides
+projected to 3 columns) and then combine on the same exchange.  Q21's
+per-order logic is vectorized pandas over the many orders of one
+exchange task (never one task per order key); Q20 and Q21 finish their
+suppliers in one more exchange that gathers into one task
+(``key=None``).  No Ray Data ``groupby`` runs, and the test-data reads
+go through ``_util.read_parquet_file``.
 
 Float discipline: Q11 sums EXACT integer cents (the Q9 rule —
 `product_type_profit`); Q2's unit cost is an IEEE-exact double division
@@ -44,8 +47,15 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._util import hash_shards, round_half_away
+from ._util import (
+    as_table,
+    collect,
+    read_parquet_file,
+    round_half_away,
+    sharded_aggregate,
+)
 from .registry import register
+from .relational import _F, _I, _S, _agg, _schema
 
 # Q2: parts of one type in the small-size half, suppliers of one region.
 Q2_TYPE = "STANDARD"
@@ -55,6 +65,7 @@ Q2_REGION = "ASIA"
 # Q11: revenue supplied by one nation's suppliers; global share threshold.
 Q11_NATION = "NATION_3"
 Q11_FRACTION = 0.001
+_PART_CENTS = _schema(pk=_I, c=_I)
 
 # Q12: two-year ship window, one-year lateness bound, urgent/high split.
 Q12_LO, Q12_HI = "1997-01-01", "1999-01-01"
@@ -66,6 +77,7 @@ Q20_TOKEN = "bolt"
 Q20_LO, Q20_HI = "1996-01-01", "1998-01-01"
 Q20_SHARE = 0.5
 Q20_REGION = "EUROPE"
+_PAIR_QTY = _schema(pk=_I, sk=_I, q=_F)
 
 # Q21: finished orders, one-year lateness bound, one region's suppliers.
 Q21_LATE_DAYS = 365
@@ -125,14 +137,13 @@ def min_cost_supplier(sf_dir: str):
     Scale shape: both dimension predicates prune lineitem AT THE READ
     (part keys + region supplier keys as loud-guarded broadcast sets);
     a per-block (part, supplier) min combiner reduces each block to at
-    most |offers| rows, ONE part-sharded groupby merges partial mins and
-    resolves the correlated equality inside the shard (every offer of a
-    part lands in its shard), and supplier/part attributes attach from
-    broadcast maps — the fact table is never shuffled.
+    most |offers| rows, ONE exchange keyed on the part merges partial
+    mins and resolves the correlated equality inside the shard (every
+    offer of a part lands in its shard), and supplier/part attributes
+    attach from broadcast maps — the fact table is never shuffled.
     """
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
     from .relational import MAX_BROADCAST_DIM_ROWS
 
@@ -148,7 +159,7 @@ def min_cost_supplier(sf_dir: str):
     pname = dict(zip(part.column("p_partkey").to_pylist(),
                      part.column("p_name").to_pylist()))
 
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_extendedprice", "l_quantity"],
         filter=(pads.field("l_partkey").isin(sorted(pname))
@@ -165,13 +176,8 @@ def min_cost_supplier(sf_dir: str):
             .to_numpy(zero_copy_only=False)
             / batch.column("l_quantity").to_numpy(zero_copy_only=False),
         })
-        g = df.groupby(["pk", "sk"], sort=False)["cost"].min().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _shard(batch: pa.Table) -> pa.Table:
-        pk = batch.column("pk").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array(hash_shards(pk, 16), pa.int32()))
+        return _agg(df, ["pk", "sk"], _schema(pk=_I, sk=_I, cost=_F),
+                    cost=("cost", "min"))
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["pk", "sk"], sort=True)["cost"].min().reset_index()
@@ -184,15 +190,12 @@ def min_cost_supplier(sf_dir: str):
             "n_name": attrs.map(lambda t: t[2]).to_numpy(dtype=object),
             "p_partkey": g["pk"].astype("int64"),
             "p_name": g["pk"].map(pname).to_numpy(dtype=object),
-            "min_cost": [round_half_away(c, 6) for c in g["cost"]],
+            "min_cost": round_half_away(g["cost"].to_numpy(), 6),
         })
 
-    return (
-        li.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .map_batches(_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard").map_groups(_final, batch_format="pandas")
-    )
+    return collect(sharded_aggregate(li, _partial, _final, _schema(
+        s_acctbal=_F, s_name=_S, n_name=_S, p_partkey=_I, p_name=_S,
+        min_cost=_F), key="pk"))
 
 
 register(
@@ -241,26 +244,27 @@ def important_part_values(sf_dir: str):
     aggregate with a global-scalar threshold.
 
     Scale shape: the nation's supplier keys prune lineitem AT THE READ;
-    a per-block (part -> integer-cents sum) combiner plus ONE
-    part-sharded merge produce the per-part table (<= |part| rows, tiny
+    a per-block (part -> integer-cents sum) combiner plus ONE exchange
+    keyed on the part produce the per-part table (<= |part| rows, tiny
     relative to the fact table); that table is materialized ONCE and
-    reused for both the global scalar (``Dataset.sum``) and the
-    threshold filter — the corpus is scanned exactly once (the
-    `doc_bigram_logprob` round-3 rule).  Integer-cents sums make the
+    reused for both the global scalar (one task, ``key=None``) and the
+    threshold filter, whose few survivors gather into one task — the
+    corpus is scanned exactly once (the `doc_bigram_logprob` round-3
+    rule).  Integer-cents sums make the
     threshold comparison exact on both engines (the Q9 discipline).
     """
+    import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import ray
 
-    from .tpch import _key_set
+    from .tpch import _global_fold, _key_set
 
     supp_keys = _key_set(
         f"{sf_dir}/supplier.parquet", "s_suppkey",
         pads.field("s_nationkey").isin(
             sorted(_nation_keys(sf_dir, (Q11_NATION,)))))
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice"],
+        columns=["l_partkey", "l_extendedprice", "l_suppkey"],
         filter=pads.field("l_suppkey").isin(sorted(supp_keys)),
     )
 
@@ -272,28 +276,16 @@ def important_part_values(sf_dir: str):
             "pk": batch.column("l_partkey").to_numpy(zero_copy_only=False),
             "c": cents,
         })
-        g = df.groupby("pk", sort=False)["c"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, "pk", _PART_CENTS, c=("c", "sum"))
 
-    def _shard(batch: pa.Table) -> pa.Table:
-        pk = batch.column("pk").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array(hash_shards(pk, 16), pa.int32()))
-
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("pk", sort=True)["c"].sum().reset_index()
-        return pd.DataFrame({"pk": g["pk"].astype("int64"),
-                             "c": g["c"].astype("int64")})
-
-    values = (
-        li.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .map_batches(_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard").map_groups(_merge, batch_format="pandas")
-        .materialize()  # <= |part| rows; reused by scalar + filter below
-    )
-    total = values.sum("c")  # None when no lineitem survives the prune
-    threshold = Q11_FRACTION * float(total if total is not None else 0)
+    # <= |part| rows, materialized; reused by the scalar and the filter
+    values = sharded_aggregate(
+        li, _partial,
+        lambda df: df.groupby("pk", sort=False)["c"].sum().reset_index(),
+        _PART_CENTS, key="pk")
+    total = _global_fold(values, lambda b: pa.table(
+        {"c": [pc.sum(b.column("c")).as_py() or 0]}), _schema(c=_I))["c"]
+    threshold = Q11_FRACTION * float(total)
 
     def _keep(batch: pa.Table) -> pa.Table:
         c = batch.column("c").to_numpy(zero_copy_only=False)
@@ -306,8 +298,10 @@ def important_part_values(sf_dir: str):
                               pa.float64()),
         })
 
-    return values.map_batches(_keep, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    # each kept part holds over Q11_FRACTION of the total, so at most
+    # 1 / Q11_FRACTION parts pass and they gather into one task
+    return sharded_aggregate(values, _keep, lambda df: df,
+                             _schema(l_partkey=_I, value=_F), key=None)
 
 
 def _nation_keys(sf_dir: str, names) -> set:
@@ -356,25 +350,24 @@ def late_shipment_priority(sf_dir: str):
     Scale shape: the ship window prunes lineitem AT THE READ; ONE
     fact-x-fact shuffle join (both sides projected to <= 3 columns)
     attaches order attributes; a per-block CASE-sum combiner reduces to
-    <= 3 rows per block and a tiny per-flag merge finishes — pure
-    integer counts, no float discipline needed.
+    <= 3 rows per block and one exchange keyed on the flag finishes —
+    pure integer counts, no float discipline needed.
     """
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray
 
     from .joins import parquet_schema, shuffle_join
 
     lo = _dt.datetime.fromisoformat(Q12_LO)
     hi = _dt.datetime.fromisoformat(Q12_HI)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_returnflag", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
         & (pads.field("l_shipdate") < hi),
     )
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
     j = shuffle_join(
@@ -387,6 +380,12 @@ def late_shipment_priority(sf_dir: str):
             ["o_orderkey", "o_orderdate", "o_orderpriority"]),
     )
     late_ns = np.int64(Q12_LATE_DAYS) * 86_400_000_000_000
+    counts = _schema(l_returnflag=_S, high_line_count=_I, low_line_count=_I)
+
+    def _sum(df: pd.DataFrame) -> pa.Table:
+        return as_table(
+            df.groupby("l_returnflag", sort=False).sum().reset_index(),
+            counts)
 
     def _partial(batch: pa.Table) -> pa.Table:
         ship = batch.column("l_shipdate").cast(pa.timestamp("ns")) \
@@ -405,22 +404,9 @@ def late_shipment_priority(sf_dir: str):
             "high_line_count": (late & high).astype(np.int64),
             "low_line_count": (late & ~high).astype(np.int64),
         })
-        g = df.groupby("l_returnflag", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _sum(df)
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": [df["l_returnflag"].iloc[0]],
-            "high_line_count":
-                pd.array([int(df["high_line_count"].sum())], dtype="int64"),
-            "low_line_count":
-                pd.array([int(df["low_line_count"].sum())], dtype="int64"),
-        })
-
-    return (
-        j.map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_returnflag").map_groups(_merge, batch_format="pandas")
-    )
+    return sharded_aggregate(j, _partial, _sum, counts, key="l_returnflag")
 
 
 register(
@@ -459,10 +445,11 @@ def excess_supply_suppliers(sf_dir: str):
     nested correlated-aggregate IN chain.
 
     Scale shape: part-name and window predicates prune AT THE READ; a
-    per-block (part, supplier) quantity combiner + ONE part-sharded
-    merge computes pair and per-part totals inside the shard (all rows
-    of a part co-locate), the dominant-share filter emits supplier keys
-    only, and a final tiny distinct resolves cross-shard repeats.
+    per-block (part, supplier) quantity combiner + ONE exchange keyed on
+    the part computes pair and per-part totals inside the shard (all
+    rows of a part co-locate), the dominant-share filter emits supplier
+    keys only, and a final tiny distinct in one task (``key=None``)
+    resolves cross-shard repeats.
     Quantities are small integral doubles — sums are exact in IEEE
     double, so the strict ``>`` threshold compares exactly.
     """
@@ -470,7 +457,6 @@ def excess_supply_suppliers(sf_dir: str):
 
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import ray
 
     from .tpch import _key_set
 
@@ -480,9 +466,9 @@ def excess_supply_suppliers(sf_dir: str):
         pc.match_substring(pads.field("p_name"), Q20_TOKEN)))
     lo = _dt.datetime.fromisoformat(Q20_LO)
     hi = _dt.datetime.fromisoformat(Q20_HI)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity"],
+        columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
         filter=(pads.field("l_partkey").isin(tok_parts)
                 & (pads.field("l_shipdate") >= lo)
                 & (pads.field("l_shipdate") < hi)),
@@ -494,39 +480,23 @@ def excess_supply_suppliers(sf_dir: str):
             "sk": batch.column("l_suppkey").to_numpy(zero_copy_only=False),
             "q": batch.column("l_quantity").to_numpy(zero_copy_only=False),
         })
-        g = df.groupby(["pk", "sk"], sort=False)["q"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return _agg(df, ["pk", "sk"], _PAIR_QTY, q=("q", "sum"))
 
-    def _shard(batch: pa.Table) -> pa.Table:
-        pk = batch.column("pk").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array(hash_shards(pk, 16), pa.int32()))
-
-    def _dominant(df: pd.DataFrame) -> pd.DataFrame:
+    def _dominant(df: pd.DataFrame) -> dict:
         g = df.groupby(["pk", "sk"], sort=False)["q"].sum().reset_index()
         g["tq"] = g.groupby("pk")["q"].transform("sum")
-        g = g[g["q"] > Q20_SHARE * g["tq"]]
-        sk = np.unique(g["sk"].to_numpy(np.int64))
-        return pd.DataFrame({"sk": sk,
-                             "sshard": hash_shards(sk, 4).astype(np.int64)})
+        return {"sk": np.unique(g["sk"][g["q"] > Q20_SHARE * g["tq"]])}
 
-    def _distinct(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized per-shard distinct + region filter (never one Ray
-        # group per supplier key — the `_sharded_distinct` rule)
+    def _distinct(df: pd.DataFrame) -> dict:
+        # the region filter, then the suppliers' names
         sk = np.unique(df["sk"].to_numpy(np.int64))
         sk = sk[np.isin(sk, list(smap))]
-        return pd.DataFrame({
-            "s_suppkey": pd.array(sk, dtype="int64"),
-            "s_name": np.array([smap[k][0] for k in sk], dtype=object),
-        })
+        return {"s_suppkey": sk, "s_name": [smap[k][0] for k in sk]}
 
-    return (
-        li.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .map_batches(_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard").map_groups(_dominant, batch_format="pandas")
-        .groupby("sshard").map_groups(_distinct, batch_format="pandas")
-    )
+    dominant = sharded_aggregate(li, _partial, _dominant, _schema(sk=_I),
+                                 key="pk")
+    return sharded_aggregate(dominant, lambda t: t, _distinct, _schema(
+        s_suppkey=_I, s_name=_S), key=None)
 
 
 register(
@@ -575,23 +545,22 @@ def suppliers_kept_waiting(sf_dir: str):
     Scale shape: orders prune to status 'F' AT THE READ; ONE
     fact-x-fact shuffle join attaches order dates; a per-block
     (order, supplier) combiner carries late-lineitem counts; ONE
-    order-sharded merge resolves the per-order distinct logic
-    vectorized (transform-size / transform-sum — never a Python loop
-    over orders, never one Ray group per order key); a final tiny
-    per-supplier merge sums partial waits.  Pure counts — exact.
+    exchange keyed on the order resolves the per-order logic vectorized
+    (transform-size / transform-sum — never a Python loop over orders,
+    never one task per order key); a final tiny per-supplier merge in
+    one task (``key=None``) sums partial waits.  Pure counts — exact.
     """
     import pyarrow.dataset as pads
-    import ray
 
     from .joins import parquet_schema, shuffle_join
 
     smap = _region_suppliers(sf_dir, Q21_REGION)
-    li = ray.data.read_parquet(
+    li = read_parquet_file(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-    orders = ray.data.read_parquet(
+    orders = read_parquet_file(
         f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate"],
+        columns=["o_orderkey", "o_orderdate", "o_orderstatus"],
         filter=pads.field("o_orderstatus") == "F",
     )
     op = f"{sf_dir}/orders.parquet"
@@ -616,13 +585,8 @@ def suppliers_kept_waiting(sf_dir: str):
             "sk": batch.column("l_suppkey").to_numpy(zero_copy_only=False),
             "late": (ship - od > late_ns).astype(np.int64),
         })
-        g = df.groupby(["ok", "sk"], sort=False)["late"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def _shard(batch: pa.Table) -> pa.Table:
-        ok = batch.column("ok").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array(hash_shards(ok, 16), pa.int32()))
+        return _agg(df, ["ok", "sk"], _schema(ok=_I, sk=_I, late=_I),
+                    late=("late", "sum"))
 
     def _waits(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["ok", "sk"], sort=False)["late"].sum().reset_index()
@@ -630,31 +594,20 @@ def suppliers_kept_waiting(sf_dir: str):
         g["is_late"] = (g["late"] > 0).astype(np.int64)
         n_late_supp = g.groupby("ok")["is_late"].transform("sum")
         qual = (g["late"] > 0) & (n_supp > 1) & (n_late_supp == 1)
-        w = g[qual].groupby("sk", sort=False)["late"].sum().reset_index()
-        sk = w["sk"].to_numpy(np.int64)
-        return pd.DataFrame({"sk": sk, "waits": w["late"].astype("int64"),
-                             "sshard": hash_shards(sk, 4).astype(np.int64)})
+        return g[qual].groupby("sk", sort=False)["late"].sum() \
+            .reset_index(name="waits")
 
-    def _merge(df: pd.DataFrame) -> pa.Table:
-        # vectorized per-shard supplier merge + region filter (never one
-        # Ray group per supplier key — the `_sharded_distinct` rule).
-        # Emits a TYPED Arrow table: a region-filtered shard can be
-        # EMPTY, and a zero-row object-dtype pandas block trips Ray's
-        # size estimator ("cannot call `vectorize` on size 0 inputs").
-        w = df.groupby("sk", sort=True)["waits"].sum().reset_index()
-        w = w[w["sk"].isin(list(smap))]
-        return pa.table({
-            "s_name": pa.array([smap[int(k)][0] for k in w["sk"]],
-                               pa.string()),
-            "numwait": pa.array(w["waits"].to_numpy(np.int64), pa.int64()),
-        })
+    def _merge(df: pd.DataFrame) -> dict:
+        # the per-supplier sums, then the region filter
+        w = df.groupby("sk", sort=True)["waits"].sum()
+        w = w[w.index.isin(list(smap))]
+        return {"s_name": [smap[k][0] for k in w.index],
+                "numwait": w.to_numpy()}
 
-    return (
-        j.map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard").map_groups(_waits, batch_format="pandas")
-        .groupby("sshard").map_groups(_merge, batch_format="pandas")
-    )
+    waits = sharded_aggregate(j, _partial, _waits,
+                              _schema(sk=_I, waits=_I), key="ok")
+    return sharded_aggregate(waits, lambda t: t, _merge, _schema(
+        s_name=_S, numwait=_I), key=None)
 
 
 register(

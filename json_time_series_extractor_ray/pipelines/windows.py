@@ -1169,49 +1169,57 @@ _DAY = 86_400_000_000_000
 MAU_DAYS = 30
 
 
-def dau_mau_stickiness(events_ds, *, member: str = "user_id",
-                       ts: str = "ts", mau_days: int = MAU_DAYS,
+#: a distinct (day, user) pair, and a per-day count
+_DAY_USER = pa.schema([("day", pa.int64()), ("user_id", pa.int64())])
+_DAY_N = pa.schema([("day", pa.int64()), ("n", pa.int64())])
+
+
+def dau_mau_stickiness(events_ds, *, mau_days: int = MAU_DAYS,
                        round_digits: int = 6) -> pd.DataFrame:
     """Per observed day: exact DAU, exact trailing-``mau_days`` MAU, and
-    the stickiness ratio DAU/MAU — the standard product-engagement
-    screen, computed with EXACT distincts (no sketch).
+    the stickiness ratio DAU/MAU of the ``user_id``s of events stamped
+    ``ts`` — the standard product-engagement screen, computed with EXACT
+    distincts (no sketch).
 
-    Scale shape: the corpus first reduces to DISTINCT (day, member)
-    pairs (per-block Arrow dedup combiner + 64-way shard dedup — the
-    shuffle is user-day-bounded, never event-bounded); the trailing
-    window is a bounded x``mau_days`` expansion of those pairs (the
-    hopping-window trick), pruned to observed days via a broadcast day
-    set, then deduped and counted per day.  The final day-level merge is
-    driver-side on a days-count-sized frame.
+    Scale shape: the corpus first reduces to DISTINCT (day, user) pairs
+    (per-block Arrow dedup combiner + one exchange keyed on the user —
+    the shuffle is user-day-bounded, never event-bounded) and one
+    exchange keyed on the day counts them; the trailing window is a
+    bounded x``mau_days`` expansion of those pairs (the hopping-window
+    trick), pruned to observed days via a broadcast day set, then
+    deduped and counted per day the same way.  The final day-level merge
+    is driver-side on a days-count-sized frame.
     """
     import ray
 
+    from ._util import collect, sharded_aggregate
     from .tpch import _sharded_distinct
 
     def _project(batch: pa.Table) -> pa.Table:
-        day = (batch.column(ts).cast(pa.timestamp("ns")).cast(pa.int64())
+        day = (batch.column("ts").cast(pa.timestamp("ns")).cast(pa.int64())
                .to_numpy(zero_copy_only=False) // _DAY)
         return pa.table({
             "day": pa.array(day, pa.int64()),
-            member: batch.column(member),
+            "user_id": batch.column("user_id"),
         })
 
-    ud = _sharded_distinct(
-        events_ds.map_batches(_project, batch_format="pyarrow",
-                              zero_copy_batch=True),
-        ["day", member], member)
-
-    # DAU: count per day over the distinct pairs (tiny combiner)
-    def _dau_partial(batch: pa.Table) -> pa.Table:
+    def _day_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("day").aggregate([("day", "count")])
         return pa.table({"day": g.column("day"),
                          "n": g.column("day_count").cast(pa.int64())})
 
-    dau = (
-        ud.map_batches(_dau_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("day").sum("n")
-    ).to_pandas().rename(columns={"sum(n)": "dau"})
+    def _per_day(pairs, name: str) -> pd.DataFrame:
+        # the distinct pairs counted per day, on one exchange keyed on it
+        return collect(sharded_aggregate(
+            pairs, _day_partial,
+            lambda df: df.groupby("day", sort=False)["n"].sum().reset_index(),
+            _DAY_N, key="day")).rename(columns={"n": name})
+
+    ud = _sharded_distinct(
+        events_ds.map_batches(_project, batch_format="pyarrow",
+                              zero_copy_batch=True),
+        _DAY_USER, "user_id")
+    dau = _per_day(ud, "dau")
 
     days = np.sort(dau["day"].to_numpy(np.int64))
     days_ref = ray.put(days)
@@ -1219,24 +1227,19 @@ def dau_mau_stickiness(events_ds, *, member: str = "user_id",
     def _expand(batch: pa.Table) -> pa.Table:
         obs = ray.get(days_ref)  # sorted observed-day array, broadcast
         day = batch.column("day").to_numpy(zero_copy_only=False)
-        mem = batch.column(member).to_numpy(zero_copy_only=False)
+        mem = batch.column("user_id").to_numpy(zero_copy_only=False)
         tgt = (day[:, None] + np.arange(mau_days)[None, :]).ravel()
         mem_rep = np.repeat(mem, mau_days)
         keep = np.isin(tgt, obs)
         return pa.table({
             "day": pa.array(tgt[keep], pa.int64()),
-            member: pa.array(mem_rep[keep]),
+            "user_id": pa.array(mem_rep[keep]),
         })
 
-    mau_pairs = _sharded_distinct(
+    mau = _per_day(_sharded_distinct(
         ud.map_batches(_expand, batch_format="pyarrow",
                        zero_copy_batch=True),
-        ["day", member], member)
-    mau = (
-        mau_pairs.map_batches(_dau_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("day").sum("n")
-    ).to_pandas().rename(columns={"sum(n)": "mau"})
+        _DAY_USER, "user_id"), "mau")
 
     out = dau.merge(mau, on="day", how="inner")
     return pd.DataFrame({

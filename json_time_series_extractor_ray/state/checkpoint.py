@@ -73,12 +73,23 @@ def shard_of(series_key: str, num_shards: int) -> int:
 
 def add_shard_column(batch: pa.Table, num_shards: int,
                      key_column: str = "series_key") -> pa.Table:
-    """Vectorized shard assignment: dictionary-encode the key column and
-    md5-hash only the UNIQUE keys (series-key cardinality is tiny next to
-    row count), then gather by index.  Same ``shard_of`` md5, so existing
-    manifests stay valid.  A non-string key (an integer id, a day number)
-    hashes through its string form, and every null key goes to shard 0."""
+    """Vectorized shard assignment.  An integer key (an id, a day number)
+    is cast to int64 and its shard is ``_mix(its bits) % num_shards``,
+    one numpy pass: ``_mix`` is splitmix64's finalizer, the same hash
+    ``pd.util.hash_array`` gives int64, so ``pipelines/_util.hash_shards``
+    shards an int64 column alike.  A string key keeps ``shard_of``'s md5,
+    so existing manifests stay valid: the column is dictionary-encoded,
+    only the UNIQUE keys are hashed (series-key cardinality is tiny next
+    to row count), then gathered by index.  A key of another type hashes
+    through its string form.  Every null key goes to shard 0."""
     col = batch.column(key_column)
+    if pa.types.is_integer(col.type):
+        col = pc.cast(col, pa.int64(), safe=False)
+        shards = (_mix(pc.fill_null(col, 0).to_numpy().astype(np.uint64))
+                  % np.uint64(num_shards)).astype(np.int32)
+        if col.null_count:
+            shards[pc.is_null(col).to_numpy()] = 0
+        return batch.append_column("shard", pa.array(shards))
     if not pa.types.is_string(col.type):
         col = pc.cast(col, pa.string())
     chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]

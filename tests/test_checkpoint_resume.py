@@ -57,21 +57,32 @@ class TestManifest:
         assert t.column("shard").to_pylist() == [shard_of(k, 64)
                                                  for k in keys]
 
-    def test_add_shard_column_integer_keys_hash_their_string_form(self):
-        keys = [0, 7, -3, 2**40, 7]
+    def test_add_shard_column_integer_keys_hash_like_hash_shards(self):
+        from json_time_series_extractor_ray.pipelines._util import (
+            hash_shards,
+        )
+
+        keys = [0, 7, -3, 2**40, 7, -2**63, 2**63 - 1]
         t = add_shard_column(pa.table({"user_id": pa.array(keys, pa.int64())}),
                              64, "user_id")
-        assert t.column("shard").to_pylist() == [shard_of(str(k), 64)
-                                                 for k in keys]
+        assert t.column("shard").type == pa.int32()
+        assert t.column("shard").to_pylist() == [0, 20, 15, 56, 20, 10, 61]
+        assert t.column("shard").to_pylist() == list(
+            hash_shards(np.array(keys, np.int64), 64))
+        # every integer width hashes its value as an int64
+        narrow = add_shard_column(pa.table({"k": pa.chunked_array(
+            [pa.array([0, 7], pa.int32()), pa.array([-3], pa.int32())])}),
+            64, "k")
+        assert narrow.column("shard").to_pylist() == [0, 20, 15]
 
     def test_add_shard_column_null_keys_share_one_shard(self):
-        for keys in (pa.array(["a", None, "b", None]),
-                     pa.array([None, 1, None, 2], pa.int64()),
-                     pa.nulls(3, pa.string())):
+        for keys, want in ((pa.array(["a", None, "b", None]),
+                            [shard_of("a", 64), 0, shard_of("b", 64), 0]),
+                           (pa.array([None, 7, None, -3], pa.int64()),
+                            [0, 20, 0, 15]),
+                           (pa.nulls(3, pa.string()), [0, 0, 0])):
             shards = add_shard_column(pa.table({"k": keys}), 64, "k") \
                 .column("shard").to_pylist()
-            want = [0 if k is None else shard_of(str(k), 64)
-                    for k in keys.to_pylist()]
             assert shards == want
 
     def test_commit_is_atomic_and_recorded(self, tmp_path):

@@ -251,6 +251,13 @@ SUBSET = [
     "parts_rank_stability",
     "orders_lognormal_fit",
     "brand_discount_quantity_corr",
+    # the TPC-H family on the shared exchange: full-shape Q16, Q8, Q9,
+    # Q22 and the trade-graph triangles, not gated above
+    "part_supplier_counts_excl",
+    "national_market_share",
+    "product_type_profit",
+    "sales_opportunity",
+    "nation_trade_triangles",
 ]
 
 

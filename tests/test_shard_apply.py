@@ -4,8 +4,8 @@ per-series oracle bit for bit, each runs one direct shard exchange whose
 map side runs at full cluster width and whose Ray Data plans hold no
 all-to-all operator, ``stages/``/``state/`` hold no ``.groupby(`` call,
 and ``pipelines/diffstats.py``, ``pipelines/analytics.py``,
-``pipelines/relational.py`` and ``joins.shuffle_join`` no hand-written
-shuffle.  The
+``pipelines/relational.py``, the TPC-H family (``tpch.py``, ``tpch2.py``,
+``graph.py``) and ``joins.shuffle_join`` no hand-written shuffle.  The
 ``pipelines/_util`` helpers on the exchange (``sharded_aggregate``,
 ``window_means``) produce blocks of exactly their declared schema."""
 
@@ -327,11 +327,69 @@ def test_relational_and_shuffle_join_run_one_exchange(ray_session):
         "/root/testdata/sf0.001"))
 
 
+#: the registered queries of ``tpch.py``, ``tpch2.py`` and ``graph.py``
+#: that run on the shard exchange
+TPCH_FAMILY = (
+    "forecast_revenue_change", "promo_revenue_effect",
+    "order_priority_checking", "part_supplier_counts",
+    "part_supplier_counts_excl", "brand_quantity_revenue",
+    "customer_order_distribution", "top_supplier_revenue",
+    "small_quantity_revenue", "national_market_share",
+    "product_type_profit", "sales_opportunity", "min_cost_supplier",
+    "important_part_values", "late_shipment_priority",
+    "excess_supply_suppliers", "suppliers_kept_waiting",
+    "nation_trade_pagerank", "nation_trade_triangles",
+)
+
+
+def test_tpch_family_runs_no_all_to_all_operator(ray_session):
+    """The TPC-H family's queries shuffle only on the shard exchange: the
+    Ray Data plans they execute hold no all-to-all operator."""
+    from __ray_entry__ import SF0001
+
+    from json_time_series_extractor_ray.pipelines.registry import (
+        extra_queries,
+    )
+
+    queries = extra_queries()
+    with _PlanCounter() as plans:
+        for name in TPCH_FAMILY:
+            out = queries[name](SF0001)
+            if not isinstance(out, pd.DataFrame):
+                out.to_pandas()
+    assert plans.plans > 0
+    assert plans.ops == 0
+
+
+def test_sharded_distinct_runs_one_exchange(ray_session):
+    """``tpch._sharded_distinct`` on an integer key and on a string key:
+    one exchange each, and the distinct rows of the input."""
+    import ray
+
+    from json_time_series_extractor_ray.pipelines.tpch import (
+        _sharded_distinct,
+    )
+
+    rng = np.random.default_rng(5)
+    table = pa.table({
+        "k": pa.array(rng.integers(0, 30, 500), pa.int64()),
+        "s": pa.array([f"v{i}" for i in rng.integers(0, 7, 500)]),
+    })
+    ds = ray.data.from_arrow(table).repartition(4).materialize()
+    want = table.to_pandas().drop_duplicates()
+    for key in ("k", "s"):
+        _assert_one_exchange(lambda: _sharded_distinct(ds, table.schema, key))
+        got = _sharded_distinct(ds, table.schema, key).to_pandas()
+        pd.testing.assert_frame_equal(_sorted(got, ["k", "s"]),
+                                      _sorted(want, ["k", "s"]))
+
+
 def test_stages_and_state_have_no_groupby():
     """No ``.groupby(`` at all: the shard exchange is the one shuffle, and
     a per-series shuffle (or a per-group pandas loop) cannot come back
-    unnoticed.  ``pipelines/diffstats.py``, ``pipelines/analytics.py``
-    and ``pipelines/relational.py`` run every operator on the ``_util``
+    unnoticed.  ``pipelines/diffstats.py``, ``pipelines/analytics.py``,
+    ``pipelines/relational.py`` and the TPC-H family (``tpch.py``,
+    ``tpch2.py``, ``graph.py``) run every operator on the ``_util``
     helpers: no ``map_groups(`` and no ``hash_shards``; and
     ``joins.shuffle_join`` runs no Ray Data ``groupby``."""
     import inspect
@@ -348,7 +406,8 @@ def test_stages_and_state_have_no_groupby():
         if ".groupby(" in line
     ]
     assert hits == []
-    for family in ("diffstats", "analytics", "relational"):
+    for family in ("diffstats", "analytics", "relational", "tpch", "tpch2",
+                   "graph"):
         src = (pkg / "pipelines" / f"{family}.py").read_text()
         assert "map_groups(" not in src, family
         assert "hash_shards" not in src, family
@@ -504,14 +563,22 @@ def test_helper_blocks_have_the_declared_schema(ray_session, monkeypatch,
     """Every partial block the helpers exchange has one schema, and every
     output block exactly the declared one, empty blocks too; neither
     carries pandas metadata, so Ray can hash them."""
+    import ray
+
     samples = _dataset(_numeric(_samples(n_series=300, per_series=3,
                                          seed=5))).materialize()
     partials = []
     real = _util.shard_apply
 
     def _capture(ds, fn, **kwargs):
-        ds = ds.materialize()
-        partials.extend(_blocks(ds))
+        if isinstance(ds, list):
+            # a materialized input's map inputs: ``(_apply_each, partial,
+            # *blocks)``, the partial applied to each of its blocks
+            partials.extend(partial(b) for _, partial, *refs in ds
+                            for b in ray.get(refs))
+        else:
+            ds = ds.materialize()
+            partials.extend(_blocks(ds))
         return real(ds, fn, **kwargs)
 
     monkeypatch.setattr(_util, "shard_apply", _capture)
